@@ -4,8 +4,8 @@ Click patterns are packed into 6-bit masks (bits 0..2 the 'c' detector
 in bins 1..3, bits 3..5 the 'd' detector). For each of the 16 binary
 phase settings and each photon-arrival case the exact output-state
 distribution over masks is tabulated cumulatively, and the sifting
-decision plus the phase-disagreement bit are tabulated per mask, so the
-hot loop only does table lookups.
+decision is tabulated per mask and the senders' bit disagreement per
+setting and mask, so the hot loop only does table lookups.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from .fock_optics import (
     encode_single_photon,
     joint_input,
 )
-from .protocol_sifting import Action, DetectionOutcome, PhaseUsed, extract_bits, sift
+from .protocol_sifting import Action, DetectionOutcome, extract_bits, sift
 
 # Arrival cases, indexed 2*(a survived) + (b survived).
 CASE_NONE = 0
@@ -72,15 +72,13 @@ class TableSet:
     """Everything the kernels need, in flat numeric form.
 
     outcome_cum[s, case] is the cumulative mask distribution for phase
-    setting s and arrival case; action/phase/flip give the sifting
-    decision per mask; base_error[s, mask] is 1 when the senders' bits
-    disagree for a Keep mask under setting s (before misalignment).
+    setting s and arrival case; action gives the sifting decision per
+    mask; base_error[s, mask] is 1 when the senders' bits disagree for a
+    Keep mask under setting s (before misalignment).
     """
 
     outcome_cum: np.ndarray  # (16, 4, 64) float64, last entry exactly 1
     action: np.ndarray  # (64,) int8
-    phase: np.ndarray  # (64,) int8: 0 first pair, 1 second pair, -1 none
-    flip: np.ndarray  # (64,) int8: 0/1, -1 where undefined
     base_error: np.ndarray  # (16, 64) int8
 
 
@@ -107,8 +105,6 @@ def build_tables() -> TableSet:
         outcome_cum[s] = cum
 
     action = np.full(64, ACTION_INCONCLUSIVE, dtype=np.int8)
-    phase = np.full(64, -1, dtype=np.int8)
-    flip = np.full(64, -1, dtype=np.int8)
     for mask in range(64):
         clicks = clicks_of_mask(mask)
         if len(clicks) > 2:
@@ -116,8 +112,6 @@ def build_tables() -> TableSet:
         decision = sift(DetectionOutcome(clicks))
         if decision.action is Action.KEEP:
             action[mask] = ACTION_KEEP
-            phase[mask] = 0 if decision.phase_used is PhaseUsed.DELTA1 else 1
-            flip[mask] = 1 if decision.bit_flip else 0
         elif decision.action is Action.DISCARD:
             action[mask] = ACTION_DISCARD
 
@@ -130,7 +124,7 @@ def build_tables() -> TableSet:
         bits = extract_bits(decision, PhaseSetting.from_bits(j_a1, j_a2, j_b1, j_b2))
         base_error[s, mask] = 1 if bits[0] != bits[1] else 0
 
-    return TableSet(outcome_cum, action, phase, flip, base_error)
+    return TableSet(outcome_cum, action, base_error)
 
 
 def conclusive_mask_names() -> Dict[int, str]:

@@ -27,7 +27,7 @@ from . import config as config_mod
 from . import svgplot
 from .config import ConfigError, RunConfig
 from .finite_key import finite_key_sweep, sweep_to_csv
-from .fock_optics import discrete_settings, conclusive_output_state, apply_filter
+from .fock_optics import discrete_settings, conclusive_output_state
 from .keyrate_asymptotic import (
     distance_grid,
     distance_sweep,
@@ -271,7 +271,7 @@ def _verify_phase_error_bound(seed: int, draws: int = 2000) -> None:
     )
 
 
-def _verify_bessel(seed: int, draws: int = 10) -> None:
+def _verify_gain(seed: int, draws: int = 10) -> None:
     rng = np.random.default_rng(seed)
     for _ in range(draws):
         mu_a = float(rng.uniform(0.05, 1.0))
@@ -314,7 +314,7 @@ def cmd_verify(cfg: RunConfig, mc_trials: int = 2_000_000) -> tuple[str, int]:
         ("reconciliation-table", lambda: _verify_reconciliation()),
         ("bell-state-mapping", lambda: _verify_bell_mapping()),
         ("phase-error-bound", lambda: _verify_phase_error_bound(cfg.seed)),
-        ("bessel-vs-quadrature", lambda: _verify_bessel(cfg.seed)),
+        ("gain-vs-quadrature", lambda: _verify_gain(cfg.seed)),
         ("mc-vs-analytic", lambda: _verify_montecarlo(cfg.seed, cfg.threads, mc_trials)),
     ]
     lines = []

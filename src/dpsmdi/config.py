@@ -17,6 +17,7 @@ echoed config re-runs identically.
 from __future__ import annotations
 
 import configparser
+import os
 from dataclasses import dataclass, fields, replace
 from typing import Any, Callable, Dict, Mapping, Tuple
 
@@ -142,8 +143,9 @@ class RunConfig:
             bad(f"backend must be one of {_BACKENDS}, got {self.backend!r}")
         if not 0 <= self.seed < 2**64:
             bad(f"seed must be an unsigned 64-bit integer, got {self.seed}")
-        if self.threads < 1:
-            bad(f"threads must be at least 1, got {self.threads}")
+        cores = os.cpu_count() or 1
+        if not 1 <= self.threads <= cores:
+            bad(f"threads must lie in [1, {cores}] (the core count), got {self.threads}")
 
     def channel_params(self, total_km: float) -> ChannelParams:
         """Channel model at a given total distance under this config."""

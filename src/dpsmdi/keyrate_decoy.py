@@ -1,11 +1,13 @@
 """Weak-coherent-source (decoy-state) key-rate analysis.
 
 Coherent pulses with random overall phases replace the single photons.
-Detector click probabilities and the resulting gain/error products have
-closed forms in the modified Bessel function I0 once the relative phase
-is averaged out; post-selecting the senders' phases into narrow slices
-trades raw rate for a much lower intrinsic error, which is what makes
-the weak-coherent variant usable.
+Detector click probabilities and the resulting gain/error products depend
+on the senders' overall phases only through their difference, so every
+phase average (over all phases or over one post-selection slice) is a
+line integral, taken here with one fixed Gauss-Legendre rule.
+Post-selecting the senders' phases into narrow slices trades raw rate
+for a much lower intrinsic error, which is what makes the weak-coherent
+variant usable.
 """
 
 from __future__ import annotations
@@ -13,20 +15,32 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from typing import Callable, List, NamedTuple, Sequence, Tuple
+from typing import List, NamedTuple, Sequence, Tuple
 
+import numpy as np
 from scipy.integrate import dblquad
 
-from ._bessel import modified_bessel_i0
 from .fock_optics import PhaseSetting
 from .keyrate_asymptotic import binary_entropy, qber_asymptotic, yield_Y11
 from .montecarlo import ChannelParams
 
-_SLICE_ABS_TOL = 1e-10
+# A 64-point Gauss-Legendre rule on each half of a slice's triangular
+# weight: slice m of N (width w = pi/N) averages a density g to
+# sum(_TRIANGLE_WEIGHTS * g(w * (m + _TRIANGLE_OFFSETS))) / N. The
+# unsliced gain on a lossless channel stays within 6e-12 of a 50-digit
+# reference up to mu = 1000 (x = 333); 32 points lose 2.4e-7 already at
+# mu = 300.
+_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(64)
+_GL_UNIT = 0.5 * (_GL_NODES + 1.0)
+_TRIANGLE_OFFSETS = np.concatenate((_GL_UNIT - 1.0, _GL_UNIT))
+_TRIANGLE_WEIGHTS = 0.5 * np.concatenate(
+    (_GL_WEIGHTS * _GL_UNIT, _GL_WEIGHTS * (1.0 - _GL_UNIT))
+)
 
 
 class QuadratureError(RuntimeError):
-    """Adaptive integration did not reach the requested tolerance."""
+    """Adaptive integration (the direct oracles) did not reach the
+    requested tolerance."""
 
     def __init__(self, message: str, achieved: float):
         super().__init__(f"{message} (achieved absolute tolerance {achieved:.3e})")
@@ -147,96 +161,71 @@ def simplified_click_probabilities(
     return ClickProbabilities(c[0], c[1], c[2], d[0], d[1], d[2])
 
 
-def _gain_density(delta_theta: float, x: float, y: float) -> float:
-    """Kept-coincidence probability density at fixed relative phase."""
-    c = math.cos(delta_theta)
+def _phase_average(
+    mu_a: float, mu_b: float, params: ChannelParams, config: SliceConfig
+) -> Tuple[float, float]:
+    """(gain, error product) averaged over one post-selection slice.
+
+    Bob's phase runs over his first slice, Alice's over slice m; the
+    antipodal halves duplicate the integrand exactly, so the N/pi^2
+    double integral over the w x w square (w = pi/N) depends only on
+    d = theta_a - theta_b and folds to the triangle-weighted line
+    integral N/pi^2 int (w - |d - lo|) g(d) dd over [lo - w, lo + w].
+    The densities are even in cos d, hence pi-periodic, so N = 1 is the
+    fully random-phase average. With u+- = expm1(log y +- x cos d)
+    they read
+
+        gain:  4 [y^4 e^(2x cos d) u-^2 + y^4 e^(-2x cos d) u+^2]
+        error: 8 y^4 u+ u-
+
+    which subtract no nearly equal terms as y -> 1 and x -> 0, and whose
+    exponents stay below zero, since x <= mu'/6 <= -log y.
+    """
+    inter = DecoyIntermediates.from_point(mu_a, mu_b, params)
+    log_y = math.log1p(-params.p_dark) - inter.mu_prime / 6.0
+    n = config.n_slices
+    xc = inter.x * np.cos((math.pi / n) * (config.index + _TRIANGLE_OFFSETS))
+    u_plus = np.expm1(log_y + xc)
+    u_minus = np.expm1(log_y - xc)
+    gain = 4.0 * (
+        np.exp(4.0 * log_y + 2.0 * xc) * u_minus**2
+        + np.exp(4.0 * log_y - 2.0 * xc) * u_plus**2
+    )
+    error = 8.0 * math.exp(4.0 * log_y) * (u_plus * u_minus)
     return (
-        4.0
-        * y**4
-        * (
-            math.exp(2.0 * x * c)
-            + math.exp(-2.0 * x * c)
-            - 2.0 * y * math.exp(x * c)
-            - 2.0 * y * math.exp(-x * c)
-            + 2.0 * y * y
-        )
+        float(_TRIANGLE_WEIGHTS @ gain) / n,
+        float(_TRIANGLE_WEIGHTS @ error) / n,
     )
 
 
-def _error_density(delta_theta: float, x: float, y: float) -> float:
-    """Erroneous kept-coincidence density at fixed relative phase."""
-    c = math.cos(delta_theta)
-    return 8.0 * y**4 * (1.0 - y * math.exp(x * c) - y * math.exp(-x * c) + y * y)
+_UNSLICED = SliceConfig(1, 0)
 
 
 def overall_gain(mu_a: float, mu_b: float, params: ChannelParams) -> float:
     """Kept-coincidence probability with fully random overall phases:
     8 y^4 [I0(2x) - 2 y I0(x) + y^2]."""
-    inter = DecoyIntermediates.from_point(mu_a, mu_b, params)
-    x, y = inter.x, inter.y
-    return (
-        8.0
-        * y**4
-        * (modified_bessel_i0(2.0 * x) - 2.0 * y * modified_bessel_i0(x) + y * y)
-    )
+    return _phase_average(mu_a, mu_b, params, _UNSLICED)[0]
 
 
 def overall_qber(mu_a: float, mu_b: float, params: ChannelParams) -> float:
     """Product (error fraction) x (gain) with fully random phases:
     8 y^4 [1 - 2 y I0(x) + y^2]. Divide by overall_gain for the fraction."""
-    inter = DecoyIntermediates.from_point(mu_a, mu_b, params)
-    x, y = inter.x, inter.y
-    return 8.0 * y**4 * (1.0 - 2.0 * y * modified_bessel_i0(x) + y * y)
+    return _phase_average(mu_a, mu_b, params, _UNSLICED)[1]
 
 
 def intrinsic_qber(mu_a: float, mu_b: float, params: ChannelParams) -> float:
     """Error fraction among kept coincidences, phases fully random."""
-    gain = overall_gain(mu_a, mu_b, params)
+    gain, error_product = _phase_average(mu_a, mu_b, params, _UNSLICED)
     if gain == 0.0:
         raise ValueError("QBER is undefined at zero gain (no light, no dark counts)")
-    return overall_qber(mu_a, mu_b, params) / gain
-
-
-def _slice_average(
-    density: Callable[[float, float, float], float],
-    x: float,
-    y: float,
-    config: SliceConfig,
-) -> float:
-    """Average a relative-phase density over one post-selection slice.
-
-    Bob's phase runs over his first slice, Alice's over slice m; the
-    antipodal halves duplicate the integrand exactly, so the printed
-    N/pi^2 prefactor normalizes the double integral below.
-    """
-    n = config.n_slices
-    width = math.pi / n
-    lo = config.index * width
-    value, abserr = dblquad(
-        lambda theta_b, theta_a: density(theta_a - theta_b, x, y),
-        lo,
-        lo + width,
-        0.0,
-        width,
-        epsabs=1e-12,
-        epsrel=0.0,
-    )
-    prefactor = n / math.pi**2
-    if abserr * prefactor > _SLICE_ABS_TOL:
-        raise QuadratureError(
-            f"slice integral did not converge to {_SLICE_ABS_TOL:.0e}",
-            abserr * prefactor,
-        )
-    return prefactor * value
+    return error_product / gain
 
 
 def sliced_gain_qber(
     mu_a: float, mu_b: float, params: ChannelParams, config: SliceConfig
 ) -> Tuple[float, float]:
     """(gain, error fraction) after phase post-selection on one slice."""
-    inter = DecoyIntermediates.from_point(mu_a, mu_b, params)
-    gain = _slice_average(_gain_density, inter.x, inter.y, config)
-    error_product = _slice_average(_error_density, inter.x, inter.y, config)
+    gain, error_product = _phase_average(mu_a, mu_b, params, config)
     if gain == 0.0:
         raise ValueError("sliced QBER undefined at zero gain")
     return gain, error_product / gain
@@ -294,25 +283,29 @@ def decoy_key_rate(
     vacuum = vacuum_term(mu_a, mu_b, params)
     entropy_credit = q11 * (1.0 - binary_entropy(e_p))
 
-    q_slice0, e_slice0 = sliced_gain_qber(mu_a, mu_b, params, SliceConfig(n_slices, 0))
+    slices = [
+        sliced_gain_qber(mu_a, mu_b, params, SliceConfig(n_slices, m))
+        for m in range(n_slices)
+    ]
+    q_slice0, e_slice0 = slices[0]
     modified = (
         entropy_credit / n_slices
         + vacuum
         - q_slice0 * params.f * binary_entropy(e_slice0)
     )
-
     total_cost = 0.0
-    for m in range(n_slices):
-        q_m, e_m = sliced_gain_qber(mu_a, mu_b, params, SliceConfig(n_slices, m))
+    for q_m, e_m in slices:
         total_cost += q_m * params.f * binary_entropy(e_m)
     increased = entropy_credit + vacuum - total_cost
+    # nonzero: the slices sum to it, and sliced_gain_qber rejects zero gain
+    q_mu, error_mu = _phase_average(mu_a, mu_b, params, _UNSLICED)
 
     return DecoyRateReport(
         rate=max(0.0, modified),
         rate_unclamped=modified,
         increased_cost_rate=increased,
-        q_mu=overall_gain(mu_a, mu_b, params),
-        e_mu=intrinsic_qber(mu_a, mu_b, params),
+        q_mu=q_mu,
+        e_mu=error_mu / q_mu,
         q11=q11,
         e_p_bound=e_p,
         vacuum=vacuum,
@@ -323,9 +316,10 @@ def decoy_key_rate(
 
 # ---------------------------------------------------------------------------
 # Slow validation oracles: the same gain/error products assembled from the
-# direct per-detector click probabilities and integrated numerically, with
-# no Bessel shortcut. Kept in the package so the verify command can run the
-# dual-route comparison end to end.
+# direct per-detector click probabilities and integrated numerically over
+# both phases, with no reduction to the phase difference. Kept in the
+# package so the verify command can run the dual-route comparison end to
+# end.
 
 _KEEP_PATTERNS: Tuple[Tuple[str, str, int], ...] = (
     # (first click, second click, phase pair index 0/1); the required

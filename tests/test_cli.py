@@ -1,5 +1,6 @@
 """Command-line entry points: CSV contracts, config plumbing, exit codes."""
 
+import os
 import xml.etree.ElementTree as ET
 
 import pytest
@@ -166,6 +167,16 @@ def test_invalid_flag_value_exits_2(capsys):
     code, _, stderr = run_cli(["asymptotic", "--l-step", "-5"], capsys)
     assert code == 2
     assert "config error" in stderr
+
+
+def test_threads_beyond_core_count_exit_2(capsys):
+    too_many = (os.cpu_count() or 1) + 1
+    with pytest.raises(config.ConfigError, match="threads"):
+        config.RunConfig(threads=too_many)
+    code, stdout, stderr = run_cli(["asymptotic", "--threads", str(too_many)], capsys)
+    assert code == 2
+    assert stdout == ""
+    assert "threads" in stderr
 
 
 def test_svg_sidecar_is_well_formed(tmp_path, capsys):

@@ -1,4 +1,4 @@
-"""Weak-coherent gain/QBER closed forms, slicing, and the dual quadrature route."""
+"""Weak-coherent gain/QBER phase averages, slicing, and the dual quadrature route."""
 
 import math
 
@@ -25,31 +25,49 @@ from dpsmdi.keyrate_decoy import (
     vacuum_term,
 )
 from dpsmdi.montecarlo import ChannelParams
-from dpsmdi._bessel import modified_bessel_i0
 
 SHORT_LINK = ChannelParams.from_total_distance(0.0)
 MID_LINK = ChannelParams(eta_a=0.02, eta_b=0.05, p_dark=1e-5, e_d=0.01)
+LOSSLESS = ChannelParams(eta_a=1.0, eta_b=1.0, p_dark=0.0, e_d=0.0)
 
 
-def reference_i0(x):
-    mpmath.mp.dps = 40
-    return float(mpmath.besseli(0, mpmath.mpf(x)))
+def reference_slice0(mu_a, mu_b, params, n_slices):
+    """(gain, error product) on slice 0 of n_slices, to 50 digits.
+
+    The Jacobi-Anger series e^(z cos d) = I0(z) + 2 sum_k I_k(z) cos(k d)
+    integrated against the slice's triangular weight (w - |d|) on [-w, w],
+    w = pi/N, gives the slice average of cosh(z cos d) as
+    N/pi^2 [w^2 I0(z) + 4 sum_(k even) I_k(z) (1 - cos kw) / k^2]; the
+    densities are 4 y^4 [(e^(xc) - y)^2 + (e^(-xc) - y)^2] and
+    8 y^4 (1 - y e^(xc)) (1 - y e^(-xc)). No quadrature is involved.
+    """
+    with mpmath.workdps(50):
+        eta_a, eta_b, mu_a, mu_b = map(
+            mpmath.mpf, (params.eta_a, params.eta_b, mu_a, mu_b)
+        )
+        x = mpmath.sqrt(eta_a * mu_a * eta_b * mu_b) / 3
+        mu_prime = eta_a * mu_a + eta_b * mu_b
+        y = (1 - mpmath.mpf(params.p_dark)) * mpmath.exp(-mu_prime / 6)
+        w = mpmath.pi / n_slices
+
+        def cosh_average(z):
+            total = w**2 * mpmath.besseli(0, z)
+            k = 2
+            while True:
+                i_k = mpmath.besseli(k, z)
+                total += 4 * i_k * (1 - mpmath.cos(k * w)) / k**2
+                if i_k < total * mpmath.mpf(10) ** -55:
+                    return n_slices * total / mpmath.pi**2
+                k += 2
+
+        cosh_x = cosh_average(x)
+        gain = 8 * y**4 * (cosh_average(2 * x) - 2 * y * cosh_x + y**2 / n_slices)
+        error = 8 * y**4 * ((1 + y**2) / n_slices - 2 * y * cosh_x)
+        return float(gain), float(error)
 
 
-def test_bessel_series_branch_matches_reference():
-    for x in (0.0, 1e-8, 0.05, 0.3, 1.0, 3.75, 7.2, 13.0, 19.5):
-        assert modified_bessel_i0(x) == pytest.approx(reference_i0(x), rel=1e-13)
-
-
-def test_bessel_asymptotic_branch_matches_reference():
-    # just past the series handoff and far beyond it
-    for x in (20.5, 37.0, 100.0, 400.0, 700.0):
-        assert modified_bessel_i0(x) == pytest.approx(reference_i0(x), rel=1e-12)
-
-
-def test_bessel_even_and_nan_passthrough():
-    assert modified_bessel_i0(-2.7) == modified_bessel_i0(2.7)
-    assert math.isnan(modified_bessel_i0(float("nan")))
+def rel_err(got, want):
+    return 0.0 if got == want else abs(got - want) / abs(want)
 
 
 def test_click_probability_forms_agree():
@@ -139,15 +157,49 @@ def test_single_slice_recovers_unsliced_forms():
 
 
 def test_slices_partition_gain_and_error_product():
-    n = 4
-    gain_sum = 0.0
-    error_sum = 0.0
-    for m in range(n):
-        gain, qber = sliced_gain_qber(0.5, 0.5, SHORT_LINK, SliceConfig(n, m))
-        gain_sum += gain
-        error_sum += gain * qber
-    assert gain_sum == pytest.approx(overall_gain(0.5, 0.5, SHORT_LINK), abs=1e-9)
-    assert error_sum == pytest.approx(overall_qber(0.5, 0.5, SHORT_LINK), abs=1e-9)
+    for l_km in (0.0, 250.0, 500.0):
+        params = ChannelParams.from_total_distance(l_km)
+        for n in (4, 16):
+            gain_sum = 0.0
+            error_sum = 0.0
+            for m in range(n):
+                gain, qber = sliced_gain_qber(0.5, 0.5, params, SliceConfig(n, m))
+                gain_sum += gain
+                error_sum += gain * qber
+            assert rel_err(gain_sum, overall_gain(0.5, 0.5, params)) <= 1e-13
+            assert rel_err(error_sum, overall_qber(0.5, 0.5, params)) <= 1e-13
+
+
+def test_decoy_rows_match_the_series_reference_from_0_to_500_km():
+    for l_km in range(0, 501, 25):
+        params = ChannelParams.from_total_distance(float(l_km))
+        report = decoy_key_rate(0.5, 0.5, params, n_slices=16)
+        q_mu, error_mu = reference_slice0(0.5, 0.5, params, 1)
+        q_m0, error_m0 = reference_slice0(0.5, 0.5, params, 16)
+        pairs = [
+            (report.q_mu, q_mu),
+            (report.e_mu, error_mu / q_mu),
+            (report.q_slice0, q_m0),
+            (report.e_slice0, error_m0 / q_m0),
+        ]
+        worst = max(rel_err(got, want) for got, want in pairs)
+        assert worst <= 1e-12, f"{worst:.2e} relative at {l_km} km"
+
+
+@pytest.mark.parametrize("mu", [1.0, 100.0, 1000.0])
+def test_lossless_channel_at_large_intensity(mu):
+    # At mu = 1000 the gain is ~4e-291 and the error product (~1e-580)
+    # underflows to zero, in the reference rounded to double as well.
+    for n_slices in (1, 16):
+        gain, qber = sliced_gain_qber(mu, mu, LOSSLESS, SliceConfig(n_slices, 0))
+        assert math.isfinite(gain) and math.isfinite(qber)
+        want_gain, want_error = reference_slice0(mu, mu, LOSSLESS, n_slices)
+        assert rel_err(gain, want_gain) <= 1e-9
+        assert rel_err(gain * qber, want_error) <= 1e-9
+    want_gain, want_error = reference_slice0(mu, mu, LOSSLESS, 1)
+    assert rel_err(overall_gain(mu, mu, LOSSLESS), want_gain) <= 1e-9
+    assert rel_err(overall_qber(mu, mu, LOSSLESS), want_error) <= 1e-9
+    assert math.isfinite(intrinsic_qber(mu, mu, LOSSLESS))
 
 
 def test_first_slice_qber_improves_with_finer_slicing():
