@@ -163,7 +163,6 @@ def cmd_finite_key(
         epsilon=cfg.epsilon,
         epsilon_EC=cfg.epsilon_EC,
         allow_full_budget=allow_full_budget,
-        threads=cfg.threads,
     )
     if svg:
         series = []
@@ -340,7 +339,10 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
         help="write the fully resolved config as INI ('-' for stdout)",
     )
     parser.add_argument("--seed", type=int, help="64-bit unsigned RNG seed")
-    parser.add_argument("--threads", type=int, help="worker threads for sweeps")
+    parser.add_argument(
+        "--threads", type=int,
+        help="Monte Carlo worker threads (montecarlo and verify's MC check)",
+    )
 
 
 def _add_channel(parser: argparse.ArgumentParser) -> None:

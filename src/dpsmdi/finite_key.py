@@ -21,9 +21,10 @@ The extractable rate per exchanged signal is ``r = (n / N) r'`` with
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Iterable, Sequence
+
+import numpy as np
 
 from .keyrate_asymptotic import binary_entropy
 
@@ -231,6 +232,8 @@ _COARSE_BETA = (0.05, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9)
 _COARSE_GAMMA = (0.01, 0.03, 0.1, 0.2, 0.3, 0.5, 0.7, 0.9)
 _REFINE_ROUNDS = 4
 _REFINE_POINTS = 9
+# Lower edges of the refinement brackets for u, beta and gamma.
+_REFINE_FLOORS = (1e-9, 1e-6, 1e-6)
 
 
 def _split_budget(total: int, u: float) -> tuple[int, int]:
@@ -240,23 +243,35 @@ def _split_budget(total: int, u: float) -> tuple[int, int]:
     return total - m, m
 
 
-def _evaluate(
-    N_signals: int,
-    total: int,
-    e_b: float,
-    epsilon: float,
-    epsilon_EC: float,
-    u: float,
-    beta: float,
-    gamma: float,
-    allow_full_budget: bool,
-) -> tuple[float, int, int, float, float]:
-    n, m = _split_budget(total, u)
+def _rates(
+    N_signals: int, total: int, e_b: float, epsilon: float, epsilon_EC: float,
+    u: np.ndarray, beta: np.ndarray, gamma: np.ndarray,
+) -> np.ndarray:
+    """Unclamped finite_rate at every point of broadcastable (u, beta, gamma) arrays.
+
+    The split is _split_budget's, and every term keeps the operation order of
+    xi, delta, smooth_entropy and finite_rate (up to the libm last bit).
+    """
+    m = np.clip(np.rint(total * u), 1, total - 1)
+    n = total - m
     eps_bar = beta * (epsilon - epsilon_EC)
     eps_bar_prime = gamma * eps_bar
-    sec = SecurityParams(epsilon, epsilon_EC, eps_bar, eps_bar_prime)
-    budget = FiniteKeyBudget(N_signals, n, m, allow_full_budget)
-    return finite_rate(budget, sec, e_b), n, m, eps_bar, eps_bar_prime
+    confidence = 2.0 * np.log(1.0 / eps_bar_prime)
+    eb_tilde = e_b + np.sqrt((confidence + POVM_OUTCOME_COUNT * np.log(n + 1.0)) / n)
+    ep_tilde = e_b + np.sqrt((confidence + POVM_OUTCOME_COUNT * np.log(m + 1.0)) / m)
+
+    def h(x: np.ndarray) -> np.ndarray:
+        x = np.minimum(x, 0.5)  # keeps log2 finite; np.where zeroes points past 1/2
+        return -x * np.log2(x) - (1.0 - x) * np.log2(1.0 - x)
+
+    entropy = np.where(
+        (eb_tilde > 0.5) | (ep_tilde > 0.5), 0.0, 1.0 - h(eb_tilde) - h(ep_tilde)
+    )
+    leak = ERROR_CORRECTION_EFFICIENCY * binary_entropy(e_b) * n
+    penalty = 2.0 * np.log2(1.0 / (2.0 * (epsilon - eps_bar - epsilon_EC))) + 7.0 * np.sqrt(
+        n * np.log2(2.0 / (eps_bar - eps_bar_prime))
+    )
+    return (n / N_signals) * (entropy - (leak + penalty) / n)
 
 
 def _bracket(value: float, grid: Sequence[float], floor: float, ceil: float) -> tuple[float, float]:
@@ -292,6 +307,10 @@ def optimize_rate(
     * beta: eps_bar as a fraction of (epsilon - epsilon_EC),
     * gamma: eps_bar_prime as a fraction of eps_bar.
 
+    Candidates are ranked as arrays, the whole coarse grid or one refinement
+    line per evaluation; the first maximum wins and a move needs a strictly
+    larger rate.  The reported rate is one call of finite_rate at the winner.
+
     The full sifted budget n + m is always spent; enlarging either share
     never hurts, so interior points are dominated.
     """
@@ -313,52 +332,37 @@ def optimize_rate(
             "cannot populate both key and estimation samples",
         )
 
-    def rated(u: float, beta: float, gamma: float):
-        return _evaluate(
-            N_signals, total, e_b, epsilon, epsilon_EC, u, beta, gamma,
-            allow_full_budget,
-        )
+    def rated(u, beta, gamma) -> np.ndarray:
+        # clamped like finite_rate, so a grid that is 0 everywhere keeps its first point
+        rates = _rates(N_signals, total, e_b, epsilon, epsilon_EC, u, beta, gamma)
+        return np.maximum(rates, 0.0)
 
-    best = (0.0, *_split_budget(total, _COARSE_U[0]), 0.0, 0.0)
-    best_point = (_COARSE_U[0], _COARSE_BETA[0], _COARSE_GAMMA[0])
-    for u in _COARSE_U:
-        for beta in _COARSE_BETA:
-            for gamma in _COARSE_GAMMA:
-                trial = rated(u, beta, gamma)
-                if trial[0] > best[0]:
-                    best = trial
-                    best_point = (u, beta, gamma)
-
-    u_grid: Sequence[float] = _COARSE_U
-    beta_grid: Sequence[float] = _COARSE_BETA
-    gamma_grid: Sequence[float] = _COARSE_GAMMA
+    grids: list[Sequence[float]] = [_COARSE_U, _COARSE_BETA, _COARSE_GAMMA]
+    coarse = rated(*np.ix_(*grids))
+    index = np.unravel_index(np.argmax(coarse), coarse.shape)
+    best = coarse[index]
+    point = [grid[i] for grid, i in zip(grids, index)]
     for _ in range(_REFINE_ROUNDS):
-        u0, b0, g0 = best_point
-        lo, hi = _bracket(u0, u_grid, 1e-9, 0.999999)
-        u_grid = _geom_grid(lo, hi, _REFINE_POINTS)
-        for u in u_grid:
-            trial = rated(u, b0, g0)
-            if trial[0] > best[0]:
-                best = trial
-                best_point = (u, b0, g0)
-        u0, b0, g0 = best_point
-        lo, hi = _bracket(b0, beta_grid, 1e-6, 0.999999)
-        beta_grid = _geom_grid(lo, hi, _REFINE_POINTS)
-        for beta in beta_grid:
-            trial = rated(u0, beta, g0)
-            if trial[0] > best[0]:
-                best = trial
-                best_point = (u0, beta, g0)
-        u0, b0, g0 = best_point
-        lo, hi = _bracket(g0, gamma_grid, 1e-6, 0.999999)
-        gamma_grid = _geom_grid(lo, hi, _REFINE_POINTS)
-        for gamma in gamma_grid:
-            trial = rated(u0, b0, gamma)
-            if trial[0] > best[0]:
-                best = trial
-                best_point = (u0, b0, gamma)
+        for axis in range(3):
+            lo, hi = _bracket(point[axis], grids[axis], _REFINE_FLOORS[axis], 0.999999)
+            grids[axis] = _geom_grid(lo, hi, _REFINE_POINTS)
+            line = list(point)
+            line[axis] = np.asarray(grids[axis])
+            rates = rated(*line)
+            k = int(np.argmax(rates))
+            if rates[k] > best:
+                best = rates[k]
+                point[axis] = grids[axis][k]
 
-    rate, n, m, eps_bar, eps_bar_prime = best
+    u, beta, gamma = point
+    n, m = _split_budget(total, u)
+    eps_bar = beta * (epsilon - epsilon_EC)
+    eps_bar_prime = gamma * eps_bar
+    rate = finite_rate(
+        FiniteKeyBudget(N_signals, n, m, allow_full_budget),
+        SecurityParams(epsilon, epsilon_EC, eps_bar, eps_bar_prime),
+        e_b,
+    )
     if rate <= 0.0:
         return FiniteKeyOptimum(
             N_signals, e_b, 0.0, 0, 0, 0.0, 0.0,
@@ -374,29 +378,15 @@ def finite_key_sweep(
     epsilon: float = 1e-5,
     epsilon_EC: float = 1e-10,
     allow_full_budget: bool = False,
-    threads: int = 1,
 ) -> list[FiniteKeyOptimum]:
-    """Optimize every (N_signals, e_b) pair; row order follows input order.
-
-    Points are independent, so they may be dispatched to a thread pool;
-    results are reassembled in sweep order regardless of completion order.
-    """
-    points = [
-        (int(n_sig), float(e_b))
+    """Optimize every (N_signals, e_b) pair; row order follows input order."""
+    return [
+        optimize_rate(
+            int(n_sig), epsilon, epsilon_EC, float(e_b), allow_full_budget=allow_full_budget
+        )
         for n_sig in n_signals_values
         for e_b in e_b_values
     ]
-
-    def solve(point: tuple[int, float]) -> FiniteKeyOptimum:
-        return optimize_rate(
-            point[0], epsilon, epsilon_EC, point[1],
-            allow_full_budget=allow_full_budget,
-        )
-
-    if threads > 1 and len(points) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(solve, points))
-    return [solve(point) for point in points]
 
 
 def sweep_to_csv(rows: Iterable[FiniteKeyOptimum]) -> str:

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import io
 import math
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
@@ -274,7 +275,7 @@ def run_trials(
 
     The random stream is counter-based, so the result depends only on
     (params, n_trials, seed): thread count and backend choice change
-    neither tallies nor estimates.
+    neither tallies nor estimates.  At most os.cpu_count() threads start.
     """
     if n_trials < 1:
         raise ValueError("n_trials must be at least 1")
@@ -286,7 +287,7 @@ def run_trials(
         raise ValueError(f"unknown backend {backend!r}")
     if backend == "compiled" and not COMPILED_AVAILABLE:
         raise RuntimeError("compiled backend requested but extension not built")
-    threads = max(1, int(threads))
+    threads = min(max(1, int(threads)), os.cpu_count() or 1)
     tables = build_tables()
 
     if threads == 1:

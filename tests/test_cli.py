@@ -80,6 +80,55 @@ def test_finite_key_rows_and_full_budget(capsys):
     assert full_small > 0.0
 
 
+# `dpsmdi finite-key` at the default config, byte for byte: a change of argmax
+# anywhere in the optimizer shows here, below criterion 8's 1% tolerance.
+DEFAULT_FINITE_KEY_CSV = """\
+N_signals,e_b,r,n_opt,m_opt,eps_bar,eps_bar_prime
+100000,0.01,0,0,0,0,0
+100000,0.03,0,0,0,0,0
+100000,0.05,0,0,0,0,0
+300000,0.01,0.0582520123799,99227,34106,9.95640278293e-06,4.51751784674e-06
+300000,0.03,0,0,0,0,0
+300000,0.05,0,0,0,0,0
+1000000,0.01,0.13733178573,374339,70105,9.98029729655e-06,5.23825827564e-06
+1000000,0.03,0.0277864808314,321353,123091,9.97594857825e-06,4.35733965087e-06
+1000000,0.05,0,0,0,0,0
+3000000,0.01,0.191796155326,1188449,144884,9.9911773878e-06,5.78180810993e-06
+3000000,0.03,0.0676148810623,1107096,226237,9.98900042108e-06,4.95597951301e-06
+3000000,0.05,0,0,0,0,0
+10000000,0.01,0.23507856568,4116911,327533,9.99553274466e-06,6.29492198277e-06
+10000000,0.03,0.0998028637851,3947453,496991,9.99335482896e-06,5.4486002313e-06
+10000000,0.05,0,0,0,0,0
+30000000,0.01,0.263063249977,12629449,703884,9.997711135e-06,6.70474394259e-06
+30000000,0.03,0.120506455882,12308895,1024438,9.99662188049e-06,5.86981407513e-06
+30000000,0.05,0.00935091373974,10044952,3288381,9.99553274466e-06,4.26590611586e-06
+100000000,0.01,0.284536606713,42811186,1633258,9.9988005082e-06,7.09959911367e-06
+100000000,0.03,0.136210069203,42143579,2300865,9.9988005082e-06,6.23225331619e-06
+100000000,0.05,0.018344372101,37789961,6654483,9.997711135e-06,4.76715358161e-06
+300000000,0.01,0.298110965357,129832518,3500815,9.99934523931e-06,7.42935927782e-06
+300000000,0.03,0.146005239991,128490686,4842647,9.9988005082e-06,6.63845397337e-06
+300000000,0.05,0.02414316837,120108033,13225300,9.9988005082e-06,5.17894973251e-06
+1000000000,0.01,0.30837739493,436384589,8059855,9.99934523931e-06,7.75618354227e-06
+1000000000,0.03,0.15331837019,433482593,10961851,9.99934523931e-06,7.00284536931e-06
+1000000000,0.05,0.0285064033489,416722896,27721548,9.99934523931e-06,5.64466272628e-06
+10000000000,0.01,0.319635054881,4405185327,39259117,9.9998900001e-06,8.28530379117e-06
+10000000000,0.03,0.161208737457,4392151574,52292870,9.9998900001e-06,7.63293615313e-06
+10000000000,0.05,0.033200029007,4302189463,142254981,9.99934523931e-06,6.23259284714e-06
+100000000000,0.01,0.324906134743,44252216075,192228369,9.9998900001e-06,8.70237213761e-06
+100000000000,0.03,0.164839455333,44194984353,249460091,9.9998900001e-06,8.17066860307e-06
+100000000000,0.05,0.0353323647477,43816861695,627582749,9.9998900001e-06,7.04354172854e-06
+1000000000000,0.01,0.327369326074,443539302072,905142372,9.9998900001e-06,9.04541994525e-06
+1000000000000,0.03,0.166515908096,443255959316,1188485128,9.9998900001e-06,8.6149109253e-06
+1000000000000,0.05,0.0362999115071,441473913482,2970530962,9.9998900001e-06,7.67247064829e-06
+"""
+
+
+def test_finite_key_default_csv_is_pinned(capsys):
+    code, stdout, _ = run_cli(["finite-key"], capsys)
+    assert code == 0
+    assert stdout == DEFAULT_FINITE_KEY_CSV
+
+
 def test_montecarlo_matches_direct_call(capsys):
     code, stdout, _ = run_cli(
         ["montecarlo", "--n-trials", "20000", "--seed", "7", "--l-km", "0",

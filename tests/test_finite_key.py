@@ -1,10 +1,13 @@
 """Finite-block corrections, budget constraints, and the deterministic optimizer."""
 
+import itertools
 import math
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
+from dpsmdi import finite_key
 from dpsmdi.finite_key import (
     ConstraintError,
     FiniteKeyBudget,
@@ -188,13 +191,28 @@ def test_optimum_budget_roundtrip():
     assert (budget.N_signals, budget.n, budget.m) == (10**6, opt.n, opt.m)
 
 
-def test_sweep_order_and_thread_invariance():
-    grid_n = [10**6, 10**7]
-    grid_e = [0.01, 0.03]
-    serial = finite_key_sweep(grid_n, grid_e, threads=1)
-    threaded = finite_key_sweep(grid_n, grid_e, threads=4)
-    assert serial == threaded
-    assert [(row.N_signals, row.e_b) for row in serial] == [
+@pytest.mark.parametrize("allow_full_budget", [False, True])
+@pytest.mark.parametrize("N_signals", [10**5, 10**7, 10**12])
+def test_array_rates_match_finite_rate_on_the_coarse_grid(N_signals, allow_full_budget):
+    eps, eps_ec = 1e-5, 1e-10
+    grids = (finite_key._COARSE_U, finite_key._COARSE_BETA, finite_key._COARSE_GAMMA)
+    total = N_signals if allow_full_budget else (4 * N_signals) // 9
+    for e_b in (0.005, 0.03, 0.065):
+        rates = finite_key._rates(N_signals, total, e_b, eps, eps_ec, *np.ix_(*grids))
+        for index in itertools.product(*(range(len(grid)) for grid in grids)):
+            u, beta, gamma = (grid[i] for grid, i in zip(grids, index))
+            m = min(max(int(round(total * u)), 1), total - 1)
+            eps_bar = beta * (eps - eps_ec)
+            budget = FiniteKeyBudget(N_signals, total - m, m, allow_full_budget)
+            sec = SecurityParams(eps, eps_ec, eps_bar, gamma * eps_bar)
+            expected = finite_rate(budget, sec, e_b)
+            got = max(0.0, float(rates[index]))
+            assert abs(got - expected) <= max(1e-12 * expected, 1e-15), (index, e_b)
+
+
+def test_sweep_order():
+    rows = finite_key_sweep([10**6, 10**7], [0.01, 0.03])
+    assert [(row.N_signals, row.e_b) for row in rows] == [
         (10**6, 0.01),
         (10**6, 0.03),
         (10**7, 0.01),

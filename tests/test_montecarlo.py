@@ -1,10 +1,12 @@
 """Trial-level channel simulation: determinism, sharding, physics checks."""
 
 import math
+import os
 
 import numpy as np
 import pytest
 
+from dpsmdi import montecarlo
 from dpsmdi.fock_optics import discrete_settings, conclusive_output_state
 from dpsmdi.keyrate_asymptotic import qber_asymptotic, yield_Y11
 from dpsmdi.montecarlo import (
@@ -59,6 +61,32 @@ def test_thread_count_does_not_change_tallies():
     assert single.keep_count == sharded.keep_count
     assert single.error_count == sharded.error_count
     assert np.array_equal(single.mask_counts, sharded.mask_counts)
+
+
+def test_thread_count_is_capped_at_the_core_count(monkeypatch):
+    requested = []
+
+    class InlinePool:
+        """Records max_workers and runs the shards in the calling thread."""
+
+        def __init__(self, max_workers):
+            requested.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, jobs):
+            return map(fn, jobs)
+
+    monkeypatch.setattr(montecarlo, "ThreadPoolExecutor", InlinePool)
+    cores = os.cpu_count() or 1
+    capped = run_trials(LOSSY, 300, seed=5, threads=cores + 1000)
+    assert all(workers <= cores for workers in requested)
+    single = run_trials(LOSSY, 300, seed=5, threads=1)
+    assert np.array_equal(capped.mask_counts, single.mask_counts)
 
 
 @pytest.mark.skipif(not COMPILED_AVAILABLE, reason="extension not built")
