@@ -3,12 +3,13 @@ protocol measured at an untrusted relay.
 
 Layout:
 
-- :mod:`dpsmdi.fock_optics` — few-photon state algebra, beamsplitter, filters
+- :mod:`dpsmdi.fock_optics` — few-photon state algebra, beamsplitter,
+  post-selection
 - :mod:`dpsmdi.protocol_sifting` — announcement reconciliation and bit extraction
 - :mod:`dpsmdi.noise_security` — collective-noise error rates and the
   phase-error bound
 - :mod:`dpsmdi.montecarlo` — trial-level channel simulation (compiled kernel
-  with a pure-Python fallback)
+  with a numpy fallback)
 - :mod:`dpsmdi.keyrate_asymptotic` — single-photon yields, QBER, rates
 - :mod:`dpsmdi.keyrate_decoy` — weak-coherent gains, phase slicing, decoy rate
 - :mod:`dpsmdi.finite_key` — finite-block corrections and budget optimization

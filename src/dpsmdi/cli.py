@@ -91,14 +91,7 @@ def _maybe_svg(path: Optional[str], series: List[svgplot.Series], **kwargs: Any)
 
 def cmd_asymptotic(cfg: RunConfig, svg: Optional[str] = None) -> str:
     grid = distance_grid(cfg.L_min, cfg.L_max, cfg.L_step)
-    rows = distance_sweep(
-        grid,
-        eta_det=cfg.eta_det,
-        p_dark=cfg.p_dark,
-        e_d=cfg.e_d,
-        alpha_db_per_km=cfg.alpha_db_per_km,
-        f=cfg.f,
-    )
+    rows = distance_sweep(grid, **cfg.link())
     _maybe_svg(
         svg,
         [
@@ -116,15 +109,7 @@ def cmd_asymptotic(cfg: RunConfig, svg: Optional[str] = None) -> str:
 def cmd_decoy(cfg: RunConfig, svg: Optional[str] = None) -> str:
     grid = distance_grid(cfg.L_min, cfg.L_max, cfg.L_step)
     rows = decoy_distance_sweep(
-        grid,
-        mu_a=cfg.mu_a,
-        mu_b=cfg.mu_b,
-        n_slices=cfg.N_slices,
-        eta_det=cfg.eta_det,
-        p_dark=cfg.p_dark,
-        e_d=cfg.e_d,
-        alpha_db_per_km=cfg.alpha_db_per_km,
-        f=cfg.f,
+        grid, mu_a=cfg.mu_a, mu_b=cfg.mu_b, n_slices=cfg.N_slices, **cfg.link()
     )
     _maybe_svg(
         svg,

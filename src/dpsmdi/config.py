@@ -21,7 +21,7 @@ import os
 from dataclasses import dataclass, fields, replace
 from typing import Any, Callable, Dict, Mapping, Tuple
 
-from .montecarlo import ChannelParams
+from .montecarlo import ALPHA_DB_PER_KM, E_D, ETA_DET, F_EC, P_DARK, ChannelParams
 
 
 class ConfigError(ValueError):
@@ -64,11 +64,11 @@ class RunConfig:
     """Fully resolved parameters for one CLI invocation."""
 
     # [channel]
-    eta_det: float = 0.145
-    p_dark: float = 3e-6
-    e_d: float = 0.015
-    f: float = 1.16
-    alpha_db_per_km: float = 0.2
+    eta_det: float = ETA_DET
+    p_dark: float = P_DARK
+    e_d: float = E_D
+    f: float = F_EC
+    alpha_db_per_km: float = ALPHA_DB_PER_KM
     # [sweep]
     L_min: float = 0.0
     L_max: float = 300.0
@@ -147,16 +147,13 @@ class RunConfig:
         if not 1 <= self.threads <= cores:
             bad(f"threads must lie in [1, {cores}] (the core count), got {self.threads}")
 
+    def link(self) -> Dict[str, float]:
+        """The [channel] section as keywords of ChannelParams.from_total_distance."""
+        return {attr: getattr(self, attr) for attr, _, _ in _SCHEMA["channel"].values()}
+
     def channel_params(self, total_km: float) -> ChannelParams:
         """Channel model at a given total distance under this config."""
-        return ChannelParams.from_total_distance(
-            total_km,
-            eta_det=self.eta_det,
-            p_dark=self.p_dark,
-            e_d=self.e_d,
-            alpha_db_per_km=self.alpha_db_per_km,
-            f=self.f,
-        )
+        return ChannelParams.from_total_distance(total_km, **self.link())
 
     def to_ini(self) -> str:
         """Serialize the resolved state; parsing it back is the identity."""

@@ -27,6 +27,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .keyrate_asymptotic import binary_entropy
+from .protocol_sifting import sifted_key_fraction
 
 # Number of distinguishable announcement outcomes entering the statistical
 # broadening: 8 conclusive click patterns plus the inconclusive bucket.
@@ -36,8 +37,7 @@ POVM_OUTCOME_COUNT = 9
 ERROR_CORRECTION_EFFICIENCY = 1.2
 
 # Budget fraction available after sifting (survival 2/3 times keep 2/3).
-SIFTED_NUMERATOR = 4
-SIFTED_DENOMINATOR = 9
+SIFTED_NUMERATOR, SIFTED_DENOMINATOR = sifted_key_fraction().as_integer_ratio()
 
 
 class ConstraintError(ValueError):
@@ -121,13 +121,6 @@ class FiniteKeyBudget:
                 f"n + m = {self.n + self.m} exceeds the sifted budget "
                 f"(4/9) * {self.N_signals}"
             )
-
-    @property
-    def sifted_budget(self) -> int:
-        """Largest allowed n + m for this block."""
-        if self.allow_full_budget:
-            return self.N_signals
-        return (SIFTED_NUMERATOR * self.N_signals) // SIFTED_DENOMINATOR
 
 
 def xi(m: float, d: int, eps_bar_prime: float) -> float:
@@ -219,9 +212,6 @@ class FiniteKeyOptimum:
     eps_bar: float
     eps_bar_prime: float
     diagnostic: str = ""
-
-    def budget(self, allow_full_budget: bool = False) -> FiniteKeyBudget:
-        return FiniteKeyBudget(self.N_signals, self.n, self.m, allow_full_budget)
 
 
 # Coarse search grids.  u is the fraction of the sifted budget handed to
@@ -379,10 +369,14 @@ def finite_key_sweep(
     epsilon_EC: float = 1e-10,
     allow_full_budget: bool = False,
 ) -> list[FiniteKeyOptimum]:
-    """Optimize every (N_signals, e_b) pair; row order follows input order."""
+    """Optimize every (N_signals, e_b) pair; row order follows input order.
+
+    Both inputs are read once, so one-shot iterables give every pair too.
+    """
+    e_b_values = [float(e_b) for e_b in e_b_values]
     return [
         optimize_rate(
-            int(n_sig), epsilon, epsilon_EC, float(e_b), allow_full_budget=allow_full_budget
+            int(n_sig), epsilon, epsilon_EC, e_b, allow_full_budget=allow_full_budget
         )
         for n_sig in n_signals_values
         for e_b in e_b_values

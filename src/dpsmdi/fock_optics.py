@@ -19,41 +19,12 @@ Pattern = Tuple[int, int, int, int, int, int]
 INPUT = "input"
 OUTPUT = "output"
 
-_PORT_LETTERS = {INPUT: "ab", OUTPUT: "cd"}
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 _TWO_PI = 2.0 * math.pi
 
 
 class BasisMismatchError(ValueError):
     """An operation was fed a state expressed in the wrong port basis."""
-
-
-@dataclass(frozen=True)
-class ModeIndex:
-    """One optical mode, addressed by port letter and 1-based time bin.
-
-    Ports 'a' and 'b' are the sender channels, 'c' and 'd' the relay
-    outputs. The flat position inside a six-entry occupation pattern is
-    exposed as ``flat_index``.
-    """
-
-    port: str
-    time_bin: int
-
-    def __post_init__(self) -> None:
-        if self.port not in ("a", "b", "c", "d"):
-            raise ValueError(f"unknown port {self.port!r}")
-        if self.time_bin not in (1, 2, 3):
-            raise ValueError(f"time_bin must be 1, 2 or 3, got {self.time_bin}")
-
-    @property
-    def basis(self) -> str:
-        return INPUT if self.port in ("a", "b") else OUTPUT
-
-    @property
-    def flat_index(self) -> int:
-        side = 0 if self.port in ("a", "c") else 1
-        return 3 * side + (self.time_bin - 1)
 
 
 @dataclass(frozen=True)
@@ -134,18 +105,6 @@ class TwoPartyFockState:
             raise ValueError("cannot normalize the zero state")
         return TwoPartyFockState({p: a / n for p, a in self.amplitudes.items()}, self.port_basis)
 
-    def inner(self, other: "TwoPartyFockState") -> complex:
-        """Hermitian inner product <self|other>; bases must agree."""
-        if self.port_basis != other.port_basis:
-            raise BasisMismatchError(
-                f"cannot overlap a {self.port_basis}-basis state with a "
-                f"{other.port_basis}-basis state"
-            )
-        small, large = self.amplitudes, other.amplitudes
-        if len(large) < len(small):
-            return sum(large[p].conjugate() * small[p] for p in large if p in small).conjugate()
-        return sum(small[p].conjugate() * large[p] for p in small if p in large)
-
     def probability(self, pattern: Pattern) -> float:
         return abs(self.amplitudes.get(tuple(pattern), 0j)) ** 2
 
@@ -153,30 +112,6 @@ class TwoPartyFockState:
         """Copy with amplitudes of magnitude <= eps dropped."""
         kept = {p: a for p, a in self.amplitudes.items() if abs(a) > eps}
         return TwoPartyFockState(kept, self.port_basis)
-
-    def dump(self) -> str:
-        """Deterministic text form, one 'pattern re im' line per amplitude."""
-        letters = _PORT_LETTERS[self.port_basis]
-        lines = []
-        for pattern in sorted(self.amplitudes):
-            x = "".join(str(n) for n in pattern[:3])
-            y = "".join(str(n) for n in pattern[3:])
-            a = self.amplitudes[pattern]
-            lines.append(f"|{x},{y}>{letters} {a.real:.12g} {a.imag:.12g}")
-        return "\n".join(lines)
-
-
-def states_equal_up_to_phase(
-    first: TwoPartyFockState, second: TwoPartyFockState, tol: float = 1e-9
-) -> bool:
-    """Whether two states coincide up to an overall complex phase.
-
-    Compares the magnitude of the normalized overlap against 1 - tol.
-    """
-    n1, n2 = first.norm(), second.norm()
-    if n1 == 0.0 or n2 == 0.0:
-        raise ValueError("phase comparison is undefined for the zero state")
-    return abs(first.inner(second)) / (n1 * n2) >= 1.0 - tol
 
 
 def _cis(phi: float) -> complex:
@@ -308,67 +243,3 @@ def conclusive_output_state(setting: PhaseSetting) -> TwoPartyFockState:
     """Detector-side state conditioned on surviving the bunching post-selection."""
     survivor, _ = postselect_hom(joint_input(setting))
     return beamsplitter_transform(survivor)
-
-
-# Two-click detector patterns, grouped by the role they play in sifting.
-# Filter "F1" spans the conclusive coincidences on time bins {1, 2} and
-# "F2" those on bins {1, 3}; bins {2, 3} coincidences are discarded and
-# the double-occupancy patterns are the bunched (post-selected-away) part.
-FILTER_PATTERNS: Dict[str, frozenset] = {
-    "F1": frozenset(
-        {
-            (1, 1, 0, 0, 0, 0),
-            (0, 0, 0, 1, 1, 0),
-            (1, 0, 0, 0, 1, 0),
-            (0, 1, 0, 1, 0, 0),
-        }
-    ),
-    "F2": frozenset(
-        {
-            (1, 0, 1, 0, 0, 0),
-            (0, 0, 0, 1, 0, 1),
-            (1, 0, 0, 0, 0, 1),
-            (0, 0, 1, 1, 0, 0),
-        }
-    ),
-}
-
-DISCARD_PATTERNS = frozenset(
-    {
-        (0, 1, 1, 0, 0, 0),
-        (0, 0, 0, 0, 1, 1),
-        (0, 1, 0, 0, 0, 1),
-        (0, 0, 1, 0, 1, 0),
-    }
-)
-
-BUNCHED_PATTERNS = frozenset(
-    {
-        (2, 0, 0, 0, 0, 0),
-        (0, 2, 0, 0, 0, 0),
-        (0, 0, 2, 0, 0, 0),
-        (0, 0, 0, 2, 0, 0),
-        (0, 0, 0, 0, 2, 0),
-        (0, 0, 0, 0, 0, 2),
-    }
-)
-
-
-def apply_filter(
-    state: TwoPartyFockState, filter_name: str
-) -> Tuple[TwoPartyFockState, float]:
-    """Project an output-basis state onto one conclusive coincidence filter.
-
-    filter_name is "F1" (bins {1, 2}) or "F2" (bins {1, 3}). Returns the
-    unnormalized projection and the projection probability, i.e. the
-    summed squared magnitude over the filter's patterns.
-    """
-    if state.port_basis != OUTPUT:
-        raise BasisMismatchError("coincidence filters act on output-basis states")
-    try:
-        patterns = FILTER_PATTERNS[filter_name]
-    except KeyError:
-        raise ValueError(f"unknown filter {filter_name!r}, expected 'F1' or 'F2'") from None
-    projected = {p: a for p, a in state.amplitudes.items() if p in patterns}
-    probability = sum(abs(a) ** 2 for a in projected.values())
-    return TwoPartyFockState(projected, OUTPUT), probability

@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass
 from typing import List, Sequence, Tuple
 
-from .montecarlo import ChannelParams
+from .montecarlo import ALPHA_DB_PER_KM, E_D, ETA_DET, F_EC, P_DARK, ChannelParams
 
 # Phase-information amplification factor for the non-relay baseline: a
 # single announced click leaks phase correlations of two neighboring
@@ -48,6 +48,14 @@ def binary_entropy(x: float) -> float:
     return -x * math.log2(x) - (1.0 - x) * math.log2(1.0 - x)
 
 
+def _dark_bracket(params: ChannelParams) -> float:
+    """One- and two-dark-count part of the kept-coincidence bracket."""
+    eta_a, eta_b, p = params.eta_a, params.eta_b, params.p_dark
+    return p * ((eta_a + eta_b) / 3.0 - 5.0 * eta_a * eta_b / 9.0) + p * p * (
+        1.0 - eta_a
+    ) * (1.0 - eta_b)
+
+
 def yield_Y11(params: ChannelParams) -> float:
     """Probability per round of a kept announcement with single photons.
 
@@ -55,20 +63,8 @@ def yield_Y11(params: ChannelParams) -> float:
     one-dark-count assists and the two-dark-count floor, weighted by the
     no-spurious-click factor (1 - p_dark)^4 on the remaining bins.
     """
-    eta_a, eta_b, p = params.eta_a, params.eta_b, params.p_dark
-    bracket = (
-        eta_a * eta_b / 18.0
-        + p * ((eta_a + eta_b) / 3.0 - 5.0 * eta_a * eta_b / 9.0)
-        + p * p * (1.0 - eta_a) * (1.0 - eta_b)
-    )
-    return 8.0 * (1.0 - p) ** 4 * bracket
-
-
-def _dark_bracket(params: ChannelParams) -> float:
-    eta_a, eta_b, p = params.eta_a, params.eta_b, params.p_dark
-    return p * ((eta_a + eta_b) / 3.0 - 5.0 * eta_a * eta_b / 9.0) + p * p * (
-        1.0 - eta_a
-    ) * (1.0 - eta_b)
+    signal = params.eta_a * params.eta_b / 18.0
+    return 8.0 * (1.0 - params.p_dark) ** 4 * (signal + _dark_bracket(params))
 
 
 def qber_asymptotic(params: ChannelParams) -> Tuple[float, float]:
@@ -146,20 +142,19 @@ def dps_reference_rate(params: ChannelParams) -> float:
 
 def dps_reference_params(
     total_km: float,
-    eta_det: float = 0.145,
-    p_dark: float = 3e-6,
-    e_d: float = 0.015,
-    alpha_db_per_km: float = 0.2,
-    f: float = 1.16,
+    eta_det: float = ETA_DET,
+    p_dark: float = P_DARK,
+    e_d: float = E_D,
+    alpha_db_per_km: float = ALPHA_DB_PER_KM,
+    f: float = F_EC,
 ) -> ChannelParams:
     """Channel parameters for the baseline: one fiber spanning the full
     distance, detection at the far end only."""
     return ChannelParams(
         eta_a=eta_det,
-        eta_b=10.0 ** (-alpha_db_per_km * total_km / 10.0),
+        eta_b=ChannelParams.side_transmissivity(total_km, 1.0, alpha_db_per_km),
         p_dark=p_dark,
         e_d=e_d,
-        alpha_db_per_km=alpha_db_per_km,
         f=f,
     )
 
@@ -175,23 +170,17 @@ def distance_grid(l_min: float, l_max: float, l_step: float) -> List[float]:
 
 
 def distance_sweep(
-    l_values: Sequence[float],
-    eta_det: float = 0.145,
-    p_dark: float = 3e-6,
-    e_d: float = 0.015,
-    alpha_db_per_km: float = 0.2,
-    f: float = 1.16,
+    l_values: Sequence[float], **link: float
 ) -> List[Tuple[float, float, float, float, float]]:
-    """(L_km, Y11, e_b, R, baseline R) rows over a total-distance grid."""
+    """(L_km, Y11, e_b, R, baseline R) rows over a total-distance grid.
+
+    ``link`` overrides the standard link's eta_det, p_dark, e_d,
+    alpha_db_per_km and f, for both the relay and the baseline.
+    """
     rows = []
     for l_km in l_values:
-        params = ChannelParams.from_total_distance(
-            l_km, eta_det, p_dark, e_d, alpha_db_per_km, f
-        )
-        report = secure_rate(params)
-        baseline = dps_reference_rate(
-            dps_reference_params(l_km, eta_det, p_dark, e_d, alpha_db_per_km, f)
-        )
+        report = secure_rate(ChannelParams.from_total_distance(l_km, **link))
+        baseline = dps_reference_rate(dps_reference_params(l_km, **link))
         rows.append((l_km, report.Y11, report.e_b, report.R, baseline))
     return rows
 

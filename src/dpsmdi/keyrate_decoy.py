@@ -54,29 +54,23 @@ class DecoyIntermediates:
     mu_prime: mean photon number arriving at the relay;
     x: interference strength sqrt(eta_a mu_a eta_b mu_b)/3;
     y: probability factor (1 - p_dark) exp(-mu_prime/6) of a bin staying
-    silent; delta_theta: relative overall phase of the two pulses.
+    silent.
     """
 
     mu_prime: float
     x: float
     y: float
-    delta_theta: float
 
     @classmethod
     def from_point(
-        cls,
-        mu_a: float,
-        mu_b: float,
-        params: ChannelParams,
-        theta_a: float = 0.0,
-        theta_b: float = 0.0,
+        cls, mu_a: float, mu_b: float, params: ChannelParams
     ) -> "DecoyIntermediates":
         if mu_a < 0.0 or mu_b < 0.0:
             raise ValueError("intensities must be non-negative")
         mu_prime = params.eta_a * mu_a + params.eta_b * mu_b
         x = math.sqrt(params.eta_a * mu_a * params.eta_b * mu_b) / 3.0
         y = (1.0 - params.p_dark) * math.exp(-mu_prime / 6.0)
-        return cls(mu_prime, x, y, theta_a - theta_b)
+        return cls(mu_prime, x, y)
 
 
 @dataclass(frozen=True)
@@ -92,12 +86,6 @@ class SliceConfig:
             raise ValueError("need at least one slice")
         if not 0 <= self.index < self.n_slices:
             raise ValueError("slice index must lie in [0, n_slices)")
-
-    @property
-    def intervals(self) -> Tuple[Tuple[float, float], Tuple[float, float]]:
-        width = math.pi / self.n_slices
-        lo = self.index * width
-        return (lo, lo + width), (lo + math.pi, lo + math.pi + width)
 
 
 class ClickProbabilities(NamedTuple):
@@ -139,32 +127,11 @@ def click_probabilities(
     return ClickProbabilities(*values)
 
 
-def simplified_click_probabilities(
-    mu_a: float,
-    mu_b: float,
-    params: ChannelParams,
-    setting: PhaseSetting,
-    theta_a: float,
-    theta_b: float,
-) -> ClickProbabilities:
-    """Same six probabilities through the (x, y) shorthand forms."""
-    inter = DecoyIntermediates.from_point(mu_a, mu_b, params, theta_a, theta_b)
-    offsets = (0.0, setting.delta_phi1, setting.delta_phi2)
-    c = [
-        1.0 - inter.y * math.exp(-inter.x * math.cos(inter.delta_theta + off))
-        for off in offsets
-    ]
-    d = [
-        1.0 - inter.y * math.exp(inter.x * math.cos(inter.delta_theta + off))
-        for off in offsets
-    ]
-    return ClickProbabilities(c[0], c[1], c[2], d[0], d[1], d[2])
-
-
-def _phase_average(
+def _phase_sums(
     mu_a: float, mu_b: float, params: ChannelParams, config: SliceConfig
-) -> Tuple[float, float]:
-    """(gain, error product) averaged over one post-selection slice.
+) -> Tuple[float, float, float]:
+    """(scale, gain sum, error sum) of one post-selection slice; its gain
+    is scale * gain sum and its error product scale * error sum.
 
     Bob's phase runs over his first slice, Alice's over slice m; the
     antipodal halves duplicate the integrand exactly, so the N/pi^2
@@ -178,8 +145,11 @@ def _phase_average(
         gain:  4 [y^4 e^(2x cos d) u-^2 + y^4 e^(-2x cos d) u+^2]
         error: 8 y^4 u+ u-
 
-    which subtract no nearly equal terms as y -> 1 and x -> 0, and whose
-    exponents stay below zero, since x <= mu'/6 <= -log y.
+    which subtract no nearly equal terms as y -> 1 and x -> 0. Their
+    common factor y^4 e^(2x) / N is the scale, so no exponent in either
+    sum is positive, since x <= mu'/6 <= -log y, and the error fraction,
+    error sum / gain sum, stays finite where the products underflow
+    (mu above about 560 per sender on a lossless channel).
     """
     inter = DecoyIntermediates.from_point(mu_a, mu_b, params)
     log_y = math.log1p(-params.p_dark) - inter.mu_prime / 6.0
@@ -187,15 +157,25 @@ def _phase_average(
     xc = inter.x * np.cos((math.pi / n) * (config.index + _TRIANGLE_OFFSETS))
     u_plus = np.expm1(log_y + xc)
     u_minus = np.expm1(log_y - xc)
-    gain = 4.0 * (
-        np.exp(4.0 * log_y + 2.0 * xc) * u_minus**2
-        + np.exp(4.0 * log_y - 2.0 * xc) * u_plus**2
+    gain = (
+        np.exp(2.0 * (xc - inter.x)) * u_minus**2
+        + np.exp(-2.0 * (xc + inter.x)) * u_plus**2
     )
-    error = 8.0 * math.exp(4.0 * log_y) * (u_plus * u_minus)
     return (
-        float(_TRIANGLE_WEIGHTS @ gain) / n,
-        float(_TRIANGLE_WEIGHTS @ error) / n,
+        math.exp(4.0 * log_y + 2.0 * inter.x) / n,
+        4.0 * float(_TRIANGLE_WEIGHTS @ gain),
+        8.0 * math.exp(-2.0 * inter.x) * float(_TRIANGLE_WEIGHTS @ (u_plus * u_minus)),
     )
+
+
+def _gain_qber(
+    mu_a: float, mu_b: float, params: ChannelParams, config: SliceConfig
+) -> Tuple[float, float]:
+    """(gain, error fraction) of one slice; the fraction comes from the sums."""
+    scale, gain_sum, error_sum = _phase_sums(mu_a, mu_b, params, config)
+    if gain_sum == 0.0:
+        raise ValueError("QBER is undefined at zero gain (no light, no dark counts)")
+    return scale * gain_sum, error_sum / gain_sum
 
 
 _UNSLICED = SliceConfig(1, 0)
@@ -204,31 +184,27 @@ _UNSLICED = SliceConfig(1, 0)
 def overall_gain(mu_a: float, mu_b: float, params: ChannelParams) -> float:
     """Kept-coincidence probability with fully random overall phases:
     8 y^4 [I0(2x) - 2 y I0(x) + y^2]."""
-    return _phase_average(mu_a, mu_b, params, _UNSLICED)[0]
+    scale, gain_sum, _ = _phase_sums(mu_a, mu_b, params, _UNSLICED)
+    return scale * gain_sum
 
 
 def overall_qber(mu_a: float, mu_b: float, params: ChannelParams) -> float:
     """Product (error fraction) x (gain) with fully random phases:
     8 y^4 [1 - 2 y I0(x) + y^2]. Divide by overall_gain for the fraction."""
-    return _phase_average(mu_a, mu_b, params, _UNSLICED)[1]
+    scale, _, error_sum = _phase_sums(mu_a, mu_b, params, _UNSLICED)
+    return scale * error_sum
 
 
 def intrinsic_qber(mu_a: float, mu_b: float, params: ChannelParams) -> float:
     """Error fraction among kept coincidences, phases fully random."""
-    gain, error_product = _phase_average(mu_a, mu_b, params, _UNSLICED)
-    if gain == 0.0:
-        raise ValueError("QBER is undefined at zero gain (no light, no dark counts)")
-    return error_product / gain
+    return _gain_qber(mu_a, mu_b, params, _UNSLICED)[1]
 
 
 def sliced_gain_qber(
     mu_a: float, mu_b: float, params: ChannelParams, config: SliceConfig
 ) -> Tuple[float, float]:
     """(gain, error fraction) after phase post-selection on one slice."""
-    gain, error_product = _phase_average(mu_a, mu_b, params, config)
-    if gain == 0.0:
-        raise ValueError("sliced QBER undefined at zero gain")
-    return gain, error_product / gain
+    return _gain_qber(mu_a, mu_b, params, config)
 
 
 def gain_Q11(mu_a: float, mu_b: float, params: ChannelParams) -> float:
@@ -297,15 +273,14 @@ def decoy_key_rate(
     for q_m, e_m in slices:
         total_cost += q_m * params.f * binary_entropy(e_m)
     increased = entropy_credit + vacuum - total_cost
-    # nonzero: the slices sum to it, and sliced_gain_qber rejects zero gain
-    q_mu, error_mu = _phase_average(mu_a, mu_b, params, _UNSLICED)
+    q_mu, e_mu = _gain_qber(mu_a, mu_b, params, _UNSLICED)
 
     return DecoyRateReport(
         rate=max(0.0, modified),
         rate_unclamped=modified,
         increased_cost_rate=increased,
         q_mu=q_mu,
-        e_mu=error_mu / q_mu,
+        e_mu=e_mu,
         q11=q11,
         e_p_bound=e_p,
         vacuum=vacuum,
@@ -431,18 +406,16 @@ def decoy_distance_sweep(
     mu_a: float = 0.5,
     mu_b: float = 0.5,
     n_slices: int = 16,
-    eta_det: float = 0.145,
-    p_dark: float = 3e-6,
-    e_d: float = 0.015,
-    alpha_db_per_km: float = 0.2,
-    f: float = 1.16,
+    **link: float,
 ) -> List[Tuple[float, float, float, float, float, float, float]]:
-    """(L_km, Q_mu, E_mu, Q11, Qm0, Em0, R) rows over a distance grid."""
+    """(L_km, Q_mu, E_mu, Q11, Qm0, Em0, R) rows over a distance grid.
+
+    ``link`` overrides the standard link's eta_det, p_dark, e_d,
+    alpha_db_per_km and f (see ChannelParams.from_total_distance).
+    """
     rows = []
     for l_km in l_values:
-        params = ChannelParams.from_total_distance(
-            l_km, eta_det, p_dark, e_d, alpha_db_per_km, f
-        )
+        params = ChannelParams.from_total_distance(l_km, **link)
         report = decoy_key_rate(mu_a, mu_b, params, n_slices)
         rows.append(
             (

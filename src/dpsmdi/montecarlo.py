@@ -15,8 +15,8 @@ import io
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Dict, Iterator, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -24,14 +24,13 @@ from . import _mc_fallback, _rng
 from ._mc_tables import (
     ACTION_DISCARD,
     ACTION_INCONCLUSIVE,
-    ACTION_KEEP,
     TableSet,
     build_tables,
     clicks_of_mask,
     conclusive_mask_names,
     setting_bits,
 )
-from .fock_optics import OUTPUT, BasisMismatchError, PhaseSetting, TwoPartyFockState
+from .fock_optics import PhaseSetting
 from .protocol_sifting import (
     Action,
     DetectionOutcome,
@@ -52,6 +51,15 @@ def available_backends() -> Tuple[str, ...]:
     return ("compiled", "python") if COMPILED_AVAILABLE else ("python",)
 
 
+# The standard link every default of the package reads: the operating point
+# of Lo, Curty & Qi, PRL 108, 130503 (2012).
+ETA_DET = 0.145  # detector efficiency
+P_DARK = 3e-6  # dark-count probability per detector per bin
+E_D = 0.015  # misalignment error probability
+ALPHA_DB_PER_KM = 0.2  # fiber loss
+F_EC = 1.16  # error-correction inefficiency
+
+
 @dataclass(frozen=True)
 class ChannelParams:
     """Physical channel and detection parameters for one simulation point.
@@ -66,8 +74,7 @@ class ChannelParams:
     eta_b: float
     p_dark: float
     e_d: float
-    alpha_db_per_km: float = 0.2
-    f: float = 1.16
+    f: float = F_EC
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.eta_a <= 1.0 or not 0.0 <= self.eta_b <= 1.0:
@@ -76,8 +83,6 @@ class ChannelParams:
             raise ValueError("p_dark must lie in [0, 1)")
         if not 0.0 <= self.e_d <= 1.0:
             raise ValueError("e_d must lie in [0, 1]")
-        if self.alpha_db_per_km < 0.0:
-            raise ValueError("alpha_db_per_km must be non-negative")
         if self.f < 1.0:
             raise ValueError("error-correction inefficiency f must be >= 1")
 
@@ -86,21 +91,23 @@ class ChannelParams:
         side_km: float, eta_det: float, alpha_db_per_km: float
     ) -> float:
         """Transmissivity of one arm: detector efficiency times fiber loss."""
+        if alpha_db_per_km < 0.0:
+            raise ValueError("alpha_db_per_km must be non-negative")
         return eta_det * 10.0 ** (-alpha_db_per_km * side_km / 10.0)
 
     @classmethod
     def from_total_distance(
         cls,
         total_km: float,
-        eta_det: float = 0.145,
-        p_dark: float = 3e-6,
-        e_d: float = 0.015,
-        alpha_db_per_km: float = 0.2,
-        f: float = 1.16,
+        eta_det: float = ETA_DET,
+        p_dark: float = P_DARK,
+        e_d: float = E_D,
+        alpha_db_per_km: float = ALPHA_DB_PER_KM,
+        f: float = F_EC,
     ) -> "ChannelParams":
         """Symmetric link with the relay halfway between the senders."""
         eta = cls.side_transmissivity(total_km / 2.0, eta_det, alpha_db_per_km)
-        return cls(eta, eta, p_dark, e_d, alpha_db_per_km, f)
+        return cls(eta, eta, p_dark, e_d, f)
 
 
 @dataclass(frozen=True)
@@ -362,30 +369,3 @@ def replay_trials(
             decision=decision,
             error=error,
         )
-
-
-def sample_outcome(state: TwoPartyFockState, rng: np.random.Generator) -> DetectionOutcome:
-    """Draw one detector outcome from an output-basis state.
-
-    Patterns are sampled with probability |amplitude|^2 and converted to
-    clicks by thresholding each mode's occupancy at 1.
-    """
-    if state.port_basis != OUTPUT:
-        raise BasisMismatchError("outcomes are sampled from output-basis states")
-    total = state.norm_squared()
-    if abs(total - 1.0) > 1e-9:
-        raise ValueError(f"state must be normalized to sample, norm^2 = {total}")
-    patterns = sorted(state.amplitudes)
-    u = rng.random()
-    acc = 0.0
-    chosen = patterns[-1]
-    for pattern in patterns:
-        acc += abs(state.amplitudes[pattern]) ** 2
-        if u < acc:
-            chosen = pattern
-            break
-    clicks = set()
-    for bit, occupancy in enumerate(chosen):
-        if occupancy >= 1:
-            clicks.add(("c" if bit < 3 else "d", bit % 3 + 1))
-    return DetectionOutcome(frozenset(clicks))

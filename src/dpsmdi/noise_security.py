@@ -11,7 +11,6 @@ being a sum of squared magnitudes is what gives the one-way bound
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence, Tuple
 
@@ -48,14 +47,6 @@ class NoiseMatrix:
         if flat.shape != (18,):
             raise ValueError(f"expected 18 reals, got shape {flat.shape}")
         return cls((flat[0::2] + 1j * flat[1::2]).reshape(3, 3))
-
-    def to_floats(self) -> Tuple[float, ...]:
-        """18 reals: row-major entries, re/im interleaved."""
-        flat = self.entries.reshape(-1)
-        out = np.empty(18, dtype=float)
-        out[0::2] = flat.real
-        out[1::2] = flat.imag
-        return tuple(out)
 
     def column_norms(self) -> np.ndarray:
         return np.linalg.norm(self.entries, axis=0)

@@ -8,12 +8,11 @@ the two later bins are discarded, and everything else is inconclusive.
 
 from __future__ import annotations
 
-import io
 import math
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -266,28 +265,3 @@ def verify_entanglement_mapping(outcome: DetectionOutcome) -> AncillaBellState:
         if abs(np.vdot(vector, kept)) >= 1.0 - 1e-9:
             return AncillaBellState(label, register)
     raise AssertionError(f"kept register state for {outcome} is not a recognized Bell state")
-
-
-def reconciliation_table_csv() -> str:
-    """CSV rendition of the conclusive announcement table.
-
-    Columns: outcome, action, phase_used, bit_flip, bell_state. The
-    bell_state column is filled from verify_entanglement_mapping for
-    Keep rows and left empty for Discard rows.
-    """
-    buffer = io.StringIO()
-    buffer.write("outcome,action,phase_used,bit_flip,bell_state\n")
-    for clicks, decision in _CONCLUSIVE_ROWS:
-        outcome = DetectionOutcome(clicks)
-        if decision.action is Action.KEEP:
-            bell = verify_entanglement_mapping(outcome)
-            bell_text = f"{bell.label.value}@{bell.register.value}"
-            flip_text = "yes" if decision.bit_flip else "no"
-        else:
-            bell_text = ""
-            flip_text = ""
-        buffer.write(
-            f"{outcome},{decision.action.value},{decision.phase_used.value},"
-            f"{flip_text},{bell_text}\n"
-        )
-    return buffer.getvalue()

@@ -63,7 +63,10 @@ def test_budget_cap_is_integer_exact():
     FiniteKeyBudget(9, 2, 2)  # 9 * 4 == 4 * 9 exactly
     with pytest.raises(ConstraintError):
         FiniteKeyBudget(9, 3, 2)
-    assert FiniteKeyBudget(10**12, 1, 1).sifted_budget == (4 * 10**12) // 9
+    cap = (4 * 10**12) // 9
+    FiniteKeyBudget(10**12, cap - 1, 1)
+    with pytest.raises(ConstraintError):
+        FiniteKeyBudget(10**12, cap, 1)
 
 
 def test_budget_full_mode_and_type_checks():
@@ -187,8 +190,9 @@ def test_optimizer_infeasibility_diagnostics():
 
 def test_optimum_budget_roundtrip():
     opt = optimize_rate(10**6, 1e-5, 1e-10, 0.01)
-    budget = opt.budget()
-    assert (budget.N_signals, budget.n, budget.m) == (10**6, opt.n, opt.m)
+    budget = FiniteKeyBudget(opt.N_signals, opt.n, opt.m)
+    sec = SecurityParams(1e-5, 1e-10, opt.eps_bar, opt.eps_bar_prime)
+    assert finite_rate(budget, sec, opt.e_b) == opt.rate
 
 
 @pytest.mark.parametrize("allow_full_budget", [False, True])
@@ -211,13 +215,12 @@ def test_array_rates_match_finite_rate_on_the_coarse_grid(N_signals, allow_full_
 
 
 def test_sweep_order():
+    expected = [(10**6, 0.01), (10**6, 0.03), (10**7, 0.01), (10**7, 0.03)]
     rows = finite_key_sweep([10**6, 10**7], [0.01, 0.03])
-    assert [(row.N_signals, row.e_b) for row in rows] == [
-        (10**6, 0.01),
-        (10**6, 0.03),
-        (10**7, 0.01),
-        (10**7, 0.03),
-    ]
+    assert [(row.N_signals, row.e_b) for row in rows] == expected
+    # one-shot iterables give every pair too
+    rows = finite_key_sweep((n for n in (10**6, 10**7)), (e for e in (0.01, 0.03)))
+    assert [(row.N_signals, row.e_b) for row in rows] == expected
 
 
 def test_sweep_csv_round():

@@ -1,4 +1,4 @@
-"""State algebra: encoding, interference, post-selection, filters."""
+"""State algebra: encoding, interference, post-selection."""
 
 import math
 
@@ -7,38 +7,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dpsmdi.fock_optics import (
-    BUNCHED_PATTERNS,
-    DISCARD_PATTERNS,
-    FILTER_PATTERNS,
     INPUT,
     OUTPUT,
     BasisMismatchError,
-    ModeIndex,
     PhaseSetting,
     TwoPartyFockState,
-    apply_filter,
     beamsplitter_transform,
-    conclusive_output_state,
     discrete_settings,
     encode_single_photon,
     joint_input,
     output_state,
     postselect_hom,
-    states_equal_up_to_phase,
 )
-
-
-def test_mode_index_layout():
-    assert ModeIndex("a", 1).flat_index == 0
-    assert ModeIndex("a", 3).flat_index == 2
-    assert ModeIndex("b", 1).flat_index == 3
-    assert ModeIndex("d", 2).flat_index == 4
-    assert ModeIndex("a", 2).basis == INPUT
-    assert ModeIndex("c", 2).basis == OUTPUT
-    with pytest.raises(ValueError):
-        ModeIndex("e", 1)
-    with pytest.raises(ValueError):
-        ModeIndex("a", 4)
+from dpsmdi.protocol_sifting import Action, DetectionOutcome, PhaseUsed, sift
 
 
 def test_phase_setting_differences():
@@ -143,76 +124,30 @@ def test_beamsplitter_preserves_norm(amplitudes):
 
 
 def test_output_state_completeness():
-    """Conclusive + discarded + bunched weights exhaust the output state."""
-    conclusive = FILTER_PATTERNS["F1"] | FILTER_PATTERNS["F2"]
+    """Kept + discarded + inconclusive weights exhaust the output state."""
     for setting in discrete_settings():
         # cancelled same-bin coincidence terms stay in the dict with zero
         # amplitude; prune before classifying
         state = output_state(setting).pruned()
-        weights = {"conclusive": 0.0, "discard": 0.0, "bunched": 0.0}
+        weights = {action: 0.0 for action in Action}
+        per_phase_pair = {PhaseUsed.DELTA1: [], PhaseUsed.DELTA2: []}
         for pattern, amp in state.amplitudes.items():
             weight = abs(amp) ** 2
-            if pattern in conclusive:
-                weights["conclusive"] += weight
-            elif pattern in DISCARD_PATTERNS:
-                weights["discard"] += weight
-            elif pattern in BUNCHED_PATTERNS:
-                weights["bunched"] += weight
-            else:
-                raise AssertionError(f"unclassified pattern {pattern}")
+            decision = sift(DetectionOutcome.from_pattern(pattern))
+            weights[decision.action] += weight
+            if decision.action is Action.KEEP:
+                per_phase_pair[decision.phase_used].append(weight)
+            elif decision.action is Action.INCONCLUSIVE:
+                # only bunched photons (two in one detector-bin) go unannounced
+                assert max(pattern) == 2, pattern
         assert sum(weights.values()) == pytest.approx(1.0, abs=1e-12)
-        assert weights["conclusive"] == pytest.approx(4.0 / 9.0, abs=1e-12)
-        assert weights["discard"] == pytest.approx(2.0 / 9.0, abs=1e-12)
-        assert weights["bunched"] == pytest.approx(1.0 / 3.0, abs=1e-12)
-
-
-def test_filter_probabilities_conditioned_on_survival():
-    for setting in discrete_settings():
-        state = conclusive_output_state(setting)
-        _, p1 = apply_filter(state, "F1")
-        _, p2 = apply_filter(state, "F2")
-        assert p1 == pytest.approx(1.0 / 3.0, abs=1e-12)
-        assert p2 == pytest.approx(1.0 / 3.0, abs=1e-12)
-        # per setting only one pattern pair inside each filter interferes
-        # constructively (same-detector or cross-detector, depending on the
-        # phase difference); each compatible pattern carries weight 1/6
-        for name in ("F1", "F2"):
-            projected, _ = apply_filter(state, name)
-            supported = [
-                p for p in FILTER_PATTERNS[name]
-                if projected.probability(p) > 1e-12
-            ]
-            assert len(supported) == 2
-            for pattern in supported:
-                assert projected.probability(pattern) == pytest.approx(
-                    1.0 / 6.0, abs=1e-12
-                )
-
-
-def test_filter_validation():
-    state = conclusive_output_state(discrete_settings()[0])
-    with pytest.raises(ValueError):
-        apply_filter(state, "F3")
-    with pytest.raises(BasisMismatchError):
-        apply_filter(joint_input(discrete_settings()[0]), "F1")
-
-
-def test_inner_product_basis_check():
-    a = joint_input(discrete_settings()[0])
-    b = output_state(discrete_settings()[0])
-    with pytest.raises(BasisMismatchError):
-        a.inner(b)
-
-
-def test_states_equal_up_to_phase():
-    setting = discrete_settings()[5]
-    state = joint_input(setting)
-    rotated = TwoPartyFockState(
-        {p: a * complex(0.0, 1.0) for p, a in state.amplitudes.items()}, INPUT
-    )
-    assert states_equal_up_to_phase(state, rotated)
-    other = joint_input(discrete_settings()[6])
-    assert not states_equal_up_to_phase(state, other)
+        assert weights[Action.KEEP] == pytest.approx(4.0 / 9.0, abs=1e-12)
+        assert weights[Action.DISCARD] == pytest.approx(2.0 / 9.0, abs=1e-12)
+        assert weights[Action.INCONCLUSIVE] == pytest.approx(1.0 / 3.0, abs=1e-12)
+        # per phase pair, only one detector pairing (same or cross, by the
+        # phase difference) interferes constructively: two patterns of 1/9
+        for kept in per_phase_pair.values():
+            assert kept == pytest.approx([1.0 / 9.0, 1.0 / 9.0], abs=1e-12)
 
 
 def test_pruned_drops_small_amplitudes():
@@ -220,15 +155,6 @@ def test_pruned_drops_small_amplitudes():
         {(1, 0, 0, 0, 0, 0): 1.0, (0, 1, 0, 0, 0, 0): 1e-16}, INPUT
     )
     assert len(state.pruned().amplitudes) == 1
-
-
-def test_dump_is_deterministic_and_sorted():
-    setting = discrete_settings()[3]
-    text = output_state(setting).dump()
-    assert text == output_state(setting).dump()
-    lines = text.splitlines()
-    assert lines == sorted(lines)
-    assert lines[0].endswith("cd") or ">cd " in lines[0]
 
 
 def test_pattern_validation():

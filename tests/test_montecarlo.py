@@ -7,8 +7,7 @@ import numpy as np
 import pytest
 
 from dpsmdi import montecarlo
-from dpsmdi.fock_optics import discrete_settings, conclusive_output_state
-from dpsmdi.keyrate_asymptotic import qber_asymptotic, yield_Y11
+from dpsmdi.keyrate_asymptotic import dps_reference_params, qber_asymptotic, yield_Y11
 from dpsmdi.montecarlo import (
     COMPILED_AVAILABLE,
     ChannelParams,
@@ -16,7 +15,6 @@ from dpsmdi.montecarlo import (
     merge_estimates,
     replay_trials,
     run_trials,
-    sample_outcome,
 )
 from dpsmdi.protocol_sifting import Action
 
@@ -43,6 +41,13 @@ def test_from_total_distance():
     at_forty = ChannelParams.from_total_distance(40.0, eta_det=1.0, alpha_db_per_km=0.2)
     assert at_forty.eta_a == pytest.approx(10.0 ** (-0.4))
     assert at_forty.eta_b == pytest.approx(10.0 ** (-0.4))
+
+
+def test_negative_fiber_loss_is_rejected():
+    with pytest.raises(ValueError, match="alpha_db_per_km"):
+        ChannelParams.from_total_distance(10.0, alpha_db_per_km=-0.1)
+    with pytest.raises(ValueError, match="alpha_db_per_km"):
+        dps_reference_params(10.0, alpha_db_per_km=-0.1)
 
 
 def test_same_seed_reproduces_exactly():
@@ -198,17 +203,6 @@ def test_estimates_csv_shape():
     for line in lines[1:]:
         assert line.endswith(",10000,55")
     assert text == run_trials(LOSSY, 10_000, seed=55).to_csv()
-
-
-def test_sample_outcome_draws_conclusive_patterns():
-    rng = np.random.default_rng(17)
-    state = conclusive_output_state(discrete_settings()[0]).pruned()
-    seen = set()
-    for _ in range(300):
-        outcome = sample_outcome(state, rng)
-        assert len(outcome.clicks) == 2
-        seen.add(outcome)
-    assert len(seen) >= 4
 
 
 def test_run_trials_input_validation():

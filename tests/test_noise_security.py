@@ -30,8 +30,10 @@ def test_identity_noise_reference_values():
 def test_round_trip_floats():
     rng = np.random.default_rng(11)
     noise = haar_random_physical(rng)
-    rebuilt = NoiseMatrix.from_floats(noise.to_floats())
-    assert np.allclose(rebuilt.entries, noise.entries, atol=0.0)
+    # row-major entries, real and imaginary parts interleaved
+    flat = np.column_stack((noise.entries.real.ravel(), noise.entries.imag.ravel()))
+    rebuilt = NoiseMatrix.from_floats(flat.ravel())
+    assert np.array_equal(rebuilt.entries, noise.entries)
 
 
 def test_from_floats_validates_length():

@@ -15,7 +15,6 @@ from dpsmdi.protocol_sifting import (
     SiftDecision,
     conclusive_rows,
     extract_bits,
-    reconciliation_table_csv,
     sift,
     sifted_key_fraction,
     verify_entanglement_mapping,
@@ -157,18 +156,6 @@ def test_entanglement_mapping_all_keep_rows():
 def test_entanglement_mapping_rejects_non_keep():
     with pytest.raises(ValueError):
         verify_entanglement_mapping(outcome(("c", 2), ("c", 3)))
-
-
-def test_reconciliation_table_csv_layout():
-    text = reconciliation_table_csv()
-    lines = text.splitlines()
-    assert lines[0] == "outcome,action,phase_used,bit_flip,bell_state"
-    assert len(lines) == 13
-    assert lines[1] == "(c,1)+(c,2),Keep,delta_phi1,no,phi_minus@A1B1"
-    assert lines[5] == "(c,1)+(d,2),Keep,delta_phi1,yes,psi_minus@A1B1"
-    assert lines[12].startswith("(c,3)+(d,2),Discard,none,,")
-    # stable output
-    assert text == reconciliation_table_csv()
 
 
 def test_zero_error_invariant_over_all_settings():
