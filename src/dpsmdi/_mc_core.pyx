@@ -1,8 +1,11 @@
 # cython: boundscheck=False, wraparound=False, cdivision=True, language_level=3
 """Compiled per-trial kernel for the Monte Carlo backend.
 
-Must stay draw-for-draw identical to _mc_fallback.run_kernel: same
-counter-based random stream, same comparison directions, same tables.
+Must tally bit-for-bit the same as _mc_fallback.run_kernel: the same
+counter-based random stream and the same tables. Here a unit draw
+k * 2**-53 is compared with each probability p; the fallback compares
+the integer k with ceil(p * 2**53), which gives the same answer for
+every k, and counts packed pattern keys instead of scanning a row.
 """
 
 from libc.stdint cimport int8_t, int64_t, uint64_t

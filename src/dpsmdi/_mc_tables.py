@@ -36,6 +36,10 @@ ACTION_KEEP = 0
 ACTION_DISCARD = 1
 ACTION_INCONCLUSIVE = 2
 
+# pattern_keys hold the table row (4 * setting + case) above this bit and
+# the 53-bit threshold of a cumulative entry below it.
+KEY_SHIFT = 54
+
 
 def setting_bits(index: int) -> Tuple[int, int, int, int]:
     """(j_a1, j_a2, j_b1, j_b2) for setting index 0..15, lexicographic."""
@@ -74,12 +78,16 @@ class TableSet:
     outcome_cum[s, case] is the cumulative mask distribution for phase
     setting s and arrival case; action gives the sifting decision per
     mask; base_error[s, mask] is 1 when the senders' bits disagree for a
-    Keep mask under setting s (before misalignment).
+    Keep mask under setting s (before misalignment). pattern_keys packs
+    every cumulative entry as (4 * s + case) << KEY_SHIFT | ceil(cum * 2**53),
+    sorted, so the number of keys at or below row << KEY_SHIFT | k, less
+    64 * row, is the number of entries at or below k * 2**-53.
     """
 
     outcome_cum: np.ndarray  # (16, 4, 64) float64, last entry exactly 1
     action: np.ndarray  # (64,) int8
     base_error: np.ndarray  # (16, 64) int8
+    pattern_keys: np.ndarray  # (4096,) uint64, ascending
 
 
 @lru_cache(maxsize=1)
@@ -101,7 +109,9 @@ def build_tables() -> TableSet:
         cum = np.cumsum(distributions, axis=1)
         if np.any(np.abs(cum[:, -1] - 1.0) > 1e-9):
             raise AssertionError("mask distribution does not sum to 1")
-        cum[:, -1] = 1.0  # guard searchsorted/linear scan against roundoff
+        # guard the scans against roundoff: every draw stays below the last
+        # entry, and the low bits of each row's last packed key are 2**53
+        cum[:, -1] = 1.0
         outcome_cum[s] = cum
 
     action = np.full(64, ACTION_INCONCLUSIVE, dtype=np.int8)
@@ -124,7 +134,10 @@ def build_tables() -> TableSet:
         bits = extract_bits(decision, PhaseSetting.from_bits(j_a1, j_a2, j_b1, j_b2))
         base_error[s, mask] = 1 if bits[0] != bits[1] else 0
 
-    return TableSet(outcome_cum, action, base_error)
+    rows = np.arange(64, dtype=np.uint64).reshape(16, 4, 1) << np.uint64(KEY_SHIFT)
+    pattern_keys = (rows | np.ceil(outcome_cum * 2.0**53).astype(np.uint64)).ravel()
+
+    return TableSet(outcome_cum, action, base_error, pattern_keys)
 
 
 def conclusive_mask_names() -> Dict[int, str]:

@@ -41,12 +41,13 @@ def unit_draw(seed: int, counter: int) -> float:
 
 def raw_draw_array(seed: int, counters: np.ndarray) -> np.ndarray:
     """Vectorized raw_draw over a uint64 counter array."""
-    one = np.uint64(1)
-    z = np.uint64(seed) + (counters + one) * np.uint64(GOLDEN)
-    z = (z ^ (z >> np.uint64(30))) * np.uint64(_MIX1)
-    z = (z ^ (z >> np.uint64(27))) * np.uint64(_MIX2)
-    return z ^ (z >> np.uint64(31))
-
-
-def unit_draw_array(seed: int, counters: np.ndarray) -> np.ndarray:
-    return (raw_draw_array(seed, counters) >> np.uint64(11)).astype(np.float64) * _INV_2_53
+    z = counters + np.uint64(1)
+    z *= np.uint64(GOLDEN)
+    z += np.uint64(seed)
+    shifted = np.empty_like(z)  # one buffer for the three shifts
+    z ^= np.right_shift(z, np.uint64(30), out=shifted)
+    z *= np.uint64(_MIX1)
+    z ^= np.right_shift(z, np.uint64(27), out=shifted)
+    z *= np.uint64(_MIX2)
+    z ^= np.right_shift(z, np.uint64(31), out=shifted)
+    return z

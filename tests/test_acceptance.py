@@ -16,7 +16,6 @@ import pytest
 from dpsmdi.finite_key import (
     FiniteKeyBudget,
     SecurityParams,
-    asymptotic_ceiling,
     finite_rate,
     optimize_rate,
 )

@@ -1,12 +1,16 @@
-"""Every import in the package modules is used (``__init__`` re-exports aside)."""
+"""Every import in the package and test modules is used (``__init__`` re-exports aside)."""
 
 import ast
 from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "dpsmdi"
-MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+ROOT = Path(__file__).resolve().parent.parent
+MODULES = sorted(
+    p
+    for p in [*(ROOT / "src" / "dpsmdi").glob("*.py"), *(ROOT / "tests").glob("*.py")]
+    if p.name != "__init__.py"
+)
 
 
 def imported_names(tree):
