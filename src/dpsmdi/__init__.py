@@ -8,8 +8,8 @@ Layout:
 - :mod:`dpsmdi.protocol_sifting` — announcement reconciliation and bit extraction
 - :mod:`dpsmdi.noise_security` — collective-noise error rates and the
   phase-error bound
-- :mod:`dpsmdi.montecarlo` — trial-level channel simulation (compiled kernel
-  with a numpy fallback)
+- :mod:`dpsmdi.montecarlo` — trial-level channel simulation (one exact numpy
+  kernel)
 - :mod:`dpsmdi.keyrate_asymptotic` — single-photon yields, QBER, rates
 - :mod:`dpsmdi.keyrate_decoy` — weak-coherent gains, phase slicing, decoy rate
 - :mod:`dpsmdi.finite_key` — finite-block corrections and budget optimization
@@ -47,10 +47,8 @@ from .noise_security import (
     phase_error_rate,
 )
 from .montecarlo import (
-    COMPILED_AVAILABLE,
     ChannelParams,
     EmpiricalEstimates,
-    available_backends,
     replay_trials,
     run_trials,
 )
@@ -83,7 +81,6 @@ __version__ = "0.1.0"
 __all__ = [
     "Action",
     "BellLabel",
-    "COMPILED_AVAILABLE",
     "ChannelParams",
     "DetectionOutcome",
     "EmpiricalEstimates",
@@ -97,7 +94,6 @@ __all__ = [
     "SiftDecision",
     "SliceConfig",
     "TwoPartyFockState",
-    "available_backends",
     "beamsplitter_transform",
     "binary_entropy",
     "bit_error_rate",

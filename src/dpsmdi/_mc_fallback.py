@@ -1,8 +1,8 @@
-"""Vectorized numpy backend for the trial loop.
+"""Vectorized numpy kernel for the trial loop.
 
-Walks the same counter-based stream as the compiled kernel and tallies
-bit-for-bit the same, which the test suite checks. The compiled kernel
-compares unit draws k * 2**-53 against probabilities; this one compares
+Walks the same counter-based stream as `montecarlo.replay_trials` and
+tallies bit-for-bit the same, which the test suite checks. The replay
+compares unit draws k * 2**-53 against probabilities; this kernel compares
 the integer k = raw >> 11 against thresholds T(p) = ceil(p * 2**53),
 and k < T(p) exactly when k * 2**-53 < p. The pattern draw likewise
 counts the packed keys of `TableSet.pattern_keys` at or below the

@@ -1,9 +1,9 @@
-"""Counter-based random stream shared by all Monte Carlo backends.
+"""Counter-based random stream of the Monte Carlo kernel and its replay.
 
 Every draw is a pure function of (seed, counter): the 64-bit counter is
 stretched by the golden-ratio increment and passed through the SplitMix64
 finalizer. Trials own fixed counter windows, so shards of a run can be
-evaluated in any order, on any backend, and tally bit-for-bit the same.
+evaluated in any order, on any thread, and tally bit-for-bit the same.
 """
 
 from __future__ import annotations

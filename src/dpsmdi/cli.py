@@ -173,11 +173,7 @@ def cmd_finite_key(
 
 def cmd_montecarlo(cfg: RunConfig) -> str:
     params = cfg.channel_params(cfg.mc_L_km)
-    backend = None if cfg.backend == "auto" else cfg.backend
-    estimates = run_trials(
-        params, cfg.n_trials, cfg.seed, threads=cfg.threads, backend=backend
-    )
-    return estimates.to_csv()
+    return run_trials(params, cfg.n_trials, cfg.seed, threads=cfg.threads).to_csv()
 
 
 class _CheckFailure(AssertionError):
@@ -403,9 +399,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_channel(p)
     p.add_argument("--n-trials", type=int, dest="n_trials")
     p.add_argument("--l-km", type=float, dest="mc_L_km")
-    p.add_argument(
-        "--backend", choices=("auto", "compiled", "python"), dest="backend"
-    )
 
     p = sub.add_parser("verify", help="run the self-check suite")
     _add_common(p)
@@ -421,7 +414,7 @@ _OVERRIDE_ATTRS = (
     "L_min", "L_max", "L_step",
     "mu_a", "mu_b", "N_slices", "slice_L_km",
     "epsilon", "epsilon_EC",
-    "n_trials", "mc_L_km", "backend",
+    "n_trials", "mc_L_km",
     "seed", "threads", "out",
 )
 

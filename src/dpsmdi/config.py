@@ -6,7 +6,7 @@ A run is described by a flat INI file with one section per concern:
     [sweep]       L_min, L_max, L_step          (total distances, km)
     [decoy]       mu_a, mu_b, N_slices, L_km    (L_km feeds qber-slices)
     [finite_key]  epsilon, epsilon_EC, e_b_list, N_grid
-    [montecarlo]  n_trials, L_km, backend
+    [montecarlo]  n_trials, L_km
     [run]         seed, threads, out
 
 Unknown sections or keys are rejected by name.  ``to_ini`` emits the fully
@@ -17,6 +17,7 @@ echoed config re-runs identically.
 from __future__ import annotations
 
 import configparser
+import math
 import os
 from dataclasses import dataclass, fields, replace
 from typing import Any, Callable, Dict, Mapping, Tuple
@@ -56,9 +57,6 @@ def _parse_int(text: str) -> int:
     return as_int
 
 
-_BACKENDS = ("auto", "compiled", "python")
-
-
 @dataclass(frozen=True)
 class RunConfig:
     """Fully resolved parameters for one CLI invocation."""
@@ -89,7 +87,6 @@ class RunConfig:
     # [montecarlo]
     n_trials: int = 1_000_000
     mc_L_km: float = 0.0
-    backend: str = "auto"
     # [run]
     seed: int = 1
     threads: int = 1
@@ -99,6 +96,10 @@ class RunConfig:
         def bad(message: str) -> None:
             raise ConfigError(message)
 
+        for field in fields(self):
+            value = getattr(self, field.name)
+            if isinstance(value, float) and not math.isfinite(value):
+                bad(f"{field.name} must be finite, got {value}")
         if not 0.0 < self.eta_det <= 1.0:
             bad(f"eta_det must lie in (0, 1], got {self.eta_det}")
         if not 0.0 <= self.p_dark < 1.0:
@@ -139,8 +140,6 @@ class RunConfig:
             bad(f"n_trials must be at least 1, got {self.n_trials}")
         if not self.mc_L_km >= 0.0:
             bad(f"[montecarlo] L_km must be non-negative, got {self.mc_L_km}")
-        if self.backend not in _BACKENDS:
-            bad(f"backend must be one of {_BACKENDS}, got {self.backend!r}")
         if not 0 <= self.seed < 2**64:
             bad(f"seed must be an unsigned 64-bit integer, got {self.seed}")
         cores = os.cpu_count() or 1
@@ -200,7 +199,6 @@ _SCHEMA: Dict[str, Dict[str, Tuple[str, Callable[[str], Any], Callable[[Any], st
     "montecarlo": {
         "n_trials": ("n_trials", _parse_int, repr),
         "L_km": ("mc_L_km", float, repr),
-        "backend": ("backend", str, str),
     },
     "run": {
         "seed": ("seed", _parse_int, repr),

@@ -192,14 +192,6 @@ def finite_rate(budget: FiniteKeyBudget, sec: SecurityParams, e_b: float) -> flo
     return max(0.0, rate)
 
 
-def asymptotic_ceiling(e_b: float) -> float:
-    """Large-block limit of the finite rate: (4/9)(1 - 2 h(e_b) - 1.2 h(e_b))."""
-    h = binary_entropy(e_b)
-    return (SIFTED_NUMERATOR / SIFTED_DENOMINATOR) * max(
-        0.0, 1.0 - 2.0 * h - ERROR_CORRECTION_EFFICIENCY * h
-    )
-
-
 @dataclass(frozen=True)
 class FiniteKeyOptimum:
     """Best rate found for one (N_signals, e_b) point, with its argmax."""

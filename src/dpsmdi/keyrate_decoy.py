@@ -175,7 +175,10 @@ def _gain_qber(
     scale, gain_sum, error_sum = _phase_sums(mu_a, mu_b, params, config)
     if gain_sum == 0.0:
         raise ValueError("QBER is undefined at zero gain (no light, no dark counts)")
-    return scale * gain_sum, error_sum / gain_sum
+    # By AM-GM each gain node 4 [a u-^2 + b u+^2] >= 8 sqrt(ab) |u+ u-|, the
+    # error node, so the fraction is at most 1; the cap removes only the last
+    # ulp rounding can add once dark counts dominate.
+    return scale * gain_sum, min(1.0, error_sum / gain_sum)
 
 
 _UNSLICED = SliceConfig(1, 0)

@@ -5,8 +5,7 @@ side, samples the relay's detector pattern from the exact output-state
 distribution, overlays dark counts per detector-bin, applies
 misalignment as a bit flip on kept events, and sifts. Serves as the
 independent statistical oracle for the closed-form yields and error
-rates. A compiled kernel is used when available, with a numpy fallback
-that tallies bit-for-bit identically.
+rates. One exact numpy kernel does the tallying.
 """
 
 from __future__ import annotations
@@ -39,16 +38,12 @@ from .protocol_sifting import (
     sift,
 )
 
-try:
-    from . import _mc_core
-except ImportError:  # pragma: no cover - depends on build environment
-    _mc_core = None
-
-COMPILED_AVAILABLE = _mc_core is not None
+# The benchmark's backend gate reads these two; they go when it does.
+COMPILED_AVAILABLE = False
 
 
 def available_backends() -> Tuple[str, ...]:
-    return ("compiled", "python") if COMPILED_AVAILABLE else ("python",)
+    return ("python",)
 
 
 # The standard link every default of the package reads: the operating point
@@ -240,34 +235,17 @@ def _run_range(
     n_trials: int,
     seed: int,
     tables: TableSet,
-    backend: str,
 ) -> EmpiricalEstimates:
-    if backend == "compiled":
-        mask_counts = np.zeros(64, dtype=np.int64)
-        keep, errors = _mc_core.run_kernel(
-            seed,
-            start_trial,
-            n_trials,
-            params.eta_a,
-            params.eta_b,
-            params.p_dark,
-            params.e_d,
-            tables.outcome_cum,
-            tables.action,
-            tables.base_error,
-            mask_counts,
-        )
-    else:
-        mask_counts, keep, errors = _mc_fallback.run_kernel(
-            seed,
-            start_trial,
-            n_trials,
-            params.eta_a,
-            params.eta_b,
-            params.p_dark,
-            params.e_d,
-            tables,
-        )
+    mask_counts, keep, errors = _mc_fallback.run_kernel(
+        seed,
+        start_trial,
+        n_trials,
+        params.eta_a,
+        params.eta_b,
+        params.p_dark,
+        params.e_d,
+        tables,
+    )
     return EmpiricalEstimates(n_trials, seed, mask_counts, int(keep), int(errors))
 
 
@@ -276,29 +254,22 @@ def run_trials(
     n_trials: int,
     seed: int,
     threads: int = 1,
-    backend: Optional[str] = None,
 ) -> EmpiricalEstimates:
     """Simulate n_trials rounds and tally outcomes.
 
     The random stream is counter-based, so the result depends only on
-    (params, n_trials, seed): thread count and backend choice change
-    neither tallies nor estimates.  At most os.cpu_count() threads start.
+    (params, n_trials, seed): the thread count changes neither tallies
+    nor estimates.  At most os.cpu_count() threads start.
     """
     if n_trials < 1:
         raise ValueError("n_trials must be at least 1")
     if not 0 <= seed < 2**64:
         raise ValueError("seed must fit in 64 bits")
-    if backend is None:
-        backend = "compiled" if COMPILED_AVAILABLE else "python"
-    if backend not in ("compiled", "python"):
-        raise ValueError(f"unknown backend {backend!r}")
-    if backend == "compiled" and not COMPILED_AVAILABLE:
-        raise RuntimeError("compiled backend requested but extension not built")
     threads = min(max(1, int(threads)), os.cpu_count() or 1)
     tables = build_tables()
 
     if threads == 1:
-        return _run_range(params, 0, n_trials, seed, tables, backend)
+        return _run_range(params, 0, n_trials, seed, tables)
 
     bounds = np.linspace(0, n_trials, threads + 1, dtype=np.int64)
     jobs = [
@@ -307,7 +278,7 @@ def run_trials(
     with ThreadPoolExecutor(max_workers=len(jobs)) as pool:
         parts = list(
             pool.map(
-                lambda job: _run_range(params, job[0], job[1], seed, tables, backend),
+                lambda job: _run_range(params, job[0], job[1], seed, tables),
                 jobs,
             )
         )
@@ -319,9 +290,9 @@ def replay_trials(
 ) -> Iterator[TrialRecord]:
     """Re-derive individual trials as full records (slow path).
 
-    Walks the same counter-based stream as the tally kernels, so
+    Walks the same counter-based stream as the tally kernel, so
     aggregating replayed records reproduces run_trials exactly; used for
-    per-trial logging and for cross-checking the kernels.
+    per-trial logging and for cross-checking the kernel.
     """
     tables = build_tables()
     for i in range(start_trial, start_trial + n_trials):

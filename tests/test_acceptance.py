@@ -44,7 +44,7 @@ from dpsmdi.keyrate_decoy import (
     overall_qber,
     sliced_gain_qber,
 )
-from dpsmdi.montecarlo import COMPILED_AVAILABLE, ChannelParams, run_trials
+from dpsmdi.montecarlo import ChannelParams, run_trials
 from dpsmdi.noise_security import (
     NoiseMatrix,
     bit_error_rate,
@@ -161,7 +161,6 @@ def test_criterion_2_sifted_fraction_exact():
 
 def test_criterion_3_montecarlo_matches_closed_forms():
     started = time.perf_counter()
-    backend = "compiled" if COMPILED_AVAILABLE else "python"
     n_trials = 10_000_000
     combo_index = 0
     for eta in (1.0, 0.1, 0.01):
@@ -169,9 +168,7 @@ def test_criterion_3_montecarlo_matches_closed_forms():
             for e_d in (0.0, 0.015):
                 combo_index += 1
                 params = ChannelParams(eta_a=eta, eta_b=eta, p_dark=p_dark, e_d=e_d)
-                est = run_trials(
-                    params, n_trials, seed=7000 + combo_index, backend=backend
-                )
+                est = run_trials(params, n_trials, seed=7000 + combo_index)
 
                 y_true = yield_Y11(params)
                 sigma_y = math.sqrt(y_true * (1.0 - y_true) / n_trials)

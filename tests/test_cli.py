@@ -131,18 +131,17 @@ def test_finite_key_default_csv_is_pinned(capsys):
 
 def test_montecarlo_matches_direct_call(capsys):
     code, stdout, _ = run_cli(
-        ["montecarlo", "--n-trials", "20000", "--seed", "7", "--l-km", "0",
-         "--backend", "python"],
+        ["montecarlo", "--n-trials", "20000", "--seed", "7", "--l-km", "0"],
         capsys,
     )
     assert code == 0
     cfg = config.load(None, {})
-    direct = run_trials(cfg.channel_params(0.0), 20000, 7, backend="python")
+    direct = run_trials(cfg.channel_params(0.0), 20000, 7)
     assert stdout == direct.to_csv()
 
 
 def test_montecarlo_seed_changes_tallies(capsys):
-    args = ["montecarlo", "--n-trials", "20000", "--backend", "python"]
+    args = ["montecarlo", "--n-trials", "20000"]
     _, first, _ = run_cli(args + ["--seed", "1"], capsys)
     _, second, _ = run_cli(args + ["--seed", "2"], capsys)
     assert first != second
@@ -206,14 +205,33 @@ def test_echo_config_dash_prints_ini(capsys):
 
 def test_unknown_config_key_exits_2(tmp_path, capsys):
     ini = tmp_path / "bad.ini"
-    ini.write_text("[channel]\nbogus = 1\n")
-    code, _, stderr = run_cli(["asymptotic", "--config", str(ini)], capsys)
-    assert code == 2
-    assert "bogus" in stderr
+    # a retired key or flag is rejected like any unknown one
+    for command, text, key in (
+        ("asymptotic", "[channel]\nbogus = 1\n", "bogus"),
+        ("montecarlo", "[montecarlo]\nbackend = auto\n", "backend"),
+    ):
+        ini.write_text(text)
+        code, _, stderr = run_cli([command, "--config", str(ini)], capsys)
+        assert code == 2
+        assert key in stderr
+    with pytest.raises(SystemExit) as exited:
+        main(["montecarlo", "--backend", "python"])
+    assert exited.value.code == 2
+    assert "--backend" in capsys.readouterr().err
 
 
-def test_invalid_flag_value_exits_2(capsys):
-    code, _, stderr = run_cli(["asymptotic", "--l-step", "-5"], capsys)
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["asymptotic", "--l-step", "-5"],
+        ["asymptotic", "--l-max", "inf"],
+        ["decoy", "--mu-a", "inf"],
+        ["asymptotic", "--f", "inf"],
+    ],
+    ids=["l-step-negative", "l-max-inf", "mu-a-inf", "f-inf"],
+)
+def test_invalid_flag_value_exits_2(args, capsys):
+    code, _, stderr = run_cli(args, capsys)
     assert code == 2
     assert "config error" in stderr
 

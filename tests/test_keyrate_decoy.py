@@ -5,6 +5,7 @@ import math
 import mpmath
 import pytest
 
+from dpsmdi.cli import main
 from dpsmdi.keyrate_asymptotic import yield_Y11
 from dpsmdi.keyrate_decoy import (
     DecoyIntermediates,
@@ -222,3 +223,17 @@ def test_decoy_distance_sweep_shape():
     assert q_values[0] > q_values[1] > q_values[2] > 0.0
     assert rows[0][6] > 0.0  # positive modified rate at zero distance
     assert all(len(row) == 7 for row in rows)
+
+
+def test_error_fractions_stay_at_most_one_where_dark_counts_dominate(capsys):
+    # From 1095 km the gain and error sums agree to the last ulp, and their
+    # uncapped ratio read up to 1.0000000000000004.
+    n_slices = 16
+    for l_km in range(1090, 1201, 5):
+        params = ChannelParams.from_total_distance(float(l_km))
+        assert intrinsic_qber(0.5, 0.5, params) <= 1.0
+        for m in range(n_slices):
+            _, e_m = sliced_gain_qber(0.5, 0.5, params, SliceConfig(n_slices, m))
+            assert e_m <= 1.0
+    assert main(["decoy", "--l-min", "1090", "--l-max", "1200", "--l-step", "5"]) == 0
+    assert len(capsys.readouterr().out.splitlines()) == 24

@@ -1,4 +1,5 @@
-"""Every import in the package and test modules is used (``__init__`` re-exports aside)."""
+"""Source hygiene: the package is plain Python, and every import in the package
+and test modules is used (``__init__`` re-exports aside)."""
 
 import ast
 from pathlib import Path
@@ -55,3 +56,14 @@ def test_no_unused_imports(path):
         if name not in used
     )
     assert not unused, f"{path.name}: unused imports {', '.join(unused)}"
+
+
+def test_package_holds_only_python_sources():
+    # one Monte Carlo kernel, in numpy: no extension source or build product
+    package = ROOT / "src" / "dpsmdi"
+    others = sorted(
+        str(p.relative_to(package))
+        for p in package.rglob("*")
+        if p.is_file() and p.suffix != ".py" and "__pycache__" not in p.parts
+    )
+    assert not others, f"non-Python files in src/dpsmdi: {', '.join(others)}"
