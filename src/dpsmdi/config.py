@@ -116,6 +116,11 @@ class RunConfig:
             bad(f"L_max must be >= L_min, got {self.L_max} < {self.L_min}")
         if not self.L_step > 0.0:
             bad(f"L_step must be positive, got {self.L_step}")
+        if not math.isfinite((self.L_max - self.L_min) / self.L_step):
+            bad(
+                f"the sweep from {self.L_min} to {self.L_max} in steps of "
+                f"{self.L_step} has no finite point count"
+            )
         for name in ("mu_a", "mu_b"):
             if not getattr(self, name) > 0.0:
                 bad(f"{name} must be positive, got {getattr(self, name)}")

@@ -2,25 +2,30 @@
 
 With a finite number of exchanged signals the observed error rates carry
 statistical uncertainty, and the security argument charges additional
-penalties for smoothing and for error-correction verification.  This module
-implements those corrections and a deterministic optimizer that splits the
-sifted-bit budget between key generation and parameter estimation.
+penalties for smoothing and for error-correction verification (Scarani &
+Renner, PRL 100, 200501 (2008); Cai & Scarani, NJP 11, 045024 (2009)).
+This module implements those corrections and a deterministic optimizer that
+splits the sifted-bit budget between key generation and parameter estimation.
 
 Quantities per block of ``N_signals`` exchanged signals:
 
 * ``n`` raw-key bits and ``m`` parameter-estimation bits, constrained by the
   sifted fraction: ``n + m <= (4/9) N_signals``.
-* a statistical broadening ``xi`` added to the observed error rates,
-* a penalty ``delta`` (in bits) from the smoothing/correctness parameters,
+* a statistical broadening ``xi(k) = sqrt((2 ln(1/eps_bar') + 9 ln(k+1)) / k)``
+  added to the observed error rates: ``eb~ = e_b + xi(n)``, ``ep~ = e_b + xi(m)``,
+* a penalty ``delta = 2 log2(1/(2(eps - eps_bar - eps_EC)))
+  + 7 sqrt(n log2(2/(eps_bar - eps_bar')))`` bits,
 * an error-correction leakage of ``1.2 h(e_b)`` bits per raw-key bit.
 
 The extractable rate per exchanged signal is ``r = (n / N) r'`` with
-``r' = 1 - h(eb~) - h(ep~) - leak/n - delta/n``, clamped at zero.
+``r' = 1 - h(eb~) - h(ep~) - leak/n - delta/n``, clamped at zero; the
+entropy term is 0 once either broadened rate passes 1/2.  One array formula,
+``_rates``, computes it: the optimizer ranks whole grids with it, and
+``finite_rate`` is its checked evaluation at one point.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -51,7 +56,7 @@ class ConstraintError(ValueError):
 class SecurityParams:
     """Failure probabilities for the composable security statement.
 
-    The chain ``epsilon - epsilon_EC > eps_bar > eps_bar_prime >= 0`` must
+    The chain ``epsilon - epsilon_EC > eps_bar > eps_bar_prime > 0`` must
     hold: the total failure budget covers error correction, smoothing, and
     the statistical broadening, in that order of nesting.
     """
@@ -60,7 +65,6 @@ class SecurityParams:
     epsilon_EC: float
     eps_bar: float
     eps_bar_prime: float
-    d: int = POVM_OUTCOME_COUNT
 
     def __post_init__(self) -> None:
         if not self.epsilon > 0.0:
@@ -69,7 +73,8 @@ class SecurityParams:
             raise ConstraintError(
                 f"epsilon_EC must be non-negative, got {self.epsilon_EC}"
             )
-        if not self.epsilon - self.epsilon_EC > self.eps_bar:
+        # in the order the penalty delta subtracts, so its slack is positive
+        if not self.epsilon - self.eps_bar - self.epsilon_EC > 0.0:
             raise ConstraintError(
                 "constraint epsilon - epsilon_EC > eps_bar failed: "
                 f"{self.epsilon} - {self.epsilon_EC} <= {self.eps_bar}"
@@ -79,13 +84,10 @@ class SecurityParams:
                 "constraint eps_bar > eps_bar_prime failed: "
                 f"{self.eps_bar} <= {self.eps_bar_prime}"
             )
-        if not self.eps_bar_prime >= 0.0:
+        if not self.eps_bar_prime > 0.0:
             raise ConstraintError(
-                f"constraint eps_bar_prime >= 0 failed: {self.eps_bar_prime}"
-            )
-        if self.d != POVM_OUTCOME_COUNT:
-            raise ConstraintError(
-                f"outcome count is fixed at {POVM_OUTCOME_COUNT}, got {self.d}"
+                "constraint eps_bar_prime > 0 failed (the broadening diverges "
+                f"at 0): {self.eps_bar_prime}"
             )
 
 
@@ -123,73 +125,45 @@ class FiniteKeyBudget:
             )
 
 
-def xi(m: float, d: int, eps_bar_prime: float) -> float:
-    """Statistical broadening of an error rate estimated from m samples.
+def _rates(
+    N_signals: int, e_b: float, epsilon: float, epsilon_EC: float,
+    n: np.ndarray, m: np.ndarray, eps_bar: np.ndarray, eps_bar_prime: np.ndarray,
+) -> np.ndarray:
+    """Unclamped rate at every point of broadcastable (n, m, eps_bar, eps_bar_prime)."""
+    confidence = 2.0 * np.log(1.0 / eps_bar_prime)
+    eb_tilde = e_b + np.sqrt((confidence + POVM_OUTCOME_COUNT * np.log(n + 1.0)) / n)
+    ep_tilde = e_b + np.sqrt((confidence + POVM_OUTCOME_COUNT * np.log(m + 1.0)) / m)
 
-    sqrt((2 ln(1/eps_bar_prime) + d ln(m+1)) / m); non-negative, and
-    vanishing as m grows.
-    """
-    if m < 1:
-        raise ConstraintError(f"sample count must be at least 1, got {m}")
-    if eps_bar_prime <= 0.0:
-        raise ConstraintError(
-            "eps_bar_prime must be positive (the broadening diverges at 0)"
-        )
-    return math.sqrt((2.0 * math.log(1.0 / eps_bar_prime) + d * math.log(m + 1.0)) / m)
+    def h(x: np.ndarray) -> np.ndarray:
+        x = np.minimum(x, 0.5)  # keeps log2 finite; np.where zeroes points past 1/2
+        return -x * np.log2(x) - (1.0 - x) * np.log2(1.0 - x)
 
-
-def delta(n: float, sec: SecurityParams) -> float:
-    """Security penalty in bits subtracted from the extractable key.
-
-    2 log2(1/(2(eps - eps_bar - eps_EC))) + 7 sqrt(n log2(2/(eps_bar -
-    eps_bar_prime))).  Grows only like sqrt(n), so delta/n -> 0.
-    """
-    slack = sec.epsilon - sec.eps_bar - sec.epsilon_EC
-    if not slack > 0.0:
-        raise ConstraintError(
-            "constraint epsilon - eps_bar - epsilon_EC > 0 failed: "
-            f"{sec.epsilon} - {sec.eps_bar} - {sec.epsilon_EC} = {slack}"
-        )
-    spread = sec.eps_bar - sec.eps_bar_prime
-    if not spread > 0.0:
-        raise ConstraintError(
-            "constraint eps_bar > eps_bar_prime failed: "
-            f"{sec.eps_bar} <= {sec.eps_bar_prime}"
-        )
-    return 2.0 * math.log2(1.0 / (2.0 * slack)) + 7.0 * math.sqrt(
-        n * math.log2(2.0 / spread)
+    entropy = np.where(
+        (eb_tilde > 0.5) | (ep_tilde > 0.5), 0.0, 1.0 - h(eb_tilde) - h(ep_tilde)
     )
-
-
-def smooth_entropy(e_b: float, n: int, m: int, sec: SecurityParams) -> float:
-    """Conditional-entropy bound per raw-key bit after broadening.
-
-    Both error rates are inflated: the bit error rate by xi(n) and the
-    conjugate-basis error rate (equal to e_b through the noise bound) by
-    xi(m).  If either inflated rate exceeds 1/2 the bound collapses to 0.
-    """
-    e_p = e_b
-    eb_tilde = e_b + xi(n, sec.d, sec.eps_bar_prime)
-    ep_tilde = e_p + xi(m, sec.d, sec.eps_bar_prime)
-    if eb_tilde > 0.5 or ep_tilde > 0.5:
-        return 0.0
-    return 1.0 - binary_entropy(eb_tilde) - binary_entropy(ep_tilde)
+    leak = ERROR_CORRECTION_EFFICIENCY * binary_entropy(e_b) * n
+    penalty = 2.0 * np.log2(1.0 / (2.0 * (epsilon - eps_bar - epsilon_EC))) + 7.0 * np.sqrt(
+        n * np.log2(2.0 / (eps_bar - eps_bar_prime))
+    )
+    return (n / N_signals) * (entropy - (leak + penalty) / n)
 
 
 def finite_rate(budget: FiniteKeyBudget, sec: SecurityParams, e_b: float) -> float:
     """Secret bits per exchanged signal for a fixed budget split.
 
-    r = (n/N) * (smooth_entropy - (leak_EC + delta)/n) with
-    leak_EC = 1.2 h(e_b) n, clamped at zero.  A block with no raw-key
-    bits or no estimation bits yields nothing.
+    The 0-d evaluation of _rates, clamped at zero; a block with no raw-key
+    bits or no estimation bits yields nothing.  The formula relies on the
+    checks of FiniteKeyBudget and SecurityParams, so only those types pass.
     """
+    if not isinstance(budget, FiniteKeyBudget) or not isinstance(sec, SecurityParams):
+        raise TypeError("finite_rate takes a FiniteKeyBudget and a SecurityParams")
     if budget.n == 0 or budget.m == 0:
         return 0.0
-    entropy = smooth_entropy(e_b, budget.n, budget.m, sec)
-    leak = ERROR_CORRECTION_EFFICIENCY * binary_entropy(e_b) * budget.n
-    r_prime = entropy - (leak + delta(budget.n, sec)) / budget.n
-    rate = (budget.n / budget.N_signals) * r_prime
-    return max(0.0, rate)
+    rate = _rates(
+        budget.N_signals, e_b, sec.epsilon, sec.epsilon_EC,
+        budget.n, budget.m, sec.eps_bar, sec.eps_bar_prime,
+    )
+    return max(0.0, float(rate))
 
 
 @dataclass(frozen=True)
@@ -216,44 +190,6 @@ _REFINE_ROUNDS = 4
 _REFINE_POINTS = 9
 # Lower edges of the refinement brackets for u, beta and gamma.
 _REFINE_FLOORS = (1e-9, 1e-6, 1e-6)
-
-
-def _split_budget(total: int, u: float) -> tuple[int, int]:
-    """Integer (n, m) with m ~ u * total, both at least 1."""
-    m = int(round(total * u))
-    m = min(max(m, 1), total - 1)
-    return total - m, m
-
-
-def _rates(
-    N_signals: int, total: int, e_b: float, epsilon: float, epsilon_EC: float,
-    u: np.ndarray, beta: np.ndarray, gamma: np.ndarray,
-) -> np.ndarray:
-    """Unclamped finite_rate at every point of broadcastable (u, beta, gamma) arrays.
-
-    The split is _split_budget's, and every term keeps the operation order of
-    xi, delta, smooth_entropy and finite_rate (up to the libm last bit).
-    """
-    m = np.clip(np.rint(total * u), 1, total - 1)
-    n = total - m
-    eps_bar = beta * (epsilon - epsilon_EC)
-    eps_bar_prime = gamma * eps_bar
-    confidence = 2.0 * np.log(1.0 / eps_bar_prime)
-    eb_tilde = e_b + np.sqrt((confidence + POVM_OUTCOME_COUNT * np.log(n + 1.0)) / n)
-    ep_tilde = e_b + np.sqrt((confidence + POVM_OUTCOME_COUNT * np.log(m + 1.0)) / m)
-
-    def h(x: np.ndarray) -> np.ndarray:
-        x = np.minimum(x, 0.5)  # keeps log2 finite; np.where zeroes points past 1/2
-        return -x * np.log2(x) - (1.0 - x) * np.log2(1.0 - x)
-
-    entropy = np.where(
-        (eb_tilde > 0.5) | (ep_tilde > 0.5), 0.0, 1.0 - h(eb_tilde) - h(ep_tilde)
-    )
-    leak = ERROR_CORRECTION_EFFICIENCY * binary_entropy(e_b) * n
-    penalty = 2.0 * np.log2(1.0 / (2.0 * (epsilon - eps_bar - epsilon_EC))) + 7.0 * np.sqrt(
-        n * np.log2(2.0 / (eps_bar - eps_bar_prime))
-    )
-    return (n / N_signals) * (entropy - (leak + penalty) / n)
 
 
 def _bracket(value: float, grid: Sequence[float], floor: float, ceil: float) -> tuple[float, float]:
@@ -314,9 +250,15 @@ def optimize_rate(
             "cannot populate both key and estimation samples",
         )
 
+    def split(u):
+        """Estimation bits m ~ u * total, leaving both shares at least 1."""
+        return np.clip(np.rint(total * u), 1, total - 1)
+
     def rated(u, beta, gamma) -> np.ndarray:
         # clamped like finite_rate, so a grid that is 0 everywhere keeps its first point
-        rates = _rates(N_signals, total, e_b, epsilon, epsilon_EC, u, beta, gamma)
+        m = split(u)
+        eps_bar = beta * (epsilon - epsilon_EC)
+        rates = _rates(N_signals, e_b, epsilon, epsilon_EC, total - m, m, eps_bar, gamma * eps_bar)
         return np.maximum(rates, 0.0)
 
     grids: list[Sequence[float]] = [_COARSE_U, _COARSE_BETA, _COARSE_GAMMA]
@@ -337,7 +279,8 @@ def optimize_rate(
                 point[axis] = grids[axis][k]
 
     u, beta, gamma = point
-    n, m = _split_budget(total, u)
+    m = int(split(u))
+    n = total - m
     eps_bar = beta * (epsilon - epsilon_EC)
     eps_bar_prime = gamma * eps_bar
     rate = finite_rate(

@@ -349,13 +349,13 @@ def _direct_density(
     return total
 
 
-def direct_gain_quadrature(
-    mu_a: float, mu_b: float, params: ChannelParams, tol: float = 1e-9
+def _direct_quadrature(
+    mu_a: float, mu_b: float, params: ChannelParams, tol: float, flipped: bool
 ) -> float:
-    """Overall gain by integrating the click-product sum over both phases."""
+    """Phase average of _direct_density by dblquad, to tol absolute."""
     value, abserr = dblquad(
         lambda theta_b, theta_a: _direct_density(
-            mu_a, mu_b, params, theta_a, theta_b, flipped=False
+            mu_a, mu_b, params, theta_a, theta_b, flipped
         ),
         0.0,
         2.0 * math.pi,
@@ -366,8 +366,16 @@ def direct_gain_quadrature(
     )
     scale = 1.0 / (2.0 * math.pi) ** 2
     if abserr * scale > tol:
-        raise QuadratureError("direct gain quadrature did not converge", abserr * scale)
+        which = "error" if flipped else "gain"
+        raise QuadratureError(f"direct {which} quadrature did not converge", abserr * scale)
     return value * scale
+
+
+def direct_gain_quadrature(
+    mu_a: float, mu_b: float, params: ChannelParams, tol: float = 1e-9
+) -> float:
+    """Overall gain by integrating the click-product sum over both phases."""
+    return _direct_quadrature(mu_a, mu_b, params, tol, flipped=False)
 
 
 def direct_qber_quadrature(
@@ -375,21 +383,7 @@ def direct_qber_quadrature(
 ) -> float:
     """Overall error product by integrating the click-product sum with the
     phase conditions inverted."""
-    value, abserr = dblquad(
-        lambda theta_b, theta_a: _direct_density(
-            mu_a, mu_b, params, theta_a, theta_b, flipped=True
-        ),
-        0.0,
-        2.0 * math.pi,
-        0.0,
-        2.0 * math.pi,
-        epsabs=tol,
-        epsrel=0.0,
-    )
-    scale = 1.0 / (2.0 * math.pi) ** 2
-    if abserr * scale > tol:
-        raise QuadratureError("direct error quadrature did not converge", abserr * scale)
-    return value * scale
+    return _direct_quadrature(mu_a, mu_b, params, tol, flipped=True)
 
 
 def slice_qber_sweep(

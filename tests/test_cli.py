@@ -227,8 +227,9 @@ def test_unknown_config_key_exits_2(tmp_path, capsys):
         ["asymptotic", "--l-max", "inf"],
         ["decoy", "--mu-a", "inf"],
         ["asymptotic", "--f", "inf"],
+        ["asymptotic", "--l-max", "1e308", "--l-step", "1e-300"],
     ],
-    ids=["l-step-negative", "l-max-inf", "mu-a-inf", "f-inf"],
+    ids=["l-step-negative", "l-max-inf", "mu-a-inf", "f-inf", "point-count-overflow"],
 )
 def test_invalid_flag_value_exits_2(args, capsys):
     code, _, stderr = run_cli(args, capsys)

@@ -12,41 +12,95 @@ from dpsmdi.finite_key import (
     ConstraintError,
     FiniteKeyBudget,
     SecurityParams,
-    delta,
     finite_key_sweep,
     finite_rate,
     optimize_rate,
-    smooth_entropy,
     sweep_to_csv,
-    xi,
 )
-from dpsmdi.keyrate_asymptotic import binary_entropy
 
 SEC = SecurityParams(epsilon=1e-5, epsilon_EC=1e-10, eps_bar=2.5e-6, eps_bar_prime=1.25e-7)
 
 
+# Oracle: the finite rate of Scarani & Renner, PRL 100, 200501 (2008), and
+# Cai & Scarani, NJP 11, 045024 (2009), one scalar at a time with the math
+# module, written apart from the package's array formula.
+def h(x):
+    return 0.0 if x in (0.0, 1.0) else -x * math.log2(x) - (1.0 - x) * math.log2(1.0 - x)
+
+
+def oracle_xi(k, eps_bar_prime):
+    """Broadening of an error rate estimated from k samples, over 9 outcomes."""
+    return math.sqrt((2.0 * math.log(1.0 / eps_bar_prime) + 9 * math.log(k + 1.0)) / k)
+
+
+def oracle_delta(n, sec):
+    """Smoothing and correctness penalty in bits."""
+    slack = sec.epsilon - sec.eps_bar - sec.epsilon_EC
+    spread = sec.eps_bar - sec.eps_bar_prime
+    return 2.0 * math.log2(1.0 / (2.0 * slack)) + 7.0 * math.sqrt(n * math.log2(2.0 / spread))
+
+
+def oracle_entropy(e_b, n, m, sec):
+    """Entropy bound per raw-key bit; 0 once a broadened error rate passes 1/2."""
+    eb_tilde = e_b + oracle_xi(n, sec.eps_bar_prime)
+    ep_tilde = e_b + oracle_xi(m, sec.eps_bar_prime)  # e_p = e_b
+    if eb_tilde > 0.5 or ep_tilde > 0.5:
+        return 0.0
+    return 1.0 - h(eb_tilde) - h(ep_tilde)
+
+
+def oracle_rate(budget, sec, e_b):
+    """Unclamped (n/N)(entropy - (1.2 h(e_b) n + delta)/n)."""
+    n = budget.n
+    leak = 1.2 * h(e_b) * n
+    entropy = oracle_entropy(e_b, n, budget.m, sec)
+    return (n / budget.N_signals) * (entropy - (leak + oracle_delta(n, sec)) / n)
+
+
 def asymptotic_ceiling(e_b):
     """Oracle: large-block limit of the finite rate, (4/9)(1 - 2 h(e_b) - 1.2 h(e_b))."""
-    h = binary_entropy(e_b)
-    return (4.0 / 9.0) * max(0.0, 1.0 - 2.0 * h - 1.2 * h)
+    return (4.0 / 9.0) * max(0.0, 1.0 - 2.0 * h(e_b) - 1.2 * h(e_b))
+
+
+def unclamped(budget, sec, e_b):
+    """The package formula at one point, before finite_rate clamps it at 0."""
+    return float(
+        finite_key._rates(
+            budget.N_signals, e_b, sec.epsilon, sec.epsilon_EC,
+            budget.n, budget.m, sec.eps_bar, sec.eps_bar_prime,
+        )
+    )
 
 
 def test_broadening_reference_value():
-    value = xi(1e6, 9, 1e-6)
+    value = oracle_xi(1e6, 1e-6)
     assert value == pytest.approx(0.0123276366404, abs=1e-10)
     # headline rounding of the same number
     assert value == pytest.approx(0.0123, abs=5e-5)
+    # n = m = 1e6 at eps_bar' = 1e-6 broadens both error rates by that value
+    sec = SecurityParams(1e-5, 1e-10, 5e-6, 1e-6)
+    budget = FiniteKeyBudget(10**7, 10**6, 10**6)
+    rate = finite_rate(budget, sec, 0.01)
+    assert rate > 0.0
+    assert rate == pytest.approx(oracle_rate(budget, sec, 0.01), rel=1e-12)
 
 
 def test_broadening_monotonicity_and_rejections():
-    assert xi(1e6, 9, 1e-6) < xi(1e4, 9, 1e-6)
-    assert xi(1e6, 9, 1e-9) > xi(1e6, 9, 1e-6)
+    assert oracle_xi(1e6, 1e-6) < oracle_xi(1e4, 1e-6)
+    assert oracle_xi(1e6, 1e-9) > oracle_xi(1e6, 1e-6)
+    # more estimation samples broaden e_p less; a smaller eps_bar' broadens both more
+    n = 10**6
+    few = finite_rate(FiniteKeyBudget(10**7, n, 10**4), SEC, 0.01)
+    many = finite_rate(FiniteKeyBudget(10**7, n, 10**6), SEC, 0.01)
+    assert 0.0 < few < many
+    tight = SecurityParams(1e-5, 1e-10, 2.5e-6, 1e-12)
+    assert finite_rate(FiniteKeyBudget(10**7, n, 10**6), tight, 0.01) < many
     with pytest.raises(ConstraintError):
-        xi(0.5, 9, 1e-6)
-    with pytest.raises(ConstraintError):
-        xi(1e6, 9, 0.0)
-    with pytest.raises(ConstraintError):
-        xi(1e6, 9, -1e-6)
+        FiniteKeyBudget(10**7, n, 0.5)
+    with pytest.raises(ConstraintError, match="eps_bar_prime > 0"):
+        SecurityParams(1e-5, 1e-10, 1e-7, 0.0)
+    with pytest.raises(ConstraintError, match="eps_bar_prime > 0"):
+        SecurityParams(1e-5, 1e-10, 1e-7, -1e-6)
 
 
 def test_security_params_constraint_chain():
@@ -58,10 +112,8 @@ def test_security_params_constraint_chain():
         SecurityParams(1e-5, 1e-10, 1e-5, 1e-8)
     with pytest.raises(ConstraintError, match="eps_bar > eps_bar_prime"):
         SecurityParams(1e-5, 1e-10, 1e-7, 1e-7)
-    with pytest.raises(ConstraintError, match="eps_bar_prime >= 0"):
+    with pytest.raises(ConstraintError, match="eps_bar_prime > 0"):
         SecurityParams(1e-5, 1e-10, 1e-7, -1e-9)
-    with pytest.raises(ConstraintError, match="fixed at 9"):
-        SecurityParams(1e-5, 1e-10, 1e-7, 1e-8, d=8)
 
 
 def test_budget_cap_is_integer_exact():
@@ -89,36 +141,49 @@ def test_budget_full_mode_and_type_checks():
 
 
 def test_penalty_formula():
-    slack = SEC.epsilon - SEC.eps_bar - SEC.epsilon_EC
-    spread = SEC.eps_bar - SEC.eps_bar_prime
-    expected = 2.0 * math.log2(1.0 / (2.0 * slack)) + 7.0 * math.sqrt(
-        1e6 * math.log2(2.0 / spread)
-    )
-    assert delta(1e6, SEC) == pytest.approx(expected, rel=1e-12)
+    assert oracle_delta(1e6, SEC) == pytest.approx(31088.4241303437, rel=1e-12)
+    # at n = 1e6 the penalty costs about 0.03 bits per raw-key bit
+    budget = FiniteKeyBudget(10**7, 10**6, 10**6)
+    rate = finite_rate(budget, SEC, 0.01)
+    assert rate > 0.0
+    assert rate == pytest.approx(oracle_rate(budget, SEC, 0.01), rel=1e-12)
 
 
 def test_penalty_rejects_bad_parameter_combinations():
-    # SecurityParams cannot be built in these states, so fake the fields
+    with pytest.raises(ConstraintError, match="eps_bar > eps_bar_prime"):
+        SecurityParams(1e-5, 0.0, 9e-6, 9e-6)
+    with pytest.raises(ConstraintError, match="epsilon - epsilon_EC > eps_bar"):
+        SecurityParams(1e-5, 0.0, 2e-5, 1e-6)
+    # epsilon - epsilon_EC > eps_bar holds here, but the penalty's slack
+    # epsilon - eps_bar - epsilon_EC rounds to 0
+    with pytest.raises(ConstraintError, match="epsilon - epsilon_EC > eps_bar"):
+        SecurityParams(0.6709501961841973, 0.6476488181774758, 0.023301378006721486, 1e-3)
+    # the formula relies on those checks, so unchecked fields are refused
     no_spread = SimpleNamespace(
         epsilon=1e-5, epsilon_EC=0.0, eps_bar=9e-6, eps_bar_prime=9e-6
     )
-    with pytest.raises(ConstraintError, match="eps_bar > eps_bar_prime"):
-        delta(1e6, no_spread)
-    no_slack = SimpleNamespace(
-        epsilon=1e-5, epsilon_EC=0.0, eps_bar=2e-5, eps_bar_prime=1e-6
-    )
-    with pytest.raises(ConstraintError, match="epsilon - eps_bar - epsilon_EC"):
-        delta(1e6, no_slack)
+    with pytest.raises(TypeError):
+        finite_rate(FiniteKeyBudget(10**7, 10**6, 10**6), no_spread, 0.01)
+    with pytest.raises(TypeError):
+        finite_rate(SimpleNamespace(N_signals=100, n=22, m=22), SEC, 0.01)
 
 
 def test_smooth_entropy_limits():
     big = 10**10
-    nearly = smooth_entropy(0.01, big, big, SEC)
-    assert nearly == pytest.approx(1.0 - 2.0 * binary_entropy(0.01), abs=5e-3)
-    # broadened past 1/2: collapses to exactly zero
-    assert smooth_entropy(0.45, 100, 100, SEC) == 0.0
+    budget = FiniteKeyBudget(10 * big, big, big)
+    nearly = finite_rate(budget, SEC, 0.01)
+    assert nearly == pytest.approx(oracle_rate(budget, SEC, 0.01), rel=1e-12)
+    assert nearly / 0.1 == pytest.approx(1.0 - 3.2 * h(0.01), abs=5e-3)
+    # broadened past 1/2: the entropy collapses to exactly zero
+    small = FiniteKeyBudget(1000, 100, 100)
+    assert oracle_entropy(0.45, 100, 100, SEC) == 0.0
+    expected = -(1.2 * h(0.45) * 100 + oracle_delta(100, SEC)) / 1000
+    assert unclamped(small, SEC, 0.45) == pytest.approx(expected, rel=1e-12)
+    assert finite_rate(small, SEC, 0.45) == 0.0
     # below 1/2 the literal value is kept even when negative
-    assert smooth_entropy(0.4, big, big, SEC) < 0.0
+    assert oracle_entropy(0.4, big, big, SEC) < 0.0
+    assert unclamped(budget, SEC, 0.4) == pytest.approx(oracle_rate(budget, SEC, 0.4), rel=1e-12)
+    assert finite_rate(budget, SEC, 0.4) == 0.0
 
 
 def test_finite_rate_edges():
@@ -141,8 +206,7 @@ def test_finite_rate_approaches_ceiling():
 
 def test_asymptotic_ceiling_values():
     assert asymptotic_ceiling(0.0) == 4.0 / 9.0
-    h = binary_entropy(1e-4)
-    assert asymptotic_ceiling(1e-4) == pytest.approx((4.0 / 9.0) * (1.0 - 3.2 * h))
+    assert asymptotic_ceiling(1e-4) == pytest.approx((4.0 / 9.0) * (1.0 - 3.2 * h(1e-4)))
     assert asymptotic_ceiling(0.25) == 0.0
 
 
@@ -206,17 +270,22 @@ def test_array_rates_match_finite_rate_on_the_coarse_grid(N_signals, allow_full_
     eps, eps_ec = 1e-5, 1e-10
     grids = (finite_key._COARSE_U, finite_key._COARSE_BETA, finite_key._COARSE_GAMMA)
     total = N_signals if allow_full_budget else (4 * N_signals) // 9
+    u_grid, beta_grid, gamma_grid = np.ix_(*grids)
+    m = np.clip(np.rint(total * u_grid), 1, total - 1)  # the optimizer's split
+    eps_bar = beta_grid * (eps - eps_ec)
+    arrays = (total - m, m, eps_bar, gamma_grid * eps_bar)
     for e_b in (0.005, 0.03, 0.065):
-        rates = finite_key._rates(N_signals, total, e_b, eps, eps_ec, *np.ix_(*grids))
+        rates = finite_key._rates(N_signals, e_b, eps, eps_ec, *arrays)
         for index in itertools.product(*(range(len(grid)) for grid in grids)):
             u, beta, gamma = (grid[i] for grid, i in zip(grids, index))
-            m = min(max(int(round(total * u)), 1), total - 1)
-            eps_bar = beta * (eps - eps_ec)
-            budget = FiniteKeyBudget(N_signals, total - m, m, allow_full_budget)
-            sec = SecurityParams(eps, eps_ec, eps_bar, gamma * eps_bar)
-            expected = finite_rate(budget, sec, e_b)
-            got = max(0.0, float(rates[index]))
-            assert abs(got - expected) <= max(1e-12 * expected, 1e-15), (index, e_b)
+            m_i = min(max(int(round(total * u)), 1), total - 1)
+            eps_bar_i = beta * (eps - eps_ec)
+            budget = FiniteKeyBudget(N_signals, total - m_i, m_i, allow_full_budget)
+            sec = SecurityParams(eps, eps_ec, eps_bar_i, gamma * eps_bar_i)
+            expected = max(0.0, oracle_rate(budget, sec, e_b))
+            tolerance = max(1e-12 * expected, 1e-15)
+            assert abs(max(0.0, float(rates[index])) - expected) <= tolerance, (index, e_b)
+            assert abs(finite_rate(budget, sec, e_b) - expected) <= tolerance, (index, e_b)
 
 
 def test_sweep_order():
