@@ -12,14 +12,16 @@ Subcommands:
 
 Every command reads an optional INI config (see :mod:`dpsmdi.config`),
 applies flag overrides on top, and writes CSV to --out or stdout.  Output
-is deterministic for a fixed (config, seed) pair.
+is deterministic for a fixed (config, seed) pair.  Each config setting of
+the sections a command reads (``_COMMANDS``) is also one of its flags,
+spelled as :mod:`dpsmdi.config` says and parsed by the same parser.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
-from typing import Any, Dict, List, Optional, Sequence
+from typing import Any, Callable, List, Optional, Sequence
 
 import numpy as np
 
@@ -311,37 +313,38 @@ def cmd_verify(cfg: RunConfig, mc_trials: int = 2_000_000) -> tuple[str, int]:
     return "\n".join(lines) + "\n", (1 if failures else 0)
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--config", metavar="PATH", help="INI config file")
-    parser.add_argument("--out", metavar="PATH", help="write output here instead of stdout")
-    parser.add_argument(
-        "--echo-config",
-        metavar="PATH",
-        help="write the fully resolved config as INI ('-' for stdout)",
-    )
-    parser.add_argument("--seed", type=int, help="64-bit unsigned RNG seed")
-    parser.add_argument(
-        "--threads", type=int,
-        help="Monte Carlo worker threads (montecarlo and verify's MC check)",
-    )
+# command -> (help, config sections taken as flags besides [run])
+_COMMANDS = {
+    "asymptotic": ("single-photon rate vs distance", ("channel", "sweep")),
+    "decoy": ("weak-coherent decoy rate vs distance", ("channel", "sweep", "decoy")),
+    "qber-slices": ("first-slice QBER vs slice count", ("channel", "decoy")),
+    "finite-key": ("optimized finite-block rates", ("finite_key",)),
+    "montecarlo": ("trial-level simulation tallies", ("channel", "montecarlo")),
+    "verify": ("run the self-check suite", ()),
+}
+# decoy sweeps the distance, so qber-slices' one distance is no flag there
+_NOT_FLAGS = {"decoy": ("slice_L_km",)}
+# flags not spelled "--" + the lower-cased key with "_" as "-"
+_FLAG_NAMES = {"e_b_list": "--e-b"}
 
 
-def _add_channel(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--eta-det", type=float, dest="eta_det")
-    parser.add_argument("--p-dark", type=float, dest="p_dark")
-    parser.add_argument("--e-d", type=float, dest="e_d")
-    parser.add_argument("--f", type=float, dest="f")
-    parser.add_argument("--alpha-db-per-km", type=float, dest="alpha_db_per_km")
+def _flag_type(parse: Callable[[str], Any]) -> Callable[[str], Any]:
+    """The INI parser, reporting a bad value the argparse way (exit 2)."""
+
+    def convert(text: str) -> Any:
+        try:
+            return parse(text)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from exc
+
+    return convert
 
 
-def _add_sweep(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--l-min", type=float, dest="L_min")
-    parser.add_argument("--l-max", type=float, dest="L_max")
-    parser.add_argument("--l-step", type=float, dest="L_step")
-
-
-def _add_svg(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--svg", metavar="PATH", help="also render an SVG plot")
+def _trial_count(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -351,104 +354,54 @@ def build_parser() -> argparse.ArgumentParser:
         "protocol with an untrusted measurement relay.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("asymptotic", help="single-photon rate vs distance")
-    _add_common(p)
-    _add_channel(p)
-    _add_sweep(p)
-    _add_svg(p)
-
-    p = sub.add_parser("decoy", help="weak-coherent decoy rate vs distance")
-    _add_common(p)
-    _add_channel(p)
-    _add_sweep(p)
-    _add_svg(p)
-    p.add_argument("--mu-a", type=float, dest="mu_a")
-    p.add_argument("--mu-b", type=float, dest="mu_b")
-    p.add_argument("--n-slices", type=int, dest="N_slices")
-
-    p = sub.add_parser("qber-slices", help="first-slice QBER vs slice count")
-    _add_common(p)
-    _add_channel(p)
-    _add_svg(p)
-    p.add_argument("--mu-a", type=float, dest="mu_a")
-    p.add_argument("--mu-b", type=float, dest="mu_b")
-    p.add_argument("--n-slices", type=int, dest="N_slices")
-    p.add_argument("--l-km", type=float, dest="slice_L_km")
-
-    p = sub.add_parser("finite-key", help="optimized finite-block rates")
-    _add_common(p)
-    _add_svg(p)
-    p.add_argument("--epsilon", type=float, dest="epsilon")
-    p.add_argument("--epsilon-ec", type=float, dest="epsilon_EC")
-    p.add_argument(
-        "--e-b", dest="e_b_list", metavar="LIST",
-        help="comma-separated bit error rates",
-    )
-    p.add_argument(
-        "--n-grid", dest="N_grid", metavar="LIST",
-        help="comma-separated signal counts (1e9 notation allowed)",
-    )
-    p.add_argument(
+    parsers = {}
+    for command, (help_text, sections) in _COMMANDS.items():
+        p = parsers[command] = sub.add_parser(command, help=help_text)
+        p.add_argument("--config", metavar="PATH", help="INI config file")
+        p.add_argument(
+            "--echo-config",
+            metavar="PATH",
+            help="write the fully resolved config as INI ('-' for stdout)",
+        )
+        for setting in config_mod.SETTINGS:
+            if setting.section in sections + ("run",) and (
+                setting.name not in _NOT_FLAGS.get(command, ())
+            ):
+                flag = "--" + setting.key.lower().replace("_", "-")
+                p.add_argument(
+                    _FLAG_NAMES.get(setting.name, flag),
+                    dest=setting.name,
+                    type=_flag_type(setting.parse),
+                    help=f"[{setting.section}] {setting.key} of the INI config",
+                )
+    for command in ("asymptotic", "decoy", "qber-slices", "finite-key"):
+        parsers[command].add_argument("--svg", metavar="PATH", help="also render an SVG plot")
+    parsers["finite-key"].add_argument(
         "--allow-full-budget", action="store_true",
         help="lift the sample budget from (4/9)N to N",
     )
-
-    p = sub.add_parser("montecarlo", help="trial-level simulation tallies")
-    _add_common(p)
-    _add_channel(p)
-    p.add_argument("--n-trials", type=int, dest="n_trials")
-    p.add_argument("--l-km", type=float, dest="mc_L_km")
-
-    p = sub.add_parser("verify", help="run the self-check suite")
-    _add_common(p)
-    p.add_argument(
-        "--mc-trials", type=int, default=2_000_000,
+    parsers["verify"].add_argument(
+        "--mc-trials", type=_trial_count, default=2_000_000,
         help="trial count for the mc-vs-analytic check",
     )
     return parser
-
-
-_OVERRIDE_ATTRS = (
-    "eta_det", "p_dark", "e_d", "f", "alpha_db_per_km",
-    "L_min", "L_max", "L_step",
-    "mu_a", "mu_b", "N_slices", "slice_L_km",
-    "epsilon", "epsilon_EC",
-    "n_trials", "mc_L_km",
-    "seed", "threads", "out",
-)
-
-
-def _collect_overrides(args: argparse.Namespace) -> Dict[str, Any]:
-    overrides: Dict[str, Any] = {}
-    for attr in _OVERRIDE_ATTRS:
-        value = getattr(args, attr, None)
-        if value is not None:
-            overrides[attr] = value
-    raw_e_b = getattr(args, "e_b_list", None)
-    if raw_e_b is not None:
-        overrides["e_b_list"] = config_mod._parse_float_list(raw_e_b)
-    raw_grid = getattr(args, "N_grid", None)
-    if raw_grid is not None:
-        overrides["N_grid"] = config_mod._parse_int_list(raw_grid)
-    return overrides
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        cfg = config_mod.load(args.config, _collect_overrides(args))
+        overrides = {s.name: getattr(args, s.name, None) for s in config_mod.SETTINGS}
+        cfg = config_mod.load(args.config, overrides)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
 
-    echo_path = getattr(args, "echo_config", None)
-    if echo_path:
-        if echo_path == "-":
+    if args.echo_config:
+        if args.echo_config == "-":
             sys.stdout.write(cfg.to_ini())
         else:
-            with open(echo_path, "w", encoding="utf-8") as handle:
+            with open(args.echo_config, "w", encoding="utf-8") as handle:
                 handle.write(cfg.to_ini())
 
     try:

@@ -9,6 +9,14 @@ A run is described by a flat INI file with one section per concern:
     [montecarlo]  n_trials, L_km
     [run]         seed, threads, out
 
+A ``RunConfig`` field is the one declaration of a setting: it names its
+section next to its default (and its key, where that differs from the field
+name), and its type picks the parser and renderer.  On the command line a
+setting is spelled ``--`` plus its key, lower-cased, with ``_`` turned into
+``-`` (``N_grid`` is ``--n-grid``); the one exception is ``e_b_list``,
+spelled ``--e-b``.  A flag and an INI line go through the same parser, so
+``--n-trials 1e6`` and ``n_trials = 1e6`` mean the same.
+
 Unknown sections or keys are rejected by name.  ``to_ini`` emits the fully
 resolved state and ``from_ini_text(to_ini())`` reproduces it exactly, so an
 echoed config re-runs identically.
@@ -19,78 +27,87 @@ from __future__ import annotations
 import configparser
 import math
 import os
-from dataclasses import dataclass, fields, replace
-from typing import Any, Callable, Dict, Mapping, Tuple
+from dataclasses import dataclass, field, fields, replace
+from decimal import Decimal, InvalidOperation
+from itertools import groupby
+from typing import Any, Callable, Dict, List, Mapping, Tuple, get_type_hints
 
 from .montecarlo import ALPHA_DB_PER_KM, E_D, ETA_DET, F_EC, P_DARK, ChannelParams
+
+# Most points a distance sweep may have: far above the default 61, and a
+# bound on what a mistyped L_step can ask for.
+_MAX_SWEEP_POINTS = 100_001
 
 
 class ConfigError(ValueError):
     """Malformed, unknown, or out-of-range configuration input."""
 
 
-def _parse_float_list(text: str) -> Tuple[float, ...]:
+def _parse_int(text: str) -> int:
+    """An integer, read exactly; 1e6 or 2.5e3 notation only where it names one."""
+    try:
+        exact = Decimal(text)
+    except InvalidOperation:
+        exact = Decimal("NaN")
+    if not (exact.is_finite() and exact == exact.to_integral_value()):
+        raise ConfigError(f"expected an integer, got {text!r}")
+    if not math.isfinite(float(exact)):
+        raise ConfigError(f"integer {text!r} lies beyond the float range")
+    return int(exact)
+
+
+def _list_tokens(text: str) -> List[str]:
     tokens = text.replace(",", " ").split()
     if not tokens:
         raise ConfigError("empty list value")
-    return tuple(float(tok) for tok in tokens)
+    return tokens
+
+
+def _parse_float_list(text: str) -> Tuple[float, ...]:
+    return tuple(float(tok) for tok in _list_tokens(text))
 
 
 def _parse_int_list(text: str) -> Tuple[int, ...]:
-    values = []
-    for tok in text.replace(",", " ").split():
-        as_float = float(tok)
-        as_int = int(as_float)
-        if as_int != as_float:
-            raise ConfigError(f"expected an integer, got {tok!r}")
-        values.append(as_int)
-    if not values:
-        raise ConfigError("empty list value")
-    return tuple(values)
+    return tuple(_parse_int(tok) for tok in _list_tokens(text))
 
 
-def _parse_int(text: str) -> int:
-    as_float = float(text)
-    as_int = int(as_float)
-    if as_int != as_float:
-        raise ConfigError(f"expected an integer, got {text!r}")
-    return as_int
+def _render_list(values: Tuple[Any, ...]) -> str:
+    return ", ".join(repr(v) for v in values)
+
+
+def _ini(section: str, default: Any, key: str | None = None) -> Any:
+    """A field read from INI ``[section] key``; the key defaults to the field name."""
+    return field(default=default, metadata={"section": section, "key": key})
 
 
 @dataclass(frozen=True)
 class RunConfig:
     """Fully resolved parameters for one CLI invocation."""
 
-    # [channel]
-    eta_det: float = ETA_DET
-    p_dark: float = P_DARK
-    e_d: float = E_D
-    f: float = F_EC
-    alpha_db_per_km: float = ALPHA_DB_PER_KM
-    # [sweep]
-    L_min: float = 0.0
-    L_max: float = 300.0
-    L_step: float = 5.0
-    # [decoy]
-    mu_a: float = 0.5
-    mu_b: float = 0.5
-    N_slices: int = 16
-    slice_L_km: float = 0.0
-    # [finite_key]
-    epsilon: float = 1e-5
-    epsilon_EC: float = 1e-10
-    e_b_list: Tuple[float, ...] = (0.01, 0.03, 0.05)
-    N_grid: Tuple[int, ...] = (
+    eta_det: float = _ini("channel", ETA_DET)
+    p_dark: float = _ini("channel", P_DARK)
+    e_d: float = _ini("channel", E_D)
+    f: float = _ini("channel", F_EC)
+    alpha_db_per_km: float = _ini("channel", ALPHA_DB_PER_KM)
+    L_min: float = _ini("sweep", 0.0)
+    L_max: float = _ini("sweep", 300.0)
+    L_step: float = _ini("sweep", 5.0)
+    mu_a: float = _ini("decoy", 0.5)
+    mu_b: float = _ini("decoy", 0.5)
+    N_slices: int = _ini("decoy", 16)
+    slice_L_km: float = _ini("decoy", 0.0, key="L_km")
+    epsilon: float = _ini("finite_key", 1e-5)
+    epsilon_EC: float = _ini("finite_key", 1e-10)
+    e_b_list: Tuple[float, ...] = _ini("finite_key", (0.01, 0.03, 0.05))
+    N_grid: Tuple[int, ...] = _ini("finite_key", (
         10**5, 3 * 10**5, 10**6, 3 * 10**6, 10**7, 3 * 10**7,
         10**8, 3 * 10**8, 10**9, 10**10, 10**11, 10**12,
-    )
-    # [montecarlo]
-    n_trials: int = 1_000_000
-    mc_L_km: float = 0.0
-    # [run]
-    seed: int = 1
-    threads: int = 1
-    out: str = ""
+    ))
+    n_trials: int = _ini("montecarlo", 1_000_000)
+    mc_L_km: float = _ini("montecarlo", 0.0, key="L_km")
+    seed: int = _ini("run", 1)
+    threads: int = _ini("run", 1)
+    out: str = _ini("run", "")
 
     def __post_init__(self) -> None:
         def bad(message: str) -> None:
@@ -116,10 +133,10 @@ class RunConfig:
             bad(f"L_max must be >= L_min, got {self.L_max} < {self.L_min}")
         if not self.L_step > 0.0:
             bad(f"L_step must be positive, got {self.L_step}")
-        if not math.isfinite((self.L_max - self.L_min) / self.L_step):
+        if not (self.L_max - self.L_min) / self.L_step <= _MAX_SWEEP_POINTS - 1:
             bad(
                 f"the sweep from {self.L_min} to {self.L_max} in steps of "
-                f"{self.L_step} has no finite point count"
+                f"{self.L_step} has more than {_MAX_SWEEP_POINTS} points"
             )
         for name in ("mu_a", "mu_b"):
             if not getattr(self, name) > 0.0:
@@ -153,7 +170,7 @@ class RunConfig:
 
     def link(self) -> Dict[str, float]:
         """The [channel] section as keywords of ChannelParams.from_total_distance."""
-        return {attr: getattr(self, attr) for attr, _, _ in _SCHEMA["channel"].values()}
+        return {s.name: getattr(self, s.name) for s in SETTINGS if s.section == "channel"}
 
     def channel_params(self, total_km: float) -> ChannelParams:
         """Channel model at a given total distance under this config."""
@@ -162,57 +179,41 @@ class RunConfig:
     def to_ini(self) -> str:
         """Serialize the resolved state; parsing it back is the identity."""
         lines = []
-        for section, entries in _SCHEMA.items():
+        for section, settings in groupby(SETTINGS, key=lambda s: s.section):
             lines.append(f"[{section}]")
-            for key, (attr, _parse, render) in entries.items():
-                lines.append(f"{key} = {render(getattr(self, attr))}")
+            lines.extend(f"{s.key} = {s.render(getattr(self, s.name))}" for s in settings)
             lines.append("")
         return "\n".join(lines)
 
 
-def _render_list(values: Tuple[Any, ...]) -> str:
-    return ", ".join(repr(v) for v in values)
+@dataclass(frozen=True)
+class Setting:
+    """How one RunConfig field reads and writes as INI ``[section] key``."""
+
+    name: str
+    section: str
+    key: str
+    parse: Callable[[str], Any]
+    render: Callable[[Any], str]
 
 
-# section -> key -> (RunConfig attribute, parser, renderer).  repr() keeps
-# float round-trips exact, which the echo-config contract relies on.
-_SCHEMA: Dict[str, Dict[str, Tuple[str, Callable[[str], Any], Callable[[Any], str]]]] = {
-    "channel": {
-        "eta_det": ("eta_det", float, repr),
-        "p_dark": ("p_dark", float, repr),
-        "e_d": ("e_d", float, repr),
-        "f": ("f", float, repr),
-        "alpha_db_per_km": ("alpha_db_per_km", float, repr),
-    },
-    "sweep": {
-        "L_min": ("L_min", float, repr),
-        "L_max": ("L_max", float, repr),
-        "L_step": ("L_step", float, repr),
-    },
-    "decoy": {
-        "mu_a": ("mu_a", float, repr),
-        "mu_b": ("mu_b", float, repr),
-        "N_slices": ("N_slices", _parse_int, repr),
-        "L_km": ("slice_L_km", float, repr),
-    },
-    "finite_key": {
-        "epsilon": ("epsilon", float, repr),
-        "epsilon_EC": ("epsilon_EC", float, repr),
-        "e_b_list": ("e_b_list", _parse_float_list, _render_list),
-        "N_grid": ("N_grid", _parse_int_list, _render_list),
-    },
-    "montecarlo": {
-        "n_trials": ("n_trials", _parse_int, repr),
-        "L_km": ("mc_L_km", float, repr),
-    },
-    "run": {
-        "seed": ("seed", _parse_int, repr),
-        "threads": ("threads", _parse_int, repr),
-        "out": ("out", str, str),
-    },
+# field type -> (parser, renderer).  repr() keeps float round-trips exact,
+# which the echo-config contract relies on.
+_CODECS: Dict[Any, Tuple[Callable[[str], Any], Callable[[Any], str]]] = {
+    float: (float, repr),
+    int: (_parse_int, repr),
+    Tuple[float, ...]: (_parse_float_list, _render_list),
+    Tuple[int, ...]: (_parse_int_list, _render_list),
+    str: (str, str),
 }
 
-_VALID_ATTRS = frozenset(f.name for f in fields(RunConfig))
+_TYPES = get_type_hints(RunConfig)
+
+# Every setting, in RunConfig's declaration order (which groups the sections).
+SETTINGS: Tuple[Setting, ...] = tuple(
+    Setting(f.name, f.metadata["section"], f.metadata["key"] or f.name, *_CODECS[_TYPES[f.name]])
+    for f in fields(RunConfig)
+)
 
 
 def from_ini_text(text: str, base: RunConfig | None = None) -> RunConfig:
@@ -225,27 +226,23 @@ def from_ini_text(text: str, base: RunConfig | None = None) -> RunConfig:
         raise ConfigError(f"config syntax error: {exc}") from exc
     updates: Dict[str, Any] = {}
     for section in parser.sections():
-        if section not in _SCHEMA:
+        keys = {s.key: s for s in SETTINGS if s.section == section}
+        if not keys:
             raise ConfigError(
                 f"unknown config section [{section}]; "
-                f"expected one of {sorted(_SCHEMA)}"
+                f"expected one of {sorted({s.section for s in SETTINGS})}"
             )
         for key, raw in parser.items(section):
-            entry = _SCHEMA[section].get(key)
-            if entry is None:
+            setting = keys.get(key)
+            if setting is None:
                 raise ConfigError(
                     f"unknown key {key!r} in section [{section}]; "
-                    f"expected one of {sorted(_SCHEMA[section])}"
+                    f"expected one of {sorted(keys)}"
                 )
-            attr, parse, _render = entry
             try:
-                updates[attr] = parse(raw)
-            except ConfigError:
-                raise
+                updates[setting.name] = setting.parse(raw)
             except ValueError as exc:
-                raise ConfigError(
-                    f"bad value for [{section}] {key}: {raw!r} ({exc})"
-                ) from exc
+                raise ConfigError(f"bad value for [{section}] {key}: {exc}") from exc
     return replace(base if base is not None else RunConfig(), **updates)
 
 
@@ -266,8 +263,9 @@ def load(path: str | None, overrides: Mapping[str, Any] | None = None) -> RunCon
         config = from_ini_text(text, base=config)
     if overrides:
         cleaned = {}
+        names = {s.name for s in SETTINGS}
         for attr, value in overrides.items():
-            if attr not in _VALID_ATTRS:
+            if attr not in names:
                 raise ConfigError(f"unknown config attribute {attr!r}")
             if value is not None:
                 cleaned[attr] = value

@@ -300,8 +300,8 @@ def optimize_rate(
 def finite_key_sweep(
     n_signals_values: Iterable[int],
     e_b_values: Iterable[float],
-    epsilon: float = 1e-5,
-    epsilon_EC: float = 1e-10,
+    epsilon: float,
+    epsilon_EC: float,
     allow_full_budget: bool = False,
 ) -> list[FiniteKeyOptimum]:
     """Optimize every (N_signals, e_b) pair; row order follows input order.

@@ -400,9 +400,9 @@ def slice_qber_sweep(
 
 def decoy_distance_sweep(
     l_values: Sequence[float],
-    mu_a: float = 0.5,
-    mu_b: float = 0.5,
-    n_slices: int = 16,
+    mu_a: float,
+    mu_b: float,
+    n_slices: int,
     **link: float,
 ) -> List[Tuple[float, float, float, float, float, float, float]]:
     """(L_km, Q_mu, E_mu, Q11, Qm0, Em0, R) rows over a distance grid.

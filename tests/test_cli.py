@@ -1,12 +1,13 @@
 """Command-line entry points: CSV contracts, config plumbing, exit codes."""
 
+import argparse
 import os
 import xml.etree.ElementTree as ET
 
 import pytest
 
 from dpsmdi import config
-from dpsmdi.cli import main
+from dpsmdi.cli import build_parser, main
 from dpsmdi.montecarlo import run_trials
 
 
@@ -220,21 +221,143 @@ def test_unknown_config_key_exits_2(tmp_path, capsys):
     assert "--backend" in capsys.readouterr().err
 
 
+def exit_status(args, capsys):
+    """main's return code, or argparse's exit code when it rejects a flag."""
+    try:
+        code = main(args)
+    except SystemExit as exited:
+        code = exited.code
+    return code, capsys.readouterr().err
+
+
 @pytest.mark.parametrize(
-    "args",
+    "args, message",
     [
-        ["asymptotic", "--l-step", "-5"],
-        ["asymptotic", "--l-max", "inf"],
-        ["decoy", "--mu-a", "inf"],
-        ["asymptotic", "--f", "inf"],
-        ["asymptotic", "--l-max", "1e308", "--l-step", "1e-300"],
+        (["asymptotic", "--l-step", "-5"], "config error: L_step"),
+        (["asymptotic", "--l-max", "inf"], "config error: L_max"),
+        (["decoy", "--mu-a", "inf"], "config error: mu_a"),
+        (["asymptotic", "--f", "inf"], "config error: f must"),
+        (["asymptotic", "--l-max", "1e308", "--l-step", "1e-300"], "config error: the sweep"),
+        (["finite-key", "--n-grid", "1e400"], "argument --n-grid: integer '1e400'"),
+        (["finite-key", "--n-grid", "nan"], "argument --n-grid: expected an integer"),
     ],
-    ids=["l-step-negative", "l-max-inf", "mu-a-inf", "f-inf", "point-count-overflow"],
+    ids=[
+        "l-step-negative", "l-max-inf", "mu-a-inf", "f-inf", "point-count-overflow",
+        "n-grid-overflow", "n-grid-nan",
+    ],
 )
-def test_invalid_flag_value_exits_2(args, capsys):
-    code, _, stderr = run_cli(args, capsys)
+def test_invalid_flag_value_exits_2(args, message, capsys):
+    code, stderr = exit_status(args, capsys)
     assert code == 2
-    assert "config error" in stderr
+    assert message in stderr
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("[decoy]\nN_slices = 1e400\n", "[decoy] N_slices: integer '1e400'"),
+        ("[finite_key]\nN_grid = 1e5, nan\n", "[finite_key] N_grid: expected an integer"),
+    ],
+    ids=["n-slices-overflow", "n-grid-nan"],
+)
+def test_invalid_ini_value_exits_2(text, message, tmp_path, capsys):
+    ini = tmp_path / "bad.ini"
+    ini.write_text(text)
+    code, stderr = exit_status(["qber-slices", "--config", str(ini)], capsys)
+    assert code == 2
+    assert "config error: bad value for " + message in stderr
+
+
+def test_sweep_point_count_is_capped():
+    # configs only: a sweep over 1e305 points must never start
+    with pytest.raises(config.ConfigError, match="more than 100001 points"):
+        config.RunConfig(L_max=1e300, L_step=1e-5)
+    assert config.RunConfig(L_max=100_000.0, L_step=1.0).L_max == 100_000.0
+    with pytest.raises(config.ConfigError, match="more than 100001 points"):
+        config.RunConfig(L_max=100_001.0, L_step=1.0)
+
+
+@pytest.mark.parametrize("seed", [2**64 - 1, 12345678901234567])
+def test_large_seeds_round_trip_exactly(seed, tmp_path, capsys):
+    cfg = config.RunConfig(seed=seed)
+    assert config.from_ini_text(cfg.to_ini()) == cfg
+    ini = tmp_path / "run.ini"
+    ini.write_text(f"[run]\nseed = {seed}\n")
+    assert config.load(str(ini)).seed == seed
+    code, stdout, _ = run_cli(
+        ["asymptotic", "--config", str(ini), "--l-max", "0",
+         "--echo-config", "-", "--out", os.devnull],
+        capsys,
+    )
+    assert code == 0
+    assert f"\nseed = {seed}\n" in stdout
+
+
+@pytest.mark.parametrize("trials", ["0", "-5"])
+def test_verify_rejects_non_positive_mc_trials(trials, capsys):
+    code, stderr = exit_status(["verify", "--mc-trials", trials], capsys)
+    assert code == 2
+    assert "argument --mc-trials: must be at least 1" in stderr
+
+
+_COMMON_FLAGS = {
+    "--config": "config", "--echo-config": "echo_config", "--out": "out",
+    "--seed": "seed", "--threads": "threads",
+}
+_CHANNEL_FLAGS = {
+    "--eta-det": "eta_det", "--p-dark": "p_dark", "--e-d": "e_d", "--f": "f",
+    "--alpha-db-per-km": "alpha_db_per_km",
+}
+_SWEEP_FLAGS = {"--l-min": "L_min", "--l-max": "L_max", "--l-step": "L_step"}
+_DECOY_FLAGS = {"--mu-a": "mu_a", "--mu-b": "mu_b", "--n-slices": "N_slices"}
+
+# Each command's flag -> dest map, as the hand-written parser had it.
+PINNED_FLAGS = {
+    "asymptotic": {**_COMMON_FLAGS, **_CHANNEL_FLAGS, **_SWEEP_FLAGS, "--svg": "svg"},
+    "decoy": {
+        **_COMMON_FLAGS, **_CHANNEL_FLAGS, **_SWEEP_FLAGS, **_DECOY_FLAGS,
+        "--svg": "svg",
+    },
+    "qber-slices": {
+        **_COMMON_FLAGS, **_CHANNEL_FLAGS, **_DECOY_FLAGS,
+        "--l-km": "slice_L_km", "--svg": "svg",
+    },
+    "finite-key": {
+        **_COMMON_FLAGS, "--epsilon": "epsilon", "--epsilon-ec": "epsilon_EC",
+        "--e-b": "e_b_list", "--n-grid": "N_grid",
+        "--allow-full-budget": "allow_full_budget", "--svg": "svg",
+    },
+    "montecarlo": {
+        **_COMMON_FLAGS, **_CHANNEL_FLAGS, "--n-trials": "n_trials", "--l-km": "mc_L_km",
+    },
+    "verify": {**_COMMON_FLAGS, "--mc-trials": "mc_trials"},
+}
+
+
+def test_flags_follow_the_config_fields():
+    parser = build_parser()
+    commands = next(
+        action.choices for action in parser._actions
+        if isinstance(action, argparse._SubParsersAction)
+    )
+    flags = {
+        command: {
+            option: action.dest
+            for action in sub._actions
+            for option in action.option_strings
+            if option not in ("-h", "--help")
+        }
+        for command, sub in commands.items()
+    }
+    assert flags == PINNED_FLAGS
+    assert [len(flags[command]) for command in PINNED_FLAGS] == [14, 17, 15, 11, 12, 6]
+    # every INI key is a flag somewhere
+    dests = {dest for by_flag in flags.values() for dest in by_flag.values()}
+    assert {s.name for s in config.SETTINGS} <= dests
+    # an integer flag reads the text the way its INI key does
+    from_flag = parser.parse_args(["montecarlo", "--n-trials", "1e6"]).n_trials
+    from_ini = config.from_ini_text("[montecarlo]\nn_trials = 1e6\n").n_trials
+    assert from_flag == from_ini == 10**6
 
 
 def test_threads_beyond_core_count_exit_2(capsys):

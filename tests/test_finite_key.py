@@ -290,15 +290,17 @@ def test_array_rates_match_finite_rate_on_the_coarse_grid(N_signals, allow_full_
 
 def test_sweep_order():
     expected = [(10**6, 0.01), (10**6, 0.03), (10**7, 0.01), (10**7, 0.03)]
-    rows = finite_key_sweep([10**6, 10**7], [0.01, 0.03])
+    rows = finite_key_sweep([10**6, 10**7], [0.01, 0.03], 1e-5, 1e-10)
     assert [(row.N_signals, row.e_b) for row in rows] == expected
     # one-shot iterables give every pair too
-    rows = finite_key_sweep((n for n in (10**6, 10**7)), (e for e in (0.01, 0.03)))
+    rows = finite_key_sweep(
+        (n for n in (10**6, 10**7)), (e for e in (0.01, 0.03)), 1e-5, 1e-10
+    )
     assert [(row.N_signals, row.e_b) for row in rows] == expected
 
 
 def test_sweep_csv_round():
-    rows = finite_key_sweep([10**6], [0.01])
+    rows = finite_key_sweep([10**6], [0.01], 1e-5, 1e-10)
     text = sweep_to_csv(rows)
     lines = text.strip().split("\n")
     assert lines[0] == "N_signals,e_b,r,n_opt,m_opt,eps_bar,eps_bar_prime"

@@ -216,7 +216,7 @@ def test_qber_undefined_without_any_clicks():
 
 
 def test_decoy_distance_sweep_shape():
-    rows = decoy_distance_sweep([0.0, 40.0, 80.0])
+    rows = decoy_distance_sweep([0.0, 40.0, 80.0], mu_a=0.5, mu_b=0.5, n_slices=16)
     assert len(rows) == 3
     assert [row[0] for row in rows] == [0.0, 40.0, 80.0]
     q_values = [row[1] for row in rows]
