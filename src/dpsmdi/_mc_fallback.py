@@ -1,35 +1,55 @@
 """Vectorized numpy kernel for the trial loop.
 
 Walks the same counter-based stream as `montecarlo.replay_trials` and
-tallies bit-for-bit the same, which the test suite checks. The replay
-compares unit draws k * 2**-53 against probabilities; this kernel compares
-the integer k = raw >> 11 against thresholds T(p) = ceil(p * 2**53),
-and k < T(p) exactly when k * 2**-53 < p. The pattern draw likewise
-counts the packed keys of `TableSet.pattern_keys` at or below the
-draw, which equals the count of cumulative entries at or below it.
+tallies bit-for-bit the same, which the test suite checks.
+
+Draws. The state `_rng.stretch` hands the mixer is linear in the counter,
+so each chunk forms its trials' first states once and a draw at slot j of
+the trial window adds j * GOLDEN mod 2**64 before `_rng.mix_array`.
+
+Probability tests. The replay compares unit draws k * 2**-53 against
+probabilities, k = raw >> 11. This kernel tests k < T(p) with
+T(p) = ceil(p * 2**53), which holds exactly when k * 2**-53 < p, in the
+form raw < T(p) << 11, which holds exactly when k < T(p). A test whose
+threshold is 0 is never true and one whose threshold is 2**53 always is,
+so those draws are not computed: each draw is a pure function of
+(seed, counter), and skipping one moves no other.
+
+Pattern draw. The replay scans a cumulative row for the first entry above
+the draw; its index is the number of entries at or below the draw, which
+is the number of `TableSet.pattern_keys` at or below row << KEY_SHIFT | k,
+less 64 * row. That count never decreases in k, so a bucket of draws
+(the same top GUIDE_BITS bits) whose first and last draws give the same
+count gives it for every draw between them. `TableSet.pattern_guide`
+holds that count per row and bucket, read with raw >> (64 - GUIDE_BITS),
+and GUIDE_MISS for the buckets that hold a cumulative boundary; only
+draws in those, at most 1.2% of any row's, are binary-searched in the keys.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Tuple
+from typing import Tuple, Union
 
 import numpy as np
 
 from . import _rng
-from ._mc_tables import ACTION_KEEP, KEY_SHIFT, TableSet
+from ._mc_tables import ACTION_KEEP, GUIDE_BITS, GUIDE_MISS, KEY_SHIFT, TableSet
 
 _CHUNK = 1 << 15  # trials per pass; 256 kB arrays stay in cache
+_TOP = 2**53  # threshold of a test that always passes
+_TWO = np.uint64(2)
+_SIX = np.uint64(6)
 _U11 = np.uint64(11)
 _U60 = np.uint64(60)
-_ONE = np.uint64(1)
-_TWO = np.uint64(2)
+_BUCKET_SHIFT = np.uint64(64 - GUIDE_BITS)
+_GUIDE_BITS = np.uint64(GUIDE_BITS)
 _KEY_SHIFT = np.uint64(KEY_SHIFT)
 
 
-def threshold(p: float) -> np.uint64:
+def threshold(p: float) -> int:
     """T(p) = ceil(p * 2**53): k < T(p) iff k * 2**-53 < p for integer k."""
-    return np.uint64(math.ceil(p * 2.0**53))
+    return math.ceil(p * 2.0**53)
 
 
 def run_kernel(
@@ -45,12 +65,23 @@ def run_kernel(
     """Tally (mask_counts, keeps, errors) for one contiguous trial range."""
     t_eta_a, t_eta_b, t_dark, t_misalign = map(threshold, (eta_a, eta_b, p_dark, e_d))
     keys = tables.pattern_keys
+    guide = tables.pattern_guide.ravel()
     is_keep = tables.action == ACTION_KEEP
-    base_error = tables.base_error != 0
+    base_error = (tables.base_error != 0).ravel()
+    # state of each trial's first draw, less that of the chunk's first trial
+    lanes = np.arange(_CHUNK, dtype=np.uint64) * np.uint64(
+        _rng.DRAWS_PER_TRIAL * _rng.GOLDEN & _rng.MASK64
+    )
 
-    def k(base: np.ndarray, offset: int) -> np.ndarray:
-        """Top 53 bits of the draw at base + offset, as an integer."""
-        return _rng.raw_draw_array(seed, base + np.uint64(offset)) >> _U11
+    def draw(z: np.ndarray, slot: int) -> np.ndarray:
+        """The raw draws at slot of the trials whose first states are z."""
+        return _rng.mix_array(z + np.uint64(slot * _rng.GOLDEN & _rng.MASK64))
+
+    def below(z: np.ndarray, slot: int, t: int) -> Union[bool, np.ndarray]:
+        """k < t for the draws at slot; a bool where no draw can tell."""
+        if t == 0 or t == _TOP:
+            return t == _TOP
+        return draw(z, slot) < np.uint64(t << 11)
 
     mask_counts = np.zeros(64, dtype=np.int64)
     keep = 0
@@ -58,25 +89,36 @@ def run_kernel(
     done = 0
     while done < n_trials:
         m = min(_CHUNK, n_trials - done)
-        first = start_trial + done
-        base = np.arange(first, first + m, dtype=np.uint64) * np.uint64(
-            _rng.DRAWS_PER_TRIAL
-        )
+        first = (start_trial + done) * _rng.DRAWS_PER_TRIAL
+        z = lanes[:m] + np.uint64(_rng.stretch(seed, first))
 
-        s = _rng.raw_draw_array(seed, base + np.uint64(_rng.DRAW_SETTING)) >> _U60
+        # setting, row and bucket stay below 2**63, so int64 views of them
+        # index the tables without a conversion pass
+        s = draw(z, _rng.DRAW_SETTING) >> _U60
         # table row 4 * setting + arrival case, case = 2 * (a arrived) + (b arrived)
-        row = (s << _TWO) | ((k(base, _rng.DRAW_LOSS_A) < t_eta_a).astype(np.uint64) << _ONE)
-        row |= k(base, _rng.DRAW_LOSS_B) < t_eta_b
+        row = s << _TWO
+        row |= below(z, _rng.DRAW_LOSS_A, t_eta_a) * _TWO
+        row |= below(z, _rng.DRAW_LOSS_B, t_eta_b)
 
-        query = (row << _KEY_SHIFT) | k(base, _rng.DRAW_PATTERN)
-        mask = np.searchsorted(keys, query, side="right") - (row.astype(np.int64) << 6)
+        pattern = draw(z, _rng.DRAW_PATTERN)
+        mask = guide[((row << _GUIDE_BITS) | (pattern >> _BUCKET_SHIFT)).view(np.int64)]
+        miss = np.flatnonzero(mask == GUIDE_MISS)
+        if miss.size:
+            missed_row = row[miss]
+            query = (missed_row << _KEY_SHIFT) | (pattern[miss] >> _U11)
+            count = np.searchsorted(keys, query, side="right")
+            mask[miss] = count - (missed_row << _SIX).view(np.int64)
 
-        for j in range(6):
-            mask |= (k(base, _rng.DRAW_DARK_BASE + j) < t_dark).astype(np.int64) << j
+        if t_dark:
+            for j in range(6):
+                dark = below(z, _rng.DRAW_DARK_BASE + j, t_dark)
+                mask |= np.uint8(dark) << np.uint8(j)
+        mask = mask.astype(np.intp)
 
         kept = np.flatnonzero(is_keep[mask])
-        misalign = k(base[kept], _rng.DRAW_MISALIGN) < t_misalign
-        errors += int(np.count_nonzero(base_error[s[kept], mask[kept]] ^ misalign))
+        misalign = below(z[kept], _rng.DRAW_MISALIGN, t_misalign)
+        flips = base_error[(s[kept].view(np.int64) << 6) | mask[kept]]
+        errors += int(np.count_nonzero(flips ^ misalign))
         keep += kept.size
         mask_counts += np.bincount(mask, minlength=64)
         done += m

@@ -40,6 +40,13 @@ ACTION_INCONCLUSIVE = 2
 # the 53-bit threshold of a cumulative entry below it.
 KEY_SHIFT = 54
 
+# pattern_guide splits each row's 2**53 pattern draws k into 2**GUIDE_BITS
+# equal buckets, bucket k >> GUIDE_SHIFT; GUIDE_MISS marks a bucket that
+# holds a cumulative boundary of its row.
+GUIDE_BITS = 10
+GUIDE_SHIFT = 53 - GUIDE_BITS
+GUIDE_MISS = 255
+
 
 def setting_bits(index: int) -> Tuple[int, int, int, int]:
     """(j_a1, j_a2, j_b1, j_b2) for setting index 0..15, lexicographic."""
@@ -81,13 +88,23 @@ class TableSet:
     Keep mask under setting s (before misalignment). pattern_keys packs
     every cumulative entry as (4 * s + case) << KEY_SHIFT | ceil(cum * 2**53),
     sorted, so the number of keys at or below row << KEY_SHIFT | k, less
-    64 * row, is the number of entries at or below k * 2**-53.
+    64 * row, is the number of entries at or below k * 2**-53: the mask
+    that draw k selects in that row.
+
+    pattern_guide[row, b] is that mask for every k in bucket b, the draws
+    with k >> GUIDE_SHIFT == b, or GUIDE_MISS. Within a row the mask never
+    decreases in k, so when the counts at the bucket's first and last draw
+    agree, every draw between them selects the same mask; the entry is
+    GUIDE_MISS exactly when they differ, that is when a cumulative
+    threshold ceil(cum * 2**53) lies in (first, last] and the bucket holds
+    a boundary.
     """
 
     outcome_cum: np.ndarray  # (16, 4, 64) float64, last entry exactly 1
     action: np.ndarray  # (64,) int8
     base_error: np.ndarray  # (16, 64) int8
     pattern_keys: np.ndarray  # (4096,) uint64, ascending
+    pattern_guide: np.ndarray  # (64, 2**GUIDE_BITS) uint8
 
 
 @lru_cache(maxsize=1)
@@ -137,7 +154,16 @@ def build_tables() -> TableSet:
     rows = np.arange(64, dtype=np.uint64).reshape(16, 4, 1) << np.uint64(KEY_SHIFT)
     pattern_keys = (rows | np.ceil(outcome_cum * 2.0**53).astype(np.uint64)).ravel()
 
-    return TableSet(outcome_cum, action, base_error, pattern_keys)
+    first = np.arange(2**GUIDE_BITS, dtype=np.uint64) << np.uint64(GUIDE_SHIFT)
+    last = first + np.uint64(2**GUIDE_SHIFT - 1)
+    rows = rows.reshape(64, 1)
+    below_first = np.searchsorted(pattern_keys, rows | first, side="right")
+    below_last = np.searchsorted(pattern_keys, rows | last, side="right")
+    pattern_guide = np.where(
+        below_first == below_last, below_first - 64 * np.arange(64).reshape(64, 1), GUIDE_MISS
+    ).astype(np.uint8)
+
+    return TableSet(outcome_cum, action, base_error, pattern_keys, pattern_guide)
 
 
 def conclusive_mask_names() -> Dict[int, str]:

@@ -26,9 +26,18 @@ DRAW_DARK_BASE = 4  # six consecutive draws, one per detector-bin
 DRAW_MISALIGN = 10
 
 
+def stretch(seed: int, counter: int) -> int:
+    """The state raw_draw mixes: seed + (counter + 1) * GOLDEN mod 2**64.
+
+    It is linear in the counter, so the state of counter + j is the state
+    of counter plus j * GOLDEN, mod 2**64.
+    """
+    return (seed + (counter + 1) * GOLDEN) & MASK64
+
+
 def raw_draw(seed: int, counter: int) -> int:
     """64-bit output for one (seed, counter) pair."""
-    z = (seed + ((counter + 1) * GOLDEN & MASK64)) & MASK64
+    z = stretch(seed, counter)
     z = (z ^ (z >> 30)) * _MIX1 & MASK64
     z = (z ^ (z >> 27)) * _MIX2 & MASK64
     return z ^ (z >> 31)
@@ -39,11 +48,8 @@ def unit_draw(seed: int, counter: int) -> float:
     return (raw_draw(seed, counter) >> 11) * _INV_2_53
 
 
-def raw_draw_array(seed: int, counters: np.ndarray) -> np.ndarray:
-    """Vectorized raw_draw over a uint64 counter array."""
-    z = counters + np.uint64(1)
-    z *= np.uint64(GOLDEN)
-    z += np.uint64(seed)
+def mix_array(z: np.ndarray) -> np.ndarray:
+    """raw_draw over a uint64 array of stretched states, mixed in place."""
     shifted = np.empty_like(z)  # one buffer for the three shifts
     z ^= np.right_shift(z, np.uint64(30), out=shifted)
     z *= np.uint64(_MIX1)

@@ -27,7 +27,7 @@ import numpy as np
 
 from . import config as config_mod
 from . import svgplot
-from .config import ConfigError, RunConfig
+from .config import MAX_TRIALS, ConfigError, RunConfig
 from .finite_key import finite_key_sweep, sweep_to_csv
 from .fock_optics import discrete_settings, conclusive_output_state
 from .keyrate_asymptotic import (
@@ -344,6 +344,8 @@ def _trial_count(text: str) -> int:
     value = int(text)
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    if value > MAX_TRIALS:
+        raise argparse.ArgumentTypeError(f"must be at most {MAX_TRIALS:.0e}, got {value}")
     return value
 
 

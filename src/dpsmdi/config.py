@@ -37,6 +37,18 @@ from .montecarlo import ALPHA_DB_PER_KM, E_D, ETA_DET, F_EC, P_DARK, ChannelPara
 # Most points a distance sweep may have: far above the default 61, and a
 # bound on what a mistyped L_step can ask for.
 _MAX_SWEEP_POINTS = 100_001
+# Most slices: one decoy point costs about 18 us per slice, so 10**4 slices
+# take about 0.2 s a point and 11 s over the default sweep.
+_MAX_SLICES = 10**4
+# Most Monte Carlo trials: about 7-15 minutes on one core at 11-24 Mtrials/s.
+MAX_TRIALS = 10**10
+# Largest block size: the sifted budget stays below 2**53, so every split the
+# finite-key search ranks is an exact float64 integer; an optimum costs about
+# 1.5 ms at any size.
+_MAX_BLOCK = 10**15
+# Largest mean photon number per sender: with eta_det = 1 the decoy gain at
+# 0 km underflows to 0 from mu = 1367 on, and `decoy` then fails.
+_MAX_MU = 1000.0
 
 
 class ConfigError(ValueError):
@@ -139,10 +151,10 @@ class RunConfig:
                 f"{self.L_step} has more than {_MAX_SWEEP_POINTS} points"
             )
         for name in ("mu_a", "mu_b"):
-            if not getattr(self, name) > 0.0:
-                bad(f"{name} must be positive, got {getattr(self, name)}")
-        if self.N_slices < 1:
-            bad(f"N_slices must be at least 1, got {self.N_slices}")
+            if not 0.0 < getattr(self, name) <= _MAX_MU:
+                bad(f"{name} must lie in (0, {_MAX_MU:g}], got {getattr(self, name)}")
+        if not 1 <= self.N_slices <= _MAX_SLICES:
+            bad(f"N_slices must lie in [1, {_MAX_SLICES}], got {self.N_slices}")
         if not self.slice_L_km >= 0.0:
             bad(f"[decoy] L_km must be non-negative, got {self.slice_L_km}")
         if not self.epsilon > 0.0:
@@ -156,10 +168,10 @@ class RunConfig:
             if not 0.0 < value < 0.5:
                 bad(f"e_b values must lie in (0, 0.5), got {value}")
         for value in self.N_grid:
-            if value < 1:
-                bad(f"N_grid values must be at least 1, got {value}")
-        if self.n_trials < 1:
-            bad(f"n_trials must be at least 1, got {self.n_trials}")
+            if not 1 <= value <= _MAX_BLOCK:
+                bad(f"N_grid values must lie in [1, {_MAX_BLOCK:.0e}], got {value}")
+        if not 1 <= self.n_trials <= MAX_TRIALS:
+            bad(f"n_trials must lie in [1, {MAX_TRIALS:.0e}], got {self.n_trials}")
         if not self.mc_L_km >= 0.0:
             bad(f"[montecarlo] L_km must be non-negative, got {self.mc_L_km}")
         if not 0 <= self.seed < 2**64:

@@ -1,6 +1,7 @@
 """Command-line entry points: CSV contracts, config plumbing, exit codes."""
 
 import argparse
+import hashlib
 import os
 import xml.etree.ElementTree as ET
 
@@ -130,6 +131,23 @@ def test_finite_key_default_csv_is_pinned(capsys):
     assert stdout == DEFAULT_FINITE_KEY_CSV
 
 
+# sha256 of `dpsmdi montecarlo` stdout at the default config, and at 60 km on
+# two threads (fewer where the host has fewer cores: tallies do not depend on
+# the thread count): a change of any tally of the trial kernel shows here.
+MONTECARLO_CSV_SHA256 = {
+    (): "269bcd47f51a32a52280d0c18db123b4138c0f7a143dc7a6150b96b4ebe4d8a0",
+    ("--threads", str(min(2, os.cpu_count() or 1)), "--l-km", "60"):
+        "017820bc2022dead3159a0cf031a90261d40e428e369e09da2a26c82ef353fd4",
+}
+
+
+@pytest.mark.parametrize("flags", list(MONTECARLO_CSV_SHA256), ids=["default", "60km-2threads"])
+def test_montecarlo_default_csv_is_pinned(flags, capsys):
+    code, stdout, _ = run_cli(["montecarlo", *flags], capsys)
+    assert code == 0
+    assert hashlib.sha256(stdout.encode()).hexdigest() == MONTECARLO_CSV_SHA256[flags]
+
+
 def test_montecarlo_matches_direct_call(capsys):
     code, stdout, _ = run_cli(
         ["montecarlo", "--n-trials", "20000", "--seed", "7", "--l-km", "0"],
@@ -240,10 +258,16 @@ def exit_status(args, capsys):
         (["asymptotic", "--l-max", "1e308", "--l-step", "1e-300"], "config error: the sweep"),
         (["finite-key", "--n-grid", "1e400"], "argument --n-grid: integer '1e400'"),
         (["finite-key", "--n-grid", "nan"], "argument --n-grid: expected an integer"),
+        (["decoy", "--mu-a", "1e6", "--mu-b", "1e6"], "config error: mu_a must lie in"),
+        (["finite-key", "--n-grid", "1e300"], "config error: N_grid values must lie in"),
+        (["montecarlo", "--n-trials", "1e11"], "config error: n_trials must lie in"),
+        (["qber-slices", "--n-slices", "1e9"], "config error: N_slices must lie in"),
+        (["verify", "--mc-trials", "10000000001"], "argument --mc-trials: must be at most"),
     ],
     ids=[
         "l-step-negative", "l-max-inf", "mu-a-inf", "f-inf", "point-count-overflow",
-        "n-grid-overflow", "n-grid-nan",
+        "n-grid-overflow", "n-grid-nan", "mu-beyond-gain-underflow", "n-grid-beyond-cap",
+        "n-trials-beyond-cap", "n-slices-beyond-cap", "mc-trials-beyond-cap",
     ],
 )
 def test_invalid_flag_value_exits_2(args, message, capsys):
@@ -275,6 +299,26 @@ def test_sweep_point_count_is_capped():
     assert config.RunConfig(L_max=100_000.0, L_step=1.0).L_max == 100_000.0
     with pytest.raises(config.ConfigError, match="more than 100001 points"):
         config.RunConfig(L_max=100_001.0, L_step=1.0)
+
+
+def test_run_sizes_are_capped():
+    # configs only: none of these runs may start
+    for over, name in (
+        ({"N_slices": 10**4 + 1}, "N_slices"),
+        ({"n_trials": 10**10 + 1}, "n_trials"),
+        ({"n_trials": 10**30}, "n_trials"),
+        ({"N_grid": (10**5, 10**15 + 1)}, "N_grid"),
+        ({"mu_a": 1000.5}, "mu_a"),
+        ({"mu_b": 1e6}, "mu_b"),
+    ):
+        with pytest.raises(config.ConfigError, match=f"^{name} .*must lie in"):
+            config.RunConfig(**over)
+    at_caps = config.RunConfig(
+        N_slices=10**4, n_trials=10**10, N_grid=(10**15,), mu_a=1000.0, mu_b=1000.0
+    )
+    assert at_caps.n_trials == 10**10
+    # every default is admitted, the top of the default block grid too
+    assert max(config.RunConfig().N_grid) == 10**12
 
 
 @pytest.mark.parametrize("seed", [2**64 - 1, 12345678901234567])

@@ -7,7 +7,13 @@ import numpy as np
 import pytest
 
 from dpsmdi import _mc_fallback, _rng, montecarlo
-from dpsmdi._mc_tables import KEY_SHIFT, build_tables, clicks_of_mask
+from dpsmdi._mc_tables import (
+    GUIDE_BITS,
+    GUIDE_MISS,
+    KEY_SHIFT,
+    build_tables,
+    clicks_of_mask,
+)
 from dpsmdi.keyrate_asymptotic import dps_reference_params, qber_asymptotic, yield_Y11
 from dpsmdi.montecarlo import (
     ChannelParams,
@@ -178,6 +184,23 @@ def test_replay_matches_kernel_tallies():
         assert_replay_matches(run_trials(params, 30_000, seed=41), params, seed=41)
 
 
+def test_replay_matches_kernel_where_draws_are_fixed():
+    """The kernel computes no draw whose test has threshold 0 or 2**53
+    (probability 0 or 1); the replay draws them all, and the two must
+    still tally alike, sharded or not."""
+    always_flip = ChannelParams(eta_a=1.0, eta_b=1.0, p_dark=0.0, e_d=1.0)
+    for params, threads in (
+        (ChannelParams(eta_a=1.0, eta_b=0.0, p_dark=0.0, e_d=1.0), 1),
+        (ChannelParams(eta_a=1.0, eta_b=1.0, p_dark=0.5, e_d=0.0), 1),
+        (always_flip, 1),
+        (IDEAL, 2),
+    ):
+        est = run_trials(params, 8_000, seed=17, threads=threads)
+        assert_replay_matches(est, params, seed=17)
+    flipped = run_trials(always_flip, 8_000, seed=17)
+    assert flipped.error_count == flipped.keep_count > 3_000
+
+
 # Tallies recorded from the float-comparing kernel (unit draws against
 # probabilities, a linear scan of cumulative rows); the integer kernel must
 # reproduce them. 150,001 trials is no multiple of a chunk, and at 2
@@ -236,12 +259,41 @@ def test_integer_draw_tests_are_exact_at_their_edges():
                 assert (k < t) == (k * 2.0**-53 < p), (p, k)
 
 
+def test_pattern_guide_is_exact():
+    """Each bucket entry is the mask every draw of its bucket selects, and a
+    bucket is left to the binary search only when it holds a boundary."""
+    tables = build_tables()
+    keys, guide = tables.pattern_keys, tables.pattern_guide
+    assert guide.shape == (64, 2**GUIDE_BITS) and guide.dtype == np.uint8
+    width = 2 ** (53 - GUIDE_BITS)  # draws k per bucket
+    firsts = np.arange(2**GUIDE_BITS, dtype=np.uint64) * np.uint64(width)
+    lasts = firsts + np.uint64(width - 1)
+    for row in range(64):
+        prefix = np.uint64(row) << np.uint64(KEY_SHIFT)
+        at_first = np.searchsorted(keys, prefix | firsts, side="right") - 64 * row
+        at_last = np.searchsorted(keys, prefix | lasts, side="right") - 64 * row
+        hit = guide[row] != GUIDE_MISS
+        assert np.array_equal(guide[row][hit], at_first[hit]), row
+        assert np.array_equal(guide[row][hit], at_last[hit]), row
+        bounds = keys[64 * row : 64 * row + 64] & np.uint64(2**KEY_SHIFT - 1)
+        for b in np.flatnonzero(~hit):
+            assert np.any((firsts[b] < bounds) & (bounds <= lasts[b])), (row, b)
+    # the premise of the lookup: few draws go to the binary search
+    assert np.count_nonzero(guide == GUIDE_MISS) < 0.01 * guide.size
+
+
 def test_fallback_kernel_is_exact_on_boundary_draws(monkeypatch):
     """Feed both the numpy kernel and the float-comparing replay a stream
     in which every loss, pattern, dark and misalignment draw sits one
-    below, on, or one above a threshold; they must still tally alike."""
+    below, on, or one above a threshold, and pattern draws also on either
+    side of a bucket edge; they must still tally alike."""
     params = ChannelParams(eta_a=0.1, eta_b=0.7, p_dark=0.3, e_d=0.015)
-    pattern_edges = build_tables().pattern_keys & np.uint64(2**KEY_SHIFT - 1)
+    seed = 3
+    pattern_edges = (build_tables().pattern_keys & np.uint64(2**KEY_SHIFT - 1)).tolist()
+    # the edges of the bucket that holds each boundary: where a draw read
+    # from a neighbouring bucket would select another mask
+    shift = 53 - GUIDE_BITS
+    bucket_edges = [((c >> shift) + up) << shift for c in pattern_edges for up in (0, 1)]
     top = 2**53
 
     def edges(thresholds):
@@ -254,16 +306,20 @@ def test_fallback_kernel_is_exact_on_boundary_draws(monkeypatch):
     choices = {
         _rng.DRAW_LOSS_A: edges([t(params.eta_a)]),
         _rng.DRAW_LOSS_B: edges([t(params.eta_b)]),
-        _rng.DRAW_PATTERN: edges(pattern_edges.tolist()),
+        _rng.DRAW_PATTERN: edges(pattern_edges + bucket_edges),
         _rng.DRAW_MISALIGN: edges([t(params.e_d)]),
     }
     for j in range(6):
         choices[_rng.DRAW_DARK_BASE + j] = edges([t(params.p_dark)])
-    true_draws, true_draw = _rng.raw_draw_array, _rng.raw_draw
+    true_mix, true_draw = _rng.mix_array, _rng.raw_draw
+    # the kernel hands mix_array stretched states z = seed + (counter + 1) *
+    # GOLDEN; GOLDEN is odd, so its inverse mod 2**64 recovers the counter
+    golden_inverse = np.uint64(pow(_rng.GOLDEN, -1, 2**64))
+    first_state = np.uint64(_rng.stretch(seed, 0))
 
-    def edge_draws(seed, counters):
-        raw = true_draws(seed, counters)
-        slot = counters % np.uint64(_rng.DRAWS_PER_TRIAL)
+    def edge_draws(z):
+        slot = ((z - first_state) * golden_inverse) % np.uint64(_rng.DRAWS_PER_TRIAL)
+        raw = true_mix(z)
         for s, ks in choices.items():
             at = slot == s
             picked = ks[raw[at] % np.uint64(len(ks))]
@@ -277,11 +333,11 @@ def test_fallback_kernel_is_exact_on_boundary_draws(monkeypatch):
             return raw
         return (int(ks[raw % len(ks)]) << 11) | (raw & 0x7FF)
 
-    monkeypatch.setattr(_rng, "raw_draw_array", edge_draws)
+    monkeypatch.setattr(_rng, "mix_array", edge_draws)
     monkeypatch.setattr(_rng, "raw_draw", edge_draw)
-    est = run_trials(params, 10_000, seed=3)
+    est = run_trials(params, 10_000, seed=seed)
     assert est.keep_count > 1_000 and est.error_count > 500
-    assert_replay_matches(est, params, seed=3)
+    assert_replay_matches(est, params, seed=seed)
 
 
 def test_replay_record_invariants():
