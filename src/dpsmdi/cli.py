@@ -341,7 +341,7 @@ def _flag_type(parse: Callable[[str], Any]) -> Callable[[str], Any]:
 
 
 def _trial_count(text: str) -> int:
-    value = int(text)
+    value = _flag_type(config_mod._parse_int)(text)
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
     if value > MAX_TRIALS:

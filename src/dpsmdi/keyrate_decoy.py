@@ -13,9 +13,10 @@ variant usable.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass
-from typing import List, NamedTuple, Sequence, Tuple
+from typing import Iterator, List, NamedTuple, Sequence, Tuple
 
 import numpy as np
 from scipy.integrate import dblquad
@@ -36,6 +37,12 @@ _TRIANGLE_OFFSETS = np.concatenate((_GL_UNIT - 1.0, _GL_UNIT))
 _TRIANGLE_WEIGHTS = 0.5 * np.concatenate(
     (_GL_WEIGHTS * _GL_UNIT, _GL_WEIGHTS * (1.0 - _GL_UNIT))
 )
+# Rows of _phase_sums evaluated per array pass, and how many blocks keep
+# their cosine table (256 KB at most): memory stays bounded whatever the
+# row count, and a decoy sweep (one kept slice plus one batch per point)
+# reuses its tables at every distance.
+_BLOCK_ROWS = 128
+_CACHED_BLOCKS = 4
 
 
 class QuadratureError(RuntimeError):
@@ -127,19 +134,44 @@ def click_probabilities(
     return ClickProbabilities(*values)
 
 
+@functools.lru_cache(maxsize=_CACHED_BLOCKS)
+def _signed_cosines(n_slices: Tuple[int, ...], indices: Tuple[int, ...]) -> np.ndarray:
+    """cos d and -cos d at the nodes of slice indices[k] of n_slices[k],
+    as a read-only (2, rows, nodes) array.
+
+    The table depends on the slices alone, not on the channel. Negation
+    is exact, so one array pass over both layers evaluates a density at
+    +x cos d and at -x cos d, bit for bit as two passes would.
+    """
+    table = np.empty((2, len(n_slices), _TRIANGLE_OFFSETS.size))
+    cos = table[0]
+    np.add(np.array(indices, dtype=float)[:, None], _TRIANGLE_OFFSETS, out=cos)
+    cos *= math.pi / np.array(n_slices, dtype=float)[:, None]
+    np.cos(cos, out=cos)
+    np.negative(cos, out=table[1])
+    table.flags.writeable = False
+    return table
+
+
 def _phase_sums(
-    mu_a: float, mu_b: float, params: ChannelParams, config: SliceConfig
-) -> Tuple[float, float, float]:
-    """(scale, gain sum, error sum) of one post-selection slice; its gain
-    is scale * gain sum and its error product scale * error sum.
+    mu_a: float,
+    mu_b: float,
+    params: ChannelParams,
+    n_slices: Sequence[int],
+    indices: Sequence[int],
+) -> Iterator[Tuple[float, float, float]]:
+    """(scale, gain sum, error sum) of each post-selection slice, one row
+    per entry of n_slices and indices (slice indices[k] of n_slices[k]);
+    a row's gain is scale * gain sum and its error product
+    scale * error sum.
 
     Bob's phase runs over his first slice, Alice's over slice m; the
     antipodal halves duplicate the integrand exactly, so the N/pi^2
     double integral over the w x w square (w = pi/N) depends only on
     d = theta_a - theta_b and folds to the triangle-weighted line
     integral N/pi^2 int (w - |d - lo|) g(d) dd over [lo - w, lo + w].
-    The densities are even in cos d, hence pi-periodic, so N = 1 is the
-    fully random-phase average. With u+- = expm1(log y +- x cos d)
+    The densities are even in cos d, hence pi-periodic, so row (1, 0) is
+    the fully random-phase average. With u+- = expm1(log y +- x cos d)
     they read
 
         gain:  4 [y^4 e^(2x cos d) u-^2 + y^4 e^(-2x cos d) u+^2]
@@ -150,29 +182,47 @@ def _phase_sums(
     sum is positive, since x <= mu'/6 <= -log y, and the error fraction,
     error sum / gain sum, stays finite where the products underflow
     (mu above about 560 per sender on a lossless channel).
+
+    Rows are evaluated in blocks of up to _BLOCK_ROWS: each array pass
+    covers a whole block (both signs of x cos d times rows times nodes,
+    from the block's cached cosine table), and a block's rows are yielded
+    once it is reduced, so memory stays bounded by one block whatever the
+    row count. Each row is reduced by its own 1-D dot with the weights,
+    so its sums are the same floats whichever rows share its block; a
+    one-row call is the same code. (A 2-D rows @ weights product would
+    sum in another order and move last digits.)
     """
     inter = DecoyIntermediates.from_point(mu_a, mu_b, params)
     log_y = math.log1p(-params.p_dark) - inter.mu_prime / 6.0
-    n = config.n_slices
-    xc = inter.x * np.cos((math.pi / n) * (config.index + _TRIANGLE_OFFSETS))
-    u_plus = np.expm1(log_y + xc)
-    u_minus = np.expm1(log_y - xc)
-    gain = (
-        np.exp(2.0 * (xc - inter.x)) * u_minus**2
-        + np.exp(-2.0 * (xc + inter.x)) * u_plus**2
-    )
-    return (
-        math.exp(4.0 * log_y + 2.0 * inter.x) / n,
-        4.0 * float(_TRIANGLE_WEIGHTS @ gain),
-        8.0 * math.exp(-2.0 * inter.x) * float(_TRIANGLE_WEIGHTS @ (u_plus * u_minus)),
-    )
+    common = math.exp(4.0 * log_y + 2.0 * inter.x)
+    error_factor = 8.0 * math.exp(-2.0 * inter.x)
+    for start in range(0, len(n_slices), _BLOCK_ROWS):
+        block_n = tuple(n_slices[start : start + _BLOCK_ROWS])
+        block_m = tuple(indices[start : start + _BLOCK_ROWS])
+        # Layer 0 is x cos d, layer 1 -x cos d.
+        xc = inter.x * _signed_cosines(block_n, block_m)
+        u = log_y + xc
+        np.expm1(u, out=u)
+        error = u[0] * u[1]
+        # Doubling is exact, so these are the floats 2 (x cos d - x) and
+        # -2 (x cos d + x).
+        xc *= 2.0
+        xc -= 2.0 * inter.x
+        np.exp(xc, out=xc)
+        np.square(u, out=u)
+        xc *= u[::-1]  # e^(2x cos d - 2x) u-^2 and e^(-2x cos d - 2x) u+^2
+        gain = xc[0] + xc[1]
+        for n_k, gain_k, error_k in zip(block_n, gain, error):
+            yield (
+                common / n_k,
+                4.0 * float(_TRIANGLE_WEIGHTS.dot(gain_k)),
+                error_factor * float(_TRIANGLE_WEIGHTS.dot(error_k)),
+            )
 
 
-def _gain_qber(
-    mu_a: float, mu_b: float, params: ChannelParams, config: SliceConfig
-) -> Tuple[float, float]:
-    """(gain, error fraction) of one slice; the fraction comes from the sums."""
-    scale, gain_sum, error_sum = _phase_sums(mu_a, mu_b, params, config)
+def _gain_qber(scale: float, gain_sum: float, error_sum: float) -> Tuple[float, float]:
+    """(gain, error fraction) of one row of _phase_sums; the fraction
+    comes from the sums."""
     if gain_sum == 0.0:
         raise ValueError("QBER is undefined at zero gain (no light, no dark counts)")
     # By AM-GM each gain node 4 [a u-^2 + b u+^2] >= 8 sqrt(ab) |u+ u-|, the
@@ -181,33 +231,36 @@ def _gain_qber(
     return scale * gain_sum, min(1.0, error_sum / gain_sum)
 
 
-_UNSLICED = SliceConfig(1, 0)
+# The one row of the fully random-phase average: slice 0 of 1.
+_UNSLICED = ((1,), (0,))
 
 
 def overall_gain(mu_a: float, mu_b: float, params: ChannelParams) -> float:
     """Kept-coincidence probability with fully random overall phases:
     8 y^4 [I0(2x) - 2 y I0(x) + y^2]."""
-    scale, gain_sum, _ = _phase_sums(mu_a, mu_b, params, _UNSLICED)
+    [(scale, gain_sum, _)] = _phase_sums(mu_a, mu_b, params, *_UNSLICED)
     return scale * gain_sum
 
 
 def overall_qber(mu_a: float, mu_b: float, params: ChannelParams) -> float:
     """Product (error fraction) x (gain) with fully random phases:
     8 y^4 [1 - 2 y I0(x) + y^2]. Divide by overall_gain for the fraction."""
-    scale, _, error_sum = _phase_sums(mu_a, mu_b, params, _UNSLICED)
+    [(scale, _, error_sum)] = _phase_sums(mu_a, mu_b, params, *_UNSLICED)
     return scale * error_sum
 
 
 def intrinsic_qber(mu_a: float, mu_b: float, params: ChannelParams) -> float:
     """Error fraction among kept coincidences, phases fully random."""
-    return _gain_qber(mu_a, mu_b, params, _UNSLICED)[1]
+    [row] = _phase_sums(mu_a, mu_b, params, *_UNSLICED)
+    return _gain_qber(*row)[1]
 
 
 def sliced_gain_qber(
     mu_a: float, mu_b: float, params: ChannelParams, config: SliceConfig
 ) -> Tuple[float, float]:
     """(gain, error fraction) after phase post-selection on one slice."""
-    return _gain_qber(mu_a, mu_b, params, config)
+    [row] = _phase_sums(mu_a, mu_b, params, (config.n_slices,), (config.index,))
+    return _gain_qber(*row)
 
 
 def gain_Q11(mu_a: float, mu_b: float, params: ChannelParams) -> float:
@@ -262,21 +315,21 @@ def decoy_key_rate(
     vacuum = vacuum_term(mu_a, mu_b, params)
     entropy_credit = q11 * (1.0 - binary_entropy(e_p))
 
-    slices = [
-        sliced_gain_qber(mu_a, mu_b, params, SliceConfig(n_slices, m))
-        for m in range(n_slices)
-    ]
-    q_slice0, e_slice0 = slices[0]
-    modified = (
-        entropy_credit / n_slices
-        + vacuum
-        - q_slice0 * params.f * binary_entropy(e_slice0)
+    # Slice 0 is the kept slice. One batch holds the unsliced average
+    # (row 0: slice 0 of 1) and slices 1..n_slices-1.
+    q_slice0, e_slice0 = sliced_gain_qber(
+        mu_a, mu_b, params, SliceConfig(n_slices, 0)
     )
-    total_cost = 0.0
-    for q_m, e_m in slices:
+    rows = _phase_sums(
+        mu_a, mu_b, params, [1] + [n_slices] * (n_slices - 1), range(n_slices)
+    )
+    q_mu, e_mu = _gain_qber(*next(rows))
+    total_cost = q_slice0 * params.f * binary_entropy(e_slice0)
+    modified = entropy_credit / n_slices + vacuum - total_cost
+    for row in rows:
+        q_m, e_m = _gain_qber(*row)
         total_cost += q_m * params.f * binary_entropy(e_m)
     increased = entropy_credit + vacuum - total_cost
-    q_mu, e_mu = _gain_qber(mu_a, mu_b, params, _UNSLICED)
 
     return DecoyRateReport(
         rate=max(0.0, modified),
@@ -389,13 +442,17 @@ def direct_qber_quadrature(
 def slice_qber_sweep(
     mu_a: float, mu_b: float, params: ChannelParams, n_max: int
 ) -> List[Tuple[int, float, float]]:
-    """(N, first-slice QBER, unsliced QBER) for N = 1..n_max."""
-    unsliced = intrinsic_qber(mu_a, mu_b, params)
-    rows = []
-    for n in range(1, n_max + 1):
-        _, e0 = sliced_gain_qber(mu_a, mu_b, params, SliceConfig(n, 0))
-        rows.append((n, e0, unsliced))
-    return rows
+    """(N, first-slice QBER, unsliced QBER) for N = 1..n_max.
+
+    Slice 0 of every N comes from one batch; its N = 1 row is the
+    unsliced average.
+    """
+    counts = range(1, n_max + 1)
+    fractions = [
+        _gain_qber(*row)[1]
+        for row in _phase_sums(mu_a, mu_b, params, counts, (0,) * n_max)
+    ]
+    return [(n, e0, fractions[0]) for n, e0 in zip(counts, fractions)]
 
 
 def decoy_distance_sweep(

@@ -7,7 +7,7 @@ import xml.etree.ElementTree as ET
 
 import pytest
 
-from dpsmdi import config
+from dpsmdi import cli, config
 from dpsmdi.cli import build_parser, main
 from dpsmdi.montecarlo import run_trials
 
@@ -146,6 +146,21 @@ def test_montecarlo_default_csv_is_pinned(flags, capsys):
     code, stdout, _ = run_cli(["montecarlo", *flags], capsys)
     assert code == 0
     assert hashlib.sha256(stdout.encode()).hexdigest() == MONTECARLO_CSV_SHA256[flags]
+
+
+# sha256 of the `dpsmdi decoy` and `dpsmdi qber-slices` stdout at the default
+# config: a change of any printed digit of the phase averages shows here.
+DECOY_CSV_SHA256 = {
+    "decoy": "0f8a7e73c2c49037b04c27445c8fd8814a11275cbf4ec3fb87191aed407a52e1",
+    "qber-slices": "85ed83f397f1e6b73b1a4d5cadc95a1081fb7712a8da51d363ef3fb4883cadfd",
+}
+
+
+@pytest.mark.parametrize("command", list(DECOY_CSV_SHA256))
+def test_decoy_default_csvs_are_pinned(command, capsys):
+    code, stdout, _ = run_cli([command], capsys)
+    assert code == 0
+    assert hashlib.sha256(stdout.encode()).hexdigest() == DECOY_CSV_SHA256[command]
 
 
 def test_montecarlo_matches_direct_call(capsys):
@@ -344,6 +359,14 @@ def test_verify_rejects_non_positive_mc_trials(trials, capsys):
     assert "argument --mc-trials: must be at least 1" in stderr
 
 
+def test_verify_mc_trials_reads_integer_notation(capsys):
+    # the same integer syntax as every INI integer: 1e6 names one, 1.5 none
+    assert build_parser().parse_args(["verify", "--mc-trials", "1e6"]).mc_trials == 10**6
+    code, stderr = exit_status(["verify", "--mc-trials", "1.5"], capsys)
+    assert code == 2
+    assert "argument --mc-trials: expected an integer" in stderr
+
+
 _COMMON_FLAGS = {
     "--config": "config", "--echo-config": "echo_config", "--out": "out",
     "--seed": "seed", "--threads": "threads",
@@ -425,6 +448,37 @@ def test_svg_sidecar_is_well_formed(tmp_path, capsys):
     root = ET.fromstring(svg.read_text())
     assert root.tag.endswith("svg")
     assert len(list(root)) > 5
+
+
+def test_finite_key_svg_is_well_formed(tmp_path, capsys):
+    # the only plot with a logarithmic x axis (the block size)
+    svg = tmp_path / "finite.svg"
+    code, _, _ = run_cli(
+        ["finite-key", "--n-grid", "1e6, 1e8, 1e10", "--e-b", "0.01, 0.03",
+         "--svg", str(svg), "--out", str(tmp_path / "x.csv")],
+        capsys,
+    )
+    assert code == 0
+    root = ET.fromstring(svg.read_text())
+    assert root.tag.endswith("svg")
+    text = "".join(root.itertext())
+    assert "exchanged signals" in text
+    assert "e_b = 0.01" in text and "e_b = 0.03" in text
+
+
+def test_verify_reports_a_failing_check(monkeypatch, capsys):
+    def broken():
+        raise cli._CheckFailure("injected mismatch")
+
+    monkeypatch.setattr(cli, "_verify_reconciliation", broken)
+    code, stdout, _ = run_cli(
+        ["verify", "--mc-trials", "200000", "--seed", "3"], capsys
+    )
+    assert code == 1
+    lines = stdout.splitlines()
+    assert lines[0].split() == ["reconciliation-table", "FAIL", "injected", "mismatch"]
+    assert stdout.count(" pass\n") == 4
+    assert lines[-1] == "1 of 5 checks failed"
 
 
 def test_verify_suite_passes(capsys):

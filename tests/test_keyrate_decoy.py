@@ -1,14 +1,17 @@
 """Weak-coherent gain/QBER phase averages, slicing, and the dual quadrature route."""
 
+import dataclasses
 import math
+import tracemalloc
 
 import mpmath
 import pytest
 
 from dpsmdi.cli import main
-from dpsmdi.keyrate_asymptotic import yield_Y11
+from dpsmdi.keyrate_asymptotic import binary_entropy, qber_asymptotic, yield_Y11
 from dpsmdi.keyrate_decoy import (
     DecoyIntermediates,
+    DecoyRateReport,
     SliceConfig,
     decoy_distance_sweep,
     decoy_key_rate,
@@ -237,3 +240,77 @@ def test_error_fractions_stay_at_most_one_where_dark_counts_dominate(capsys):
             assert e_m <= 1.0
     assert main(["decoy", "--l-min", "1090", "--l-max", "1200", "--l-step", "5"]) == 0
     assert len(capsys.readouterr().out.splitlines()) == 24
+
+
+def per_slice_report(mu_a, mu_b, params, n_slices):
+    """decoy_key_rate's report from one sliced_gain_qber call per slice and
+    the one-row unsliced averages, in the order of its formula."""
+    q11 = gain_Q11(mu_a, mu_b, params)
+    e_b_single, background = qber_asymptotic(params)
+    e_p = min(0.5, e_b_single - 0.5 * background)
+    vacuum = vacuum_term(mu_a, mu_b, params)
+    entropy_credit = q11 * (1.0 - binary_entropy(e_p))
+    slices = [
+        sliced_gain_qber(mu_a, mu_b, params, SliceConfig(n_slices, m))
+        for m in range(n_slices)
+    ]
+    q_slice0, e_slice0 = slices[0]
+    modified = (
+        entropy_credit / n_slices
+        + vacuum
+        - q_slice0 * params.f * binary_entropy(e_slice0)
+    )
+    total_cost = 0.0
+    for q_m, e_m in slices:
+        total_cost += q_m * params.f * binary_entropy(e_m)
+    return DecoyRateReport(
+        rate=max(0.0, modified),
+        rate_unclamped=modified,
+        increased_cost_rate=entropy_credit + vacuum - total_cost,
+        q_mu=overall_gain(mu_a, mu_b, params),
+        e_mu=intrinsic_qber(mu_a, mu_b, params),
+        q11=q11,
+        e_p_bound=e_p,
+        vacuum=vacuum,
+        q_slice0=q_slice0,
+        e_slice0=e_slice0,
+    )
+
+
+EXACT_CHANNELS = {
+    "0km": ChannelParams.from_total_distance(0.0),
+    "500km": ChannelParams.from_total_distance(500.0),
+    "dark-heavy": ChannelParams(eta_a=0.01, eta_b=0.01, p_dark=1e-3, e_d=0.015),
+}
+
+
+@pytest.mark.parametrize("channel", list(EXACT_CHANNELS))
+@pytest.mark.parametrize("n_slices", [1, 2, 16, 300])
+def test_batched_decoy_rate_equals_per_slice_calls(n_slices, channel):
+    # N = 1 leaves the batch only the unsliced row; N = 300 spans blocks.
+    params = EXACT_CHANNELS[channel]
+    got = dataclasses.asdict(decoy_key_rate(0.5, 0.5, params, n_slices))
+    want = dataclasses.asdict(per_slice_report(0.5, 0.5, params, n_slices))
+    assert got == want
+
+
+@pytest.mark.parametrize("channel", list(EXACT_CHANNELS))
+def test_batched_slice_sweep_equals_per_slice_calls(channel):
+    params = EXACT_CHANNELS[channel]
+    unsliced = intrinsic_qber(0.5, 0.5, params)
+    want = [
+        (n, sliced_gain_qber(0.5, 0.5, params, SliceConfig(n, 0))[1], unsliced)
+        for n in range(1, 301)
+    ]
+    assert slice_qber_sweep(0.5, 0.5, params, 300) == want
+
+
+def test_decoy_rate_memory_is_bounded_by_a_block():
+    # one array pass over all 10^4 rows would hold about 10 MB per array
+    tracemalloc.start()
+    try:
+        decoy_key_rate(0.5, 0.5, SHORT_LINK, 10_000)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4_000_000
