@@ -5,7 +5,9 @@ in bins 1..3, bits 3..5 the 'd' detector). For each of the 16 binary
 phase settings and each photon-arrival case the exact output-state
 distribution over masks is tabulated cumulatively, and the sifting
 decision is tabulated per mask and the senders' bit disagreement per
-setting and mask, so the hot loop only does table lookups.
+setting and mask, so the hot loop only does table lookups. The same
+sifting tables give the keep weights the direct-quadrature oracle of
+keyrate_decoy sums its click-mask probabilities with.
 """
 
 from __future__ import annotations
@@ -164,6 +166,26 @@ def build_tables() -> TableSet:
     ).astype(np.uint8)
 
     return TableSet(outcome_cum, action, base_error, pattern_keys, pattern_guide)
+
+
+@lru_cache(maxsize=1)
+def keep_weights() -> Tuple[np.ndarray, np.ndarray]:
+    """(masks, weights): the 8 Keep masks, ascending, and the read-only
+    (2, 16, 8) weights that turn per-setting click-mask probabilities
+    P[s, k] of masks[k] into setting-averaged sifting probabilities.
+
+    sum(weights[0] * P) is P(keep, bits agree) and sum(weights[1] * P)
+    P(keep, bits disagree), with the 16 settings equally likely, both
+    before misalignment: weights[1][s, k] is base_error[s, masks[k]] / 16
+    and weights[0] the rest of 1/16.
+    """
+    tables = build_tables()
+    masks = np.flatnonzero(tables.action == ACTION_KEEP)
+    disagree = tables.base_error[:, masks] / 16.0
+    weights = np.stack((1.0 / 16.0 - disagree, disagree))
+    masks.flags.writeable = False
+    weights.flags.writeable = False
+    return masks, weights
 
 
 def conclusive_mask_names() -> Dict[int, str]:

@@ -16,11 +16,12 @@ import cmath
 import functools
 import math
 from dataclasses import dataclass
-from typing import Iterator, List, NamedTuple, Sequence, Tuple
+from typing import Iterator, List, Sequence, Tuple
 
 import numpy as np
 from scipy.integrate import dblquad
 
+from ._mc_tables import keep_weights, setting_bits
 from .fock_optics import PhaseSetting
 from .keyrate_asymptotic import binary_entropy, qber_asymptotic, yield_Y11
 from .montecarlo import ChannelParams
@@ -55,32 +56,6 @@ class QuadratureError(RuntimeError):
 
 
 @dataclass(frozen=True)
-class DecoyIntermediates:
-    """Derived quantities the coherent-state formulas are written in.
-
-    mu_prime: mean photon number arriving at the relay;
-    x: interference strength sqrt(eta_a mu_a eta_b mu_b)/3;
-    y: probability factor (1 - p_dark) exp(-mu_prime/6) of a bin staying
-    silent.
-    """
-
-    mu_prime: float
-    x: float
-    y: float
-
-    @classmethod
-    def from_point(
-        cls, mu_a: float, mu_b: float, params: ChannelParams
-    ) -> "DecoyIntermediates":
-        if mu_a < 0.0 or mu_b < 0.0:
-            raise ValueError("intensities must be non-negative")
-        mu_prime = params.eta_a * mu_a + params.eta_b * mu_b
-        x = math.sqrt(params.eta_a * mu_a * params.eta_b * mu_b) / 3.0
-        y = (1.0 - params.p_dark) * math.exp(-mu_prime / 6.0)
-        return cls(mu_prime, x, y)
-
-
-@dataclass(frozen=True)
 class SliceConfig:
     """Phase post-selection slice: index m of N equal slices of [0, pi),
     plus the antipodal interval (the same slice shifted by pi)."""
@@ -93,45 +68,6 @@ class SliceConfig:
             raise ValueError("need at least one slice")
         if not 0 <= self.index < self.n_slices:
             raise ValueError("slice index must lie in [0, n_slices)")
-
-
-class ClickProbabilities(NamedTuple):
-    c1: float
-    c2: float
-    c3: float
-    d1: float
-    d2: float
-    d3: float
-
-
-def click_probabilities(
-    mu_a: float,
-    mu_b: float,
-    params: ChannelParams,
-    setting: PhaseSetting,
-    theta_a: float,
-    theta_b: float,
-) -> ClickProbabilities:
-    """Per-bin click probabilities from the interfering coherent amplitudes.
-
-    Each bin carries amplitude sqrt(eta mu / 6) from each sender with
-    that sender's bin phase plus overall phase; detector c sees the sum,
-    detector d the difference, and a threshold click happens unless both
-    the coherent component and the dark count stay silent.
-    """
-    amp_a = math.sqrt(params.eta_a * mu_a / 6.0)
-    amp_b = math.sqrt(params.eta_b * mu_b / 6.0)
-    phases_a = (0.0, setting.phi_a1, setting.phi_a2)
-    phases_b = (0.0, setting.phi_b1, setting.phi_b2)
-    silent = 1.0 - params.p_dark
-    values = []
-    for sign in (+1.0, -1.0):
-        for k in range(3):
-            field = amp_a * cmath.exp(1j * (phases_a[k] + theta_a)) + sign * (
-                amp_b * cmath.exp(1j * (phases_b[k] + theta_b))
-            )
-            values.append(1.0 - silent * math.exp(-abs(field) ** 2))
-    return ClickProbabilities(*values)
 
 
 @functools.lru_cache(maxsize=_CACHED_BLOCKS)
@@ -192,22 +128,27 @@ def _phase_sums(
     one-row call is the same code. (A 2-D rows @ weights product would
     sum in another order and move last digits.)
     """
-    inter = DecoyIntermediates.from_point(mu_a, mu_b, params)
-    log_y = math.log1p(-params.p_dark) - inter.mu_prime / 6.0
-    common = math.exp(4.0 * log_y + 2.0 * inter.x)
-    error_factor = 8.0 * math.exp(-2.0 * inter.x)
+    if mu_a < 0.0 or mu_b < 0.0:
+        raise ValueError("intensities must be non-negative")
+    # mu' = eta_a mu_a + eta_b mu_b arrives at the relay; x is the
+    # interference strength and y a bin's probability of staying silent.
+    mu_prime = params.eta_a * mu_a + params.eta_b * mu_b
+    x = math.sqrt(params.eta_a * mu_a * params.eta_b * mu_b) / 3.0
+    log_y = math.log1p(-params.p_dark) - mu_prime / 6.0
+    common = math.exp(4.0 * log_y + 2.0 * x)
+    error_factor = 8.0 * math.exp(-2.0 * x)
     for start in range(0, len(n_slices), _BLOCK_ROWS):
         block_n = tuple(n_slices[start : start + _BLOCK_ROWS])
         block_m = tuple(indices[start : start + _BLOCK_ROWS])
         # Layer 0 is x cos d, layer 1 -x cos d.
-        xc = inter.x * _signed_cosines(block_n, block_m)
+        xc = x * _signed_cosines(block_n, block_m)
         u = log_y + xc
         np.expm1(u, out=u)
         error = u[0] * u[1]
         # Doubling is exact, so these are the floats 2 (x cos d - x) and
         # -2 (x cos d + x).
         xc *= 2.0
-        xc -= 2.0 * inter.x
+        xc -= 2.0 * x
         np.exp(xc, out=xc)
         np.square(u, out=u)
         xc *= u[::-1]  # e^(2x cos d - 2x) u-^2 and e^(-2x cos d - 2x) u+^2
@@ -348,74 +289,70 @@ def decoy_key_rate(
 # ---------------------------------------------------------------------------
 # Slow validation oracles: the same gain/error products assembled from the
 # direct per-detector click probabilities and integrated numerically over
-# both phases, with no reduction to the phase difference. Kept in the
-# package so the verify command can run the dual-route comparison end to
-# end.
-
-_KEEP_PATTERNS: Tuple[Tuple[str, str, int], ...] = (
-    # (first click, second click, phase pair index 0/1); the required
-    # phase difference is 0 for same-detector pairs and pi for mixed.
-    ("c1", "c2", 0),
-    ("d1", "d2", 0),
-    ("c1", "d2", 0),
-    ("c2", "d1", 0),
-    ("c1", "c3", 1),
-    ("d1", "d3", 1),
-    ("c1", "d3", 1),
-    ("c3", "d1", 1),
-)
+# both phases, with no reduction to the phase difference. Which click
+# masks count, and whether the senders' bits then agree, comes from the
+# relay's sifting tables (_mc_tables.keep_weights), as in the Monte Carlo.
+# Kept in the package so the verify command can run the dual-route
+# comparison end to end.
 
 
-def _pattern_probability(
-    probs: ClickProbabilities, first: str, second: str
-) -> float:
-    """Probability that exactly the two named detector-bins click."""
-    total = 1.0
-    for name in ("c1", "c2", "c3", "d1", "d2", "d3"):
-        p = getattr(probs, name)
-        total *= p if name in (first, second) else (1.0 - p)
-    return total
+@functools.lru_cache(maxsize=1)
+def _bin_fields() -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Read-only (alice, bob, pick) for the kept-mask probabilities of
+    every setting.
 
-
-def _pattern_setting(first: str, second: str, pair: int, flipped: bool) -> PhaseSetting:
-    same_detector = first[0] == second[0]
-    want_pi = same_detector == flipped
-    bits = [0, 0, 0, 0]
-    if want_pi:
-        bits[0 if pair == 0 else 1] = 1  # put the pi on Alice's side
-    return PhaseSetting.from_bits(*bits)
-
-
-def _direct_density(
-    mu_a: float,
-    mu_b: float,
-    params: ChannelParams,
-    theta_a: float,
-    theta_b: float,
-    flipped: bool,
-) -> float:
-    total = 0.0
-    for first, second, pair in _KEEP_PATTERNS:
-        setting = _pattern_setting(first, second, pair, flipped)
-        probs = click_probabilities(mu_a, mu_b, params, setting, theta_a, theta_b)
-        total += _pattern_probability(probs, first, second)
-    return total
+    alice[s, b] and bob[s, b] are the phase factors each sender's field
+    carries into detector-bin b (mask bit b: c1..c3, then d1..d3) under
+    setting s, Bob's with the minus sign of the d output; pick[k, b]
+    indexes [no-click | click] probabilities, so that
+    probs[:, pick].prod(axis=2) is each setting's probability of exactly
+    the clicks of kept mask k.
+    """
+    masks, _ = keep_weights()
+    alice = np.empty((16, 6), dtype=complex)
+    bob = np.empty((16, 6), dtype=complex)
+    for s in range(16):
+        setting = PhaseSetting.from_bits(*setting_bits(s))
+        bins_a = np.exp(1j * np.array([0.0, setting.phi_a1, setting.phi_a2]))
+        bins_b = np.exp(1j * np.array([0.0, setting.phi_b1, setting.phi_b2]))
+        alice[s] = np.concatenate((bins_a, bins_a))
+        bob[s] = np.concatenate((bins_b, -bins_b))
+    bits = np.arange(6)
+    pick = bits + 6 * ((masks[:, None] >> bits) & 1)
+    for table in (alice, bob, pick):
+        table.flags.writeable = False
+    return alice, bob, pick
 
 
 def _direct_quadrature(
     mu_a: float, mu_b: float, params: ChannelParams, tol: float, flipped: bool
 ) -> float:
-    """Phase average of _direct_density by dblquad, to tol absolute."""
+    """Phase average, by dblquad to tol absolute, of twice the setting-
+    averaged probability of a kept mask whose bits agree (or, flipped,
+    disagree).
+
+    Each detector-bin sees amplitude sqrt(eta mu / 6) from each sender
+    with that sender's bin phase plus overall phase; detector c sees the
+    sum, detector d the difference, and a threshold click happens unless
+    both the coherent component and the dark count stay silent.
+    """
+    alice, bob, pick = _bin_fields()
+    alice = math.sqrt(params.eta_a * mu_a / 6.0) * alice
+    bob = math.sqrt(params.eta_b * mu_b / 6.0) * bob
+    silent = 1.0 - params.p_dark
+    # Twice the average over the 16 settings: one agreeing setting per kept
+    # mask, the convention overall_gain and overall_qber share. ROADMAP.md's
+    # item on the decoy rate's bookkeeping decides it.
+    weights = 2.0 * keep_weights()[1][int(flipped)].ravel()
+
+    def density(theta_b: float, theta_a: float) -> float:
+        field = cmath.exp(1j * theta_a) * alice + cmath.exp(1j * theta_b) * bob
+        quiet = silent * np.exp(-(field.real**2 + field.imag**2))
+        probs = np.concatenate((quiet, 1.0 - quiet), axis=1)
+        return float(weights.dot(probs[:, pick].prod(axis=2).ravel()))
+
     value, abserr = dblquad(
-        lambda theta_b, theta_a: _direct_density(
-            mu_a, mu_b, params, theta_a, theta_b, flipped
-        ),
-        0.0,
-        2.0 * math.pi,
-        0.0,
-        2.0 * math.pi,
-        epsabs=tol,
-        epsrel=0.0,
+        density, 0.0, 2.0 * math.pi, 0.0, 2.0 * math.pi, epsabs=tol, epsrel=0.0
     )
     scale = 1.0 / (2.0 * math.pi) ** 2
     if abserr * scale > tol:
@@ -427,15 +364,16 @@ def _direct_quadrature(
 def direct_gain_quadrature(
     mu_a: float, mu_b: float, params: ChannelParams, tol: float = 1e-9
 ) -> float:
-    """Overall gain by integrating the click-product sum over both phases."""
+    """Overall gain: the kept, agreeing click masks' probability averaged
+    over both phases."""
     return _direct_quadrature(mu_a, mu_b, params, tol, flipped=False)
 
 
 def direct_qber_quadrature(
     mu_a: float, mu_b: float, params: ChannelParams, tol: float = 1e-9
 ) -> float:
-    """Overall error product by integrating the click-product sum with the
-    phase conditions inverted."""
+    """Overall error product: the kept, disagreeing click masks'
+    probability averaged over both phases."""
     return _direct_quadrature(mu_a, mu_b, params, tol, flipped=True)
 
 

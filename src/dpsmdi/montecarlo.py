@@ -19,7 +19,7 @@ from typing import Dict, Iterator, Optional, Sequence, Tuple
 
 import numpy as np
 
-from . import _mc_fallback, _rng
+from . import _mc_kernel, _rng
 from ._mc_tables import (
     ACTION_DISCARD,
     ACTION_INCONCLUSIVE,
@@ -236,7 +236,7 @@ def _run_range(
     seed: int,
     tables: TableSet,
 ) -> EmpiricalEstimates:
-    mask_counts, keep, errors = _mc_fallback.run_kernel(
+    mask_counts, keep, errors = _mc_kernel.run_kernel(
         seed,
         start_trial,
         n_trials,

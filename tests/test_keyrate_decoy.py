@@ -3,15 +3,17 @@
 import dataclasses
 import math
 import tracemalloc
+import warnings
 
 import mpmath
 import pytest
+from scipy.integrate import IntegrationWarning
 
 from dpsmdi.cli import main
 from dpsmdi.keyrate_asymptotic import binary_entropy, qber_asymptotic, yield_Y11
 from dpsmdi.keyrate_decoy import (
-    DecoyIntermediates,
     DecoyRateReport,
+    QuadratureError,
     SliceConfig,
     decoy_distance_sweep,
     decoy_key_rate,
@@ -73,12 +75,18 @@ def rel_err(got, want):
 
 
 def test_intermediates_shorthand_values():
-    inter = DecoyIntermediates.from_point(0.5, 0.5, SHORT_LINK)
-    assert inter.mu_prime == pytest.approx(0.145)
-    assert inter.x == pytest.approx(math.sqrt(0.145 * 0.5 * 0.145 * 0.5) / 3.0)
-    assert inter.y == pytest.approx((1.0 - 3e-6) * math.exp(-0.145 / 6.0))
-    with pytest.raises(ValueError):
-        DecoyIntermediates.from_point(-0.1, 0.5, SHORT_LINK)
+    # mu' = 0.145 arrives at the relay and x = sqrt(eta_a mu_a eta_b mu_b)/3;
+    # the random-phase forms are written in them and y = (1 - p_dark) e^(-mu'/6)
+    x = math.sqrt(0.145 * 0.5 * 0.145 * 0.5) / 3.0
+    with mpmath.workdps(30):
+        y = (1 - mpmath.mpf(3e-6)) * mpmath.exp(-mpmath.mpf(0.145) / 6)
+        i0_x = mpmath.besseli(0, x)
+        gain = 8 * y**4 * (mpmath.besseli(0, 2 * x) - 2 * y * i0_x + y**2)
+        error = 8 * y**4 * (1 - 2 * y * i0_x + y**2)
+    assert overall_gain(0.5, 0.5, SHORT_LINK) == pytest.approx(float(gain), rel=1e-12)
+    assert overall_qber(0.5, 0.5, SHORT_LINK) == pytest.approx(float(error), rel=1e-12)
+    with pytest.raises(ValueError, match="non-negative"):
+        overall_gain(-0.1, 0.5, SHORT_LINK)
 
 
 def test_overall_gain_matches_direct_quadrature():
@@ -99,6 +107,17 @@ def test_overall_error_product_matches_direct_quadrature():
         closed = overall_qber(mu_a, mu_b, params)
         direct = direct_qber_quadrature(mu_a, mu_b, params)
         assert closed == pytest.approx(direct, abs=1e-8)
+
+
+def test_direct_quadrature_reports_an_unreachable_tolerance():
+    # 1e-22 lies far below the roundoff of a phase average of about 0.05
+    params = ChannelParams(eta_a=0.0, eta_b=0.0, p_dark=0.1, e_d=0.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", IntegrationWarning)
+        with pytest.raises(QuadratureError, match="direct gain quadrature did not converge") as info:
+            direct_gain_quadrature(0.5, 0.5, params, tol=1e-22)
+    assert info.value.achieved > 1e-22
+    assert f"{info.value.achieved:.3e}" in str(info.value)
 
 
 def test_zero_interference_closed_form():

@@ -6,13 +6,14 @@ import os
 import numpy as np
 import pytest
 
-from dpsmdi import _mc_fallback, _rng, montecarlo
+from dpsmdi import _mc_kernel, _rng, montecarlo
 from dpsmdi._mc_tables import (
     GUIDE_BITS,
     GUIDE_MISS,
     KEY_SHIFT,
     build_tables,
     clicks_of_mask,
+    keep_weights,
 )
 from dpsmdi.keyrate_asymptotic import dps_reference_params, qber_asymptotic, yield_Y11
 from dpsmdi.montecarlo import (
@@ -140,6 +141,45 @@ def test_lossy_channel_matches_analytic_forms():
     assert abs(est.e_b_hat - expected) < 3.0 * sigma
 
 
+def exact_keep_and_error(params):
+    """(P(keep), error fraction) the kernel samples, computed exactly from
+    its tables: each setting's mask distribution from the loss cases and
+    the differenced outcome_cum, dark clicks OR-ed in by a 64 x 64 matrix,
+    the keep weights of the sifting tables, misalignment flipping kept
+    bits."""
+    eta_a, eta_b, p = params.eta_a, params.eta_b, params.p_dark
+    case_probs = np.array(
+        [(1 - eta_a) * (1 - eta_b), (1 - eta_a) * eta_b, eta_a * (1 - eta_b), eta_a * eta_b]
+    )  # case = 2 * (a arrived) + (b arrived)
+    signal = np.einsum("c,scm->sm", case_probs, np.diff(build_tables().outcome_cum, prepend=0.0))
+    # dark[m, n]: optical mask m becomes mask n, a superset, when the darks
+    # fill exactly the bits of n outside m
+    ones = np.array([bin(m).count("1") for m in range(64)])
+    m, n = np.arange(64)[:, None], np.arange(64)[None, :]
+    dark = np.where(m & ~n == 0, p ** (ones[n] - ones[m]) * (1 - p) ** (6 - ones[n]), 0.0)
+    masks, weights = keep_weights()
+    agree, disagree = (weights * (signal @ dark)[:, masks]).sum(axis=(1, 2))
+    keep = agree + disagree
+    return keep, ((1 - params.e_d) * disagree + params.e_d * agree) / keep
+
+
+def test_tables_expectation_matches_single_photon_closed_forms():
+    """The kernel's exact expectation is the closed-form yield and the
+    half-weight e_b (dark-assisted keeps err half the time) over the whole
+    CLI range and random channels."""
+    rng = np.random.default_rng(20261018)
+    channels = [ChannelParams.from_total_distance(float(km)) for km in range(0, 501, 5)]
+    for _ in range(200):
+        eta_a, eta_b = rng.uniform(0.0, 1.0, size=2)
+        p_dark, e_d = rng.uniform(0.0, 0.3), rng.uniform(0.0, 0.5)
+        channels.append(ChannelParams(eta_a=eta_a, eta_b=eta_b, p_dark=p_dark, e_d=e_d))
+    for params in channels:
+        keep, error_fraction = exact_keep_and_error(params)
+        e_b, background = qber_asymptotic(params)
+        assert keep == pytest.approx(yield_Y11(params), rel=1e-14), params
+        assert error_fraction == pytest.approx(e_b - 0.5 * background, rel=1e-14), params
+
+
 def test_dark_only_channel_errs_half_the_time():
     dark = ChannelParams(eta_a=0.0, eta_b=0.0, p_dark=5e-3, e_d=0.0)
     est = run_trials(dark, 600_000, seed=2)
@@ -238,7 +278,7 @@ def test_kernel_tallies_are_pinned():
 
 
 def test_integer_draw_tests_are_exact_at_their_edges():
-    """The fallback's integer compares agree with comparing the unit draw
+    """The kernel's integer compares agree with comparing the unit draw
     k * 2**-53 as a float, at every boundary a draw can sit on."""
     top = 2**53
     tables = build_tables()
@@ -253,7 +293,7 @@ def test_integer_draw_tests_are_exact_at_their_edges():
         assert np.array_equal(from_keys, from_floats), row
 
     for p in (0.0, 2.0**-53, 3e-6, 0.015, np.nextafter(0.5, 0.0), 0.5, 1.0):
-        t = int(_mc_fallback.threshold(p))
+        t = int(_mc_kernel.threshold(p))
         for k in {t - 1, t, 0, top - 1}:
             if 0 <= k < top:
                 assert (k < t) == (k * 2.0**-53 < p), (p, k)
@@ -282,7 +322,7 @@ def test_pattern_guide_is_exact():
     assert np.count_nonzero(guide == GUIDE_MISS) < 0.01 * guide.size
 
 
-def test_fallback_kernel_is_exact_on_boundary_draws(monkeypatch):
+def test_kernel_is_exact_on_boundary_draws(monkeypatch):
     """Feed both the numpy kernel and the float-comparing replay a stream
     in which every loss, pattern, dark and misalignment draw sits one
     below, on, or one above a threshold, and pattern draws also on either
@@ -301,7 +341,7 @@ def test_fallback_kernel_is_exact_on_boundary_draws(monkeypatch):
         return np.array(sorted(ks), dtype=np.uint64)
 
     def t(p):
-        return int(_mc_fallback.threshold(p))
+        return int(_mc_kernel.threshold(p))
 
     choices = {
         _rng.DRAW_LOSS_A: edges([t(params.eta_a)]),
