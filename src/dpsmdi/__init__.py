@@ -54,7 +54,6 @@ from .montecarlo import (
 )
 from .keyrate_asymptotic import (
     binary_entropy,
-    cutoff_distance,
     distance_sweep,
     dps_reference_rate,
     qber_asymptotic,
@@ -99,7 +98,6 @@ __all__ = [
     "bit_error_rate",
     "conclusive_output_state",
     "conclusive_rows",
-    "cutoff_distance",
     "decoy_key_rate",
     "discrete_settings",
     "distance_sweep",

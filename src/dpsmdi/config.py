@@ -32,6 +32,7 @@ from decimal import Decimal, InvalidOperation
 from itertools import groupby
 from typing import Any, Callable, Dict, List, Mapping, Tuple, get_type_hints
 
+from .finite_key import MIN_EPSILON_GAP, MIN_RELATIVE_EPSILON_GAP, epsilon_gap_floor
 from .montecarlo import ALPHA_DB_PER_KM, E_D, ETA_DET, F_EC, P_DARK, ChannelParams
 
 # Most points a distance sweep may have: far above the default 61, and a
@@ -44,7 +45,7 @@ _MAX_SLICES = 10**4
 MAX_TRIALS = 10**10
 # Largest block size: the sifted budget stays below 2**53, so every split the
 # finite-key search ranks is an exact float64 integer; an optimum costs about
-# 1.5 ms at any size.
+# 1 ms at any size.
 _MAX_BLOCK = 10**15
 # Largest mean photon number per sender: with eta_det = 1 the decoy gain at
 # 0 km underflows to 0 from mu = 1367 on, and `decoy` then fails.
@@ -157,12 +158,19 @@ class RunConfig:
             bad(f"N_slices must lie in [1, {_MAX_SLICES}], got {self.N_slices}")
         if not self.slice_L_km >= 0.0:
             bad(f"[decoy] L_km must be non-negative, got {self.slice_L_km}")
-        if not self.epsilon > 0.0:
-            bad(f"epsilon must be positive, got {self.epsilon}")
+        if not 0.0 < self.epsilon < 1.0:
+            bad(f"epsilon must lie in (0, 1), got {self.epsilon}")
         if not 0.0 <= self.epsilon_EC < self.epsilon:
             bad(
                 "epsilon_EC must lie in [0, epsilon), got "
                 f"{self.epsilon_EC} with epsilon = {self.epsilon}"
+            )
+        gap_floor = epsilon_gap_floor(self.epsilon)
+        if not self.epsilon - self.epsilon_EC >= gap_floor:
+            bad(
+                f"epsilon - epsilon_EC must be at least {gap_floor:.3g} "
+                f"(the larger of {MIN_EPSILON_GAP:g} and {MIN_RELATIVE_EPSILON_GAP:g} epsilon), "
+                f"got {self.epsilon} - {self.epsilon_EC}"
             )
         for value in self.e_b_list:
             if not 0.0 < value < 0.5:

@@ -20,13 +20,31 @@ Quantities per block of ``N_signals`` exchanged signals:
 The extractable rate per exchanged signal is ``r = (n / N) r'`` with
 ``r' = 1 - h(eb~) - h(ep~) - leak/n - delta/n``, clamped at zero; the
 entropy term is 0 once either broadened rate passes 1/2.  One array formula,
-``_rates``, computes it: the optimizer ranks whole grids with it, and
-``finite_rate`` is its checked evaluation at one point.
+``_rates``, computes it, as the composition of three factors:
+
+* the security terms (``_security_terms``), which depend on (eps_bar,
+  eps_bar_prime) alone: ``2 ln(1/eps_bar')``, ``2 log2(1/(2(eps - eps_bar -
+  eps_EC)))`` and ``log2(2/(eps_bar - eps_bar'))``;
+* the sample terms (``_sample_terms``), which depend on the split alone: n
+  stacked over m on a leading axis of 2 with ``9 ln(k+1)`` at each, so one
+  broadening pass and one ``h`` pass cover both samples, plus ``n / N`` and
+  the leak;
+* the combination (``_combined_rates``), which returns the unclamped rate.
+
+``finite_rate`` is the checked evaluation at one point.  The optimizer ranks
+the coarse grid with security terms cached per (epsilon, epsilon_EC), then
+refines one coordinate at a time: a u line recomputes only the sample terms,
+a beta or gamma line only the security terms, and the other factor is the
+current point's, refreshed only when the point moves.  Each candidate gets
+the same floating-point operations in the same order as a direct ``_rates``
+call, so the optimum does not depend on this factoring.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -125,27 +143,65 @@ class FiniteKeyBudget:
             )
 
 
+def _security_terms(
+    epsilon: float, epsilon_EC: float, eps_bar: np.ndarray, eps_bar_prime: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The rate's terms that depend on (eps_bar, eps_bar_prime) alone.
+
+    2 ln(1/eps_bar'), the penalty's 2 log2(1/(2(eps - eps_bar - eps_EC))) and
+    the log2(2/(eps_bar - eps_bar')) under its square root.
+    """
+    confidence = 2.0 * np.log(1.0 / eps_bar_prime)
+    slack_bits = 2.0 * np.log2(1.0 / (2.0 * (epsilon - eps_bar - epsilon_EC)))
+    spread_bits = np.log2(2.0 / (eps_bar - eps_bar_prime))
+    return confidence, slack_bits, spread_bits
+
+
+def _sample_terms(
+    N_signals: int, e_b: float, n: np.ndarray, m: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The rate's terms that depend on the split (n, m) alone.
+
+    n stacked over m on a leading axis of 2 and 9 ln(k + 1) at each k, then
+    the key share n / N and the leak 1.2 h(e_b) n; n and m share one shape.
+    """
+    samples = np.array((n, m), dtype=float)
+    n = samples[0]
+    leak = ERROR_CORRECTION_EFFICIENCY * binary_entropy(e_b) * n
+    return samples, POVM_OUTCOME_COUNT * np.log(samples + 1.0), n / N_signals, leak
+
+
+def _combined_rates(
+    e_b: float,
+    sample_terms: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray],
+    security_terms: tuple[np.ndarray, np.ndarray, np.ndarray],
+) -> np.ndarray:
+    """Unclamped rate from the sample terms and the security terms.
+
+    The two broadcast against each other behind the samples' leading axis.
+    """
+    samples, sample_logs, key_share, leak = sample_terms
+    confidence, slack_bits, spread_bits = security_terms
+    # the broadened e_b and e_p in one pass: eb~ = e_b + xi(n), ep~ = e_b + xi(m)
+    tilde = e_b + np.sqrt((confidence + sample_logs) / samples)
+    x = np.minimum(tilde, 0.5)  # keeps log2 finite; np.where zeroes points past 1/2
+    h = -x * np.log2(x) - (1.0 - x) * np.log2(1.0 - x)
+    entropy = np.where(np.maximum(tilde[0], tilde[1]) > 0.5, 0.0, 1.0 - h[0] - h[1])
+    n = samples[0]
+    penalty = slack_bits + 7.0 * np.sqrt(n * spread_bits)
+    return key_share * (entropy - (leak + penalty) / n)
+
+
 def _rates(
     N_signals: int, e_b: float, epsilon: float, epsilon_EC: float,
     n: np.ndarray, m: np.ndarray, eps_bar: np.ndarray, eps_bar_prime: np.ndarray,
 ) -> np.ndarray:
     """Unclamped rate at every point of broadcastable (n, m, eps_bar, eps_bar_prime)."""
-    confidence = 2.0 * np.log(1.0 / eps_bar_prime)
-    eb_tilde = e_b + np.sqrt((confidence + POVM_OUTCOME_COUNT * np.log(n + 1.0)) / n)
-    ep_tilde = e_b + np.sqrt((confidence + POVM_OUTCOME_COUNT * np.log(m + 1.0)) / m)
-
-    def h(x: np.ndarray) -> np.ndarray:
-        x = np.minimum(x, 0.5)  # keeps log2 finite; np.where zeroes points past 1/2
-        return -x * np.log2(x) - (1.0 - x) * np.log2(1.0 - x)
-
-    entropy = np.where(
-        (eb_tilde > 0.5) | (ep_tilde > 0.5), 0.0, 1.0 - h(eb_tilde) - h(ep_tilde)
+    n, m = np.broadcast_arrays(n, m, eps_bar, eps_bar_prime)[:2]
+    return _combined_rates(
+        e_b, _sample_terms(N_signals, e_b, n, m),
+        _security_terms(epsilon, epsilon_EC, eps_bar, eps_bar_prime),
     )
-    leak = ERROR_CORRECTION_EFFICIENCY * binary_entropy(e_b) * n
-    penalty = 2.0 * np.log2(1.0 / (2.0 * (epsilon - eps_bar - epsilon_EC))) + 7.0 * np.sqrt(
-        n * np.log2(2.0 / (eps_bar - eps_bar_prime))
-    )
-    return (n / N_signals) * (entropy - (leak + penalty) / n)
 
 
 def finite_rate(budget: FiniteKeyBudget, sec: SecurityParams, e_b: float) -> float:
@@ -186,18 +242,36 @@ class FiniteKeyOptimum:
 _COARSE_U = tuple(10.0 ** (-7.0 + 6.954 * k / 24.0) for k in range(25))
 _COARSE_BETA = (0.05, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9)
 _COARSE_GAMMA = (0.01, 0.03, 0.1, 0.2, 0.3, 0.5, 0.7, 0.9)
+# the coarse u grid as a column, to broadcast against (1, beta, gamma)
+_COARSE_U_COLUMN = np.array(_COARSE_U).reshape(-1, 1, 1)
+_COARSE_U_COLUMN.flags.writeable = False
 _REFINE_ROUNDS = 4
 _REFINE_POINTS = 9
-# Lower edges of the refinement brackets for u, beta and gamma.
+# Lower edges of the refinement brackets for u, beta and gamma, and the
+# upper edge of all three.
 _REFINE_FLOORS = (1e-9, 1e-6, 1e-6)
+_REFINE_CEIL = 0.999999
+
+# Smallest epsilon - epsilon_EC the search runs at, absolute and as a fraction
+# of epsilon.  Within the refinement edges eps_bar_prime stays above
+# 1e-12 (epsilon - epsilon_EC), so 1/eps_bar_prime is a finite float64, and
+# the penalty's slack epsilon - eps_bar - epsilon_EC stays above
+# 1e-6 (epsilon - epsilon_EC), well clear of float64 rounding at epsilon.
+MIN_EPSILON_GAP = 1e-290
+MIN_RELATIVE_EPSILON_GAP = 1e-9
+
+
+def epsilon_gap_floor(epsilon: float) -> float:
+    """Smallest epsilon - epsilon_EC that optimize_rate searches at."""
+    return max(MIN_EPSILON_GAP, MIN_RELATIVE_EPSILON_GAP * epsilon)
 
 
 def _bracket(value: float, grid: Sequence[float], floor: float, ceil: float) -> tuple[float, float]:
-    """Neighbours of value in grid, padded multiplicatively at the edges."""
-    below = [g for g in grid if g < value]
-    above = [g for g in grid if g > value]
-    lo = max(below) if below else max(floor, value / 4.0)
-    hi = min(above) if above else min(ceil, value * 4.0)
+    """Neighbours of value in the ascending grid, padded multiplicatively at the edges."""
+    below = bisect_left(grid, value)
+    above = bisect_right(grid, value)
+    lo = grid[below - 1] if below else max(floor, value / 4.0)
+    hi = grid[above] if above < len(grid) else min(ceil, value * 4.0)
     return lo, hi
 
 
@@ -206,6 +280,19 @@ def _geom_grid(lo: float, hi: float, count: int) -> list[float]:
         return [lo]
     ratio = (hi / lo) ** (1.0 / (count - 1))
     return [lo * ratio**k for k in range(count)]
+
+
+@lru_cache(maxsize=8)
+def _coarse_security_terms(
+    epsilon: float, epsilon_EC: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Security terms on the coarse (beta, gamma) grid, shaped (1, beta, gamma)."""
+    _, beta, gamma = np.ix_(_COARSE_U, _COARSE_BETA, _COARSE_GAMMA)
+    eps_bar = beta * (epsilon - epsilon_EC)
+    terms = _security_terms(epsilon, epsilon_EC, eps_bar, gamma * eps_bar)
+    for array in terms:
+        array.flags.writeable = False  # shared by every search at these epsilons
+    return terms
 
 
 def optimize_rate(
@@ -227,17 +314,37 @@ def optimize_rate(
 
     Candidates are ranked as arrays, the whole coarse grid or one refinement
     line per evaluation; the first maximum wins and a move needs a strictly
-    larger rate.  The reported rate is one call of finite_rate at the winner.
+    larger rate.  A u line recomputes only the sample terms of the rate, a
+    beta or gamma line only its security terms; the other factor is the
+    current point's.  The reported rate is one call of finite_rate at the
+    winner.
 
     The full sifted budget n + m is always spent; enlarging either share
     never hurts, so interior points are dominated.
+
+    Raises ConstraintError for N_signals < 1, epsilon outside (0, 1) or a
+    negative epsilon_EC.  An epsilon - epsilon_EC that is not positive, or
+    below epsilon_gap_floor(epsilon), gives an infeasible diagnostic.
     """
     if N_signals < 1:
         raise ConstraintError(f"N_signals must be at least 1, got {N_signals}")
-    if not epsilon - epsilon_EC > 0.0:
+    gap = epsilon - epsilon_EC
+    if not gap > 0.0:
         return FiniteKeyOptimum(
             N_signals, e_b, 0.0, 0, 0, 0.0, 0.0,
             diagnostic="infeasible: epsilon - epsilon_EC must be positive",
+        )
+    if not (0.0 < epsilon < 1.0 and epsilon_EC >= 0.0):
+        raise ConstraintError(
+            "epsilon must lie in (0, 1) and epsilon_EC in [0, epsilon), "
+            f"got {epsilon} and {epsilon_EC}"
+        )
+    gap_floor = epsilon_gap_floor(epsilon)
+    if not gap >= gap_floor:
+        return FiniteKeyOptimum(
+            N_signals, e_b, 0.0, 0, 0, 0.0, 0.0,
+            diagnostic=f"infeasible: epsilon - epsilon_EC must be at least {gap_floor:g} "
+            "for float64 to resolve every search point",
         )
     if allow_full_budget:
         total = N_signals
@@ -252,36 +359,55 @@ def optimize_rate(
 
     def split(u):
         """Estimation bits m ~ u * total, leaving both shares at least 1."""
-        return np.clip(np.rint(total * u), 1, total - 1)
+        return np.minimum(np.maximum(np.rint(total * u), 1.0), total - 1.0)
 
-    def rated(u, beta, gamma) -> np.ndarray:
-        # clamped like finite_rate, so a grid that is 0 everywhere keeps its first point
+    def sample_terms(u):
         m = split(u)
-        eps_bar = beta * (epsilon - epsilon_EC)
-        rates = _rates(N_signals, e_b, epsilon, epsilon_EC, total - m, m, eps_bar, gamma * eps_bar)
-        return np.maximum(rates, 0.0)
+        return _sample_terms(N_signals, e_b, total - m, m)
+
+    def security_terms(beta, gamma):
+        eps_bar = beta * gap
+        return _security_terms(epsilon, epsilon_EC, eps_bar, gamma * eps_bar)
 
     grids: list[Sequence[float]] = [_COARSE_U, _COARSE_BETA, _COARSE_GAMMA]
-    coarse = rated(*np.ix_(*grids))
+    coarse = _combined_rates(
+        e_b, sample_terms(_COARSE_U_COLUMN), _coarse_security_terms(epsilon, epsilon_EC)
+    )
+    # clamped like finite_rate, so a grid that is 0 everywhere keeps its first
+    # point; best is then never negative, and a line's unclamped maximum
+    # moves the point exactly when its clamped one would
+    coarse = np.maximum(coarse, 0.0)
     index = np.unravel_index(np.argmax(coarse), coarse.shape)
     best = coarse[index]
     point = [grid[i] for grid, i in zip(grids, index)]
+    # the two factors at the current point, shaped to broadcast against a line
+    samples = sample_terms(np.array(point[:1]))
+    security = security_terms(*point[1:])
     for _ in range(_REFINE_ROUNDS):
         for axis in range(3):
-            lo, hi = _bracket(point[axis], grids[axis], _REFINE_FLOORS[axis], 0.999999)
+            lo, hi = _bracket(point[axis], grids[axis], _REFINE_FLOORS[axis], _REFINE_CEIL)
             grids[axis] = _geom_grid(lo, hi, _REFINE_POINTS)
-            line = list(point)
-            line[axis] = np.asarray(grids[axis])
-            rates = rated(*line)
-            k = int(np.argmax(rates))
+            line = np.array(grids[axis])
+            if axis == 0:
+                line_samples = sample_terms(line)
+                rates = _combined_rates(e_b, line_samples, security)
+            else:
+                beta, gamma = (line, point[2]) if axis == 1 else (point[1], line)
+                line_security = security_terms(beta, gamma)
+                rates = _combined_rates(e_b, samples, line_security)
+            k = rates.argmax()
             if rates[k] > best:
                 best = rates[k]
                 point[axis] = grids[axis][k]
+                if axis == 0:
+                    samples = tuple(terms[..., k : k + 1] for terms in line_samples)
+                else:  # on a gamma line the slack term depends on beta alone: 0-d
+                    security = tuple(terms[k] if terms.ndim else terms for terms in line_security)
 
     u, beta, gamma = point
     m = int(split(u))
     n = total - m
-    eps_bar = beta * (epsilon - epsilon_EC)
+    eps_bar = beta * gap
     eps_bar_prime = gamma * eps_bar
     rate = finite_rate(
         FiniteKeyBudget(N_signals, n, m, allow_full_budget),

@@ -184,26 +184,3 @@ def distance_sweep(
         rows.append((l_km, report.Y11, report.e_b, report.R, baseline))
     return rows
 
-
-def cutoff_distance(
-    rate_at: "callable",
-    l_max: float = 500.0,
-    tol_km: float = 0.01,
-) -> float:
-    """Largest distance with positive rate, by bisection.
-
-    rate_at maps a total distance in km to a clamped rate. Assumes the
-    rate is positive at 0 and eventually zero; returns nan otherwise.
-    """
-    lo, hi = 0.0, l_max
-    if rate_at(lo) <= 0.0:
-        return float("nan")
-    if rate_at(hi) > 0.0:
-        return float("inf")
-    while hi - lo > tol_km:
-        mid = 0.5 * (lo + hi)
-        if rate_at(mid) > 0.0:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)

@@ -27,7 +27,6 @@ from dpsmdi.fock_optics import (
     postselect_hom,
 )
 from dpsmdi.keyrate_asymptotic import (
-    cutoff_distance,
     dps_reference_params,
     dps_reference_rate,
     qber_asymptotic,
@@ -62,6 +61,8 @@ from dpsmdi.protocol_sifting import (
     sifted_key_fraction,
     verify_entanglement_mapping,
 )
+
+from test_keyrate_asymptotic import cutoff_distance
 
 N_GRID = (
     10**5, 3 * 10**5, 10**6, 3 * 10**6, 10**7, 3 * 10**7,

@@ -1,11 +1,17 @@
 """Command-line entry points: CSV contracts, config plumbing, exit codes."""
 
 import argparse
+import contextlib
 import hashlib
+import io
+import math
 import os
+import tempfile
 import xml.etree.ElementTree as ET
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dpsmdi import cli, config
 from dpsmdi.cli import build_parser, main
@@ -278,11 +284,21 @@ def exit_status(args, capsys):
         (["montecarlo", "--n-trials", "1e11"], "config error: n_trials must lie in"),
         (["qber-slices", "--n-slices", "1e9"], "config error: N_slices must lie in"),
         (["verify", "--mc-trials", "10000000001"], "argument --mc-trials: must be at most"),
+        (["finite-key", "--epsilon", "5e-324", "--epsilon-ec", "0"],
+         "config error: epsilon - epsilon_EC must be at least 1e-290"),
+        (["finite-key", "--epsilon", "1e-320", "--epsilon-ec", "0"],
+         "config error: epsilon - epsilon_EC must be at least 1e-290"),
+        (["finite-key", "--epsilon", "1e-5", "--epsilon-ec", "9.99999999999e-06"],
+         "config error: epsilon - epsilon_EC must be at least 1e-14"),
+        (["finite-key", "--epsilon", "3", "--epsilon-ec", "0"], "config error: epsilon must lie in (0, 1)"),
+        (["finite-key", "--epsilon", "1.5"], "config error: epsilon must lie in (0, 1)"),
     ],
     ids=[
         "l-step-negative", "l-max-inf", "mu-a-inf", "f-inf", "point-count-overflow",
         "n-grid-overflow", "n-grid-nan", "mu-beyond-gain-underflow", "n-grid-beyond-cap",
         "n-trials-beyond-cap", "n-slices-beyond-cap", "mc-trials-beyond-cap",
+        "epsilon-subnormal", "epsilon-gap-below-floor", "epsilon-ec-within-rounding",
+        "epsilon-3", "epsilon-above-1",
     ],
 )
 def test_invalid_flag_value_exits_2(args, message, capsys):
@@ -464,6 +480,87 @@ def test_finite_key_svg_is_well_formed(tmp_path, capsys):
     text = "".join(root.itertext())
     assert "exchanged signals" in text
     assert "e_b = 0.01" in text and "e_b = 0.03" in text
+
+
+def run_quietly(args):
+    """main's exit status with its stdout and stderr, argparse exits included."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(args)
+        except SystemExit as exited:
+            code = exited.code
+    return code, out.getvalue(), err.getvalue()
+
+
+def _flag_list(values):
+    return ", ".join(repr(v) for v in values)
+
+
+# finite-key inputs inside its domain: epsilon in (0, 1), epsilon - epsilon_EC
+# above both floors (epsilon >= 1e-280 and epsilon_EC <= (1 - 2e-9) epsilon),
+# e_b in (0, 0.5) and blocks in [1, 1e15], a few of each so a draw stays fast.
+_EPSILON = st.floats(-280.0, math.log10(0.999)).map(lambda x: 10.0**x)
+_EC_FRACTION = st.one_of(st.just(0.0), st.floats(0.0, 1.0 - 2e-9))
+_E_B = st.floats(0.0, 0.5, exclude_min=True, exclude_max=True)
+_BLOCKS = st.integers(1, 10**15) | st.floats(0.0, 15.0).map(lambda x: round(10.0**x))
+
+
+# warnings become errors: an overflow inside the search fails the draw
+@pytest.mark.filterwarnings("error")
+@settings(max_examples=40, deadline=None)
+@given(
+    epsilon=_EPSILON, ec_fraction=_EC_FRACTION,
+    e_b=st.lists(_E_B, min_size=1, max_size=3),
+    blocks=st.lists(_BLOCKS, min_size=1, max_size=3),
+    full_budget=st.booleans(), svg=st.booleans(),
+)
+def test_finite_key_inside_the_domain_exits_0(epsilon, ec_fraction, e_b, blocks, full_budget, svg):
+    args = [
+        "finite-key", "--epsilon", repr(epsilon), "--epsilon-ec", repr(epsilon * ec_fraction),
+        "--e-b", _flag_list(e_b), "--n-grid", _flag_list(blocks),
+    ]
+    args += ["--allow-full-budget"] if full_budget else []
+    with tempfile.TemporaryDirectory() as tmp:
+        plot = os.path.join(tmp, "plot.svg")
+        code, stdout, stderr = run_quietly(args + (["--svg", plot] if svg else []))
+        if svg:
+            assert ET.parse(plot).getroot().tag.endswith("svg")
+    assert (code, stderr) == (0, "")
+    rows = stdout.strip().split("\n")[1:]
+    assert len(rows) == len(blocks) * len(e_b)
+    values = [float(v) for row in rows for v in row.split(",")]
+    assert all(math.isfinite(v) and v >= 0.0 for v in values)
+
+
+# one value just outside the domain per draw; the others stay at defaults.
+# `--flag=value` keeps argparse from reading -1e-300 as an option.
+_OUTSIDE = st.one_of(
+    st.floats(1.0, 1e3).map(lambda eps: [f"--epsilon={eps!r}", "--epsilon-ec=0"]),
+    st.floats(-1.0, 0.0).map(lambda eps: [f"--epsilon={eps!r}", "--epsilon-ec=0"]),
+    st.floats(-280.0, math.log10(0.999)).flatmap(
+        lambda x: st.floats(0.0, 0.99).map(
+            lambda share: [f"--epsilon={10.0**x!r}", "--epsilon-ec="
+                           + repr(10.0**x - share * max(1e-290, 1e-9 * 10.0**x))]
+        )
+    ),
+    st.floats(-330.0, -290.5).map(lambda x: [f"--epsilon={10.0**x!r}", "--epsilon-ec=0"]),
+    st.floats(-1.0, 0.0).map(lambda ec: [f"--epsilon-ec={ec - 1e-300!r}"]),
+    st.sampled_from([0.0, 0.5, -0.01, 0.7]).map(lambda e_b: [f"--e-b={e_b!r}"]),
+    st.sampled_from([0, 10**15 + 1, 10**16]).map(lambda n: [f"--n-grid={n}"]),
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(outside=_OUTSIDE, svg=st.booleans())
+def test_finite_key_just_outside_the_domain_exits_2(outside, svg):
+    with tempfile.TemporaryDirectory() as tmp:
+        plot = ["--svg", os.path.join(tmp, "plot.svg")] if svg else []
+        code, stdout, stderr = run_quietly(["finite-key", *outside, *plot])
+        assert not os.listdir(tmp)
+    assert code == 2
+    assert stdout == ""
+    assert stderr.startswith("config error: ")
 
 
 def test_verify_reports_a_failing_check(monkeypatch, capsys):

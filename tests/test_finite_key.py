@@ -11,6 +11,7 @@ from dpsmdi import finite_key
 from dpsmdi.finite_key import (
     ConstraintError,
     FiniteKeyBudget,
+    FiniteKeyOptimum,
     SecurityParams,
     finite_key_sweep,
     finite_rate,
@@ -255,6 +256,87 @@ def test_optimizer_infeasibility_diagnostics():
     assert "zero everywhere" in hopeless.diagnostic
     with pytest.raises(ConstraintError):
         optimize_rate(0, 1e-5, 1e-10, 0.01)
+
+
+# Optima of the grid search before its rate was split into sample and
+# security terms, field for field.  Each is ((N_signals, epsilon,
+# epsilon_EC, e_b, allow_full_budget), (rate, n, m, eps_bar, eps_bar_prime,
+# diagnostic)): blocks from 1 to 1e15, e_b from 0 to 0.3 and on both sides of
+# the cutoff, three (epsilon, epsilon_EC) pairs and the full budget.
+NO_BUDGET = (0.0, 0, 0, 0.0, 0.0, "infeasible: sifted budget below 2 bits, "
+             "cannot populate both key and estimation samples")
+TOO_SHORT = (0.0, 0, 0, 0.0, 0.0, "rate is zero everywhere on the search grid "
+             "(block too short for this error rate)")
+PINNED_OPTIMA = [
+    ((1, 1e-05, 1e-10, 0.03, False), NO_BUDGET),
+    ((3, 1e-05, 1e-10, 0.0, False), NO_BUDGET),
+    ((5, 1e-05, 1e-10, 0.3, False), TOO_SHORT),
+    ((1000, 1e-05, 1e-10, 0.03, False), TOO_SHORT),
+    ((100000, 1e-05, 1e-10, 0.0, False), (0.01771984450263141, 29400, 15044, 9.917426005035367e-06, 4.0435716512358626e-06, "")),
+    ((100000, 1e-05, 1e-10, 0.03, False), TOO_SHORT),
+    ((100000, 1e-05, 1e-10, 0.3, False), TOO_SHORT),
+    ((300000, 1e-05, 1e-10, 0.0, False), (0.12043787192947192, 106568, 26765, 9.96074298083527e-06, 4.8931325113501885e-06, "")),
+    ((300000, 1e-05, 1e-10, 0.03, False), TOO_SHORT),
+    ((300000, 1e-05, 1e-10, 0.3, False), TOO_SHORT),
+    ((1000000, 1e-05, 1e-10, 0.0, False), (0.21091509495203759, 386484, 57960, 9.98247236654332e-06, 5.62116707821162e-06, "")),
+    ((1000000, 1e-05, 1e-10, 0.03, False), (0.02778648083135265, 321353, 123091, 9.975948578245661e-06, 4.357339650873156e-06, "")),
+    ((1000000, 1e-05, 1e-10, 0.3, False), TOO_SHORT),
+    ((1000000000, 1e-05, 1e-10, 0.0, False), (0.41386916391447853, 437144534, 7299910, 9.999345239312096e-06, 8.267556114964987e-06, "")),
+    ((1000000000, 1e-05, 1e-10, 0.03, False), (0.1533183701904514, 433482593, 10961851, 9.999345239312096e-06, 7.002845369305239e-06, "")),
+    ((1000000000, 1e-05, 1e-10, 0.3, False), TOO_SHORT),
+    ((1000000000000, 1e-05, 1e-10, 0.0, False), (0.44069837695268055, 443386099956, 1058344488, 9.999890000099999e-06, 9.38563071571588e-06, "")),
+    ((1000000000000, 1e-05, 1e-10, 0.03, False), (0.16651590809572495, 443255959316, 1188485128, 9.999890000099999e-06, 8.614910925303749e-06, "")),
+    ((1000000000000, 1e-05, 1e-10, 0.3, False), TOO_SHORT),
+    ((1000000000000000, 1e-05, 1e-10, 0.0, False), (0.44399353284419013, 444311148332489, 133296111955, 9.999890000099999e-06, 9.806716289788077e-06, "")),
+    ((1000000000000000, 1e-05, 1e-10, 0.03, False), (0.16782594627996175, 444317422570067, 127021874377, 9.999890000099999e-06, 9.45782829138911e-06, "")),
+    ((1000000000000000, 1e-05, 1e-10, 0.3, False), TOO_SHORT),
+    ((1000000000, 1e-05, 1e-10, 0.05, False), (0.02850640334887726, 416722896, 27721548, 9.999345239312096e-06, 5.644662726278413e-06, "")),
+    ((1000000000, 1e-05, 1e-10, 0.056, False), TOO_SHORT),
+    ((1000000000000000, 1e-05, 1e-10, 0.056, False), (0.0015946547731547256, 441903916787094, 2540527657350, 9.999890000099999e-06, 7.506927689716634e-06, "")),
+    ((1000000000000000, 1e-05, 1e-10, 0.0565, False), TOO_SHORT),
+    ((10000000, 1e-05, 1e-10, 0.045, False), (0.019191207970020607, 3391713, 1052731, 9.993354828955512e-06, 4.401209518259482e-06, "")),
+    ((10000000, 1e-05, 1e-10, 0.05, False), TOO_SHORT),
+    ((10000, 1e-12, 0.0, 0.01, False), TOO_SHORT),
+    ((1000000, 1e-12, 0.0, 0.02, False), (0.05934108121892507, 339171, 105273, 9.969528748689678e-13, 5.368562106782229e-13, "")),
+    ((100000000, 1e-12, 0.0, 0.04, False), (0.07132465953328423, 40993867, 3450577, 9.997811113113575e-13, 6.40572101103092e-13, "")),
+    ((10000000000, 1e-12, 0.0, 0.055, False), (0.004803054733831595, 4000140891, 444303553, 9.999445233764432e-13, 5.757935510425877e-13, "")),
+    ((10000000000000, 1e-12, 0.0, 0.001, False), (0.42670480400095395, 4439525552451, 4918891993, 9.999989999999998e-13, 9.61738001984386e-13, "")),
+    ((10000, 0.25, 0.1, 0.01, False), TOO_SHORT),
+    ((1000000, 0.25, 0.1, 0.02, False), (0.0939665455961398, 364164, 80280, 0.14980385696913248, 0.05116155525879693, "")),
+    ((100000000, 0.25, 0.1, 0.04, False), (0.07578518321670841, 41407535, 3036909, 0.1499835074580886, 0.06275154120795699, "")),
+    ((10000000000, 0.25, 0.1, 0.055, False), (0.005181352437484376, 4045167242, 399277202, 0.14999984999999996, 0.05086308071893566, "")),
+    ((10000000000000, 0.25, 0.1, 0.001, False), (0.4268199089233732, 4439907323330, 4537121114, 0.14999984999999996, 0.1382588599622202, "")),
+    ((100000, 1e-05, 1e-10, 0.01, True), (0.082140548649021, 70517, 29483, 9.947728059776973e-06, 4.302084028535828e-06, "")),
+    ((10000, 1e-05, 1e-10, 0.02, True), TOO_SHORT),
+    ((20, 0.25, 0.1, 0.0, True), TOO_SHORT),
+    ((1000000, 1e-12, 0.0, 0.05, True), TOO_SHORT),
+    ((100000000000, 1e-05, 1e-10, 0.3, True), TOO_SHORT),
+]
+
+
+def test_optimizer_results_are_pinned():
+    for (n_signals, epsilon, epsilon_ec, e_b, full), expected in PINNED_OPTIMA:
+        opt = optimize_rate(n_signals, epsilon, epsilon_ec, e_b, allow_full_budget=full)
+        assert opt == FiniteKeyOptimum(n_signals, e_b, *expected), (n_signals, epsilon, e_b)
+
+
+@pytest.mark.filterwarnings("error")
+def test_optimizer_security_parameter_domain():
+    # at the floors of epsilon - epsilon_EC no search point overflows or
+    # loses its penalty slack to rounding (a RuntimeWarning fails this test)
+    assert finite_key.epsilon_gap_floor(1e-5) == pytest.approx(1e-14, rel=1e-15)
+    assert finite_key.epsilon_gap_floor(1e-285) == 1e-290
+    for epsilon, epsilon_ec in ((1e-290, 0.0), (0.5, 0.5 - 1e-9), (1e-5, 1e-5 - 2e-14)):
+        assert optimize_rate(10**9, epsilon, epsilon_ec, 0.01).rate > 0.0
+    # below them the search does not run
+    for epsilon, epsilon_ec in ((5e-324, 0.0), (1e-320, 0.0), (1e-300, 0.0), (0.5, 0.5 - 2**-54)):
+        below = optimize_rate(10**9, epsilon, epsilon_ec, 0.01)
+        assert below.rate == 0.0
+        assert "epsilon - epsilon_EC must be at least" in below.diagnostic
+    # a failure probability of 1 or more, or a negative epsilon_EC, is no input
+    for epsilon, epsilon_ec in ((1.0, 0.0), (1.5, 0.0), (3.0, 0.0), (1e-5, -1e-10), (0.0, -1e-10)):
+        with pytest.raises(ConstraintError, match=r"epsilon must lie in \(0, 1\)"):
+            optimize_rate(10**9, epsilon, epsilon_ec, 0.01)
 
 
 def test_optimum_budget_roundtrip():

@@ -1,6 +1,7 @@
 """Single-photon yield, QBER, secure rate, and the distance sweep."""
 
 import math
+from typing import Callable
 
 import pytest
 
@@ -8,7 +9,6 @@ from dpsmdi.montecarlo import ChannelParams
 from dpsmdi.keyrate_asymptotic import (
     DPS_PHASE_AMPLIFICATION,
     binary_entropy,
-    cutoff_distance,
     distance_grid,
     distance_sweep,
     dps_reference_params,
@@ -17,6 +17,30 @@ from dpsmdi.keyrate_asymptotic import (
     secure_rate,
     yield_Y11,
 )
+
+
+def cutoff_distance(
+    rate_at: Callable[[float], float],
+    l_max: float = 500.0,
+    tol_km: float = 0.01,
+) -> float:
+    """Largest distance with positive rate, by bisection (criterion 7 uses it too).
+
+    rate_at maps a total distance in km to a clamped rate. Assumes the
+    rate is positive at 0 and eventually zero; returns nan otherwise.
+    """
+    lo, hi = 0.0, l_max
+    if rate_at(lo) <= 0.0:
+        return float("nan")
+    if rate_at(hi) > 0.0:
+        return float("inf")
+    while hi - lo > tol_km:
+        mid = 0.5 * (lo + hi)
+        if rate_at(mid) > 0.0:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
 
 
 def params(eta, p_dark=0.0, e_d=0.0):
