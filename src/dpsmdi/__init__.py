@@ -13,6 +13,8 @@ Layout:
 - :mod:`dpsmdi.keyrate_asymptotic` — single-photon yields, QBER, rates
 - :mod:`dpsmdi.keyrate_decoy` — weak-coherent gains, phase slicing, decoy rate
 - :mod:`dpsmdi.finite_key` — finite-block corrections and budget optimization
+- :mod:`dpsmdi.checks` — the self-checks shared by ``dpsmdi verify`` and the
+  acceptance tests
 - :mod:`dpsmdi.cli` — the ``dpsmdi`` command
 """
 

@@ -24,7 +24,7 @@ from .fock_optics import (
     TwoPartyFockState,
     beamsplitter_transform,
     encode_single_photon,
-    joint_input,
+    output_state,
 )
 from .protocol_sifting import Action, DetectionOutcome, extract_bits, sift
 
@@ -120,7 +120,7 @@ def build_tables() -> TableSet:
         distributions[CASE_NONE, 0] = 1.0
         alice_only = beamsplitter_transform(encode_single_photon(j_a1, j_a2, "a"))
         bob_only = beamsplitter_transform(encode_single_photon(j_b1, j_b2, "b"))
-        both = beamsplitter_transform(joint_input(setting))
+        both = output_state(setting)
         distributions[CASE_A_ONLY] = _mask_distribution(alice_only)
         distributions[CASE_B_ONLY] = _mask_distribution(bob_only)
         distributions[CASE_BOTH] = _mask_distribution(both)

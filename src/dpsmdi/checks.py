@@ -1,0 +1,201 @@
+"""The self-checks behind ``dpsmdi verify`` and the acceptance tests.
+
+Each check takes the draws or sizes it runs on and raises
+:class:`CheckFailure` naming the first disagreement it finds; callers
+choose the sizes, seeds and sigma bounds.  The reconciliation and Bell
+checks compare the package against the keep/discard rule as stated in
+``_rule``, not against the package's own announcement table.
+"""
+
+from __future__ import annotations
+
+import math
+from itertools import combinations
+from typing import Iterable, List, Optional, Tuple
+
+from .fock_optics import conclusive_output_state, discrete_settings
+from .keyrate_asymptotic import qber_asymptotic, yield_Y11
+from .keyrate_decoy import (
+    direct_gain_quadrature,
+    direct_qber_quadrature,
+    overall_gain,
+    overall_qber,
+)
+from .montecarlo import ChannelParams, run_trials
+from .noise_security import NoiseMatrix, bit_error_rate, error_gap, phase_error_rate
+from .protocol_sifting import (
+    Action,
+    BellLabel,
+    DetectionOutcome,
+    PhaseUsed,
+    Register,
+    SiftDecision,
+    extract_bits,
+    sift,
+    verify_entanglement_mapping,
+)
+
+
+class CheckFailure(AssertionError):
+    """A self-check found the package disagreeing with what it checks."""
+
+
+def _require(condition: bool, detail: str) -> None:
+    if not condition:
+        raise CheckFailure(detail)
+
+
+def _rule(
+    outcome: DetectionOutcome,
+) -> Tuple[SiftDecision, Optional[BellLabel], Optional[Register]]:
+    """The reconciliation rule for one announcement, with the Bell state
+    and register a kept one leaves: a bin-1 click paired with a bin-k
+    click (k = 2, 3) keeps a bit read from phase pair k - 1, flipped and
+    anticorrelated exactly when the detectors differ; a bins {2, 3} pair
+    is discarded; everything else is inconclusive."""
+    bins = sorted(time_bin for _detector, time_bin in outcome.clicks)
+    if bins == [2, 3]:
+        return SiftDecision(Action.DISCARD), None, None
+    if bins not in ([1, 2], [1, 3]):
+        return SiftDecision(Action.INCONCLUSIVE), None, None
+    crossed = len({detector for detector, _bin in outcome.clicks}) == 2
+    label = BellLabel.ANTICORRELATED if crossed else BellLabel.CORRELATED
+    if bins[1] == 2:
+        return SiftDecision(Action.KEEP, PhaseUsed.DELTA1, crossed), label, Register.A1B1
+    return SiftDecision(Action.KEEP, PhaseUsed.DELTA2, crossed), label, Register.A2B2
+
+
+def _outcomes() -> List[DetectionOutcome]:
+    """Every announcement of at most two clicks."""
+    clicks = [(detector, time_bin) for detector in "cd" for time_bin in (1, 2, 3)]
+    return [
+        DetectionOutcome(frozenset(chosen))
+        for count in range(3)
+        for chosen in combinations(clicks, count)
+    ]
+
+
+def reconciliation_table() -> None:
+    """``sift`` follows the rule on every announcement, and on each of the
+    16 settings' post-selected states a kept row carries 1/6 when its
+    phase difference matches its detector pairing (with agreeing noiseless
+    bits) and 0 otherwise, while the discarded rows carry 1/3."""
+    rules = {outcome: _rule(outcome)[0] for outcome in _outcomes()}
+    for outcome, expected in rules.items():
+        decision = sift(outcome)
+        _require(decision.action is expected.action, f"action mismatch at {outcome}")
+        _require(decision == expected, f"phase pair or flip mismatch at {outcome}")
+    for setting in discrete_settings():
+        support = {}
+        for pattern, amplitude in conclusive_output_state(setting).pruned().amplitudes.items():
+            outcome = DetectionOutcome.from_pattern(pattern)
+            support[outcome] = support.get(outcome, 0.0) + abs(amplitude) ** 2
+        for outcome, expected in rules.items():
+            if expected.action is not Action.KEEP:
+                continue
+            if expected.phase_used is PhaseUsed.DELTA1:
+                delta = setting.delta_phi1
+            else:
+                delta = setting.delta_phi2
+            probability = support.get(outcome, 0.0)
+            # support exactly when equal phases meet one detector, or
+            # opposite phases both detectors
+            if expected.bit_flip != (abs(delta) < 1e-9):
+                _require(
+                    abs(probability - 1.0 / 6.0) <= 1e-12,
+                    f"support {probability} at {outcome} under {setting}, expected 1/6",
+                )
+                bits = extract_bits(expected, setting)
+                _require(bits[0] == bits[1], f"noiseless bits disagree at {outcome} under {setting}")
+            else:
+                _require(
+                    abs(probability) <= 1e-12,
+                    f"support {probability} at {outcome} under {setting}, expected 0",
+                )
+        discarded = sum(
+            p for outcome, p in support.items() if sift(outcome).action is Action.DISCARD
+        )
+        _require(
+            abs(discarded - 1.0 / 3.0) <= 1e-12,
+            f"discarded mass {discarded} under {setting}, expected 1/3",
+        )
+
+
+def bell_state_mapping() -> None:
+    """Each announcement the rule keeps leaves, in the entanglement-based
+    picture, the Bell state the rule names on the register it names."""
+    for outcome in _outcomes():
+        decision, label, register = _rule(outcome)
+        if decision.action is not Action.KEEP:
+            continue
+        mapped = verify_entanglement_mapping(outcome)
+        _require(
+            (mapped.label, mapped.register) == (label, register),
+            f"Bell mapping mismatch at {outcome}: got {mapped}",
+        )
+
+
+def phase_error_bound(pairs: Iterable[Tuple[NoiseMatrix, NoiseMatrix]]) -> None:
+    """On every (noise_a, noise_b) pair the gap is non-negative, the phase
+    error stays at or below the bit error and their difference is the gap,
+    each to 1e-12; identity noise has gap 4/9."""
+    identity = NoiseMatrix.identity()
+    _require(
+        abs(error_gap(identity, identity) - 4.0 / 9.0) <= 1e-12,
+        "identity-noise gap is not 4/9",
+    )
+    for index, (noise_a, noise_b) in enumerate(pairs):
+        e_b = bit_error_rate(noise_a, noise_b)
+        e_p = phase_error_rate(noise_a, noise_b)
+        gap = error_gap(noise_a, noise_b)
+        _require(gap >= -1e-12, f"negative gap {gap} at draw {index}")
+        _require(e_p <= e_b + 1e-12, f"phase error exceeds bit error at draw {index}")
+        _require(abs((e_b - e_p) - gap) <= 1e-12, f"gap identity violated at draw {index}")
+
+
+def gain_vs_quadrature(points: Iterable[Tuple[float, float, ChannelParams]]) -> None:
+    """At every (mu_a, mu_b, params) point the closed-form gain and error
+    product agree with the direct quadrature to 1e-8 absolute."""
+    for mu_a, mu_b, params in points:
+        for what, closed_form, quadrature in (
+            ("gain", overall_gain, direct_gain_quadrature),
+            ("error product", overall_qber, direct_qber_quadrature),
+        ):
+            gap = abs(closed_form(mu_a, mu_b, params) - quadrature(mu_a, mu_b, params))
+            _require(
+                gap <= 1e-8,
+                f"{what} disagrees with quadrature by {gap:.3g} at mu {mu_a}, {mu_b}, {params}",
+            )
+
+
+def _near(estimate: float, expected: float, sigma: float, sigmas: float, what: str) -> None:
+    _require(
+        abs(estimate - expected) <= sigmas * sigma,
+        f"{what} {estimate:.6g} is more than {sigmas:g} sigma ({sigma:.3g}) from {expected:.6g}",
+    )
+
+
+def mc_vs_analytic(
+    params: ChannelParams, n_trials: int, seed: int, threads: int, sigmas: float
+) -> None:
+    """A Monte Carlo run lands within ``sigmas`` binomial standard
+    deviations of the closed forms: the yield of ``yield_Y11``, and the
+    error fraction among kept trials of the half-weight e_b (the verbatim
+    e_b less half its background term, the convention the simulation
+    realizes). When that fraction's deviation is 0, no error may occur."""
+    estimates = run_trials(params, n_trials, seed, threads=threads)
+    y11 = yield_Y11(params)
+    sigma_y = math.sqrt(y11 * (1.0 - y11) / n_trials)
+    _near(estimates.y11_hat, y11, sigma_y, sigmas, f"yield on {params}")
+    keeps = estimates.keep_count
+    _require(keeps > 0, f"no trial out of {n_trials} was kept")
+    e_b, background = qber_asymptotic(params)
+    e_half = e_b - 0.5 * background
+    sigma_e = math.sqrt(max(e_half * (1.0 - e_half), 0.0) / keeps)
+    if sigma_e == 0.0:
+        _require(
+            estimates.error_count == 0,
+            f"{estimates.error_count} errors on {params}, where the closed form allows none",
+        )
+    else:
+        _near(estimates.e_b_hat, e_half, sigma_e, sigmas, f"error fraction on {params}")

@@ -8,7 +8,9 @@ Subcommands:
     qber-slices   first-slice QBER against the slice count
     finite-key    optimized finite-block rates over a signal-count grid
     montecarlo    trial-level channel simulation tallies
-    verify        self-check suite; nonzero exit on any failure
+    verify        the self-checks of :mod:`dpsmdi.checks` at this command's
+                  draws and sizes (``VERIFY_CHECKS``); one pass/FAIL line
+                  each, nonzero exit on any failure
 
 Every command reads an optional INI config (see :mod:`dpsmdi.config`),
 applies flag overrides on top, and writes CSV to --out or stdout.  Output
@@ -21,47 +23,19 @@ from __future__ import annotations
 
 import argparse
 import sys
-from typing import Any, Callable, List, Optional, Sequence
+from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from . import checks
 from . import config as config_mod
 from . import svgplot
 from .config import MAX_TRIALS, ConfigError, RunConfig
 from .finite_key import finite_key_sweep, sweep_to_csv
-from .fock_optics import discrete_settings, conclusive_output_state
-from .keyrate_asymptotic import (
-    distance_grid,
-    distance_sweep,
-    qber_asymptotic,
-    yield_Y11,
-)
-from .keyrate_decoy import (
-    decoy_distance_sweep,
-    direct_gain_quadrature,
-    direct_qber_quadrature,
-    overall_gain,
-    overall_qber,
-    slice_qber_sweep,
-)
+from .keyrate_asymptotic import distance_grid, distance_sweep
+from .keyrate_decoy import decoy_distance_sweep, slice_qber_sweep
 from .montecarlo import ChannelParams, run_trials
-from .noise_security import (
-    NoiseMatrix,
-    bit_error_rate,
-    error_gap,
-    haar_random_physical,
-    phase_error_rate,
-)
-from .protocol_sifting import (
-    Action,
-    BellLabel,
-    DetectionOutcome,
-    Register,
-    conclusive_rows,
-    extract_bits,
-    sift,
-    verify_entanglement_mapping,
-)
+from .noise_security import NoiseMatrix, haar_random_physical
 
 
 def _write_output(text: str, out_path: str) -> None:
@@ -178,82 +152,16 @@ def cmd_montecarlo(cfg: RunConfig) -> str:
     return run_trials(params, cfg.n_trials, cfg.seed, threads=cfg.threads).to_csv()
 
 
-class _CheckFailure(AssertionError):
-    pass
-
-
-def _check(condition: bool, detail: str) -> None:
-    if not condition:
-        raise _CheckFailure(detail)
-
-
-def _verify_reconciliation() -> None:
-    rows = conclusive_rows()
-    for setting in discrete_settings():
-        state = conclusive_output_state(setting)
-        for outcome, expected in rows.items():
-            probability = 0.0
-            for pattern, amplitude in state.amplitudes.items():
-                if DetectionOutcome.from_pattern(pattern) == outcome:
-                    probability += abs(amplitude) ** 2
-            decision = sift(outcome)
-            _check(
-                decision.action == expected.action,
-                f"action mismatch at {outcome}",
-            )
-            if decision.action is Action.KEEP and probability > 1e-12:
-                bits = extract_bits(decision, setting)
-                _check(bits is not None, f"no bits extracted at {outcome}")
-                _check(
-                    bits[0] == bits[1],
-                    f"noiseless bits disagree at {outcome} under {setting}",
-                )
-
-
-def _verify_bell_mapping() -> None:
-    expectations = {
-        ("same", "F1"): (BellLabel.CORRELATED, Register.A1B1),
-        ("cross", "F1"): (BellLabel.ANTICORRELATED, Register.A1B1),
-        ("same", "F2"): (BellLabel.CORRELATED, Register.A2B2),
-        ("cross", "F2"): (BellLabel.ANTICORRELATED, Register.A2B2),
-    }
-    for outcome, expected in conclusive_rows().items():
-        if expected.action is not Action.KEEP:
-            continue
-        detectors = {detector for detector, _bin in outcome.clicks}
-        kind = "same" if len(detectors) == 1 else "cross"
-        bins = {time_bin for _detector, time_bin in outcome.clicks}
-        family = "F1" if bins == {1, 2} else "F2"
-        label, register = expectations[(kind, family)]
-        mapped = verify_entanglement_mapping(outcome)
-        _check(
-            mapped.label is label and mapped.register is register,
-            f"Bell mapping mismatch at {outcome}: got {mapped}",
-        )
-
-
-def _verify_phase_error_bound(seed: int, draws: int = 2000) -> None:
+def _haar_pairs(seed: int, draws: int = 2000) -> Iterator[Tuple[NoiseMatrix, NoiseMatrix]]:
+    """Haar-random physical noise pairs, every other pair damped."""
     rng = np.random.default_rng(seed)
     for index in range(draws):
         damping = None if index % 2 == 0 else rng.uniform(0.2, 1.0, size=3)
-        noise_a = haar_random_physical(rng, damping)
-        noise_b = haar_random_physical(rng, damping)
-        e_b = bit_error_rate(noise_a, noise_b)
-        e_p = phase_error_rate(noise_a, noise_b)
-        gap = error_gap(noise_a, noise_b)
-        _check(e_p <= e_b + 1e-12, f"phase error exceeds bit error at draw {index}")
-        _check(
-            abs((e_b - e_p) - gap) <= 1e-12,
-            f"gap identity violated at draw {index}",
-        )
-    identity = NoiseMatrix.identity()
-    _check(
-        abs(error_gap(identity, identity) - 4.0 / 9.0) <= 1e-12,
-        "identity-noise gap is not 4/9",
-    )
+        yield haar_random_physical(rng, damping), haar_random_physical(rng, damping)
 
 
-def _verify_gain(seed: int, draws: int = 10) -> None:
+def _gain_points(seed: int, draws: int = 10) -> Iterator[Tuple[float, float, ChannelParams]]:
+    """Random (mu_a, mu_b, channel) points without misalignment."""
     rng = np.random.default_rng(seed)
     for _ in range(draws):
         mu_a = float(rng.uniform(0.05, 1.0))
@@ -264,52 +172,37 @@ def _verify_gain(seed: int, draws: int = 10) -> None:
             p_dark=float(rng.uniform(0.0, 1e-4)),
             e_d=0.0,
         )
-        gain = overall_gain(mu_a, mu_b, params)
-        qber = overall_qber(mu_a, mu_b, params)
-        gain_ref = direct_gain_quadrature(mu_a, mu_b, params)
-        qber_ref = direct_qber_quadrature(mu_a, mu_b, params)
-        _check(abs(gain - gain_ref) <= 1e-8, "gain disagrees with quadrature")
-        _check(abs(qber - qber_ref) <= 1e-8, "error sum disagrees with quadrature")
+        yield mu_a, mu_b, params
 
 
-def _verify_montecarlo(seed: int, threads: int, n_trials: int) -> None:
-    params = ChannelParams(eta_a=0.1, eta_b=0.1, p_dark=3e-6, e_d=0.015)
-    estimates = run_trials(params, n_trials, seed, threads=threads)
-    y11 = yield_Y11(params)
-    sigma_y = (y11 * (1.0 - y11) / n_trials) ** 0.5
-    _check(
-        abs(estimates.y11_hat - y11) <= 4.0 * sigma_y,
-        f"yield off by {abs(estimates.y11_hat - y11) / sigma_y:.2f} sigma",
-    )
-    e_b, background = qber_asymptotic(params)
-    expected = e_b - 0.5 * background
-    keeps = estimates.keep_count
-    sigma_e = (expected * (1.0 - expected) / keeps) ** 0.5
-    _check(
-        abs(estimates.e_b_hat - expected) <= 4.0 * sigma_e,
-        f"error rate off by {abs(estimates.e_b_hat - expected) / sigma_e:.2f} sigma",
-    )
+_LOSSY = ChannelParams(eta_a=0.1, eta_b=0.1, p_dark=3e-6, e_d=0.015)
+
+# verify's checks in report order: name -> check of (config, Monte Carlo trials)
+VERIFY_CHECKS: Dict[str, Callable[[RunConfig, int], None]] = {
+    "reconciliation-table": lambda cfg, trials: checks.reconciliation_table(),
+    "bell-state-mapping": lambda cfg, trials: checks.bell_state_mapping(),
+    "phase-error-bound": lambda cfg, trials: checks.phase_error_bound(_haar_pairs(cfg.seed)),
+    "gain-vs-quadrature": lambda cfg, trials: checks.gain_vs_quadrature(_gain_points(cfg.seed)),
+    "mc-vs-analytic": lambda cfg, trials: checks.mc_vs_analytic(
+        _LOSSY, trials, cfg.seed, cfg.threads, sigmas=4.0
+    ),
+}
 
 
 def cmd_verify(cfg: RunConfig, mc_trials: int = 2_000_000) -> tuple[str, int]:
-    checks = [
-        ("reconciliation-table", lambda: _verify_reconciliation()),
-        ("bell-state-mapping", lambda: _verify_bell_mapping()),
-        ("phase-error-bound", lambda: _verify_phase_error_bound(cfg.seed)),
-        ("gain-vs-quadrature", lambda: _verify_gain(cfg.seed)),
-        ("mc-vs-analytic", lambda: _verify_montecarlo(cfg.seed, cfg.threads, mc_trials)),
-    ]
     lines = []
     failures = 0
-    for name, check in checks:
+    for name, check in VERIFY_CHECKS.items():
         try:
-            check()
+            check(cfg, mc_trials)
         except Exception as exc:
             failures += 1
             lines.append(f"{name:22s} FAIL  {exc}")
         else:
             lines.append(f"{name:22s} pass")
-    lines.append(f"{failures} of {len(checks)} checks failed" if failures else "all checks passed")
+    lines.append(
+        f"{failures} of {len(VERIFY_CHECKS)} checks failed" if failures else "all checks passed"
+    )
     return "\n".join(lines) + "\n", (1 if failures else 0)
 
 

@@ -16,7 +16,7 @@ from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .fock_optics import PhaseSetting, beamsplitter_transform, joint_input
+from .fock_optics import PhaseSetting, output_state
 
 Click = Tuple[str, int]
 
@@ -237,8 +237,7 @@ def verify_entanglement_mapping(outcome: DetectionOutcome) -> AncillaBellState:
         for j_a2 in (0, 1):
             for j_b1 in (0, 1):
                 for j_b2 in (0, 1):
-                    setting = PhaseSetting.from_bits(j_a1, j_a2, j_b1, j_b2)
-                    optical = beamsplitter_transform(joint_input(setting))
+                    optical = output_state(PhaseSetting.from_bits(j_a1, j_a2, j_b1, j_b2))
                     ancilla[j_a1, j_b1, j_a2, j_b2] = optical.amplitudes.get(pattern, 0j)
     matrix = ancilla.reshape(4, 4)  # rows: (A1,B1), columns: (A2,B2)
     if np.linalg.matrix_rank(matrix, tol=1e-9) != 1:

@@ -13,6 +13,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from dpsmdi import checks
 from dpsmdi.finite_key import (
     FiniteKeyBudget,
     SecurityParams,
@@ -20,7 +21,6 @@ from dpsmdi.finite_key import (
     optimize_rate,
 )
 from dpsmdi.fock_optics import (
-    conclusive_output_state,
     discrete_settings,
     joint_input,
     output_state,
@@ -29,37 +29,22 @@ from dpsmdi.fock_optics import (
 from dpsmdi.keyrate_asymptotic import (
     dps_reference_params,
     dps_reference_rate,
-    qber_asymptotic,
     secure_rate,
-    yield_Y11,
 )
 from dpsmdi.keyrate_decoy import (
     SliceConfig,
     decoy_key_rate,
-    direct_gain_quadrature,
-    direct_qber_quadrature,
     intrinsic_qber,
     overall_gain,
-    overall_qber,
     sliced_gain_qber,
 )
-from dpsmdi.montecarlo import ChannelParams, run_trials
-from dpsmdi.noise_security import (
-    NoiseMatrix,
-    bit_error_rate,
-    error_gap,
-    phase_error_rate,
-)
+from dpsmdi.montecarlo import ChannelParams
+from dpsmdi.noise_security import NoiseMatrix
 from dpsmdi.protocol_sifting import (
     Action,
-    BellLabel,
     DetectionOutcome,
-    PhaseUsed,
-    Register,
-    extract_bits,
     sift,
     sifted_key_fraction,
-    verify_entanglement_mapping,
 )
 
 from test_keyrate_asymptotic import cutoff_distance
@@ -70,79 +55,10 @@ N_GRID = (
 )
 
 
-def _outcome(*clicks):
-    return DetectionOutcome(frozenset(clicks))
-
-
-def _expected_table():
-    """The 12 announcement rows: action, phase pair, flip, Bell state."""
-    rows = {}
-    for pair, phase, register in (
-        (1, PhaseUsed.DELTA1, Register.A1B1),
-        (2, PhaseUsed.DELTA2, Register.A2B2),
-    ):
-        late = pair + 1
-        for det in ("c", "d"):
-            rows[_outcome((det, 1), (det, late))] = (
-                Action.KEEP, phase, False, BellLabel.CORRELATED, register
-            )
-        for first, second in ((("c", 1), ("d", late)), (("c", late), ("d", 1))):
-            rows[_outcome(first, second)] = (
-                Action.KEEP, phase, True, BellLabel.ANTICORRELATED, register
-            )
-    for first, second in (
-        (("c", 2), ("c", 3)),
-        (("d", 2), ("d", 3)),
-        (("c", 2), ("d", 3)),
-        (("c", 3), ("d", 2)),
-    ):
-        rows[_outcome(first, second)] = (Action.DISCARD, PhaseUsed.NONE, None, None, None)
-    return rows
-
-
 def test_criterion_1_reconciliation_table_all_settings():
     started = time.perf_counter()
-    table = _expected_table()
-    assert len(table) == 12
-
-    for setting in discrete_settings():
-        state = conclusive_output_state(setting).pruned()
-        support = {}
-        for pattern, amplitude in state.amplitudes.items():
-            outcome = DetectionOutcome.from_pattern(pattern)
-            support[outcome] = support.get(outcome, 0.0) + abs(amplitude) ** 2
-
-        for outcome, (action, phase, flip, bell, register) in table.items():
-            decision = sift(outcome)
-            assert decision.action == action, f"action mismatch at {outcome}"
-            assert decision.phase_used == phase
-            assert decision.bit_flip == flip
-            probability = support.get(outcome, 0.0)
-            if action is Action.KEEP:
-                # support exists exactly when the used phase difference
-                # matches the detector pairing, and then carries 1/6
-                delta = (
-                    setting.delta_phi1 if phase is PhaseUsed.DELTA1
-                    else setting.delta_phi2
-                )
-                same_detector = len({det for det, _ in outcome.clicks}) == 1
-                expected_support = same_detector == (abs(delta) < 1e-9)
-                if expected_support:
-                    assert probability == pytest.approx(1.0 / 6.0, abs=1e-12)
-                    bits = extract_bits(decision, setting)
-                    assert bits[0] == bits[1], f"bit mismatch at {outcome}"
-                else:
-                    assert probability == pytest.approx(0.0, abs=1e-12)
-                ancilla = verify_entanglement_mapping(outcome)
-                assert ancilla.label == bell
-                assert ancilla.register == register
-
-        discard_total = sum(
-            p for outcome, p in support.items()
-            if sift(outcome).action is Action.DISCARD
-        )
-        assert discard_total == pytest.approx(1.0 / 3.0, abs=1e-12)
-
+    checks.reconciliation_table()
+    checks.bell_state_mapping()
     assert time.perf_counter() - started < 1.0
 
 
@@ -162,72 +78,40 @@ def test_criterion_2_sifted_fraction_exact():
 
 def test_criterion_3_montecarlo_matches_closed_forms():
     started = time.perf_counter()
-    n_trials = 10_000_000
     combo_index = 0
     for eta in (1.0, 0.1, 0.01):
         for p_dark in (0.0, 3e-6):
             for e_d in (0.0, 0.015):
                 combo_index += 1
                 params = ChannelParams(eta_a=eta, eta_b=eta, p_dark=p_dark, e_d=e_d)
-                est = run_trials(params, n_trials, seed=7000 + combo_index)
-
-                y_true = yield_Y11(params)
-                sigma_y = math.sqrt(y_true * (1.0 - y_true) / n_trials)
-                assert abs(est.y11_hat - y_true) <= 3.0 * sigma_y, (
-                    f"yield off at eta={eta} p_dark={p_dark} e_d={e_d}"
+                checks.mc_vs_analytic(
+                    params, 10_000_000, seed=7000 + combo_index, threads=1, sigmas=3.0
                 )
-
-                e_verbatim, background = qber_asymptotic(params)
-                e_half = e_verbatim - 0.5 * background
-                assert est.keep_count > 0
-                e_hat = est.error_count / est.keep_count
-                sigma_e = math.sqrt(
-                    max(e_half * (1.0 - e_half), 0.0) / est.keep_count
-                )
-                if sigma_e == 0.0:
-                    assert est.error_count == 0
-                else:
-                    # the simulation realizes the half-weight convention;
-                    # the discrepancy to the verbatim bookkeeping is
-                    # exactly half the background term
-                    assert abs(e_hat - e_half) <= 3.0 * sigma_e, (
-                        f"qber off at eta={eta} p_dark={p_dark} e_d={e_d}"
-                    )
-                    assert abs((e_verbatim - e_hat) - 0.5 * background) <= 3.0 * sigma_e
     assert time.perf_counter() - started < 300.0
 
 
 def test_criterion_4_phase_error_never_exceeds_bit_error():
-    identity = NoiseMatrix.identity()
-    assert error_gap(identity, identity) == pytest.approx(4.0 / 9.0, abs=1e-12)
-
     rng = np.random.default_rng(20260823)
-    for _ in range(10**4):
-        noise_a = NoiseMatrix.from_floats(rng.uniform(-1.0, 1.0, size=18))
-        noise_b = NoiseMatrix.from_floats(rng.uniform(-1.0, 1.0, size=18))
-        e_b = bit_error_rate(noise_a, noise_b)
-        e_p = phase_error_rate(noise_a, noise_b)
-        gap = error_gap(noise_a, noise_b)
-        assert gap >= -1e-12
-        assert e_p <= e_b + 1e-12
-        assert abs((e_b - e_p) - gap) <= 1e-12
+    checks.phase_error_bound(
+        (
+            NoiseMatrix.from_floats(rng.uniform(-1.0, 1.0, size=18)),
+            NoiseMatrix.from_floats(rng.uniform(-1.0, 1.0, size=18)),
+        )
+        for _ in range(10**4)
+    )
 
 
 def test_criterion_5_closed_form_gain_qber_vs_quadrature():
     rng = np.random.default_rng(424242)
-    for _ in range(100):
-        mu_a, mu_b = rng.uniform(0.05, 1.0, size=2)
-        eta_a, eta_b = rng.uniform(1e-3, 0.5, size=2)
-        p_dark = rng.uniform(0.0, 1e-4)
-        params = ChannelParams(
-            eta_a=eta_a, eta_b=eta_b, p_dark=p_dark, e_d=0.015
-        )
-        assert overall_gain(mu_a, mu_b, params) == pytest.approx(
-            direct_gain_quadrature(mu_a, mu_b, params), abs=1e-8
-        )
-        assert overall_qber(mu_a, mu_b, params) == pytest.approx(
-            direct_qber_quadrature(mu_a, mu_b, params), abs=1e-8
-        )
+
+    def points():
+        for _ in range(100):
+            mu_a, mu_b = rng.uniform(0.05, 1.0, size=2)
+            eta_a, eta_b = rng.uniform(1e-3, 0.5, size=2)
+            p_dark = rng.uniform(0.0, 1e-4)
+            yield mu_a, mu_b, ChannelParams(eta_a=eta_a, eta_b=eta_b, p_dark=p_dark, e_d=0.015)
+
+    checks.gain_vs_quadrature(points())
 
     # one dead arm removes the interference term entirely
     dark_arm = ChannelParams(eta_a=0.0, eta_b=0.3, p_dark=1e-5, e_d=0.015)

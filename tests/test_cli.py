@@ -13,9 +13,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dpsmdi import cli, config
+from dpsmdi import cli, config, protocol_sifting
+from dpsmdi.checks import CheckFailure
 from dpsmdi.cli import build_parser, main
-from dpsmdi.montecarlo import run_trials
+from dpsmdi.montecarlo import build_tables, run_trials
 
 
 def run_cli(args, capsys):
@@ -564,10 +565,10 @@ def test_finite_key_just_outside_the_domain_exits_2(outside, svg):
 
 
 def test_verify_reports_a_failing_check(monkeypatch, capsys):
-    def broken():
-        raise cli._CheckFailure("injected mismatch")
+    def broken(cfg, trials):
+        raise CheckFailure("injected mismatch")
 
-    monkeypatch.setattr(cli, "_verify_reconciliation", broken)
+    monkeypatch.setitem(cli.VERIFY_CHECKS, "reconciliation-table", broken)
     code, stdout, _ = run_cli(
         ["verify", "--mc-trials", "200000", "--seed", "3"], capsys
     )
@@ -575,6 +576,29 @@ def test_verify_reports_a_failing_check(monkeypatch, capsys):
     lines = stdout.splitlines()
     assert lines[0].split() == ["reconciliation-table", "FAIL", "injected", "mismatch"]
     assert stdout.count(" pass\n") == 4
+    assert lines[-1] == "1 of 5 checks failed"
+
+
+def test_verify_catches_a_dropped_table_row(monkeypatch, capsys):
+    build_tables()  # the Monte Carlo tables stay built from the intact table
+    rows = [
+        row for row in protocol_sifting._CONCLUSIVE_ROWS
+        if row[0] != frozenset({("c", 3), ("d", 2)})
+    ]
+    monkeypatch.setattr(protocol_sifting, "_CONCLUSIVE_ROWS", rows)
+    monkeypatch.setattr(protocol_sifting, "_DECISION_TABLE", dict(rows))
+    code, stdout, _ = run_cli(["verify", "--mc-trials", "200000"], capsys)
+    assert code == 1
+    lines = stdout.splitlines()
+    assert lines[0] == "reconciliation-table   FAIL  action mismatch at (c,3)+(d,2)"
+    assert lines[-1] == "1 of 5 checks failed"
+
+
+def test_verify_reports_a_run_with_no_kept_trial(capsys):
+    code, stdout, _ = run_cli(["verify", "--mc-trials", "1", "--seed", "1"], capsys)
+    assert code == 1
+    lines = stdout.splitlines()
+    assert lines[4] == "mc-vs-analytic         FAIL  no trial out of 1 was kept"
     assert lines[-1] == "1 of 5 checks failed"
 
 

@@ -6,7 +6,7 @@ import os
 import numpy as np
 import pytest
 
-from dpsmdi import _mc_kernel, _rng, montecarlo
+from dpsmdi import _mc_kernel, _rng, checks, montecarlo
 from dpsmdi._mc_tables import (
     GUIDE_BITS,
     GUIDE_MISS,
@@ -130,15 +130,7 @@ def test_ideal_channel_statistics():
 
 
 def test_lossy_channel_matches_analytic_forms():
-    est = run_trials(LOSSY, 400_000, seed=31)
-    y11 = yield_Y11(LOSSY)
-    assert abs(est.y11_hat - y11) < 3.0 * math.sqrt(y11 * (1 - y11) / est.n_trials)
-    e_b, background = qber_asymptotic(LOSSY)
-    # random dark-count clicks err half the time, so the simulation sits
-    # half a background term below the all-darks-err closed form
-    expected = e_b - 0.5 * background
-    sigma = math.sqrt(expected * (1 - expected) / est.keep_count)
-    assert abs(est.e_b_hat - expected) < 3.0 * sigma
+    checks.mc_vs_analytic(LOSSY, 400_000, seed=31, threads=1, sigmas=3.0)
 
 
 def exact_keep_and_error(params):

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from dpsmdi.fock_optics import PhaseSetting, discrete_settings
+from dpsmdi.fock_optics import PhaseSetting
 from dpsmdi.protocol_sifting import (
     Action,
     BellLabel,
@@ -156,23 +156,3 @@ def test_entanglement_mapping_all_keep_rows():
 def test_entanglement_mapping_rejects_non_keep():
     with pytest.raises(ValueError):
         verify_entanglement_mapping(outcome(("c", 2), ("c", 3)))
-
-
-def test_zero_error_invariant_over_all_settings():
-    # whenever a Keep announcement is possible, both senders extract the
-    # same bit in the noiseless model
-    rows = conclusive_rows()
-    for setting in discrete_settings():
-        for keep_outcome, decision in rows.items():
-            if decision.action is not Action.KEEP:
-                continue
-            bits = extract_bits(decision, setting)
-            det = {d for d, _ in keep_outcome.clicks}
-            phase = (
-                setting.delta_phi1
-                if decision.phase_used is PhaseUsed.DELTA1
-                else setting.delta_phi2
-            )
-            compatible = (len(det) == 1) == (abs(phase) < 1e-9)
-            if compatible:
-                assert bits[0] == bits[1], (keep_outcome, setting)

@@ -1,5 +1,6 @@
-"""Source hygiene: the package is plain Python, and every import in the package
-and test modules is used (``__init__`` re-exports aside)."""
+"""Source hygiene: the package is plain Python, every import in the package
+and test modules is used (``__init__`` re-exports aside), and every private
+module-level name of the package is read somewhere in the package."""
 
 import ast
 from pathlib import Path
@@ -7,10 +8,9 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = sorted((ROOT / "src" / "dpsmdi").glob("*.py"))
 MODULES = sorted(
-    p
-    for p in [*(ROOT / "src" / "dpsmdi").glob("*.py"), *(ROOT / "tests").glob("*.py")]
-    if p.name != "__init__.py"
+    p for p in [*PACKAGE, *(ROOT / "tests").glob("*.py")] if p.name != "__init__.py"
 )
 
 
@@ -56,6 +56,34 @@ def test_no_unused_imports(path):
         if name not in used
     )
     assert not unused, f"{path.name}: unused imports {', '.join(unused)}"
+
+
+def test_private_names_are_read_in_the_package():
+    trees = {p.name: ast.parse(p.read_text(encoding="utf-8"), filename=str(p)) for p in PACKAGE}
+    read = set()  # names loaded, taken as attributes or imported by name
+    for node in (node for tree in trees.values() for node in ast.walk(tree)):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            read.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            read.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            read.update(alias.name for alias in node.names)
+    unread = []
+    for module, tree in trees.items():
+        for node in tree.body:  # module-level functions, classes and constants
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                targets = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                nodes = node.targets if isinstance(node, ast.Assign) else [node.target]
+                targets = [t.id for t in nodes if isinstance(t, ast.Name)]
+            else:
+                continue
+            unread += [
+                f"{module}: {name} (line {node.lineno})"
+                for name in targets
+                if name.startswith("_") and not name.startswith("__") and name not in read
+            ]
+    assert not unread, f"private names never read in the package: {', '.join(unread)}"
 
 
 def test_package_holds_only_python_sources():
