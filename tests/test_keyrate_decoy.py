@@ -19,6 +19,7 @@ from dpsmdi.keyrate_decoy import (
     decoy_distance_sweep,
     decoy_key_rate,
     direct_gain_quadrature,
+    direct_qber_quadrature,
     gain_Q11,
     intrinsic_qber,
     overall_gain,
@@ -92,6 +93,16 @@ def test_intermediates_shorthand_values():
 def test_overall_gain_matches_direct_quadrature():
     # the gain and the error product, each to 1e-8 absolute
     checks.gain_vs_quadrature([(0.5, 0.5, SHORT_LINK), (0.2, 0.7, MID_LINK)])
+
+
+def test_overall_error_product_matches_direct_quadrature():
+    for mu_a, mu_b, params in [
+        (0.5, 0.5, SHORT_LINK),
+        (0.2, 0.7, MID_LINK),
+    ]:
+        closed = overall_qber(mu_a, mu_b, params)
+        direct = direct_qber_quadrature(mu_a, mu_b, params)
+        assert closed == pytest.approx(direct, abs=1e-8)
 
 
 def test_direct_quadrature_reports_an_unreachable_tolerance():
