@@ -1,32 +1,34 @@
 """Precomputed lookup tables for the Monte Carlo kernels.
 
-Click patterns are packed into 6-bit masks (bits 0..2 the 'c' detector
-in bins 1..3, bits 3..5 the 'd' detector). For each of the 16 binary
-phase settings and each photon-arrival case the exact output-state
-distribution over masks is tabulated cumulatively, and the sifting
-decision is tabulated per mask and the senders' bit disagreement per
-setting and mask, so the hot loop only does table lookups. The same
-sifting tables give the keep weights the direct-quadrature oracle of
-keyrate_decoy sums its click-mask probabilities with.
+Click patterns are packed into the 6-bit masks of
+``DetectionOutcome.mask``. For each of the 16 binary phase settings and
+each photon-arrival case the exact output-state distribution over masks
+is tabulated cumulatively, and the sifting decision is tabulated per
+mask and the senders' bit disagreement per setting and mask, so the hot
+loop only does table lookups. The same build keeps each sender's
+single-photon output amplitude per setting and detector-bin; with the
+keep weights drawn from the sifting tables, these are all the
+direct-quadrature oracle of keyrate_decoy reads.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import product
-from typing import Dict, Tuple
+from typing import Tuple
 
 import numpy as np
 
 from .fock_optics import (
-    PhaseSetting,
+    SETTING_BITS,
+    Pattern,
     TwoPartyFockState,
     beamsplitter_transform,
+    discrete_settings,
     encode_single_photon,
     output_state,
 )
-from .protocol_sifting import Action, DetectionOutcome, extract_bits, sift
+from .protocol_sifting import Action, DetectionOutcome, conclusive_rows, extract_bits
 
 # Arrival cases, indexed 2*(a survived) + (b survived).
 CASE_NONE = 0
@@ -50,33 +52,26 @@ GUIDE_SHIFT = 53 - GUIDE_BITS
 GUIDE_MISS = 255
 
 
-def setting_bits(index: int) -> Tuple[int, int, int, int]:
-    """(j_a1, j_a2, j_b1, j_b2) for setting index 0..15, lexicographic."""
-    return (index >> 3) & 1, (index >> 2) & 1, (index >> 1) & 1, index & 1
-
-
-def mask_of_pattern(pattern: Tuple[int, ...]) -> int:
-    """Threshold-detector click mask of an occupation pattern."""
-    mask = 0
-    for bit, occupancy in enumerate(pattern):
-        if occupancy >= 1:
-            mask |= 1 << bit
-    return mask
-
-
-def clicks_of_mask(mask: int) -> frozenset:
-    clicks = set()
-    for bit in range(6):
-        if mask & (1 << bit):
-            detector = "c" if bit < 3 else "d"
-            clicks.add((detector, bit % 3 + 1))
-    return frozenset(clicks)
+@lru_cache(maxsize=None)
+def _click_mask(pattern: Pattern) -> int:
+    """Click mask of an occupation pattern; the tables meet 27 patterns
+    (one or two photons), each many times."""
+    return DetectionOutcome.from_pattern(pattern).mask
 
 
 def _mask_distribution(state: TwoPartyFockState) -> np.ndarray:
     out = np.zeros(64)
     for pattern, amp in state.amplitudes.items():
-        out[mask_of_pattern(pattern)] += abs(amp) ** 2
+        out[_click_mask(pattern)] += abs(amp) ** 2
+    return out
+
+
+def _bin_amplitudes(state: TwoPartyFockState) -> np.ndarray:
+    """(6,) amplitude of a one-photon output state in each detector-bin,
+    in mask-bit order."""
+    out = np.zeros(6, dtype=complex)
+    for pattern, amp in state.amplitudes.items():
+        out[_click_mask(pattern).bit_length() - 1] = amp
     return out
 
 
@@ -100,6 +95,10 @@ class TableSet:
     GUIDE_MISS exactly when they differ, that is when a cumulative
     threshold ceil(cum * 2**53) lies in (first, last] and the bucket holds
     a boundary.
+
+    bin_amplitudes[side, s, b] is the amplitude of the photon sender a
+    (side 0) or b (side 1) sends alone under setting s in detector-bin b,
+    mask bit b: the coherent-state field per unit sqrt(eta mu).
     """
 
     outcome_cum: np.ndarray  # (16, 4, 64) float64, last entry exactly 1
@@ -107,23 +106,25 @@ class TableSet:
     base_error: np.ndarray  # (16, 64) int8
     pattern_keys: np.ndarray  # (4096,) uint64, ascending
     pattern_guide: np.ndarray  # (64, 2**GUIDE_BITS) uint8
+    bin_amplitudes: np.ndarray  # (2, 16, 6) complex128, read-only
 
 
 @lru_cache(maxsize=1)
 def build_tables() -> TableSet:
+    settings = discrete_settings()
     outcome_cum = np.zeros((16, 4, 64))
-    for s in range(16):
-        j_a1, j_a2, j_b1, j_b2 = setting_bits(s)
-        setting = PhaseSetting.from_bits(j_a1, j_a2, j_b1, j_b2)
+    bin_amplitudes = np.zeros((2, 16, 6), dtype=complex)
+    for s, (j_a1, j_a2, j_b1, j_b2) in enumerate(SETTING_BITS):
+        alice_only = beamsplitter_transform(encode_single_photon(j_a1, j_a2, "a"))
+        bob_only = beamsplitter_transform(encode_single_photon(j_b1, j_b2, "b"))
+        bin_amplitudes[0, s] = _bin_amplitudes(alice_only)
+        bin_amplitudes[1, s] = _bin_amplitudes(bob_only)
 
         distributions = np.zeros((4, 64))
         distributions[CASE_NONE, 0] = 1.0
-        alice_only = beamsplitter_transform(encode_single_photon(j_a1, j_a2, "a"))
-        bob_only = beamsplitter_transform(encode_single_photon(j_b1, j_b2, "b"))
-        both = output_state(setting)
         distributions[CASE_A_ONLY] = _mask_distribution(alice_only)
         distributions[CASE_B_ONLY] = _mask_distribution(bob_only)
-        distributions[CASE_BOTH] = _mask_distribution(both)
+        distributions[CASE_BOTH] = _mask_distribution(output_state(settings[s]))
 
         cum = np.cumsum(distributions, axis=1)
         if np.any(np.abs(cum[:, -1] - 1.0) > 1e-9):
@@ -132,26 +133,20 @@ def build_tables() -> TableSet:
         # entry, and the low bits of each row's last packed key are 2**53
         cum[:, -1] = 1.0
         outcome_cum[s] = cum
+    bin_amplitudes.flags.writeable = False
 
+    # every mask outside the 12 conclusive rows, more than two clicks
+    # included, stays Inconclusive
     action = np.full(64, ACTION_INCONCLUSIVE, dtype=np.int8)
-    for mask in range(64):
-        clicks = clicks_of_mask(mask)
-        if len(clicks) > 2:
-            continue  # stays Inconclusive: outside the announcement table
-        decision = sift(DetectionOutcome(clicks))
-        if decision.action is Action.KEEP:
-            action[mask] = ACTION_KEEP
-        elif decision.action is Action.DISCARD:
-            action[mask] = ACTION_DISCARD
-
     base_error = np.zeros((16, 64), dtype=np.int8)
-    for s, mask in product(range(16), range(64)):
-        if action[mask] != ACTION_KEEP:
-            continue
-        decision = sift(DetectionOutcome(clicks_of_mask(mask)))
-        j_a1, j_a2, j_b1, j_b2 = setting_bits(s)
-        bits = extract_bits(decision, PhaseSetting.from_bits(j_a1, j_a2, j_b1, j_b2))
-        base_error[s, mask] = 1 if bits[0] != bits[1] else 0
+    for outcome, decision in conclusive_rows().items():
+        if decision.action is Action.DISCARD:
+            action[outcome.mask] = ACTION_DISCARD
+        elif decision.action is Action.KEEP:
+            action[outcome.mask] = ACTION_KEEP
+            for s, setting in enumerate(settings):
+                alice, bob = extract_bits(decision, setting)
+                base_error[s, outcome.mask] = alice != bob
 
     rows = np.arange(64, dtype=np.uint64).reshape(16, 4, 1) << np.uint64(KEY_SHIFT)
     pattern_keys = (rows | np.ceil(outcome_cum * 2.0**53).astype(np.uint64)).ravel()
@@ -165,7 +160,9 @@ def build_tables() -> TableSet:
         below_first == below_last, below_first - 64 * np.arange(64).reshape(64, 1), GUIDE_MISS
     ).astype(np.uint8)
 
-    return TableSet(outcome_cum, action, base_error, pattern_keys, pattern_guide)
+    return TableSet(
+        outcome_cum, action, base_error, pattern_keys, pattern_guide, bin_amplitudes
+    )
 
 
 @lru_cache(maxsize=1)
@@ -186,16 +183,3 @@ def keep_weights() -> Tuple[np.ndarray, np.ndarray]:
     masks.flags.writeable = False
     weights.flags.writeable = False
     return masks, weights
-
-
-def conclusive_mask_names() -> Dict[int, str]:
-    """mask -> compact outcome name (e.g. 'c1+c2') for the 12 table rows."""
-    names = {}
-    for mask in range(64):
-        clicks = clicks_of_mask(mask)
-        if len(clicks) != 2:
-            continue
-        if sift(DetectionOutcome(clicks)).action is Action.INCONCLUSIVE:
-            continue
-        names[mask] = "+".join(f"{d}{t}" for d, t in sorted(clicks))
-    return names

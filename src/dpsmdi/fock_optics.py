@@ -60,9 +60,14 @@ class PhaseSetting:
         return cls(j_a1 * math.pi, j_a2 * math.pi, j_b1 * math.pi, j_b2 * math.pi)
 
 
+# The 16 binary phase settings as (j_a1, j_a2, j_b1, j_b2), lexicographic:
+# setting index s is 8 j_a1 + 4 j_a2 + 2 j_b1 + j_b2.
+SETTING_BITS: Tuple[Tuple[int, int, int, int], ...] = tuple(itertools.product((0, 1), repeat=4))
+
+
 def discrete_settings() -> List[PhaseSetting]:
-    """All 16 binary phase settings, in (j_a1, j_a2, j_b1, j_b2) lexicographic order."""
-    return [PhaseSetting.from_bits(*bits) for bits in itertools.product((0, 1), repeat=4)]
+    """All 16 binary phase settings, in SETTING_BITS order."""
+    return [PhaseSetting.from_bits(*bits) for bits in SETTING_BITS]
 
 
 def _check_pattern(pattern: Pattern) -> None:

@@ -89,20 +89,26 @@ def qber_asymptotic(params: ChannelParams) -> Tuple[float, float]:
     return e_b, e_b_background
 
 
-def secure_rate(params: ChannelParams) -> AsymptoticReport:
-    """Asymptotic secure key rate with the phase error bounded by e_b.
+def half_weight_qber(e_b: float, e_b_background: float) -> float:
+    """The error fraction the entropy terms use, from qber_asymptotic's pair.
 
-    The entropy terms use the physical error fraction: dark-assisted
-    keeps produce a random bit, so they err half the time, which is
-    e_b minus half the background (the Monte Carlo agrees with this
-    value). Feeding the all-errors bookkeeping value straight into
-    h() would push e_b past 1/2 once darks dominate and, by the
-    symmetry of h, revive a spurious positive rate at long distance.
-    The value is capped at 1/2: past that no key is possible anyway.
+    Dark-assisted keeps produce a random bit, so they err half the
+    time, which is e_b minus half the background (the Monte Carlo
+    agrees with this value). Feeding the all-errors bookkeeping value
+    straight into h() would push e_b past 1/2 once darks dominate and,
+    by the symmetry of h, revive a spurious positive rate at long
+    distance. The value is capped at 1/2: past that no key is possible
+    anyway.
     """
+    return min(0.5, e_b - 0.5 * e_b_background)
+
+
+def secure_rate(params: ChannelParams) -> AsymptoticReport:
+    """Asymptotic secure key rate with the phase error bounded by e_b;
+    the entropy terms use half_weight_qber."""
     y11 = yield_Y11(params)
     e_b, e_b_background = qber_asymptotic(params)
-    e_rate = min(0.5, e_b - 0.5 * e_b_background)
+    e_rate = half_weight_qber(e_b, e_b_background)
     e_p = e_rate  # one-way bound from the noise analysis
     unclamped = y11 * (
         1.0 - params.f * binary_entropy(e_rate) - binary_entropy(e_p)

@@ -21,9 +21,13 @@ from typing import Iterator, List, Sequence, Tuple
 import numpy as np
 from scipy.integrate import dblquad
 
-from ._mc_tables import keep_weights, setting_bits
-from .fock_optics import PhaseSetting
-from .keyrate_asymptotic import binary_entropy, qber_asymptotic, yield_Y11
+from ._mc_tables import build_tables, keep_weights
+from .keyrate_asymptotic import (
+    binary_entropy,
+    half_weight_qber,
+    qber_asymptotic,
+    yield_Y11,
+)
 from .montecarlo import ChannelParams
 
 # A 64-point Gauss-Legendre rule on each half of a slice's triangular
@@ -190,12 +194,6 @@ def overall_qber(mu_a: float, mu_b: float, params: ChannelParams) -> float:
     return scale * error_sum
 
 
-def intrinsic_qber(mu_a: float, mu_b: float, params: ChannelParams) -> float:
-    """Error fraction among kept coincidences, phases fully random."""
-    [row] = _phase_sums(mu_a, mu_b, params, *_UNSLICED)
-    return _gain_qber(*row)[1]
-
-
 def sliced_gain_qber(
     mu_a: float, mu_b: float, params: ChannelParams, config: SliceConfig
 ) -> Tuple[float, float]:
@@ -250,9 +248,7 @@ def decoy_key_rate(
     where the sliced rate stays positive, which is the point of slicing.
     """
     q11 = gain_Q11(mu_a, mu_b, params)
-    e_b_single, background = qber_asymptotic(params)
-    # Same half-weight dark convention as secure_rate, same reason.
-    e_p = min(0.5, e_b_single - 0.5 * background)
+    e_p = half_weight_qber(*qber_asymptotic(params))
     vacuum = vacuum_term(mu_a, mu_b, params)
     entropy_credit = q11 * (1.0 - binary_entropy(e_p))
 
@@ -289,9 +285,12 @@ def decoy_key_rate(
 # ---------------------------------------------------------------------------
 # Slow validation oracles: the same gain/error products assembled from the
 # direct per-detector click probabilities and integrated numerically over
-# both phases, with no reduction to the phase difference. Which click
-# masks count, and whether the senders' bits then agree, comes from the
-# relay's sifting tables (_mc_tables.keep_weights), as in the Monte Carlo.
+# both phases, with no reduction to the phase difference. Everything the
+# relay contributes comes from the Monte Carlo's tables (_mc_tables): each
+# sender's field per detector-bin is sqrt(eta mu) times its single-photon
+# output amplitude there, the phase-randomised coherent-state model of Ma &
+# Razavi, PRA 86, 062319 (2012); which click masks count, and whether the
+# senders' bits then agree, comes from the sifting tables (keep_weights).
 # Kept in the package so the verify command can run the dual-route
 # comparison end to end.
 
@@ -301,26 +300,17 @@ def _bin_fields() -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Read-only (alice, bob, pick) for the kept-mask probabilities of
     every setting.
 
-    alice[s, b] and bob[s, b] are the phase factors each sender's field
-    carries into detector-bin b (mask bit b: c1..c3, then d1..d3) under
-    setting s, Bob's with the minus sign of the d output; pick[k, b]
-    indexes [no-click | click] probabilities, so that
-    probs[:, pick].prod(axis=2) is each setting's probability of exactly
-    the clicks of kept mask k.
+    alice[s, b] and bob[s, b] are each sender's single-photon output
+    amplitude in detector-bin b (mask bit b) under setting s, as the
+    Monte Carlo's tables hold them; pick[k, b] indexes [no-click | click]
+    probabilities, so that probs[:, pick].prod(axis=2) is each setting's
+    probability of exactly the clicks of kept mask k.
     """
     masks, _ = keep_weights()
-    alice = np.empty((16, 6), dtype=complex)
-    bob = np.empty((16, 6), dtype=complex)
-    for s in range(16):
-        setting = PhaseSetting.from_bits(*setting_bits(s))
-        bins_a = np.exp(1j * np.array([0.0, setting.phi_a1, setting.phi_a2]))
-        bins_b = np.exp(1j * np.array([0.0, setting.phi_b1, setting.phi_b2]))
-        alice[s] = np.concatenate((bins_a, bins_a))
-        bob[s] = np.concatenate((bins_b, -bins_b))
     bits = np.arange(6)
     pick = bits + 6 * ((masks[:, None] >> bits) & 1)
-    for table in (alice, bob, pick):
-        table.flags.writeable = False
+    pick.flags.writeable = False
+    alice, bob = build_tables().bin_amplitudes
     return alice, bob, pick
 
 
@@ -331,14 +321,14 @@ def _direct_quadrature(
     averaged probability of a kept mask whose bits agree (or, flipped,
     disagree).
 
-    Each detector-bin sees amplitude sqrt(eta mu / 6) from each sender
-    with that sender's bin phase plus overall phase; detector c sees the
-    sum, detector d the difference, and a threshold click happens unless
-    both the coherent component and the dark count stay silent.
+    Each detector-bin sees each sender's single-photon output amplitude
+    there times sqrt(eta mu) and that sender's overall phase; the two
+    fields add, and a threshold click happens unless both the coherent
+    component and the dark count stay silent.
     """
     alice, bob, pick = _bin_fields()
-    alice = math.sqrt(params.eta_a * mu_a / 6.0) * alice
-    bob = math.sqrt(params.eta_b * mu_b / 6.0) * bob
+    alice = math.sqrt(params.eta_a * mu_a) * alice
+    bob = math.sqrt(params.eta_b * mu_b) * bob
     silent = 1.0 - params.p_dark
     # Twice the average over the 16 settings: one agreeing setting per kept
     # mask, the convention overall_gain and overall_qber share. ROADMAP.md's

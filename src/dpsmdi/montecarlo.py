@@ -20,20 +20,13 @@ from typing import Dict, Iterator, Optional, Sequence, Tuple
 import numpy as np
 
 from . import _mc_kernel, _rng
-from ._mc_tables import (
-    ACTION_DISCARD,
-    ACTION_INCONCLUSIVE,
-    TableSet,
-    build_tables,
-    clicks_of_mask,
-    conclusive_mask_names,
-    setting_bits,
-)
-from .fock_optics import PhaseSetting
+from ._mc_tables import ACTION_DISCARD, ACTION_INCONCLUSIVE, TableSet, build_tables
+from .fock_optics import PhaseSetting, discrete_settings
 from .protocol_sifting import (
     Action,
     DetectionOutcome,
     SiftDecision,
+    conclusive_rows,
     extract_bits,
     sift,
 )
@@ -112,7 +105,7 @@ class TrialRecord:
     trial_index: int
     phase_setting: PhaseSetting
     loss_pattern: Tuple[bool, bool]  # (photon from a arrived, photon from b arrived)
-    dark_pattern: frozenset  # spurious (detector, bin) clicks
+    dark_mask: int  # spurious clicks, as a DetectionOutcome.mask
     outcome: Optional[DetectionOutcome]  # None when >2 clicks total
     decision: SiftDecision
     error: Optional[bool]  # defined for Keep decisions only
@@ -172,15 +165,16 @@ class EmpiricalEstimates:
     def outcome_frequencies(self) -> Dict[str, float]:
         """Relative frequency of each conclusive two-click outcome,
         plus the no-click, single-click and other groups."""
-        names = conclusive_mask_names()
         freqs = {}
-        for mask in sorted(names):
-            freqs[f"freq_{names[mask]}"] = int(self.mask_counts[mask]) / self.n_trials
+        conclusive = sorted(conclusive_rows(), key=lambda outcome: outcome.mask)
+        for outcome in conclusive:
+            name = "+".join(f"{d}{t}" for d, t in sorted(outcome.clicks))
+            freqs[f"freq_{name}"] = int(self.mask_counts[outcome.mask]) / self.n_trials
         singles = sum(
             int(self.mask_counts[m]) for m in range(64) if bin(m).count("1") == 1
         )
         others = self.n_trials - int(self.mask_counts[0]) - singles
-        others -= sum(int(self.mask_counts[m]) for m in sorted(names))
+        others -= sum(int(self.mask_counts[outcome.mask]) for outcome in conclusive)
         freqs["freq_no_click"] = int(self.mask_counts[0]) / self.n_trials
         freqs["freq_single_click"] = singles / self.n_trials
         freqs["freq_other"] = others / self.n_trials
@@ -295,6 +289,7 @@ def replay_trials(
     per-trial logging and for cross-checking the kernel.
     """
     tables = build_tables()
+    settings = discrete_settings()
     for i in range(start_trial, start_trial + n_trials):
         base = i * _rng.DRAWS_PER_TRIAL
         s = _rng.raw_draw(seed, base + _rng.DRAW_SETTING) >> 60
@@ -314,16 +309,15 @@ def replay_trials(
                 dark_mask |= 1 << j
         mask = signal_mask | dark_mask
 
-        clicks = clicks_of_mask(mask)
-        if len(clicks) <= 2:
-            outcome: Optional[DetectionOutcome] = DetectionOutcome(clicks)
+        if bin(mask).count("1") <= 2:
+            outcome: Optional[DetectionOutcome] = DetectionOutcome.from_mask(mask)
             decision = sift(outcome)
         else:
             # more than two clicks falls outside the announcement table
             outcome = None
             decision = SiftDecision(Action.INCONCLUSIVE)
 
-        setting = PhaseSetting.from_bits(*setting_bits(s))
+        setting = settings[s]
         error: Optional[bool] = None
         if decision.action is Action.KEEP:
             alice, bob = extract_bits(decision, setting)
@@ -335,7 +329,7 @@ def replay_trials(
             trial_index=i,
             phase_setting=setting,
             loss_pattern=(bool(survived_a), bool(survived_b)),
-            dark_pattern=clicks_of_mask(dark_mask),
+            dark_mask=dark_mask,
             outcome=outcome,
             decision=decision,
             error=error,

@@ -82,19 +82,11 @@ def _sum_of_squares_minus_difference(x: complex, y: complex) -> float:
     return abs(x) ** 2 + abs(y) ** 2 - abs(x - y) ** 2
 
 
-def bit_error_rate(noise_a: NoiseMatrix, noise_b: NoiseMatrix) -> float:
-    """Closed-form sifted-bit error probability for one time slot.
-
-    Four bracket products, one per kept coincidence class: each pairs
-    the overlap of the relevant bin amplitudes on side a with the
-    matching overlap on side b. Note the convention is unnormalized by
-    the coincidence success probability, so noiseless channels evaluate
-    to 1 rather than 0; downstream consumers only ever use differences
-    and bounds, which are unaffected.
-    """
-    a = noise_a.entries
-    b = noise_b.entries
-    brackets = (
+def _brackets(a: np.ndarray, b: np.ndarray) -> Tuple[float, float, float, float]:
+    """The four bracket products, one per kept coincidence class: each
+    pairs the overlap of the relevant bin amplitudes on side a with the
+    matching overlap on side b."""
+    return (
         _sum_of_squares_minus_difference(a[0, 1], a[0, 0])
         * _sum_of_squares_minus_difference(b[1, 1], b[1, 0]),
         _sum_of_squares_minus_difference(a[1, 0], a[1, 1])
@@ -104,7 +96,18 @@ def bit_error_rate(noise_a: NoiseMatrix, noise_b: NoiseMatrix) -> float:
         _sum_of_squares_minus_difference(a[2, 2], a[2, 0])
         * _sum_of_squares_minus_difference(b[0, 2], b[0, 0]),
     )
-    return 1.0 - _PREFACTOR * sum(brackets)
+
+
+def bit_error_rate(noise_a: NoiseMatrix, noise_b: NoiseMatrix) -> float:
+    """Closed-form sifted-bit error probability for one time slot: one
+    minus the prefactor times the four bracket products.
+
+    Note the convention is unnormalized by the coincidence success
+    probability, so noiseless channels evaluate to 1 rather than 0;
+    downstream consumers only ever use differences and bounds, which are
+    unaffected.
+    """
+    return 1.0 - _PREFACTOR * sum(_brackets(noise_a.entries, noise_b.entries))
 
 
 def _gap_groups(a: np.ndarray, b: np.ndarray) -> Tuple[float, float, float, float]:
@@ -141,23 +144,11 @@ def phase_error_rate(noise_a: NoiseMatrix, noise_b: NoiseMatrix) -> float:
     Same unnormalized convention as bit_error_rate. Computed from its
     own per-class accumulation (bracket plus twice the gap summand per
     class) rather than by calling the other two functions, so agreement
-    with bit_error_rate - error_gap is a genuine cross-check.
+    with bit_error_rate - error_gap compares two differently grouped sums.
     """
     a = noise_a.entries
     b = noise_b.entries
-    g1, g2, g3, g4 = _gap_groups(a, b)
     class_terms = (
-        _sum_of_squares_minus_difference(a[0, 1], a[0, 0])
-        * _sum_of_squares_minus_difference(b[1, 1], b[1, 0])
-        + 2.0 * g1,
-        _sum_of_squares_minus_difference(a[1, 0], a[1, 1])
-        * _sum_of_squares_minus_difference(b[0, 1], b[0, 0])
-        + 2.0 * g2,
-        _sum_of_squares_minus_difference(a[0, 2], a[0, 0])
-        * _sum_of_squares_minus_difference(b[2, 2], b[2, 0])
-        + 2.0 * g3,
-        _sum_of_squares_minus_difference(a[2, 2], a[2, 0])
-        * _sum_of_squares_minus_difference(b[0, 2], b[0, 0])
-        + 2.0 * g4,
+        bracket + 2.0 * gap for bracket, gap in zip(_brackets(a, b), _gap_groups(a, b))
     )
     return 1.0 - _PREFACTOR * sum(class_terms)

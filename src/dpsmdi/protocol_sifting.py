@@ -16,9 +16,13 @@ from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .fock_optics import PhaseSetting, output_state
+from .fock_optics import SETTING_BITS, PhaseSetting, discrete_settings, output_state
 
 Click = Tuple[str, int]
+
+# The relay's six detector-bins in output-mode order: entry i is mode i of
+# an occupation pattern and bit i of a click mask.
+_DETECTOR_BINS: Tuple[Click, ...] = tuple((d, t) for d in "cd" for t in (1, 2, 3))
 
 
 class Action(str, Enum):
@@ -74,6 +78,17 @@ class DetectionOutcome:
             return "(none)"
         return "+".join(f"({d},{t})" for d, t in sorted(self.clicks))
 
+    @property
+    def mask(self) -> int:
+        """Click mask: bits 0..2 the 'c' detector in bins 1..3, bits 3..5
+        the 'd' detector."""
+        return sum(1 << _DETECTOR_BINS.index(click) for click in self.clicks)
+
+    @classmethod
+    def from_mask(cls, mask: int) -> "DetectionOutcome":
+        """Clicks of a click mask (see ``mask``)."""
+        return cls(frozenset(c for i, c in enumerate(_DETECTOR_BINS) if mask >> i & 1))
+
     @classmethod
     def from_pattern(cls, pattern: Sequence[int]) -> "DetectionOutcome":
         """Clicks implied by a six-mode photon-number pattern.
@@ -81,12 +96,7 @@ class DetectionOutcome:
         Mode order matches the detector-side state: (c1, c2, c3, d1, d2, d3).
         Threshold detection: any positive occupancy is one click.
         """
-        clicks = set()
-        for index, occupancy in enumerate(pattern):
-            if occupancy > 0:
-                detector = "c" if index < 3 else "d"
-                clicks.add((detector, index % 3 + 1))
-        return cls(frozenset(clicks))
+        return cls(frozenset(c for c, n in zip(_DETECTOR_BINS, pattern) if n > 0))
 
 
 @dataclass(frozen=True)
@@ -158,8 +168,6 @@ def sift(outcome: DetectionOutcome) -> SiftDecision:
     """
     if not isinstance(outcome, DetectionOutcome):
         outcome = DetectionOutcome(frozenset(outcome))
-    if len(outcome.clicks) > 2:
-        raise ValueError("malformed announcement: more than 2 clicks")
     return _DECISION_TABLE.get(outcome.clicks, _INCONCLUSIVE)
 
 
@@ -200,18 +208,11 @@ def sifted_key_fraction() -> Fraction:
 
 
 def conclusive_rows() -> Dict[DetectionOutcome, SiftDecision]:
-    """All 12 two-click reconciliation rows, in table order."""
+    """All 12 two-click reconciliation rows, in table order: every
+    announcement ``sift`` does not call Inconclusive."""
     return {
         DetectionOutcome(clicks): decision for clicks, decision in _CONCLUSIVE_ROWS
     }
-
-
-def _outcome_pattern(outcome: DetectionOutcome) -> Tuple[int, ...]:
-    pattern = [0, 0, 0, 0, 0, 0]
-    for detector, time_bin in outcome.clicks:
-        side = 0 if detector == "c" else 3
-        pattern[side + time_bin - 1] += 1
-    return tuple(pattern)
 
 
 def verify_entanglement_mapping(outcome: DetectionOutcome) -> AncillaBellState:
@@ -228,17 +229,14 @@ def verify_entanglement_mapping(outcome: DetectionOutcome) -> AncillaBellState:
     decision = sift(outcome)
     if decision.action is not Action.KEEP:
         raise ValueError(f"entanglement mapping is defined for Keep outcomes, got {outcome}")
-    pattern = _outcome_pattern(outcome)
+    # one photon in each clicked detector-bin
+    pattern = tuple(int(click in outcome.clicks) for click in _DETECTOR_BINS)
 
     # ancilla[a1, b1, a2, b2] = optical amplitude of the click pattern
     # when the senders' phase bits equal the ancilla basis labels.
     ancilla = np.zeros((2, 2, 2, 2), dtype=complex)
-    for j_a1 in (0, 1):
-        for j_a2 in (0, 1):
-            for j_b1 in (0, 1):
-                for j_b2 in (0, 1):
-                    optical = output_state(PhaseSetting.from_bits(j_a1, j_a2, j_b1, j_b2))
-                    ancilla[j_a1, j_b1, j_a2, j_b2] = optical.amplitudes.get(pattern, 0j)
+    for (j_a1, j_a2, j_b1, j_b2), setting in zip(SETTING_BITS, discrete_settings()):
+        ancilla[j_a1, j_b1, j_a2, j_b2] = output_state(setting).amplitudes.get(pattern, 0j)
     matrix = ancilla.reshape(4, 4)  # rows: (A1,B1), columns: (A2,B2)
     if np.linalg.matrix_rank(matrix, tol=1e-9) != 1:
         raise AssertionError(f"projected ancilla state for {outcome} does not factorize")

@@ -34,7 +34,6 @@ from dpsmdi.keyrate_asymptotic import (
 from dpsmdi.keyrate_decoy import (
     SliceConfig,
     decoy_key_rate,
-    intrinsic_qber,
     overall_gain,
     sliced_gain_qber,
 )
@@ -123,7 +122,7 @@ def test_criterion_5_closed_form_gain_qber_vs_quadrature():
 
 def test_criterion_6_slice_qber_regime():
     params = ChannelParams.from_total_distance(0.0)
-    e_full = intrinsic_qber(0.5, 0.5, params)
+    _, e_full = sliced_gain_qber(0.5, 0.5, params, SliceConfig(1, 0))
     assert 0.30 <= e_full <= 0.38
 
     previous = None

@@ -21,7 +21,6 @@ from dpsmdi.keyrate_decoy import (
     direct_gain_quadrature,
     direct_qber_quadrature,
     gain_Q11,
-    intrinsic_qber,
     overall_gain,
     overall_qber,
     slice_qber_sweep,
@@ -33,6 +32,11 @@ from dpsmdi.montecarlo import ChannelParams
 SHORT_LINK = ChannelParams.from_total_distance(0.0)
 MID_LINK = ChannelParams(eta_a=0.02, eta_b=0.05, p_dark=1e-5, e_d=0.01)
 LOSSLESS = ChannelParams(eta_a=1.0, eta_b=1.0, p_dark=0.0, e_d=0.0)
+
+
+def unsliced_qber(mu_a, mu_b, params):
+    """Error fraction with fully random phases: slice 0 of 1."""
+    return sliced_gain_qber(mu_a, mu_b, params, SliceConfig(1, 0))[1]
 
 
 def reference_slice0(mu_a, mu_b, params, n_slices):
@@ -123,7 +127,7 @@ def test_zero_interference_closed_form():
     expected = 8.0 * y**4 * (1.0 - y) ** 2
     assert overall_gain(0.5, 0.5, dark_arm) == pytest.approx(expected, rel=1e-14)
     assert overall_qber(0.5, 0.5, dark_arm) == pytest.approx(expected, rel=1e-14)
-    assert intrinsic_qber(0.5, 0.5, dark_arm) == pytest.approx(1.0, rel=1e-12)
+    assert unsliced_qber(0.5, 0.5, dark_arm) == pytest.approx(1.0, rel=1e-12)
 
 
 def test_vacuum_term_is_poisson_weighted_one_arm_gain():
@@ -151,7 +155,8 @@ def test_slice_config_validation():
 def test_single_slice_recovers_unsliced_forms():
     gain, qber = sliced_gain_qber(0.5, 0.5, SHORT_LINK, SliceConfig(1, 0))
     assert gain == pytest.approx(overall_gain(0.5, 0.5, SHORT_LINK), abs=1e-10)
-    assert qber == pytest.approx(intrinsic_qber(0.5, 0.5, SHORT_LINK), abs=1e-9)
+    error_product = overall_qber(0.5, 0.5, SHORT_LINK)
+    assert qber == pytest.approx(error_product / overall_gain(0.5, 0.5, SHORT_LINK), abs=1e-9)
 
 
 def test_slices_partition_gain_and_error_product():
@@ -200,13 +205,13 @@ def test_lossless_channel_at_large_intensity(mu):
     want_gain, want_error, want_qber = reference_slice0(mu, mu, LOSSLESS, 1)
     assert rel_err(overall_gain(mu, mu, LOSSLESS), want_gain) <= 1e-9
     assert rel_err(overall_qber(mu, mu, LOSSLESS), want_error) <= 1e-9
-    assert rel_err(intrinsic_qber(mu, mu, LOSSLESS), want_qber) <= 1e-9
+    assert rel_err(unsliced_qber(mu, mu, LOSSLESS), want_qber) <= 1e-9
 
 
 def test_first_slice_qber_improves_with_finer_slicing():
     rows = slice_qber_sweep(0.5, 0.5, SHORT_LINK, 8)
     assert [n for n, _, _ in rows] == list(range(1, 9))
-    unsliced = intrinsic_qber(0.5, 0.5, SHORT_LINK)
+    unsliced = unsliced_qber(0.5, 0.5, SHORT_LINK)
     previous = None
     for _, e0, e_full in rows:
         assert e_full == unsliced
@@ -230,7 +235,7 @@ def test_decoy_rate_sign_split_at_short_distance():
 def test_qber_undefined_without_any_clicks():
     silent = ChannelParams(eta_a=0.5, eta_b=0.5, p_dark=0.0, e_d=0.0)
     with pytest.raises(ValueError):
-        intrinsic_qber(0.0, 0.0, silent)
+        unsliced_qber(0.0, 0.0, silent)
 
 
 def test_decoy_distance_sweep_shape():
@@ -249,7 +254,7 @@ def test_error_fractions_stay_at_most_one_where_dark_counts_dominate(capsys):
     n_slices = 16
     for l_km in range(1090, 1201, 5):
         params = ChannelParams.from_total_distance(float(l_km))
-        assert intrinsic_qber(0.5, 0.5, params) <= 1.0
+        assert unsliced_qber(0.5, 0.5, params) <= 1.0
         for m in range(n_slices):
             _, e_m = sliced_gain_qber(0.5, 0.5, params, SliceConfig(n_slices, m))
             assert e_m <= 1.0
@@ -283,7 +288,7 @@ def per_slice_report(mu_a, mu_b, params, n_slices):
         rate_unclamped=modified,
         increased_cost_rate=entropy_credit + vacuum - total_cost,
         q_mu=overall_gain(mu_a, mu_b, params),
-        e_mu=intrinsic_qber(mu_a, mu_b, params),
+        e_mu=unsliced_qber(mu_a, mu_b, params),
         q11=q11,
         e_p_bound=e_p,
         vacuum=vacuum,
@@ -312,7 +317,7 @@ def test_batched_decoy_rate_equals_per_slice_calls(n_slices, channel):
 @pytest.mark.parametrize("channel", list(EXACT_CHANNELS))
 def test_batched_slice_sweep_equals_per_slice_calls(channel):
     params = EXACT_CHANNELS[channel]
-    unsliced = intrinsic_qber(0.5, 0.5, params)
+    unsliced = unsliced_qber(0.5, 0.5, params)
     want = [
         (n, sliced_gain_qber(0.5, 0.5, params, SliceConfig(n, 0))[1], unsliced)
         for n in range(1, 301)

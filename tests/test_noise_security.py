@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dpsmdi import checks
 from dpsmdi.noise_security import (
     NoiseMatrix,
     bit_error_rate,
@@ -60,23 +61,11 @@ def test_haar_random_is_physical():
 @given(matrix_floats, matrix_floats)
 def test_phase_error_never_exceeds_bit_error(a_floats, b_floats):
     """The gap is a sum of products of squared magnitudes, hence >= 0,
-    for arbitrary complex matrices, physical or not."""
+    for arbitrary complex matrices, physical or not, and two independent
+    arithmetic paths give the same decomposition."""
     noise_a = NoiseMatrix.from_floats(a_floats)
     noise_b = NoiseMatrix.from_floats(b_floats)
-    gap = error_gap(noise_a, noise_b)
-    assert gap >= -1e-12
-    assert phase_error_rate(noise_a, noise_b) <= bit_error_rate(noise_a, noise_b) + 1e-12
-
-
-@settings(max_examples=300, deadline=None)
-@given(matrix_floats, matrix_floats)
-def test_gap_identity(a_floats, b_floats):
-    # two independent arithmetic paths compute the same decomposition
-    noise_a = NoiseMatrix.from_floats(a_floats)
-    noise_b = NoiseMatrix.from_floats(b_floats)
-    e_b = bit_error_rate(noise_a, noise_b)
-    e_p = phase_error_rate(noise_a, noise_b)
-    assert e_b - e_p == pytest.approx(error_gap(noise_a, noise_b), abs=1e-12)
+    checks.phase_error_bound([(noise_a, noise_b)])
 
 
 def test_gap_scales_with_fourth_power():

@@ -8,10 +8,8 @@ import pytest
 from dpsmdi.fock_optics import PhaseSetting
 from dpsmdi.protocol_sifting import (
     Action,
-    BellLabel,
     DetectionOutcome,
     PhaseUsed,
-    Register,
     SiftDecision,
     conclusive_rows,
     extract_bits,
@@ -123,34 +121,23 @@ def test_conclusive_rows_are_complete():
     assert all(a is Action.KEEP for a in actions[:8])
 
 
+def test_click_mask_layout():
+    # bits 0..2 the 'c' detector in bins 1..3, bits 3..5 the 'd' detector
+    assert outcome(("c", 1), ("d", 2)).mask == 0b010001
+    assert DetectionOutcome.from_mask(0b100100) == outcome(("c", 3), ("d", 3))
+    for mask in range(64):
+        if bin(mask).count("1") <= 2:
+            assert DetectionOutcome.from_mask(mask).mask == mask
+        else:
+            with pytest.raises(ValueError):
+                DetectionOutcome.from_mask(mask)
+
+
 def test_from_pattern_roundtrip():
     assert DetectionOutcome.from_pattern((1, 0, 0, 0, 1, 0)) == outcome(("c", 1), ("d", 2))
     assert DetectionOutcome.from_pattern((0, 0, 0, 0, 0, 0)) == outcome()
     # threshold detection collapses double occupancy to one click
     assert DetectionOutcome.from_pattern((2, 0, 0, 0, 0, 0)) == outcome(("c", 1))
-
-
-EXPECTED_BELL = {
-    outcome(("c", 1), ("c", 2)): (BellLabel.CORRELATED, Register.A1B1),
-    outcome(("d", 1), ("d", 2)): (BellLabel.CORRELATED, Register.A1B1),
-    outcome(("c", 1), ("c", 3)): (BellLabel.CORRELATED, Register.A2B2),
-    outcome(("d", 1), ("d", 3)): (BellLabel.CORRELATED, Register.A2B2),
-    outcome(("c", 1), ("d", 2)): (BellLabel.ANTICORRELATED, Register.A1B1),
-    outcome(("d", 1), ("c", 2)): (BellLabel.ANTICORRELATED, Register.A1B1),
-    outcome(("c", 1), ("d", 3)): (BellLabel.ANTICORRELATED, Register.A2B2),
-    outcome(("d", 1), ("c", 3)): (BellLabel.ANTICORRELATED, Register.A2B2),
-}
-
-
-def test_entanglement_mapping_all_keep_rows():
-    """The projected ancilla state factorizes with a fixed Bell pair on
-    the register named by the announcement's bin pair: same-detector
-    coincidences share the correlated pair, cross-detector ones the
-    anti-correlated pair."""
-    for keep_outcome, (label, register) in EXPECTED_BELL.items():
-        bell = verify_entanglement_mapping(keep_outcome)
-        assert bell.label is label, keep_outcome
-        assert bell.register is register, keep_outcome
 
 
 def test_entanglement_mapping_rejects_non_keep():

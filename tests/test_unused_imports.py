@@ -1,6 +1,7 @@
 """Source hygiene: the package is plain Python, every import in the package
-and test modules is used (``__init__`` re-exports aside), and every private
-module-level name of the package is read somewhere in the package."""
+and test modules is used (``__init__`` re-exports aside), every private
+module-level name of the package is read somewhere in the package, and so
+is every public function and class, bar a named few."""
 
 import ast
 from pathlib import Path
@@ -58,9 +59,17 @@ def test_no_unused_imports(path):
     assert not unused, f"{path.name}: unused imports {', '.join(unused)}"
 
 
-def test_private_names_are_read_in_the_package():
-    trees = {p.name: ast.parse(p.read_text(encoding="utf-8"), filename=str(p)) for p in PACKAGE}
-    read = set()  # names loaded, taken as attributes or imported by name
+def package_trees(include_init=True):
+    return {
+        p.name: ast.parse(p.read_text(encoding="utf-8"), filename=str(p))
+        for p in PACKAGE
+        if include_init or p.name != "__init__.py"
+    }
+
+
+def names_read(trees):
+    """Names loaded, taken as attributes or imported by name."""
+    read = set()
     for node in (node for tree in trees.values() for node in ast.walk(tree)):
         if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
             read.add(node.id)
@@ -68,22 +77,53 @@ def test_private_names_are_read_in_the_package():
             read.add(node.attr)
         elif isinstance(node, ast.ImportFrom):
             read.update(alias.name for alias in node.names)
-    unread = []
-    for module, tree in trees.items():
-        for node in tree.body:  # module-level functions, classes and constants
-            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-                targets = [node.name]
-            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
-                nodes = node.targets if isinstance(node, ast.Assign) else [node.target]
-                targets = [t.id for t in nodes if isinstance(t, ast.Name)]
-            else:
-                continue
-            unread += [
-                f"{module}: {name} (line {node.lineno})"
-                for name in targets
-                if name.startswith("_") and not name.startswith("__") and name not in read
-            ]
+    return read
+
+
+def module_level_names(tree, constants=True):
+    """(name, line) of each module-level function, class and, optionally,
+    constant."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            yield node.name, node.lineno
+        elif constants and isinstance(node, (ast.Assign, ast.AnnAssign)):
+            nodes = node.targets if isinstance(node, ast.Assign) else [node.target]
+            yield from ((t.id, node.lineno) for t in nodes if isinstance(t, ast.Name))
+
+
+def test_private_names_are_read_in_the_package():
+    trees = package_trees()
+    read = names_read(trees)
+    unread = [
+        f"{module}: {name} (line {line})"
+        for module, tree in trees.items()
+        for name, line in module_level_names(tree)
+        if name.startswith("_") and not name.startswith("__") and name not in read
+    ]
     assert not unread, f"private names never read in the package: {', '.join(unread)}"
+
+
+# Public functions and classes the package itself does not read, each kept
+# for a reader outside it.
+UNREAD_PUBLIC = {
+    # the per-trial oracle the tests and the benchmark check the kernel with
+    "replay_trials",
+    # read by the benchmark's backend gate; goes with that gate
+    "available_backends",
+}
+
+
+def test_public_names_are_read_in_the_package():
+    # the re-exports of __init__ do not count as reads
+    trees = package_trees(include_init=False)
+    read = names_read(trees) | UNREAD_PUBLIC
+    unread = [
+        f"{module}: {name} (line {line})"
+        for module, tree in trees.items()
+        for name, line in module_level_names(tree, constants=False)
+        if not name.startswith("_") and name not in read
+    ]
+    assert not unread, f"public names only read outside the package: {', '.join(unread)}"
 
 
 def test_package_holds_only_python_sources():
