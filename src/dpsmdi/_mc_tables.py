@@ -114,9 +114,17 @@ def build_tables() -> TableSet:
     settings = discrete_settings()
     outcome_cum = np.zeros((16, 4, 64))
     bin_amplitudes = np.zeros((2, 16, 6), dtype=complex)
+    # A photon sent alone depends only on its sender's two bits: four
+    # output states per sender, each shared by four settings.
+    alone = {
+        (port, j1, j2): beamsplitter_transform(encode_single_photon(j1, j2, port))
+        for port in "ab"
+        for j1 in (0, 1)
+        for j2 in (0, 1)
+    }
     for s, (j_a1, j_a2, j_b1, j_b2) in enumerate(SETTING_BITS):
-        alice_only = beamsplitter_transform(encode_single_photon(j_a1, j_a2, "a"))
-        bob_only = beamsplitter_transform(encode_single_photon(j_b1, j_b2, "b"))
+        alice_only = alone["a", j_a1, j_a2]
+        bob_only = alone["b", j_b1, j_b2]
         bin_amplitudes[0, s] = _bin_amplitudes(alice_only)
         bin_amplitudes[1, s] = _bin_amplitudes(bob_only)
 

@@ -34,7 +34,7 @@ from .config import MAX_TRIALS, ConfigError, RunConfig
 from .finite_key import finite_key_sweep, sweep_to_csv
 from .keyrate_asymptotic import distance_grid, distance_sweep
 from .keyrate_decoy import decoy_distance_sweep, slice_qber_sweep
-from .montecarlo import ChannelParams, run_trials
+from .montecarlo import E_D, P_DARK, ChannelParams, run_trials
 from .noise_security import NoiseMatrix, haar_random_physical
 
 
@@ -175,7 +175,7 @@ def _gain_points(seed: int, draws: int = 10) -> Iterator[Tuple[float, float, Cha
         yield mu_a, mu_b, params
 
 
-_LOSSY = ChannelParams(eta_a=0.1, eta_b=0.1, p_dark=3e-6, e_d=0.015)
+_LOSSY = ChannelParams(eta_a=0.1, eta_b=0.1, p_dark=P_DARK, e_d=E_D)
 
 # verify's checks in report order: name -> check of (config, Monte Carlo trials)
 VERIFY_CHECKS: Dict[str, Callable[[RunConfig, int], None]] = {

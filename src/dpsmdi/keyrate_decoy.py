@@ -127,10 +127,14 @@ def _phase_sums(
     covers a whole block (both signs of x cos d times rows times nodes,
     from the block's cached cosine table), and a block's rows are yielded
     once it is reduced, so memory stays bounded by one block whatever the
-    row count. Each row is reduced by its own 1-D dot with the weights,
-    so its sums are the same floats whichever rows share its block; a
-    one-row call is the same code. (A 2-D rows @ weights product would
-    sum in another order and move last digits.)
+    row count. Each layer of a block is reduced by one np.vecdot with the
+    weights, which runs the same 1-D inner product (DOUBLE_dot, BLAS ddot
+    on contiguous rows) on every row in turn: a row's sums are the floats
+    a dot of that row alone gives, whichever rows share its block, and a
+    one-row call is the same code. A 2-D rows @ weights product (BLAS
+    gemv) or einsum sums in another order, which can depend on the block's
+    shape, and moves last digits. The sums leave as Python floats, the
+    type every consumer's per-row arithmetic wants.
     """
     if mu_a < 0.0 or mu_b < 0.0:
         raise ValueError("intensities must be non-negative")
@@ -148,7 +152,7 @@ def _phase_sums(
         xc = x * _signed_cosines(block_n, block_m)
         u = log_y + xc
         np.expm1(u, out=u)
-        error = u[0] * u[1]
+        errors = np.vecdot(u[0] * u[1], _TRIANGLE_WEIGHTS).tolist()
         # Doubling is exact, so these are the floats 2 (x cos d - x) and
         # -2 (x cos d + x).
         xc *= 2.0
@@ -156,13 +160,9 @@ def _phase_sums(
         np.exp(xc, out=xc)
         np.square(u, out=u)
         xc *= u[::-1]  # e^(2x cos d - 2x) u-^2 and e^(-2x cos d - 2x) u+^2
-        gain = xc[0] + xc[1]
-        for n_k, gain_k, error_k in zip(block_n, gain, error):
-            yield (
-                common / n_k,
-                4.0 * float(_TRIANGLE_WEIGHTS.dot(gain_k)),
-                error_factor * float(_TRIANGLE_WEIGHTS.dot(error_k)),
-            )
+        gains = np.vecdot(xc[0] + xc[1], _TRIANGLE_WEIGHTS).tolist()
+        for n_k, gain_k, error_k in zip(block_n, gains, errors):
+            yield common / n_k, 4.0 * gain_k, error_factor * error_k
 
 
 def _gain_qber(scale: float, gain_sum: float, error_sum: float) -> Tuple[float, float]:
@@ -247,6 +247,7 @@ def decoy_key_rate(
     every slice against the full single-photon gain; it goes negative
     where the sliced rate stays positive, which is the point of slicing.
     """
+    f = params.f
     q11 = gain_Q11(mu_a, mu_b, params)
     e_p = half_weight_qber(*qber_asymptotic(params))
     vacuum = vacuum_term(mu_a, mu_b, params)
@@ -261,11 +262,11 @@ def decoy_key_rate(
         mu_a, mu_b, params, [1] + [n_slices] * (n_slices - 1), range(n_slices)
     )
     q_mu, e_mu = _gain_qber(*next(rows))
-    total_cost = q_slice0 * params.f * binary_entropy(e_slice0)
+    total_cost = q_slice0 * f * binary_entropy(e_slice0)
     modified = entropy_credit / n_slices + vacuum - total_cost
     for row in rows:
         q_m, e_m = _gain_qber(*row)
-        total_cost += q_m * params.f * binary_entropy(e_m)
+        total_cost += q_m * f * binary_entropy(e_m)
     increased = entropy_credit + vacuum - total_cost
 
     return DecoyRateReport(

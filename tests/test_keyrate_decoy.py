@@ -7,6 +7,8 @@ import warnings
 
 import mpmath
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import IntegrationWarning
 
 from dpsmdi import checks
@@ -323,6 +325,35 @@ def test_batched_slice_sweep_equals_per_slice_calls(channel):
         for n in range(1, 301)
     ]
     assert slice_qber_sweep(0.5, 0.5, params, 300) == want
+
+
+# Any channel, with enough dark counts that a zero intensity still clicks.
+CHANNELS = st.builds(
+    ChannelParams,
+    eta_a=st.floats(0.0, 1.0),
+    eta_b=st.floats(0.0, 1.0),
+    p_dark=st.floats(1e-12, 0.1),
+    e_d=st.floats(0.0, 0.5),
+    f=st.floats(1.0, 2.0),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    params=CHANNELS,
+    mu_a=st.floats(0.0, 100.0),
+    mu_b=st.floats(0.0, 100.0),
+    n_slices=st.integers(1, 300),
+)
+def test_batched_rows_equal_one_row_calls_on_any_channel(params, mu_a, mu_b, n_slices):
+    got = dataclasses.asdict(decoy_key_rate(mu_a, mu_b, params, n_slices))
+    want = dataclasses.asdict(per_slice_report(mu_a, mu_b, params, n_slices))
+    assert got == want
+    unsliced = unsliced_qber(mu_a, mu_b, params)
+    assert slice_qber_sweep(mu_a, mu_b, params, n_slices) == [
+        (n, sliced_gain_qber(mu_a, mu_b, params, SliceConfig(n, 0))[1], unsliced)
+        for n in range(1, n_slices + 1)
+    ]
 
 
 def test_decoy_rate_memory_is_bounded_by_a_block():
