@@ -56,7 +56,6 @@ from .montecarlo import (
 )
 from .keyrate_asymptotic import (
     binary_entropy,
-    distance_sweep,
     dps_reference_rate,
     qber_asymptotic,
     secure_rate,
@@ -102,7 +101,6 @@ __all__ = [
     "conclusive_rows",
     "decoy_key_rate",
     "discrete_settings",
-    "distance_sweep",
     "dps_reference_rate",
     "encode_single_photon",
     "error_gap",

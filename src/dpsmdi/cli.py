@@ -15,8 +15,12 @@ Subcommands:
 Every command reads an optional INI config (see :mod:`dpsmdi.config`),
 applies flag overrides on top, and writes CSV to --out or stdout.  Output
 is deterministic for a fixed (config, seed) pair.  Each config setting of
-the sections a command reads (``_COMMANDS``) is also one of its flags,
-spelled as :mod:`dpsmdi.config` says and parsed by the same parser.
+the sections a command reads (``_COMMANDS``: ``[run]`` for all, ``[plot]``
+for the four plotting commands, ``[verify]`` for verify) is also one of its
+flags, spelled as :mod:`dpsmdi.config` says and parsed by the same parser.
+Only --config and --echo-config lie outside the config, so an echoed
+config re-runs identically, the SVG plot included.  A path that cannot be
+written ends the run with one ``error:`` line and exit status 1.
 """
 
 from __future__ import annotations
@@ -30,20 +34,28 @@ import numpy as np
 from . import checks
 from . import config as config_mod
 from . import svgplot
-from .config import MAX_TRIALS, ConfigError, RunConfig
-from .finite_key import finite_key_sweep, sweep_to_csv
-from .keyrate_asymptotic import distance_grid, distance_sweep
-from .keyrate_decoy import decoy_distance_sweep, slice_qber_sweep
+from .config import ConfigError, RunConfig
+from .finite_key import optimize_rate
+from .keyrate_asymptotic import (
+    distance_grid,
+    dps_reference_params,
+    dps_reference_rate,
+    secure_rate,
+)
+from .keyrate_decoy import decoy_key_rate, slice_qber_sweep
 from .montecarlo import E_D, P_DARK, ChannelParams, run_trials
 from .noise_security import NoiseMatrix, haar_random_physical
 
+# a command's output text and exit status
+Output = Tuple[str, int]
 
-def _write_output(text: str, out_path: str) -> None:
-    if out_path:
-        with open(out_path, "w", encoding="utf-8", newline="") as handle:
+
+def _write(path: str, text: str) -> None:
+    try:
+        with open(path, "w", encoding="utf-8", newline="") as handle:
             handle.write(text)
-    else:
-        sys.stdout.write(text)
+    except OSError as exc:
+        raise RuntimeError(f"cannot write {path}: {exc.strerror or exc}") from exc
 
 
 def _csv(header: str, rows: Sequence[Sequence[Any]]) -> str:
@@ -59,17 +71,19 @@ def _csv(header: str, rows: Sequence[Sequence[Any]]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _maybe_svg(path: Optional[str], series: List[svgplot.Series], **kwargs: Any) -> None:
+def _maybe_svg(path: str, series: List[svgplot.Series], **kwargs: Any) -> None:
     if path:
-        with open(path, "w", encoding="utf-8") as handle:
-            handle.write(svgplot.line_plot(series, **kwargs))
+        _write(path, svgplot.line_plot(series, **kwargs))
 
 
-def cmd_asymptotic(cfg: RunConfig, svg: Optional[str] = None) -> str:
-    grid = distance_grid(cfg.L_min, cfg.L_max, cfg.L_step)
-    rows = distance_sweep(grid, **cfg.link())
+def cmd_asymptotic(cfg: RunConfig) -> Output:
+    rows = []
+    for l_km in distance_grid(cfg.L_min, cfg.L_max, cfg.L_step):
+        report = secure_rate(cfg.channel_params(l_km))
+        baseline = dps_reference_rate(dps_reference_params(l_km, **cfg.link()))
+        rows.append((l_km, report.Y11, report.e_b, report.R, baseline))
     _maybe_svg(
-        svg,
+        cfg.svg,
         [
             svgplot.Series("relay protocol", [r[0] for r in rows], [r[3] for r in rows]),
             svgplot.Series("one-way reference", [r[0] for r in rows], [r[4] for r in rows]),
@@ -79,30 +93,30 @@ def cmd_asymptotic(cfg: RunConfig, svg: Optional[str] = None) -> str:
         y_label="secret bits per signal",
         y_log=True,
     )
-    return _csv("L_km,Y11,e_b,R_mdi,R_dps_reference", rows)
+    return _csv("L_km,Y11,e_b,R_mdi,R_dps_reference", rows), 0
 
 
-def cmd_decoy(cfg: RunConfig, svg: Optional[str] = None) -> str:
-    grid = distance_grid(cfg.L_min, cfg.L_max, cfg.L_step)
-    rows = decoy_distance_sweep(
-        grid, mu_a=cfg.mu_a, mu_b=cfg.mu_b, n_slices=cfg.N_slices, **cfg.link()
-    )
+def cmd_decoy(cfg: RunConfig) -> Output:
+    rows = []
+    for l_km in distance_grid(cfg.L_min, cfg.L_max, cfg.L_step):
+        r = decoy_key_rate(cfg.mu_a, cfg.mu_b, cfg.channel_params(l_km), cfg.N_slices)
+        rows.append((l_km, r.q_mu, r.e_mu, r.q11, r.q_slice0, r.e_slice0, r.rate))
     _maybe_svg(
-        svg,
+        cfg.svg,
         [svgplot.Series("decoy rate", [r[0] for r in rows], [r[6] for r in rows])],
         title="Weak-coherent decoy key rate vs distance",
         x_label="total distance (km)",
         y_label="secret bits per signal",
         y_log=True,
     )
-    return _csv("L_km,Q_mu,E_mu,Q11,Qm0,Em0,R", rows)
+    return _csv("L_km,Q_mu,E_mu,Q11,Qm0,Em0,R", rows), 0
 
 
-def cmd_qber_slices(cfg: RunConfig, svg: Optional[str] = None) -> str:
+def cmd_qber_slices(cfg: RunConfig) -> Output:
     params = cfg.channel_params(cfg.slice_L_km)
     rows = slice_qber_sweep(cfg.mu_a, cfg.mu_b, params, cfg.N_slices)
     _maybe_svg(
-        svg,
+        cfg.svg,
         [
             svgplot.Series("first slice", [r[0] for r in rows], [r[1] for r in rows]),
             svgplot.Series("no slicing", [r[0] for r in rows], [r[2] for r in rows]),
@@ -112,44 +126,42 @@ def cmd_qber_slices(cfg: RunConfig, svg: Optional[str] = None) -> str:
         y_label="QBER",
         y_log=True,
     )
-    return _csv("N_slices,E_m0,E_full", rows)
+    return _csv("N_slices,E_m0,E_full", rows), 0
 
 
-def cmd_finite_key(
-    cfg: RunConfig, allow_full_budget: bool = False, svg: Optional[str] = None
-) -> str:
-    rows = finite_key_sweep(
-        cfg.N_grid,
-        cfg.e_b_list,
-        epsilon=cfg.epsilon,
-        epsilon_EC=cfg.epsilon_EC,
-        allow_full_budget=allow_full_budget,
-    )
-    if svg:
-        series = []
-        for e_b in cfg.e_b_list:
-            matching = [r for r in rows if r.e_b == e_b]
-            series.append(
-                svgplot.Series(
-                    f"e_b = {e_b:g}",
-                    [r.N_signals for r in matching],
-                    [r.rate for r in matching],
-                )
-            )
-        _maybe_svg(
-            svg,
-            series,
-            title="Finite-block key rate",
-            x_label="exchanged signals",
-            y_label="secret bits per signal",
-            x_log=True,
+def cmd_finite_key(cfg: RunConfig) -> Output:
+    # one row per (block, e_b), e_b varying fastest
+    rows = [
+        optimize_rate(
+            n, cfg.epsilon, cfg.epsilon_EC, e_b, allow_full_budget=cfg.allow_full_budget
         )
-    return sweep_to_csv(rows)
+        for n in cfg.N_grid
+        for e_b in cfg.e_b_list
+    ]
+    _maybe_svg(
+        cfg.svg,
+        [
+            svgplot.Series(
+                f"e_b = {e_b:g}",
+                list(cfg.N_grid),
+                [r.rate for r in rows[k :: len(cfg.e_b_list)]],
+            )
+            for k, e_b in enumerate(cfg.e_b_list)
+        ],
+        title="Finite-block key rate",
+        x_label="exchanged signals",
+        y_label="secret bits per signal",
+        x_log=True,
+    )
+    return _csv(
+        "N_signals,e_b,r,n_opt,m_opt,eps_bar,eps_bar_prime",
+        [(r.N_signals, r.e_b, r.rate, r.n, r.m, r.eps_bar, r.eps_bar_prime) for r in rows],
+    ), 0
 
 
-def cmd_montecarlo(cfg: RunConfig) -> str:
+def cmd_montecarlo(cfg: RunConfig) -> Output:
     params = cfg.channel_params(cfg.mc_L_km)
-    return run_trials(params, cfg.n_trials, cfg.seed, threads=cfg.threads).to_csv()
+    return run_trials(params, cfg.n_trials, cfg.seed, threads=cfg.threads).to_csv(), 0
 
 
 def _haar_pairs(seed: int, draws: int = 2000) -> Iterator[Tuple[NoiseMatrix, NoiseMatrix]]:
@@ -177,24 +189,24 @@ def _gain_points(seed: int, draws: int = 10) -> Iterator[Tuple[float, float, Cha
 
 _LOSSY = ChannelParams(eta_a=0.1, eta_b=0.1, p_dark=P_DARK, e_d=E_D)
 
-# verify's checks in report order: name -> check of (config, Monte Carlo trials)
-VERIFY_CHECKS: Dict[str, Callable[[RunConfig, int], None]] = {
-    "reconciliation-table": lambda cfg, trials: checks.reconciliation_table(),
-    "bell-state-mapping": lambda cfg, trials: checks.bell_state_mapping(),
-    "phase-error-bound": lambda cfg, trials: checks.phase_error_bound(_haar_pairs(cfg.seed)),
-    "gain-vs-quadrature": lambda cfg, trials: checks.gain_vs_quadrature(_gain_points(cfg.seed)),
-    "mc-vs-analytic": lambda cfg, trials: checks.mc_vs_analytic(
-        _LOSSY, trials, cfg.seed, cfg.threads, sigmas=4.0
+# verify's checks in report order: name -> check of the config
+VERIFY_CHECKS: Dict[str, Callable[[RunConfig], None]] = {
+    "reconciliation-table": lambda cfg: checks.reconciliation_table(),
+    "bell-state-mapping": lambda cfg: checks.bell_state_mapping(),
+    "phase-error-bound": lambda cfg: checks.phase_error_bound(_haar_pairs(cfg.seed)),
+    "gain-vs-quadrature": lambda cfg: checks.gain_vs_quadrature(_gain_points(cfg.seed)),
+    "mc-vs-analytic": lambda cfg: checks.mc_vs_analytic(
+        _LOSSY, cfg.mc_trials, cfg.seed, cfg.threads, sigmas=4.0
     ),
 }
 
 
-def cmd_verify(cfg: RunConfig, mc_trials: int = 2_000_000) -> tuple[str, int]:
+def cmd_verify(cfg: RunConfig) -> Output:
     lines = []
     failures = 0
     for name, check in VERIFY_CHECKS.items():
         try:
-            check(cfg, mc_trials)
+            check(cfg)
         except Exception as exc:
             failures += 1
             lines.append(f"{name:22s} FAIL  {exc}")
@@ -206,14 +218,24 @@ def cmd_verify(cfg: RunConfig, mc_trials: int = 2_000_000) -> tuple[str, int]:
     return "\n".join(lines) + "\n", (1 if failures else 0)
 
 
-# command -> (help, config sections taken as flags besides [run])
-_COMMANDS = {
-    "asymptotic": ("single-photon rate vs distance", ("channel", "sweep")),
-    "decoy": ("weak-coherent decoy rate vs distance", ("channel", "sweep", "decoy")),
-    "qber-slices": ("first-slice QBER vs slice count", ("channel", "decoy")),
-    "finite-key": ("optimized finite-block rates", ("finite_key",)),
-    "montecarlo": ("trial-level simulation tallies", ("channel", "montecarlo")),
-    "verify": ("run the self-check suite", ()),
+# command -> (help, config sections taken as flags besides [run], command)
+_COMMANDS: Dict[str, Tuple[str, Tuple[str, ...], Callable[[RunConfig], Output]]] = {
+    "asymptotic": (
+        "single-photon rate vs distance", ("channel", "sweep", "plot"), cmd_asymptotic
+    ),
+    "decoy": (
+        "weak-coherent decoy rate vs distance",
+        ("channel", "sweep", "decoy", "plot"),
+        cmd_decoy,
+    ),
+    "qber-slices": (
+        "first-slice QBER vs slice count", ("channel", "decoy", "plot"), cmd_qber_slices
+    ),
+    "finite-key": ("optimized finite-block rates", ("finite_key", "plot"), cmd_finite_key),
+    "montecarlo": (
+        "trial-level simulation tallies", ("channel", "montecarlo"), cmd_montecarlo
+    ),
+    "verify": ("run the self-check suite", ("verify",), cmd_verify),
 }
 # decoy sweeps the distance, so qber-slices' one distance is no flag there
 _NOT_FLAGS = {"decoy": ("slice_L_km",)}
@@ -233,15 +255,6 @@ def _flag_type(parse: Callable[[str], Any]) -> Callable[[str], Any]:
     return convert
 
 
-def _trial_count(text: str) -> int:
-    value = _flag_type(config_mod._parse_int)(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
-    if value > MAX_TRIALS:
-        raise argparse.ArgumentTypeError(f"must be at most {MAX_TRIALS:.0e}, got {value}")
-    return value
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="dpsmdi",
@@ -249,9 +262,8 @@ def build_parser() -> argparse.ArgumentParser:
         "protocol with an untrusted measurement relay.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    parsers = {}
-    for command, (help_text, sections) in _COMMANDS.items():
-        p = parsers[command] = sub.add_parser(command, help=help_text)
+    for command, (help_text, sections, _) in _COMMANDS.items():
+        p = sub.add_parser(command, help=help_text)
         p.add_argument("--config", metavar="PATH", help="INI config file")
         p.add_argument(
             "--echo-config",
@@ -263,70 +275,39 @@ def build_parser() -> argparse.ArgumentParser:
                 setting.name not in _NOT_FLAGS.get(command, ())
             ):
                 flag = "--" + setting.key.lower().replace("_", "-")
+                is_bool = setting.parse is config_mod._parse_bool
                 p.add_argument(
                     _FLAG_NAMES.get(setting.name, flag),
                     dest=setting.name,
                     type=_flag_type(setting.parse),
+                    nargs="?" if is_bool else None,  # a bool flag given bare means true
+                    const=True if is_bool else None,
                     help=f"[{setting.section}] {setting.key} of the INI config",
                 )
-    for command in ("asymptotic", "decoy", "qber-slices", "finite-key"):
-        parsers[command].add_argument("--svg", metavar="PATH", help="also render an SVG plot")
-    parsers["finite-key"].add_argument(
-        "--allow-full-budget", action="store_true",
-        help="lift the sample budget from (4/9)N to N",
-    )
-    parsers["verify"].add_argument(
-        "--mc-trials", type=_trial_count, default=2_000_000,
-        help="trial count for the mc-vs-analytic check",
-    )
     return parser
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         overrides = {s.name: getattr(args, s.name, None) for s in config_mod.SETTINGS}
         cfg = config_mod.load(args.config, overrides)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-
-    if args.echo_config:
         if args.echo_config == "-":
             sys.stdout.write(cfg.to_ini())
+        elif args.echo_config:
+            _write(args.echo_config, cfg.to_ini())
+        text, status = _COMMANDS[args.command][2](cfg)
+        if cfg.out:
+            _write(cfg.out, text)
         else:
-            with open(args.echo_config, "w", encoding="utf-8") as handle:
-                handle.write(cfg.to_ini())
-
-    try:
-        if args.command == "asymptotic":
-            text = cmd_asymptotic(cfg, svg=args.svg)
-        elif args.command == "decoy":
-            text = cmd_decoy(cfg, svg=args.svg)
-        elif args.command == "qber-slices":
-            text = cmd_qber_slices(cfg, svg=args.svg)
-        elif args.command == "finite-key":
-            text = cmd_finite_key(
-                cfg, allow_full_budget=args.allow_full_budget, svg=args.svg
-            )
-        elif args.command == "montecarlo":
-            text = cmd_montecarlo(cfg)
-        elif args.command == "verify":
-            text, status = cmd_verify(cfg, mc_trials=args.mc_trials)
-            _write_output(text, cfg.out)
-            return status
-        else:  # pragma: no cover - argparse enforces the choices
-            parser.error(f"unknown command {args.command!r}")
+            sys.stdout.write(text)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except (ValueError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-
-    _write_output(text, cfg.out)
-    return 0
+    return status
 
 
 if __name__ == "__main__":

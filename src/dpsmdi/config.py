@@ -5,8 +5,10 @@ A run is described by a flat INI file with one section per concern:
     [channel]     eta_det, p_dark, e_d, f, alpha_db_per_km
     [sweep]       L_min, L_max, L_step          (total distances, km)
     [decoy]       mu_a, mu_b, N_slices, L_km    (L_km feeds qber-slices)
-    [finite_key]  epsilon, epsilon_EC, e_b_list, N_grid
+    [finite_key]  epsilon, epsilon_EC, e_b_list, N_grid, allow_full_budget
     [montecarlo]  n_trials, L_km
+    [verify]      mc_trials                     (verify's Monte Carlo check)
+    [plot]        svg                           (SVG plot path; empty: none)
     [run]         seed, threads, out
 
 A ``RunConfig`` field is the one declaration of a setting: it names its
@@ -15,7 +17,8 @@ name), and its type picks the parser and renderer.  On the command line a
 setting is spelled ``--`` plus its key, lower-cased, with ``_`` turned into
 ``-`` (``N_grid`` is ``--n-grid``); the one exception is ``e_b_list``,
 spelled ``--e-b``.  A flag and an INI line go through the same parser, so
-``--n-trials 1e6`` and ``n_trials = 1e6`` mean the same.
+``--n-trials 1e6`` and ``n_trials = 1e6`` mean the same.  A bool flag given
+bare means true (``--allow-full-budget``).
 
 Unknown sections or keys are rejected by name.  ``to_ini`` emits the fully
 resolved state and ``from_ini_text(to_ini())`` reproduces it exactly, so an
@@ -38,8 +41,8 @@ from .montecarlo import ALPHA_DB_PER_KM, E_D, ETA_DET, F_EC, P_DARK, ChannelPara
 # Most points a distance sweep may have: far above the default 61, and a
 # bound on what a mistyped L_step can ask for.
 _MAX_SWEEP_POINTS = 100_001
-# Most slices: one decoy point costs about 18 us per slice, so 10**4 slices
-# take about 0.2 s a point and 11 s over the default sweep.
+# Most slices: one decoy point costs about 3.5-5 us per slice, so 10**4
+# slices take 35-50 ms a point and about 4 s over the default sweep.
 _MAX_SLICES = 10**4
 # Most Monte Carlo trials: about 7-15 minutes on one core at 11-24 Mtrials/s.
 MAX_TRIALS = 10**10
@@ -67,6 +70,14 @@ def _parse_int(text: str) -> int:
     if not math.isfinite(float(exact)):
         raise ConfigError(f"integer {text!r} lies beyond the float range")
     return int(exact)
+
+
+def _parse_bool(text: str) -> bool:
+    """true/yes/on/1 or false/no/off/0, in any case, as configparser reads them."""
+    try:
+        return configparser.ConfigParser.BOOLEAN_STATES[text.strip().lower()]
+    except KeyError:
+        raise ConfigError(f"expected true or false, got {text!r}") from None
 
 
 def _list_tokens(text: str) -> List[str]:
@@ -116,8 +127,11 @@ class RunConfig:
         10**5, 3 * 10**5, 10**6, 3 * 10**6, 10**7, 3 * 10**7,
         10**8, 3 * 10**8, 10**9, 10**10, 10**11, 10**12,
     ))
+    allow_full_budget: bool = _ini("finite_key", False)
     n_trials: int = _ini("montecarlo", 1_000_000)
     mc_L_km: float = _ini("montecarlo", 0.0, key="L_km")
+    mc_trials: int = _ini("verify", 2_000_000)
+    svg: str = _ini("plot", "")
     seed: int = _ini("run", 1)
     threads: int = _ini("run", 1)
     out: str = _ini("run", "")
@@ -178,8 +192,9 @@ class RunConfig:
         for value in self.N_grid:
             if not 1 <= value <= _MAX_BLOCK:
                 bad(f"N_grid values must lie in [1, {_MAX_BLOCK:.0e}], got {value}")
-        if not 1 <= self.n_trials <= MAX_TRIALS:
-            bad(f"n_trials must lie in [1, {MAX_TRIALS:.0e}], got {self.n_trials}")
+        for name in ("n_trials", "mc_trials"):
+            if not 1 <= getattr(self, name) <= MAX_TRIALS:
+                bad(f"{name} must lie in [1, {MAX_TRIALS:.0e}], got {getattr(self, name)}")
         if not self.mc_L_km >= 0.0:
             bad(f"[montecarlo] L_km must be non-negative, got {self.mc_L_km}")
         if not 0 <= self.seed < 2**64:
@@ -222,6 +237,7 @@ class Setting:
 _CODECS: Dict[Any, Tuple[Callable[[str], Any], Callable[[Any], str]]] = {
     float: (float, repr),
     int: (_parse_int, repr),
+    bool: (_parse_bool, lambda value: "true" if value else "false"),
     Tuple[float, ...]: (_parse_float_list, _render_list),
     Tuple[int, ...]: (_parse_int_list, _render_list),
     str: (str, str),

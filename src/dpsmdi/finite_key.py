@@ -45,7 +45,7 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -328,16 +328,16 @@ def optimize_rate(
     """
     if N_signals < 1:
         raise ConstraintError(f"N_signals must be at least 1, got {N_signals}")
+    if not (0.0 < epsilon < 1.0 and epsilon_EC >= 0.0):
+        raise ConstraintError(
+            "epsilon must lie in (0, 1) and epsilon_EC in [0, epsilon), "
+            f"got {epsilon} and {epsilon_EC}"
+        )
     gap = epsilon - epsilon_EC
     if not gap > 0.0:
         return FiniteKeyOptimum(
             N_signals, e_b, 0.0, 0, 0, 0.0, 0.0,
             diagnostic="infeasible: epsilon - epsilon_EC must be positive",
-        )
-    if not (0.0 < epsilon < 1.0 and epsilon_EC >= 0.0):
-        raise ConstraintError(
-            "epsilon must lie in (0, 1) and epsilon_EC in [0, epsilon), "
-            f"got {epsilon} and {epsilon_EC}"
         )
     gap_floor = epsilon_gap_floor(epsilon)
     if not gap >= gap_floor:
@@ -421,35 +421,3 @@ def optimize_rate(
             "(block too short for this error rate)",
         )
     return FiniteKeyOptimum(N_signals, e_b, rate, n, m, eps_bar, eps_bar_prime)
-
-
-def finite_key_sweep(
-    n_signals_values: Iterable[int],
-    e_b_values: Iterable[float],
-    epsilon: float,
-    epsilon_EC: float,
-    allow_full_budget: bool = False,
-) -> list[FiniteKeyOptimum]:
-    """Optimize every (N_signals, e_b) pair; row order follows input order.
-
-    Both inputs are read once, so one-shot iterables give every pair too.
-    """
-    e_b_values = [float(e_b) for e_b in e_b_values]
-    return [
-        optimize_rate(
-            int(n_sig), epsilon, epsilon_EC, e_b, allow_full_budget=allow_full_budget
-        )
-        for n_sig in n_signals_values
-        for e_b in e_b_values
-    ]
-
-
-def sweep_to_csv(rows: Iterable[FiniteKeyOptimum]) -> str:
-    """Render sweep results as deterministic CSV text."""
-    lines = ["N_signals,e_b,r,n_opt,m_opt,eps_bar,eps_bar_prime"]
-    for row in rows:
-        lines.append(
-            f"{row.N_signals},{row.e_b:.12g},{row.rate:.12g},"
-            f"{row.n},{row.m},{row.eps_bar:.12g},{row.eps_bar_prime:.12g}"
-        )
-    return "\n".join(lines) + "\n"

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Sequence, Tuple
+from typing import List, Tuple
 
 from .montecarlo import ALPHA_DB_PER_KM, E_D, ETA_DET, F_EC, P_DARK, ChannelParams
 
@@ -173,20 +173,3 @@ def distance_grid(l_min: float, l_max: float, l_step: float) -> List[float]:
         raise ValueError("L_max must be >= L_min")
     count = int(math.floor((l_max - l_min) / l_step + 1e-9)) + 1
     return [l_min + k * l_step for k in range(count)]
-
-
-def distance_sweep(
-    l_values: Sequence[float], **link: float
-) -> List[Tuple[float, float, float, float, float]]:
-    """(L_km, Y11, e_b, R, baseline R) rows over a total-distance grid.
-
-    ``link`` overrides the standard link's eta_det, p_dark, e_d,
-    alpha_db_per_km and f, for both the relay and the baseline.
-    """
-    rows = []
-    for l_km in l_values:
-        report = secure_rate(ChannelParams.from_total_distance(l_km, **link))
-        baseline = dps_reference_rate(dps_reference_params(l_km, **link))
-        rows.append((l_km, report.Y11, report.e_b, report.R, baseline))
-    return rows
-

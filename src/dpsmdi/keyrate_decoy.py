@@ -382,33 +382,3 @@ def slice_qber_sweep(
         for row in _phase_sums(mu_a, mu_b, params, counts, (0,) * n_max)
     ]
     return [(n, e0, fractions[0]) for n, e0 in zip(counts, fractions)]
-
-
-def decoy_distance_sweep(
-    l_values: Sequence[float],
-    mu_a: float,
-    mu_b: float,
-    n_slices: int,
-    **link: float,
-) -> List[Tuple[float, float, float, float, float, float, float]]:
-    """(L_km, Q_mu, E_mu, Q11, Qm0, Em0, R) rows over a distance grid.
-
-    ``link`` overrides the standard link's eta_det, p_dark, e_d,
-    alpha_db_per_km and f (see ChannelParams.from_total_distance).
-    """
-    rows = []
-    for l_km in l_values:
-        params = ChannelParams.from_total_distance(l_km, **link)
-        report = decoy_key_rate(mu_a, mu_b, params, n_slices)
-        rows.append(
-            (
-                l_km,
-                report.q_mu,
-                report.e_mu,
-                report.q11,
-                report.q_slice0,
-                report.e_slice0,
-                report.rate,
-            )
-        )
-    return rows

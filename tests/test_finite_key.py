@@ -8,15 +8,15 @@ import numpy as np
 import pytest
 
 from dpsmdi import finite_key
+from dpsmdi.cli import cmd_finite_key
+from dpsmdi.config import RunConfig
 from dpsmdi.finite_key import (
     ConstraintError,
     FiniteKeyBudget,
     FiniteKeyOptimum,
     SecurityParams,
-    finite_key_sweep,
     finite_rate,
     optimize_rate,
-    sweep_to_csv,
 )
 
 SEC = SecurityParams(epsilon=1e-5, epsilon_EC=1e-10, eps_bar=2.5e-6, eps_bar_prime=1.25e-7)
@@ -333,8 +333,12 @@ def test_optimizer_security_parameter_domain():
         below = optimize_rate(10**9, epsilon, epsilon_ec, 0.01)
         assert below.rate == 0.0
         assert "epsilon - epsilon_EC must be at least" in below.diagnostic
-    # a failure probability of 1 or more, or a negative epsilon_EC, is no input
-    for epsilon, epsilon_ec in ((1.0, 0.0), (1.5, 0.0), (3.0, 0.0), (1e-5, -1e-10), (0.0, -1e-10)):
+    # a failure probability of 1 or more, or a negative epsilon_EC, is no input,
+    # also where epsilon - epsilon_EC is not positive
+    for epsilon, epsilon_ec in (
+        (1.0, 0.0), (1.5, 0.0), (3.0, 0.0), (1e-5, -1e-10), (0.0, -1e-10),
+        (-1.0, -0.5), (5.0, 6.0),
+    ):
         with pytest.raises(ConstraintError, match=r"epsilon must lie in \(0, 1\)"):
             optimize_rate(10**9, epsilon, epsilon_ec, 0.01)
 
@@ -372,20 +376,16 @@ def test_array_rates_match_finite_rate_on_the_coarse_grid(N_signals, allow_full_
 
 def test_sweep_order():
     expected = [(10**6, 0.01), (10**6, 0.03), (10**7, 0.01), (10**7, 0.03)]
-    rows = finite_key_sweep([10**6, 10**7], [0.01, 0.03], 1e-5, 1e-10)
-    assert [(row.N_signals, row.e_b) for row in rows] == expected
-    # one-shot iterables give every pair too
-    rows = finite_key_sweep(
-        (n for n in (10**6, 10**7)), (e for e in (0.01, 0.03)), 1e-5, 1e-10
-    )
-    assert [(row.N_signals, row.e_b) for row in rows] == expected
+    text, _ = cmd_finite_key(RunConfig(N_grid=(10**6, 10**7), e_b_list=(0.01, 0.03)))
+    rows = [line.split(",") for line in text.splitlines()[1:]]
+    assert [(int(row[0]), float(row[1])) for row in rows] == expected
 
 
 def test_sweep_csv_round():
-    rows = finite_key_sweep([10**6], [0.01], 1e-5, 1e-10)
-    text = sweep_to_csv(rows)
+    cfg = RunConfig(N_grid=(10**6,), e_b_list=(0.01,))
+    text, _ = cmd_finite_key(cfg)
     lines = text.strip().split("\n")
     assert lines[0] == "N_signals,e_b,r,n_opt,m_opt,eps_bar,eps_bar_prime"
     assert len(lines) == 2
     assert lines[1].startswith("1000000,0.01,")
-    assert sweep_to_csv(rows) == text
+    assert cmd_finite_key(cfg)[0] == text

@@ -1,16 +1,17 @@
-"""Single-photon yield, QBER, secure rate, and the distance sweep."""
+"""Single-photon yield, QBER, secure rate, and the `asymptotic` distance sweep."""
 
 import math
 from typing import Callable
 
 import pytest
 
+from dpsmdi.cli import cmd_asymptotic
+from dpsmdi.config import RunConfig
 from dpsmdi.montecarlo import ChannelParams
 from dpsmdi.keyrate_asymptotic import (
     DPS_PHASE_AMPLIFICATION,
     binary_entropy,
     distance_grid,
-    distance_sweep,
     dps_reference_params,
     dps_reference_rate,
     qber_asymptotic,
@@ -127,7 +128,8 @@ def test_distance_grid_inclusive():
 
 
 def test_distance_sweep_rows_decreasing():
-    rows = distance_sweep([0.0, 50.0, 100.0])
+    text, _ = cmd_asymptotic(RunConfig(L_min=0.0, L_max=100.0, L_step=50.0))
+    rows = [[float(v) for v in line.split(",")] for line in text.splitlines()[1:]]
     assert [r[0] for r in rows] == [0.0, 50.0, 100.0]
     y11 = [r[1] for r in rows]
     assert y11[0] > y11[1] > y11[2]

@@ -12,13 +12,13 @@ from hypothesis import strategies as st
 from scipy.integrate import IntegrationWarning
 
 from dpsmdi import checks
-from dpsmdi.cli import main
+from dpsmdi.cli import cmd_decoy, main
+from dpsmdi.config import RunConfig
 from dpsmdi.keyrate_asymptotic import binary_entropy, qber_asymptotic, yield_Y11
 from dpsmdi.keyrate_decoy import (
     DecoyRateReport,
     QuadratureError,
     SliceConfig,
-    decoy_distance_sweep,
     decoy_key_rate,
     direct_gain_quadrature,
     direct_qber_quadrature,
@@ -241,7 +241,10 @@ def test_qber_undefined_without_any_clicks():
 
 
 def test_decoy_distance_sweep_shape():
-    rows = decoy_distance_sweep([0.0, 40.0, 80.0], mu_a=0.5, mu_b=0.5, n_slices=16)
+    text, _ = cmd_decoy(
+        RunConfig(L_min=0.0, L_max=80.0, L_step=40.0, mu_a=0.5, mu_b=0.5, N_slices=16)
+    )
+    rows = [[float(v) for v in line.split(",")] for line in text.splitlines()[1:]]
     assert len(rows) == 3
     assert [row[0] for row in rows] == [0.0, 40.0, 80.0]
     q_values = [row[1] for row in rows]
