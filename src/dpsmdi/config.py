@@ -41,8 +41,9 @@ from .montecarlo import ALPHA_DB_PER_KM, E_D, ETA_DET, F_EC, P_DARK, ChannelPara
 # Most points a distance sweep may have: far above the default 61, and a
 # bound on what a mistyped L_step can ask for.
 _MAX_SWEEP_POINTS = 100_001
-# Most slices: one decoy point costs about 3.5-5 us per slice, so 10**4
-# slices take 35-50 ms a point and about 4 s over the default sweep.
+# Most slices: a decoy point costs about 30 us at any N (two one-row phase
+# sums), so the cap bounds qber-slices, which evaluates one row per N:
+# about 30 ms and a 2.4 MB peak at 10**4.
 _MAX_SLICES = 10**4
 # Most Monte Carlo trials: about 7-15 minutes on one core at 11-24 Mtrials/s.
 MAX_TRIALS = 10**10

@@ -44,8 +44,8 @@ _TRIANGLE_WEIGHTS = 0.5 * np.concatenate(
 )
 # Rows of _phase_sums evaluated per array pass, and how many blocks keep
 # their cosine table (256 KB at most): memory stays bounded whatever the
-# row count, and a decoy sweep (one kept slice plus one batch per point)
-# reuses its tables at every distance.
+# row count, and a decoy sweep (two one-row tables per point: the kept
+# slice and the unsliced average) reuses its tables at every distance.
 _BLOCK_ROWS = 128
 _CACHED_BLOCKS = 4
 
@@ -123,21 +123,25 @@ def _phase_sums(
     error sum / gain sum, stays finite where the products underflow
     (mu above about 560 per sender on a lossless channel).
 
-    Rows are evaluated in blocks of up to _BLOCK_ROWS: each array pass
-    covers a whole block (both signs of x cos d times rows times nodes,
-    from the block's cached cosine table), and a block's rows are yielded
-    once it is reduced, so memory stays bounded by one block whatever the
-    row count. Each layer of a block is reduced by one np.vecdot with the
-    weights, which runs the same 1-D inner product (DOUBLE_dot, BLAS ddot
-    on contiguous rows) on every row in turn: a row's sums are the floats
-    a dot of that row alone gives, whichever rows share its block, and a
-    one-row call is the same code. A 2-D rows @ weights product (BLAS
-    gemv) or einsum sums in another order, which can depend on the block's
-    shape, and moves last digits. The sums leave as Python floats, the
-    type every consumer's per-row arithmetic wants.
+    Rows are evaluated in blocks of up to _BLOCK_ROWS (only
+    slice_qber_sweep asks for more than one row; a decoy point makes two
+    one-row calls): each array pass covers a whole block (both signs of
+    x cos d times rows times nodes, from the block's cached cosine table),
+    and a block's rows are yielded once it is reduced, so memory stays
+    bounded by one block whatever the row count. Each layer of a block is
+    reduced by one np.vecdot with the weights, which runs the same 1-D
+    inner product (DOUBLE_dot, BLAS ddot on contiguous rows) on every row
+    in turn: a row's sums are the floats a dot of that row alone gives,
+    whichever rows share its block, and a one-row call is the same code.
+    A 2-D rows @ weights product (BLAS gemv) or einsum sums in another
+    order, which can depend on the block's shape, and moves last digits.
+    The sums leave as Python floats, the type every consumer's per-row
+    arithmetic wants.
     """
-    if mu_a < 0.0 or mu_b < 0.0:
-        raise ValueError("intensities must be non-negative")
+    if not (0.0 <= mu_a < math.inf and 0.0 <= mu_b < math.inf):
+        raise ValueError(
+            f"intensities must be finite and non-negative, got {mu_a} and {mu_b}"
+        )
     # mu' = eta_a mu_a + eta_b mu_b arrives at the relay; x is the
     # interference strength and y a bin's probability of staying silent.
     mu_prime = params.eta_a * mu_a + params.eta_b * mu_b
@@ -225,7 +229,6 @@ class DecoyRateReport:
 
     rate: float  # clamped at zero
     rate_unclamped: float
-    increased_cost_rate: float  # unsliced-signal variant, unclamped
     q_mu: float
     e_mu: float
     q11: float
@@ -243,36 +246,28 @@ def decoy_key_rate(
     The kept signal is the single-photon part of the first slice (hence
     the 1/n_slices weight on the single-photon gain), credited with the
     Alice-vacuum term, and charged error correction only for that
-    slice. The increased-cost variant charges error correction for
-    every slice against the full single-photon gain; it goes negative
-    where the sliced rate stays positive, which is the point of slicing.
+    slice, so a point costs two one-row phase sums whatever n_slices is.
+    Acceptance criterion 9 (tests/test_acceptance.py) builds the
+    increased-cost rate, which charges every slice against the full
+    single-photon gain, from one sliced_gain_qber call per slice.
     """
-    f = params.f
     q11 = gain_Q11(mu_a, mu_b, params)
     e_p = half_weight_qber(*qber_asymptotic(params))
     vacuum = vacuum_term(mu_a, mu_b, params)
     entropy_credit = q11 * (1.0 - binary_entropy(e_p))
 
-    # Slice 0 is the kept slice. One batch holds the unsliced average
-    # (row 0: slice 0 of 1) and slices 1..n_slices-1.
+    # Slice 0 is the kept slice; the unsliced average gives q_mu and e_mu.
     q_slice0, e_slice0 = sliced_gain_qber(
         mu_a, mu_b, params, SliceConfig(n_slices, 0)
     )
-    rows = _phase_sums(
-        mu_a, mu_b, params, [1] + [n_slices] * (n_slices - 1), range(n_slices)
-    )
-    q_mu, e_mu = _gain_qber(*next(rows))
-    total_cost = q_slice0 * f * binary_entropy(e_slice0)
-    modified = entropy_credit / n_slices + vacuum - total_cost
-    for row in rows:
-        q_m, e_m = _gain_qber(*row)
-        total_cost += q_m * f * binary_entropy(e_m)
-    increased = entropy_credit + vacuum - total_cost
+    [unsliced] = _phase_sums(mu_a, mu_b, params, *_UNSLICED)
+    q_mu, e_mu = _gain_qber(*unsliced)
+    cost = q_slice0 * params.f * binary_entropy(e_slice0)
+    modified = entropy_credit / n_slices + vacuum - cost
 
     return DecoyRateReport(
         rate=max(0.0, modified),
         rate_unclamped=modified,
-        increased_cost_rate=increased,
         q_mu=q_mu,
         e_mu=e_mu,
         q11=q11,

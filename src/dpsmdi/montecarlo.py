@@ -71,8 +71,8 @@ class ChannelParams:
             raise ValueError("p_dark must lie in [0, 1)")
         if not 0.0 <= self.e_d <= 1.0:
             raise ValueError("e_d must lie in [0, 1]")
-        if self.f < 1.0:
-            raise ValueError("error-correction inefficiency f must be >= 1")
+        if not 1.0 <= self.f < math.inf:
+            raise ValueError("error-correction inefficiency f must be finite and >= 1")
 
     @staticmethod
     def side_transmissivity(

@@ -47,6 +47,7 @@ from dpsmdi.protocol_sifting import (
 )
 
 from test_keyrate_asymptotic import cutoff_distance
+from test_keyrate_decoy import increased_cost_rate
 
 N_GRID = (
     10**5, 3 * 10**5, 10**6, 3 * 10**6, 10**7, 3 * 10**7,
@@ -190,4 +191,5 @@ def test_criterion_9_slicing_rescues_the_rate():
     params = ChannelParams.from_total_distance(0.0)
     report = decoy_key_rate(0.5, 0.5, params, n_slices=16)
     assert report.rate_unclamped > 0.0
-    assert report.increased_cost_rate < 0.0
+    # charged for every slice, the same point loses its key
+    assert increased_cost_rate(0.5, 0.5, params, n_slices=16) < 0.0

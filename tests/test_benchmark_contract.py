@@ -1,0 +1,75 @@
+"""The benchmark under perfbench/ drives the package from outside: every
+name its worker and tracer read off a dpsmdi module, and every function
+the tracer wraps, must still resolve. Only perfbench's files are read."""
+
+import ast
+import importlib
+import pkgutil
+from pathlib import Path
+
+import dpsmdi
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+READERS = ("worker.py", "tracing.py")
+
+
+def package_bindings(tree):
+    """Local name -> the dotted dpsmdi path each import binds it to."""
+    bound = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                # import dpsmdi.x binds dpsmdi; import dpsmdi.x as y binds y
+                if alias.name.split(".")[0] == "dpsmdi":
+                    bound[alias.asname or "dpsmdi"] = alias.name if alias.asname else "dpsmdi"
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "dpsmdi":
+            for alias in node.names:
+                bound[alias.asname or alias.name] = f"{node.module}.{alias.name}"
+    return bound
+
+
+def names_read(tree):
+    """Every dotted dpsmdi path the module imports, reads as an attribute
+    chain off an imported name, or lists as a (module, "name") pair in
+    TRACED."""
+    bound = package_bindings(tree)
+    read = set(bound.values())
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute):
+            attrs = []
+            while isinstance(node, ast.Attribute):
+                attrs.append(node.attr)
+                node = node.value
+            if isinstance(node, ast.Name) and node.id in bound:
+                read.add(".".join([bound[node.id], *reversed(attrs)]))
+        elif isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "TRACED" for t in node.targets
+        ):
+            for pair in node.value.elts:
+                module, name = pair.elts
+                read.add(f"{bound[module.id]}.{name.value}")
+    return read
+
+
+def resolves(dotted):
+    obj = dpsmdi
+    for attr in dotted.split(".")[1:]:
+        if not hasattr(obj, attr):
+            return False
+        obj = getattr(obj, attr)
+    return True
+
+
+def test_every_name_the_benchmark_reads_resolves():
+    # import every submodule, so that each is an attribute of the package
+    for info in pkgutil.iter_modules(dpsmdi.__path__):
+        importlib.import_module(f"dpsmdi.{info.name}")
+    read = set()
+    for name in READERS:
+        path = PERFBENCH / name
+        read |= names_read(ast.parse(path.read_text(encoding="utf-8"), filename=str(path)))
+    # TRACED was parsed, and chains are followed past the module
+    assert "dpsmdi.keyrate_decoy.direct_qber_quadrature" in read
+    assert "dpsmdi.montecarlo.ChannelParams.from_total_distance" in read
+    missing = sorted(name for name in read if not resolves(name))
+    assert not missing, f"perfbench reads names the package lacks: {', '.join(missing)}"

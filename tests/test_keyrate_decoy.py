@@ -227,11 +227,26 @@ def test_decoy_rate_sign_split_at_short_distance():
     report = decoy_key_rate(0.5, 0.5, SHORT_LINK, n_slices=16)
     assert report.rate_unclamped > 0.0
     assert report.rate == report.rate_unclamped
-    assert report.increased_cost_rate < 0.0
+    assert increased_cost_rate(0.5, 0.5, SHORT_LINK, n_slices=16) < 0.0
     # the slice keeps far less than the full error rate
     assert 0.30 < report.e_mu < 0.38
     assert report.e_slice0 < 0.05
     assert report.q_slice0 < report.q_mu
+
+
+@pytest.mark.parametrize("mu", [math.nan, math.inf])
+def test_non_finite_intensities_are_rejected(mu):
+    # unchecked, nan gives a nan gain, and a decoy rate of 0 with e_mu = 1
+    calls = [
+        lambda a, b: overall_gain(a, b, SHORT_LINK),
+        lambda a, b: sliced_gain_qber(a, b, SHORT_LINK, SliceConfig(16, 0)),
+        lambda a, b: decoy_key_rate(a, b, SHORT_LINK, 16),
+        lambda a, b: slice_qber_sweep(a, b, SHORT_LINK, 16),
+    ]
+    for call in calls:
+        for mu_a, mu_b in ((mu, 0.5), (0.5, mu)):
+            with pytest.raises(ValueError, match="finite and non-negative"):
+                call(mu_a, mu_b)
 
 
 def test_qber_undefined_without_any_clicks():
@@ -268,30 +283,23 @@ def test_error_fractions_stay_at_most_one_where_dark_counts_dominate(capsys):
 
 
 def per_slice_report(mu_a, mu_b, params, n_slices):
-    """decoy_key_rate's report from one sliced_gain_qber call per slice and
-    the one-row unsliced averages, in the order of its formula."""
+    """decoy_key_rate's report from the public one-row calls (the kept
+    slice's sliced_gain_qber and the unsliced averages), in the order of
+    its formula."""
     q11 = gain_Q11(mu_a, mu_b, params)
     e_b_single, background = qber_asymptotic(params)
     e_p = min(0.5, e_b_single - 0.5 * background)
     vacuum = vacuum_term(mu_a, mu_b, params)
     entropy_credit = q11 * (1.0 - binary_entropy(e_p))
-    slices = [
-        sliced_gain_qber(mu_a, mu_b, params, SliceConfig(n_slices, m))
-        for m in range(n_slices)
-    ]
-    q_slice0, e_slice0 = slices[0]
+    q_slice0, e_slice0 = sliced_gain_qber(mu_a, mu_b, params, SliceConfig(n_slices, 0))
     modified = (
         entropy_credit / n_slices
         + vacuum
         - q_slice0 * params.f * binary_entropy(e_slice0)
     )
-    total_cost = 0.0
-    for q_m, e_m in slices:
-        total_cost += q_m * params.f * binary_entropy(e_m)
     return DecoyRateReport(
         rate=max(0.0, modified),
         rate_unclamped=modified,
-        increased_cost_rate=entropy_credit + vacuum - total_cost,
         q_mu=overall_gain(mu_a, mu_b, params),
         e_mu=unsliced_qber(mu_a, mu_b, params),
         q11=q11,
@@ -302,6 +310,20 @@ def per_slice_report(mu_a, mu_b, params, n_slices):
     )
 
 
+def increased_cost_rate(mu_a, mu_b, params, n_slices):
+    """The rate, unclamped, when error correction is charged for every
+    slice against the full single-photon gain (one sliced_gain_qber call
+    per slice); it goes negative where decoy_key_rate's sliced rate stays
+    positive, which is the point of slicing."""
+    report = decoy_key_rate(mu_a, mu_b, params, n_slices)
+    entropy_credit = report.q11 * (1.0 - binary_entropy(report.e_p_bound))
+    total_cost = 0.0
+    for m in range(n_slices):
+        q_m, e_m = sliced_gain_qber(mu_a, mu_b, params, SliceConfig(n_slices, m))
+        total_cost += q_m * params.f * binary_entropy(e_m)
+    return entropy_credit + report.vacuum - total_cost
+
+
 EXACT_CHANNELS = {
     "0km": ChannelParams.from_total_distance(0.0),
     "500km": ChannelParams.from_total_distance(500.0),
@@ -310,9 +332,9 @@ EXACT_CHANNELS = {
 
 
 @pytest.mark.parametrize("channel", list(EXACT_CHANNELS))
-@pytest.mark.parametrize("n_slices", [1, 2, 16, 300])
+@pytest.mark.parametrize("n_slices", [1, 2, 16, 300, 10_000])
 def test_batched_decoy_rate_equals_per_slice_calls(n_slices, channel):
-    # N = 1 leaves the batch only the unsliced row; N = 300 spans blocks.
+    # N = 1 makes the kept slice the unsliced row; 10^4 is the N_slices cap.
     params = EXACT_CHANNELS[channel]
     got = dataclasses.asdict(decoy_key_rate(0.5, 0.5, params, n_slices))
     want = dataclasses.asdict(per_slice_report(0.5, 0.5, params, n_slices))
@@ -359,11 +381,11 @@ def test_batched_rows_equal_one_row_calls_on_any_channel(params, mu_a, mu_b, n_s
     ]
 
 
-def test_decoy_rate_memory_is_bounded_by_a_block():
+def test_slice_sweep_memory_is_bounded_by_a_block():
     # one array pass over all 10^4 rows would hold about 10 MB per array
     tracemalloc.start()
     try:
-        decoy_key_rate(0.5, 0.5, SHORT_LINK, 10_000)
+        slice_qber_sweep(0.5, 0.5, SHORT_LINK, 10_000)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

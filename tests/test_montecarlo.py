@@ -36,8 +36,10 @@ def test_channel_params_validation():
         ChannelParams(eta_a=0.5, eta_b=0.5, p_dark=-0.1, e_d=0.0)
     with pytest.raises(ValueError):
         ChannelParams(eta_a=0.5, eta_b=0.5, p_dark=0.0, e_d=1.2)
-    with pytest.raises(ValueError):
-        ChannelParams(eta_a=0.5, eta_b=0.5, p_dark=0.0, e_d=0.0, f=0.9)
+    # from a nan f, secure_rate would report "no key" (R = 0) instead of failing
+    for f in (0.9, math.nan, math.inf):
+        with pytest.raises(ValueError, match="f must be finite and >= 1"):
+            ChannelParams(eta_a=0.5, eta_b=0.5, p_dark=0.0, e_d=0.0, f=f)
 
 
 def test_from_total_distance():
