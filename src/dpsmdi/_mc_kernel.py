@@ -15,6 +15,22 @@ threshold is 0 is never true and one whose threshold is 2**53 always is,
 so those draws are not computed: each draw is a pure function of
 (seed, counter), and skipping one moves no other.
 
+Dark counts. Each of the six detector-bins clicks dark with probability
+p independently. One draw at slot DRAW_DARK_BASE picks the first dark
+bin: the least j with k < T(c_j), c_j = 1 - (1 - p)**(j + 1) from
+`_rng.first_dark_cum`, found by a binary search of the six T(c_j); a
+draw with k >= T(c_5) means no dark click. Bin j is then first with
+probability c_j - c_(j-1) = (1 - p)**j p, as the first of six
+Bernoulli(p) bins to click is, and none is dark with probability
+(1 - p)**6. Given j, the bins after it are still independent
+Bernoulli(p), so each bin b > j keeps its own draw at slot
+DRAW_DARK_BASE + b. The mask's law thus stays the product of six
+Bernoulli(p), up to the 2**-53 rounding every threshold has, while a
+trial with no dark click, all but about 1.8e-5 of them at p = 3e-6,
+costs one draw and one compare with T(c_5) where six draws did before.
+Where c_5 rounds to 1 (T(c_5) = 2**53) every trial has a dark click;
+that compare is skipped, but the draw is still needed to pick j.
+
 Pattern draw. The replay scans a cumulative row for the first entry above
 the draw; its index is the number of entries at or below the draw, which
 is the number of `TableSet.pattern_keys` at or below row << KEY_SHIFT | k,
@@ -38,6 +54,7 @@ from ._mc_tables import ACTION_KEEP, GUIDE_BITS, GUIDE_MISS, KEY_SHIFT, TableSet
 
 _CHUNK = 1 << 15  # trials per pass; 256 kB arrays stay in cache
 _TOP = 2**53  # threshold of a test that always passes
+_ONE = np.uint8(1)
 _TWO = np.uint64(2)
 _SIX = np.uint64(6)
 _U11 = np.uint64(11)
@@ -63,7 +80,12 @@ def run_kernel(
     tables: TableSet,
 ) -> Tuple[np.ndarray, int, int]:
     """Tally (mask_counts, keeps, errors) for one contiguous trial range."""
-    t_eta_a, t_eta_b, t_dark, t_misalign = map(threshold, (eta_a, eta_b, p_dark, e_d))
+    t_eta_a, t_eta_b, t_misalign = map(threshold, (eta_a, eta_b, e_d))
+    # T(c_j) of the first dark bin, and T(p_dark) of each later bin, which
+    # stays below 2**53 for p_dark < 1, so the shift cannot overflow
+    t_first_dark = np.array([threshold(c) for c in _rng.first_dark_cum(p_dark)], np.uint64)
+    t_any_dark = int(t_first_dark[-1])
+    t_dark_raw = np.uint64(threshold(p_dark) << 11)
     keys = tables.pattern_keys
     guide = tables.pattern_guide.ravel()
     is_keep = tables.action == ACTION_KEEP
@@ -109,10 +131,19 @@ def run_kernel(
             count = np.searchsorted(keys, query, side="right")
             mask[miss] = count - (missed_row << _SIX).view(np.int64)
 
-        if t_dark:
-            for j in range(6):
-                dark = below(z, _rng.DRAW_DARK_BASE + j, t_dark)
-                mask |= np.uint8(dark) << np.uint8(j)
+        if t_any_dark:
+            first_dark = draw(z, _rng.DRAW_DARK_BASE)
+            if t_any_dark == _TOP:
+                dark = np.arange(m)
+            else:
+                dark = np.flatnonzero(first_dark < np.uint64(t_any_dark << 11))
+            if dark.size:
+                j = np.searchsorted(t_first_dark, first_dark[dark] >> _U11, side="right")
+                mask[dark] |= _ONE << j.astype(np.uint8)
+                for b in range(1, 6):
+                    later = dark[j < b]
+                    later = later[draw(z[later], _rng.DRAW_DARK_BASE + b) < t_dark_raw]
+                    mask[later] |= np.uint8(1 << b)
         mask = mask.astype(np.intp)
 
         kept = np.flatnonzero(is_keep[mask])

@@ -8,6 +8,9 @@ evaluated in any order, on any thread, and tally bit-for-bit the same.
 
 from __future__ import annotations
 
+import math
+from typing import Tuple
+
 import numpy as np
 
 MASK64 = (1 << 64) - 1
@@ -22,8 +25,23 @@ DRAW_SETTING = 0
 DRAW_LOSS_A = 1
 DRAW_LOSS_B = 2
 DRAW_PATTERN = 3
-DRAW_DARK_BASE = 4  # six consecutive draws, one per detector-bin
+# Dark counts take slots 4-9. Slot 4 picks the first dark detector-bin j
+# against first_dark_cum; slot 4 + b then decides bin b > j, dark with
+# probability p_dark. Bins below j stay silent, and a trial with no dark
+# click reads slot 4 only.
+DRAW_DARK_BASE = 4
 DRAW_MISALIGN = 10
+
+
+def first_dark_cum(p_dark: float) -> Tuple[float, ...]:
+    """c_j = 1 - (1 - p_dark)**(j + 1), j = 0..5: the probability that one
+    of the first j + 1 detector-bins has a dark click.
+
+    A unit draw u picks the first dark bin, the least j with u < c_j; no
+    bin is dark when u >= c_5.
+    """
+    log_silent = math.log1p(-p_dark)
+    return tuple(-math.expm1((j + 1) * log_silent) for j in range(6))
 
 
 def stretch(seed: int, counter: int) -> int:

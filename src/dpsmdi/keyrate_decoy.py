@@ -93,6 +93,14 @@ def _signed_cosines(n_slices: Tuple[int, ...], indices: Tuple[int, ...]) -> np.n
     return table
 
 
+def _check_intensities(mu_a: float, mu_b: float) -> None:
+    """Raise ValueError unless both mean photon numbers are finite and >= 0."""
+    if not (0.0 <= mu_a < math.inf and 0.0 <= mu_b < math.inf):
+        raise ValueError(
+            f"intensities must be finite and non-negative, got {mu_a} and {mu_b}"
+        )
+
+
 def _phase_sums(
     mu_a: float,
     mu_b: float,
@@ -138,10 +146,7 @@ def _phase_sums(
     The sums leave as Python floats, the type every consumer's per-row
     arithmetic wants.
     """
-    if not (0.0 <= mu_a < math.inf and 0.0 <= mu_b < math.inf):
-        raise ValueError(
-            f"intensities must be finite and non-negative, got {mu_a} and {mu_b}"
-        )
+    _check_intensities(mu_a, mu_b)
     # mu' = eta_a mu_a + eta_b mu_b arrives at the relay; x is the
     # interference strength and y a bin's probability of staying silent.
     mu_prime = params.eta_a * mu_a + params.eta_b * mu_b
@@ -209,6 +214,7 @@ def sliced_gain_qber(
 def gain_Q11(mu_a: float, mu_b: float, params: ChannelParams) -> float:
     """Joint single-photon contribution: Poisson weight times the
     single-photon yield."""
+    _check_intensities(mu_a, mu_b)
     return mu_a * mu_b * math.exp(-mu_a - mu_b) * yield_Y11(params)
 
 
@@ -219,6 +225,7 @@ def vacuum_term(mu_a: float, mu_b: float, params: ChannelParams) -> float:
     yt = (1 - p_dark) exp(-eta_b mu_b / 6): the zero-interference gain
     driven by Bob's light and dark counts alone.
     """
+    _check_intensities(mu_a, mu_b)
     y_tilde = (1.0 - params.p_dark) * math.exp(-params.eta_b * mu_b / 6.0)
     return math.exp(-mu_a) * 8.0 * y_tilde**4 * (1.0 - y_tilde) ** 2
 

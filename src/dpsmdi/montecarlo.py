@@ -286,10 +286,16 @@ def replay_trials(
 
     Walks the same counter-based stream as the tally kernel, so
     aggregating replayed records reproduces run_trials exactly; used for
-    per-trial logging and for cross-checking the kernel.
+    per-trial logging and for cross-checking the kernel. It compares unit
+    draws with the probabilities as floats, where the kernel compares
+    integers: the pattern draw and the first-dark-bin draw (against
+    `_rng.first_dark_cum`) by a linear scan of their cumulative rows, and
+    each later bin's draw against p_dark, made only for bins after the
+    first dark one.
     """
     tables = build_tables()
     settings = discrete_settings()
+    dark_cum = _rng.first_dark_cum(params.p_dark)
     for i in range(start_trial, start_trial + n_trials):
         base = i * _rng.DRAWS_PER_TRIAL
         s = _rng.raw_draw(seed, base + _rng.DRAW_SETTING) >> 60
@@ -303,10 +309,16 @@ def replay_trials(
         while u >= cum[signal_mask]:
             signal_mask += 1
 
+        u = _rng.unit_draw(seed, base + _rng.DRAW_DARK_BASE)
+        first_dark = 0
+        while first_dark < 6 and u >= dark_cum[first_dark]:
+            first_dark += 1
         dark_mask = 0
-        for j in range(6):
-            if _rng.unit_draw(seed, base + _rng.DRAW_DARK_BASE + j) < params.p_dark:
-                dark_mask |= 1 << j
+        if first_dark < 6:
+            dark_mask = 1 << first_dark
+            for b in range(first_dark + 1, 6):
+                if _rng.unit_draw(seed, base + _rng.DRAW_DARK_BASE + b) < params.p_dark:
+                    dark_mask |= 1 << b
         mask = signal_mask | dark_mask
 
         if bin(mask).count("1") <= 2:

@@ -141,10 +141,11 @@ def test_finite_key_default_csv_is_pinned(capsys):
 # sha256 of `dpsmdi montecarlo` stdout at the default config, and at 60 km on
 # two threads (fewer where the host has fewer cores: tallies do not depend on
 # the thread count): a change of any tally of the trial kernel shows here.
+# Both were computed from replay_trials' tallies, not from the kernel.
 MONTECARLO_CSV_SHA256 = {
-    (): "269bcd47f51a32a52280d0c18db123b4138c0f7a143dc7a6150b96b4ebe4d8a0",
+    (): "c226d0a5ec18b06b2c10718c518610664e77aa5c2df7feccaa680efbafde75f5",
     ("--threads", str(min(2, os.cpu_count() or 1)), "--l-km", "60"):
-        "017820bc2022dead3159a0cf031a90261d40e428e369e09da2a26c82ef353fd4",
+        "c6ce1b8ea34cb3c36a2cdd4c19ade21d7d7b2d360e939f4d20e58cd5f3a1ff51",
 }
 
 
@@ -649,3 +650,69 @@ def test_verify_suite_passes(capsys):
     assert "FAIL" not in stdout
     assert stdout.strip().endswith("all checks passed")
     assert stdout.count(" pass\n") == 5
+
+
+# montecarlo inputs inside its domain, at small sizes; p_dark reaches up to
+# the largest float below 1, where every detector-bin clicks dark.
+_P_DARK = st.one_of(
+    st.floats(0.0, 1.0, exclude_max=True),
+    st.floats(-15.9, -1e-3).map(lambda x: 1.0 - 10.0**x),
+    st.just(math.nextafter(1.0, 0.0)),
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    p_dark=_P_DARK,
+    eta_det=st.floats(0.0, 1.0, exclude_min=True),
+    e_d=st.floats(0.0, 0.5),
+    alpha=st.floats(0.0, 10.0),
+    l_km=st.floats(0.0, 1000.0),
+    n_trials=st.integers(1, 20_000),
+    threads=st.integers(1, min(2, os.cpu_count() or 1)),
+    seed=st.integers(0, 2**64 - 1),
+)
+def test_montecarlo_inside_the_domain_exits_0(
+    p_dark, eta_det, e_d, alpha, l_km, n_trials, threads, seed
+):
+    code, stdout, stderr = run_quietly([
+        "montecarlo", f"--p-dark={p_dark!r}", f"--eta-det={eta_det!r}", f"--e-d={e_d!r}",
+        f"--alpha-db-per-km={alpha!r}", f"--l-km={l_km!r}", f"--n-trials={n_trials}",
+        f"--threads={threads}", f"--seed={seed}",
+    ])
+    assert (code, stderr) == (0, "")
+    rows = {}
+    for line in stdout.strip().split("\n")[1:]:
+        name, value, stderr_value, trials, row_seed = line.split(",")
+        assert (int(trials), int(row_seed)) == (n_trials, seed)
+        rows[name] = float(value), float(stderr_value)
+    if rows["y11_hat"][0] == 0.0:
+        # nothing kept: the error fraction is undefined, and says so
+        assert all(math.isnan(v) for v in rows.pop("e_b_hat"))
+    values = [v for pair in rows.values() for v in pair]
+    assert all(math.isfinite(v) and v >= 0.0 for v in values)
+
+
+# one value just outside the domain per draw; the others stay at defaults
+_MC_OUTSIDE = st.one_of(
+    st.one_of(st.floats(1.0, 1e3), st.floats(-1.0, 0.0, exclude_max=True)).map(
+        lambda p: f"--p-dark={p!r}"
+    ),
+    st.sampled_from([0.0, -0.5, math.nextafter(1.0, 2.0), 2.0]).map(lambda e: f"--eta-det={e!r}"),
+    st.floats(0.5, 1.0, exclude_min=True).map(lambda e: f"--e-d={e!r}"),
+    st.floats(-1e3, 0.0, exclude_max=True).map(lambda km: f"--l-km={km!r}"),
+    st.floats(-1.0, 0.0, exclude_max=True).map(lambda a: f"--alpha-db-per-km={a!r}"),
+    st.sampled_from(["nan", "inf", "-inf"]).map(lambda v: f"--p-dark={v}"),
+    st.sampled_from([0, -1, 10**10 + 1]).map(lambda n: f"--n-trials={n}"),
+    st.sampled_from([0, (os.cpu_count() or 1) + 1]).map(lambda t: f"--threads={t}"),
+    st.sampled_from([-1, 2**64]).map(lambda s: f"--seed={s}"),
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(outside=_MC_OUTSIDE)
+def test_montecarlo_just_outside_the_domain_exits_2(outside):
+    code, stdout, stderr = run_quietly(["montecarlo", outside])
+    assert code == 2
+    assert stdout == ""
+    assert stderr.startswith("config error: ")

@@ -234,19 +234,33 @@ def test_decoy_rate_sign_split_at_short_distance():
     assert report.q_slice0 < report.q_mu
 
 
-@pytest.mark.parametrize("mu", [math.nan, math.inf])
-def test_non_finite_intensities_are_rejected(mu):
-    # unchecked, nan gives a nan gain, and a decoy rate of 0 with e_mu = 1
-    calls = [
-        lambda a, b: overall_gain(a, b, SHORT_LINK),
-        lambda a, b: sliced_gain_qber(a, b, SHORT_LINK, SliceConfig(16, 0)),
-        lambda a, b: decoy_key_rate(a, b, SHORT_LINK, 16),
-        lambda a, b: slice_qber_sweep(a, b, SHORT_LINK, 16),
-    ]
-    for call in calls:
+# every public function of the intensities
+INTENSITY_CALLS = [
+    lambda a, b: overall_gain(a, b, SHORT_LINK),
+    lambda a, b: sliced_gain_qber(a, b, SHORT_LINK, SliceConfig(16, 0)),
+    lambda a, b: decoy_key_rate(a, b, SHORT_LINK, 16),
+    lambda a, b: slice_qber_sweep(a, b, SHORT_LINK, 16),
+    lambda a, b: gain_Q11(a, b, SHORT_LINK),
+    lambda a, b: vacuum_term(a, b, SHORT_LINK),
+]
+
+
+def assert_intensity_rejected(mu):
+    for call in INTENSITY_CALLS:
         for mu_a, mu_b in ((mu, 0.5), (0.5, mu)):
             with pytest.raises(ValueError, match="finite and non-negative"):
                 call(mu_a, mu_b)
+
+
+@pytest.mark.parametrize("mu", [math.nan, math.inf])
+def test_non_finite_intensities_are_rejected(mu):
+    # unchecked, nan gives a nan gain, and a decoy rate of 0 with e_mu = 1
+    assert_intensity_rejected(mu)
+
+
+def test_negative_intensities_are_rejected():
+    # unchecked, gain_Q11(-0.5, 0.5, ...) is a negative gain, -2.34e-3
+    assert_intensity_rejected(-0.5)
 
 
 def test_qber_undefined_without_any_clicks():

@@ -2,6 +2,7 @@
 
 import math
 import os
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -224,6 +225,8 @@ def test_replay_matches_kernel_where_draws_are_fixed():
     for params, threads in (
         (ChannelParams(eta_a=1.0, eta_b=0.0, p_dark=0.0, e_d=1.0), 1),
         (ChannelParams(eta_a=1.0, eta_b=1.0, p_dark=0.5, e_d=0.0), 1),
+        # c_5 rounds to 1: every trial has a dark click, found with no compare
+        (ChannelParams(eta_a=0.5, eta_b=0.5, p_dark=0.999, e_d=0.0), 2),
         (always_flip, 1),
         (IDEAL, 2),
     ):
@@ -233,10 +236,11 @@ def test_replay_matches_kernel_where_draws_are_fixed():
     assert flipped.error_count == flipped.keep_count > 3_000
 
 
-# Tallies recorded from the float-comparing kernel (unit draws against
-# probabilities, a linear scan of cumulative rows); the integer kernel must
+# Tallies recorded from replay_trials, which compares unit draws with
+# probabilities as floats and scans cumulative rows; the integer kernel must
 # reproduce them. 150,001 trials is no multiple of a chunk, and at 2
-# threads the second shard starts at trial 75,000, inside a chunk.
+# threads the second shard starts at trial 75,000, inside a chunk. Mask 14
+# has three clicks, which the replay records without an outcome.
 PINNED_TALLIES = [
     # (channel, seed, threads, keeps, errors, {mask: count})
     (IDEAL, 7, 1, 66974, 0, {
@@ -244,18 +248,18 @@ PINNED_TALLIES = [
         12: 8281, 16: 8289, 17: 8413, 20: 8468, 24: 8282, 32: 8264, 33: 8265,
         34: 8270, 40: 8446, 48: 8430,
     }),
-    (LOSSY, 2**63 + 11, 2, 612, 5, {
-        0: 121392, 1: 4564, 2: 4574, 3: 75, 4: 4605, 5: 90, 6: 77, 8: 4580,
-        10: 57, 12: 85, 16: 4697, 17: 83, 20: 84, 24: 83, 32: 4643, 33: 73,
-        34: 78, 40: 66, 48: 95,
+    (LOSSY, 2**63 + 11, 2, 612, 6, {
+        0: 121393, 1: 4564, 2: 4574, 3: 75, 4: 4604, 5: 90, 6: 77, 8: 4580,
+        10: 56, 12: 85, 14: 1, 16: 4697, 17: 83, 20: 84, 24: 83, 32: 4642,
+        33: 73, 34: 78, 40: 67, 48: 95,
     }),
     (LONG_HAUL, 7, 1, 0, 0, {
-        0: 149572, 1: 80, 2: 65, 4: 67, 8: 72, 16: 66, 32: 79,
+        0: 149575, 1: 80, 2: 64, 4: 66, 8: 71, 16: 65, 32: 80,
     }),
-    (DARK_HEAVY, 2**63 + 11, 2, 14, 4, {
-        0: 146141, 1: 621, 2: 635, 3: 2, 4: 624, 5: 1, 8: 628, 10: 1, 12: 3,
-        16: 655, 17: 3, 18: 3, 20: 1, 24: 1, 32: 672, 33: 2, 34: 4, 36: 1,
-        40: 1, 48: 2,
+    (DARK_HEAVY, 2**63 + 11, 2, 17, 5, {
+        0: 146128, 1: 619, 2: 627, 3: 3, 4: 634, 5: 2, 6: 1, 8: 633, 9: 1,
+        10: 3, 12: 3, 16: 675, 17: 2, 18: 1, 20: 2, 24: 1, 32: 658, 33: 2,
+        34: 2, 36: 1, 40: 1, 48: 2,
     }),
 ]
 
@@ -267,6 +271,10 @@ def test_kernel_tallies_are_pinned():
         expected[list(counts)] = list(counts.values())
         assert np.array_equal(est.mask_counts, expected), (params, seed)
         assert (est.keep_count, est.error_count) == (keeps, errors), (params, seed)
+
+
+# dark-count probabilities from the smallest T(c_j) (all 1) to c_5 rounding to 1
+DARK_PROBABILITIES = (2.0**-60, 3e-6, 1e-3, 0.3, 0.999)
 
 
 def test_integer_draw_tests_are_exact_at_their_edges():
@@ -289,6 +297,45 @@ def test_integer_draw_tests_are_exact_at_their_edges():
         for k in {t - 1, t, 0, top - 1}:
             if 0 <= k < top:
                 assert (k < t) == (k * 2.0**-53 < p), (p, k)
+
+    # the first dark bin: the kernel's search of the T(c_j) against the
+    # replay's scan of the c_j
+    for p in DARK_PROBABILITIES:
+        cum = _rng.first_dark_cum(p)
+        t_cum = [_mc_kernel.threshold(c) for c in cum]
+        assert t_cum == sorted(t_cum), p
+        ks = sorted({k for t in t_cum for k in (t - 1, t, t + 1) if 0 <= k < top})
+        from_ints = np.searchsorted(
+            np.array(t_cum, dtype=np.uint64), np.array(ks, dtype=np.uint64), side="right"
+        )
+        for k, j in zip(ks, from_ints.tolist()):
+            first = 0
+            while first < 6 and k * 2.0**-53 >= cum[first]:
+                first += 1
+            assert j == first, (p, k)
+    assert _rng.first_dark_cum(0.999)[5] == 1.0  # every trial has a dark click
+
+
+def test_dark_mask_law_from_the_integer_thresholds():
+    """The first-dark-bin draw keeps the six bins independent: each dark
+    mask's probability, exact from the kernel's thresholds (the first bin
+    j from the T(c_j), each later bin from T(p)), lies within 2**-52 of
+    p**k (1 - p)**(6 - k) for a mask of k bins."""
+    top = 2**53
+    for p in DARK_PROBABILITIES:
+        t_cum = [0] + [_mc_kernel.threshold(c) for c in _rng.first_dark_cum(p)]
+        t_p = _mc_kernel.threshold(p)
+        for mask in range(64):
+            k = bin(mask).count("1")
+            exact = Fraction(p) ** k * (1 - Fraction(p)) ** (6 - k)
+            if mask == 0:
+                drawn = Fraction(top - t_cum[6], top)
+            else:
+                j = (mask & -mask).bit_length() - 1
+                drawn = Fraction(t_cum[j + 1] - t_cum[j], top)
+                for b in range(j + 1, 6):
+                    drawn *= Fraction(t_p if mask >> b & 1 else top - t_p, top)
+            assert abs(drawn - exact) <= Fraction(1, 2**52), (p, mask)
 
 
 def test_pattern_guide_is_exact():
@@ -317,8 +364,10 @@ def test_pattern_guide_is_exact():
 def test_kernel_is_exact_on_boundary_draws(monkeypatch):
     """Feed both the numpy kernel and the float-comparing replay a stream
     in which every loss, pattern, dark and misalignment draw sits one
-    below, on, or one above a threshold, and pattern draws also on either
-    side of a bucket edge; they must still tally alike."""
+    below, on, or one above a threshold (the first-dark-bin draw one of
+    the six T(c_j)), and pattern draws also on either side of a bucket
+    edge. The 11 bits below k are all 0 or all 1, the raw draws on either
+    side of the kernel's raw < T << 11. The two must still tally alike."""
     params = ChannelParams(eta_a=0.1, eta_b=0.7, p_dark=0.3, e_d=0.015)
     seed = 3
     pattern_edges = (build_tables().pattern_keys & np.uint64(2**KEY_SHIFT - 1)).tolist()
@@ -341,8 +390,9 @@ def test_kernel_is_exact_on_boundary_draws(monkeypatch):
         _rng.DRAW_PATTERN: edges(pattern_edges + bucket_edges),
         _rng.DRAW_MISALIGN: edges([t(params.e_d)]),
     }
-    for j in range(6):
-        choices[_rng.DRAW_DARK_BASE + j] = edges([t(params.p_dark)])
+    choices[_rng.DRAW_DARK_BASE] = edges([t(c) for c in _rng.first_dark_cum(params.p_dark)])
+    for b in range(1, 6):
+        choices[_rng.DRAW_DARK_BASE + b] = edges([t(params.p_dark)])
     true_mix, true_draw = _rng.mix_array, _rng.raw_draw
     # the kernel hands mix_array stretched states z = seed + (counter + 1) *
     # GOLDEN; GOLDEN is odd, so its inverse mod 2**64 recovers the counter
@@ -355,7 +405,7 @@ def test_kernel_is_exact_on_boundary_draws(monkeypatch):
         for s, ks in choices.items():
             at = slot == s
             picked = ks[raw[at] % np.uint64(len(ks))]
-            raw[at] = (picked << np.uint64(11)) | (raw[at] & np.uint64(0x7FF))
+            raw[at] = (picked << np.uint64(11)) | (raw[at] >> np.uint64(63)) * np.uint64(0x7FF)
         return raw
 
     def edge_draw(seed, counter):
@@ -363,7 +413,7 @@ def test_kernel_is_exact_on_boundary_draws(monkeypatch):
         ks = choices.get(counter % _rng.DRAWS_PER_TRIAL)
         if ks is None:
             return raw
-        return (int(ks[raw % len(ks)]) << 11) | (raw & 0x7FF)
+        return (int(ks[raw % len(ks)]) << 11) | (raw >> 63) * 0x7FF
 
     monkeypatch.setattr(_rng, "mix_array", edge_draws)
     monkeypatch.setattr(_rng, "raw_draw", edge_draw)
