@@ -45,7 +45,7 @@ _MAX_SWEEP_POINTS = 100_001
 # sums), so the cap bounds qber-slices, which evaluates one row per N:
 # about 30 ms and a 2.4 MB peak at 10**4.
 _MAX_SLICES = 10**4
-# Most Monte Carlo trials: about 7-15 minutes on one core at 11-24 Mtrials/s.
+# Most Monte Carlo trials: about 3-5 minutes on one core at 33-51 Mtrials/s.
 MAX_TRIALS = 10**10
 # Largest block size: the sifted budget stays below 2**53, so every split the
 # finite-key search ranks is an exact float64 integer; an optimum costs about
