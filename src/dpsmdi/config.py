@@ -41,9 +41,9 @@ from .montecarlo import ALPHA_DB_PER_KM, E_D, ETA_DET, F_EC, P_DARK, ChannelPara
 # Most points a distance sweep may have: far above the default 61, and a
 # bound on what a mistyped L_step can ask for.
 _MAX_SWEEP_POINTS = 100_001
-# Most slices: a decoy point costs about 30 us at any N (two one-row phase
-# sums), so the cap bounds qber-slices, which evaluates one row per N:
-# about 30 ms and a 2.4 MB peak at 10**4.
+# Most slices: a decoy point costs about 20 us at any N (one two-row
+# phase-sum pass), so the cap bounds qber-slices, which evaluates one row
+# per N: about 30 ms and a 2.4 MB peak at 10**4.
 _MAX_SLICES = 10**4
 # Most Monte Carlo trials: about 3-5 minutes on one core at 33-51 Mtrials/s.
 MAX_TRIALS = 10**10

@@ -44,8 +44,8 @@ _TRIANGLE_WEIGHTS = 0.5 * np.concatenate(
 )
 # Rows of _phase_sums evaluated per array pass, and how many blocks keep
 # their cosine table (256 KB at most): memory stays bounded whatever the
-# row count, and a decoy sweep (two one-row tables per point: the kept
-# slice and the unsliced average) reuses its tables at every distance.
+# row count, and a decoy sweep (one two-row table per point: the kept
+# slice and the unsliced average) reuses its table at every distance.
 _BLOCK_ROWS = 128
 _CACHED_BLOCKS = 4
 
@@ -131,10 +131,10 @@ def _phase_sums(
     error sum / gain sum, stays finite where the products underflow
     (mu above about 560 per sender on a lossless channel).
 
-    Rows are evaluated in blocks of up to _BLOCK_ROWS (only
-    slice_qber_sweep asks for more than one row; a decoy point makes two
-    one-row calls): each array pass covers a whole block (both signs of
-    x cos d times rows times nodes, from the block's cached cosine table),
+    Rows are evaluated in blocks of up to _BLOCK_ROWS (a decoy point
+    asks for two rows in one call, slice_qber_sweep for one per slice
+    count): each array pass covers a whole block (both signs of x cos d
+    times rows times nodes, from the block's cached cosine table),
     and a block's rows are yielded once it is reduced, so memory stays
     bounded by one block whatever the row count. Each layer of a block is
     reduced by one np.vecdot with the weights, which runs the same 1-D
@@ -185,30 +185,38 @@ def _gain_qber(scale: float, gain_sum: float, error_sum: float) -> Tuple[float, 
     return scale * gain_sum, min(1.0, error_sum / gain_sum)
 
 
-# The one row of the fully random-phase average: slice 0 of 1.
-_UNSLICED = ((1,), (0,))
+# The fully random-phase average: slice 0 of 1.
+_UNSLICED = SliceConfig(1, 0)
 
 
 def overall_gain(mu_a: float, mu_b: float, params: ChannelParams) -> float:
     """Kept-coincidence probability with fully random overall phases:
     8 y^4 [I0(2x) - 2 y I0(x) + y^2]."""
-    [(scale, gain_sum, _)] = _phase_sums(mu_a, mu_b, params, *_UNSLICED)
+    [(scale, gain_sum, _)] = _phase_sums(mu_a, mu_b, params, (1,), (0,))
     return scale * gain_sum
 
 
 def overall_qber(mu_a: float, mu_b: float, params: ChannelParams) -> float:
     """Product (error fraction) x (gain) with fully random phases:
     8 y^4 [1 - 2 y I0(x) + y^2]. Divide by overall_gain for the fraction."""
-    [(scale, _, error_sum)] = _phase_sums(mu_a, mu_b, params, *_UNSLICED)
+    [(scale, _, error_sum)] = _phase_sums(mu_a, mu_b, params, (1,), (0,))
     return scale * error_sum
 
 
 def sliced_gain_qber(
-    mu_a: float, mu_b: float, params: ChannelParams, config: SliceConfig
-) -> Tuple[float, float]:
-    """(gain, error fraction) after phase post-selection on one slice."""
-    [row] = _phase_sums(mu_a, mu_b, params, (config.n_slices,), (config.index,))
-    return _gain_qber(*row)
+    mu_a: float, mu_b: float, params: ChannelParams, *configs: SliceConfig
+) -> List[Tuple[float, float]]:
+    """(gain, error fraction) after phase post-selection, one pair per
+    slice in configs, from one _phase_sums call; each pair is the one a
+    call with that slice alone gives."""
+    rows = _phase_sums(
+        mu_a,
+        mu_b,
+        params,
+        [config.n_slices for config in configs],
+        [config.index for config in configs],
+    )
+    return [_gain_qber(*row) for row in rows]
 
 
 def gain_Q11(mu_a: float, mu_b: float, params: ChannelParams) -> float:
@@ -253,7 +261,8 @@ def decoy_key_rate(
     The kept signal is the single-photon part of the first slice (hence
     the 1/n_slices weight on the single-photon gain), credited with the
     Alice-vacuum term, and charged error correction only for that
-    slice, so a point costs two one-row phase sums whatever n_slices is.
+    slice, so a point costs one two-row phase-sum pass (the kept slice
+    and the unsliced average) whatever n_slices is.
     Acceptance criterion 9 (tests/test_acceptance.py) builds the
     increased-cost rate, which charges every slice against the full
     single-photon gain, from one sliced_gain_qber call per slice.
@@ -264,11 +273,9 @@ def decoy_key_rate(
     entropy_credit = q11 * (1.0 - binary_entropy(e_p))
 
     # Slice 0 is the kept slice; the unsliced average gives q_mu and e_mu.
-    q_slice0, e_slice0 = sliced_gain_qber(
-        mu_a, mu_b, params, SliceConfig(n_slices, 0)
+    (q_slice0, e_slice0), (q_mu, e_mu) = sliced_gain_qber(
+        mu_a, mu_b, params, SliceConfig(n_slices, 0), _UNSLICED
     )
-    [unsliced] = _phase_sums(mu_a, mu_b, params, *_UNSLICED)
-    q_mu, e_mu = _gain_qber(*unsliced)
     cost = q_slice0 * params.f * binary_entropy(e_slice0)
     modified = entropy_credit / n_slices + vacuum - cost
 

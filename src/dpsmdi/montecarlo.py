@@ -106,6 +106,7 @@ class TrialRecord:
     phase_setting: PhaseSetting
     loss_pattern: Tuple[bool, bool]  # (photon from a arrived, photon from b arrived)
     dark_mask: int  # spurious clicks, as a DetectionOutcome.mask
+    mask: int  # every click, signal | dark: the mask run_trials tallies
     outcome: Optional[DetectionOutcome]  # None when >2 clicks total
     decision: SiftDecision
     error: Optional[bool]  # defined for Keep decisions only
@@ -342,6 +343,7 @@ def replay_trials(
             phase_setting=setting,
             loss_pattern=(bool(survived_a), bool(survived_b)),
             dark_mask=dark_mask,
+            mask=mask,
             outcome=outcome,
             decision=decision,
             error=error,

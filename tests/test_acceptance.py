@@ -123,12 +123,12 @@ def test_criterion_5_closed_form_gain_qber_vs_quadrature():
 
 def test_criterion_6_slice_qber_regime():
     params = ChannelParams.from_total_distance(0.0)
-    _, e_full = sliced_gain_qber(0.5, 0.5, params, SliceConfig(1, 0))
+    [(_, e_full)] = sliced_gain_qber(0.5, 0.5, params, SliceConfig(1, 0))
     assert 0.30 <= e_full <= 0.38
 
     previous = None
     for n_slices in (1, 2, 4, 8, 16, 32):
-        _, e0 = sliced_gain_qber(0.5, 0.5, params, SliceConfig(n_slices, 0))
+        [(_, e0)] = sliced_gain_qber(0.5, 0.5, params, SliceConfig(n_slices, 0))
         if n_slices == 16:
             assert e0 <= 0.02
         if previous is not None:

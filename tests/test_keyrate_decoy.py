@@ -38,7 +38,7 @@ LOSSLESS = ChannelParams(eta_a=1.0, eta_b=1.0, p_dark=0.0, e_d=0.0)
 
 def unsliced_qber(mu_a, mu_b, params):
     """Error fraction with fully random phases: slice 0 of 1."""
-    return sliced_gain_qber(mu_a, mu_b, params, SliceConfig(1, 0))[1]
+    return sliced_gain_qber(mu_a, mu_b, params, SliceConfig(1, 0))[0][1]
 
 
 def reference_slice0(mu_a, mu_b, params, n_slices):
@@ -155,7 +155,7 @@ def test_slice_config_validation():
 
 
 def test_single_slice_recovers_unsliced_forms():
-    gain, qber = sliced_gain_qber(0.5, 0.5, SHORT_LINK, SliceConfig(1, 0))
+    [(gain, qber)] = sliced_gain_qber(0.5, 0.5, SHORT_LINK, SliceConfig(1, 0))
     assert gain == pytest.approx(overall_gain(0.5, 0.5, SHORT_LINK), abs=1e-10)
     error_product = overall_qber(0.5, 0.5, SHORT_LINK)
     assert qber == pytest.approx(error_product / overall_gain(0.5, 0.5, SHORT_LINK), abs=1e-9)
@@ -168,7 +168,7 @@ def test_slices_partition_gain_and_error_product():
             gain_sum = 0.0
             error_sum = 0.0
             for m in range(n):
-                gain, qber = sliced_gain_qber(0.5, 0.5, params, SliceConfig(n, m))
+                [(gain, qber)] = sliced_gain_qber(0.5, 0.5, params, SliceConfig(n, m))
                 gain_sum += gain
                 error_sum += gain * qber
             assert rel_err(gain_sum, overall_gain(0.5, 0.5, params)) <= 1e-13
@@ -197,7 +197,7 @@ def test_lossless_channel_at_large_intensity(mu):
     # underflows to zero, in the reference rounded to double as well; their
     # ratio, the QBER (~2e-288), does not.
     for n_slices in (1, 16):
-        gain, qber = sliced_gain_qber(mu, mu, LOSSLESS, SliceConfig(n_slices, 0))
+        [(gain, qber)] = sliced_gain_qber(mu, mu, LOSSLESS, SliceConfig(n_slices, 0))
         assert math.isfinite(gain) and math.isfinite(qber)
         want_gain, want_error, want_qber = reference_slice0(mu, mu, LOSSLESS, n_slices)
         assert rel_err(gain, want_gain) <= 1e-9
@@ -290,7 +290,7 @@ def test_error_fractions_stay_at_most_one_where_dark_counts_dominate(capsys):
         params = ChannelParams.from_total_distance(float(l_km))
         assert unsliced_qber(0.5, 0.5, params) <= 1.0
         for m in range(n_slices):
-            _, e_m = sliced_gain_qber(0.5, 0.5, params, SliceConfig(n_slices, m))
+            [(_, e_m)] = sliced_gain_qber(0.5, 0.5, params, SliceConfig(n_slices, m))
             assert e_m <= 1.0
     assert main(["decoy", "--l-min", "1090", "--l-max", "1200", "--l-step", "5"]) == 0
     assert len(capsys.readouterr().out.splitlines()) == 24
@@ -305,7 +305,7 @@ def per_slice_report(mu_a, mu_b, params, n_slices):
     e_p = min(0.5, e_b_single - 0.5 * background)
     vacuum = vacuum_term(mu_a, mu_b, params)
     entropy_credit = q11 * (1.0 - binary_entropy(e_p))
-    q_slice0, e_slice0 = sliced_gain_qber(mu_a, mu_b, params, SliceConfig(n_slices, 0))
+    [(q_slice0, e_slice0)] = sliced_gain_qber(mu_a, mu_b, params, SliceConfig(n_slices, 0))
     modified = (
         entropy_credit / n_slices
         + vacuum
@@ -333,7 +333,7 @@ def increased_cost_rate(mu_a, mu_b, params, n_slices):
     entropy_credit = report.q11 * (1.0 - binary_entropy(report.e_p_bound))
     total_cost = 0.0
     for m in range(n_slices):
-        q_m, e_m = sliced_gain_qber(mu_a, mu_b, params, SliceConfig(n_slices, m))
+        [(q_m, e_m)] = sliced_gain_qber(mu_a, mu_b, params, SliceConfig(n_slices, m))
         total_cost += q_m * params.f * binary_entropy(e_m)
     return entropy_credit + report.vacuum - total_cost
 
@@ -360,7 +360,7 @@ def test_batched_slice_sweep_equals_per_slice_calls(channel):
     params = EXACT_CHANNELS[channel]
     unsliced = unsliced_qber(0.5, 0.5, params)
     want = [
-        (n, sliced_gain_qber(0.5, 0.5, params, SliceConfig(n, 0))[1], unsliced)
+        (n, sliced_gain_qber(0.5, 0.5, params, SliceConfig(n, 0))[0][1], unsliced)
         for n in range(1, 301)
     ]
     assert slice_qber_sweep(0.5, 0.5, params, 300) == want
@@ -390,7 +390,7 @@ def test_batched_rows_equal_one_row_calls_on_any_channel(params, mu_a, mu_b, n_s
     assert got == want
     unsliced = unsliced_qber(mu_a, mu_b, params)
     assert slice_qber_sweep(mu_a, mu_b, params, n_slices) == [
-        (n, sliced_gain_qber(mu_a, mu_b, params, SliceConfig(n, 0))[1], unsliced)
+        (n, sliced_gain_qber(mu_a, mu_b, params, SliceConfig(n, 0))[0][1], unsliced)
         for n in range(1, n_slices + 1)
     ]
 
