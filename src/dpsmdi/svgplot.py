@@ -83,11 +83,17 @@ def line_plot(
     x_log: bool = False,
     y_log: bool = False,
 ) -> str:
-    """Render the given curves to SVG text; deterministic for fixed input."""
+    """Render the given curves to SVG text; deterministic for fixed input.
+    With no plottable point at all the result is an empty, labelled frame."""
     cleaned = [_finite_points(s, x_log, y_log) for s in series_list]
     all_points = [p for pts in cleaned for p in pts]
     if not all_points:
-        raise ValueError("nothing to plot: every point was filtered out")
+        # A rate that is zero everywhere has no point on a log axis; the
+        # frame gets no ticks, only this note.
+        all_points = [(1.0, 1.0)]
+        note = "no point to plot: every value is zero, negative or not finite"
+    else:
+        note = ""
 
     xs = [p[0] for p in all_points]
     ys = [p[1] for p in all_points]
@@ -133,6 +139,8 @@ def line_plot(
         y_ticks = _log_ticks(10.0**y_lo, 10.0**y_hi)
     else:
         y_ticks = _nice_ticks(y_lo, y_hi)
+    if note:
+        x_ticks = y_ticks = []
 
     for tick in x_ticks:
         px, _ = to_px(tick, 10.0**y_lo if y_log else y_lo)
@@ -170,6 +178,11 @@ def line_plot(
             'stroke-width="1.8"/>'
         )
 
+    if note:
+        parts.append(
+            f'<text x="{_MARGIN_L + plot_w / 2:.0f}" y="{_MARGIN_T + plot_h / 2:.0f}" '
+            f'font-size="12" text-anchor="middle" font-family="sans-serif">{note}</text>'
+        )
     if title:
         parts.append(
             f'<text x="{_WIDTH / 2:.0f}" y="24" font-size="14" text-anchor="middle" '

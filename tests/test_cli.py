@@ -507,6 +507,20 @@ def test_svg_sidecar_is_well_formed(tmp_path, capsys):
     assert len(list(root)) > 5
 
 
+def test_svg_of_a_rate_that_is_zero_everywhere(tmp_path, capsys):
+    # at mu = 20 the decoy rate is 0 at every distance, so its log axis
+    # holds no point; the plot says so instead of failing the run
+    svg = tmp_path / "plot.svg"
+    code, stdout, _ = run_cli(
+        ["decoy", "--mu-a", "20", "--mu-b", "20", "--l-max", "20", "--svg", str(svg)], capsys
+    )
+    assert code == 0
+    assert [row.rsplit(",", 1)[1] for row in stdout.splitlines()[1:]] == ["0"] * 5
+    root = ET.fromstring(svg.read_text())
+    assert "no point to plot" in "".join(root.itertext())
+    assert not [child for child in root if child.tag.endswith("polyline")]
+
+
 def test_finite_key_svg_is_well_formed(tmp_path, capsys):
     # the only plot with a logarithmic x axis (the block size)
     svg = tmp_path / "finite.svg"
@@ -713,6 +727,115 @@ _MC_OUTSIDE = st.one_of(
 @given(outside=_MC_OUTSIDE)
 def test_montecarlo_just_outside_the_domain_exits_2(outside):
     code, stdout, stderr = run_quietly(["montecarlo", outside])
+    assert code == 2
+    assert stdout == ""
+    assert stderr.startswith("config error: ")
+
+
+# decoy and qber-slices inputs inside their domain, a few sweep points each
+_MU = st.one_of(st.floats(0.0, 1000.0, exclude_min=True), st.just(1000.0))
+_N_SLICES = st.one_of(st.sampled_from([1, 10**4]), st.integers(1, 10**4))
+
+
+def _no_clicks_in_float64(p_dark, eta_det, alpha, l_km, mu_a, mu_b):
+    # With no dark counts and the light at the relay below about 1e-160, the
+    # yield and the gain underflow to 0 and the command stops on "QBER is
+    # undefined ..." with exit 1. Every such draw seen had both below 1e-170.
+    light = math.log10(eta_det) - alpha * l_km / 20.0 + math.log10(max(mu_a, mu_b))
+    return p_dark < 1e-100 and light < -100.0
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    command=st.sampled_from(["decoy", "qber-slices"]),
+    p_dark=_P_DARK,
+    eta_det=st.floats(0.0, 1.0, exclude_min=True),
+    e_d=st.floats(0.0, 0.5),
+    f=st.floats(1.0, 1e300),
+    alpha=st.floats(0.0, 10.0),
+    l_km=st.floats(0.0, 1000.0),
+    l_step=st.floats(0.01, 500.0),
+    points=st.integers(1, 3),
+    mu_a=_MU,
+    mu_b=_MU,
+    n_slices=_N_SLICES,
+    svg=st.booleans(),
+)
+def test_decoy_and_qber_slices_inside_the_domain_exit_0(
+    command, p_dark, eta_det, e_d, f, alpha, l_km, l_step, points, mu_a, mu_b, n_slices, svg
+):
+    args = [
+        command, f"--p-dark={p_dark!r}", f"--eta-det={eta_det!r}", f"--e-d={e_d!r}",
+        f"--f={f!r}", f"--alpha-db-per-km={alpha!r}", f"--mu-a={mu_a!r}", f"--mu-b={mu_b!r}",
+        f"--n-slices={n_slices}",
+    ]
+    if command == "decoy":
+        l_max = l_km + (points - 1) * l_step
+        args += [f"--l-min={l_km!r}", f"--l-max={l_max!r}", f"--l-step={l_step!r}"]
+        far_km = l_max
+    else:
+        args += [f"--l-km={l_km!r}"]
+        far_km = l_km
+    with tempfile.TemporaryDirectory() as tmp:
+        plot = os.path.join(tmp, "plot.svg")
+        code, stdout, stderr = run_quietly(args + (["--svg", plot] if svg else []))
+        if code == 0 and svg:
+            assert ET.parse(plot).getroot().tag.endswith("svg")
+    if _no_clicks_in_float64(p_dark, eta_det, alpha, far_km, mu_a, mu_b) and code == 1:
+        assert stdout == ""
+        assert stderr.startswith("error: QBER is undefined ") and stderr.count("\n") == 1
+        return
+    assert (code, stderr) == (0, "")
+    rows = [[float(v) for v in row.split(",")] for row in stdout.strip().split("\n")[1:]]
+    assert len(rows) == (points if command == "decoy" else n_slices)
+    assert all(math.isfinite(v) and v >= 0.0 for row in rows for v in row)
+
+
+# one value just outside the domain per draw; the others stay at defaults
+_DECOY_OUTSIDE = st.one_of(
+    st.sampled_from(["--mu-a", "--mu-b"]).flatmap(
+        lambda flag: st.sampled_from([0.0, -1e-300, math.nextafter(1000.0, 2000.0), 1e6]).map(
+            lambda mu: f"{flag}={mu!r}"
+        )
+    ),
+    st.sampled_from([0, -1, 10**4 + 1]).map(lambda n: f"--n-slices={n}"),
+    st.one_of(st.floats(1.0, 1e3), st.floats(-1.0, 0.0, exclude_max=True)).map(
+        lambda p: f"--p-dark={p!r}"
+    ),
+    st.sampled_from([0.0, -0.5, math.nextafter(1.0, 2.0)]).map(lambda e: f"--eta-det={e!r}"),
+    st.floats(0.5, 1.0, exclude_min=True).map(lambda e: f"--e-d={e!r}"),
+    st.floats(-1e3, 1.0, exclude_max=True).map(lambda f: f"--f={f!r}"),
+    st.floats(-1.0, 0.0, exclude_max=True).map(lambda a: f"--alpha-db-per-km={a!r}"),
+    st.sampled_from(["--mu-a", "--p-dark", "--f"]).flatmap(
+        lambda flag: st.sampled_from(["nan", "inf", "-inf"]).map(lambda v: f"{flag}={v}")
+    ),
+)
+# the sweep belongs to decoy, the one distance to qber-slices
+_SWEEP_OUTSIDE = st.one_of(
+    st.floats(-1e3, 0.0, exclude_max=True).map(lambda km: [f"--l-min={km!r}"]),
+    st.floats(-1e3, 0.0).map(lambda step: [f"--l-step={step!r}"]),
+    st.floats(0.0, 300.0, exclude_max=True).map(
+        lambda km: [f"--l-min={math.nextafter(km, 1e3)!r}", f"--l-max={km!r}"]
+    ),
+)
+_SLICE_KM_OUTSIDE = st.floats(-1e3, 0.0, exclude_max=True).map(lambda km: [f"--l-km={km!r}"])
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    outside=st.one_of(
+        st.tuples(st.sampled_from(["decoy", "qber-slices"]), _DECOY_OUTSIDE.map(lambda a: [a])),
+        st.tuples(st.just("decoy"), _SWEEP_OUTSIDE),
+        st.tuples(st.just("qber-slices"), _SLICE_KM_OUTSIDE),
+    ),
+    svg=st.booleans(),
+)
+def test_decoy_and_qber_slices_just_outside_the_domain_exit_2(outside, svg):
+    command, flags = outside
+    with tempfile.TemporaryDirectory() as tmp:
+        plot = ["--svg", os.path.join(tmp, "plot.svg")] if svg else []
+        code, stdout, stderr = run_quietly([command, *flags, *plot])
+        assert not os.listdir(tmp)
     assert code == 2
     assert stdout == ""
     assert stderr.startswith("config error: ")

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import IntegrationWarning
 
-from dpsmdi import checks
+from dpsmdi import checks, keyrate_decoy
 from dpsmdi.cli import cmd_decoy, main
 from dpsmdi.config import RunConfig
 from dpsmdi.keyrate_asymptotic import binary_entropy, qber_asymptotic, yield_Y11
@@ -353,6 +353,29 @@ def test_batched_decoy_rate_equals_per_slice_calls(n_slices, channel):
     got = dataclasses.asdict(decoy_key_rate(0.5, 0.5, params, n_slices))
     want = dataclasses.asdict(per_slice_report(0.5, 0.5, params, n_slices))
     assert got == want
+
+
+@pytest.mark.parametrize("n_slices", [1, 16])
+def test_decoy_point_is_one_phase_sum_pass(n_slices, monkeypatch):
+    # N = 1 makes both rows slice 0 of 1. The benchmark's tracer times a
+    # point's phase sums through sliced_gain_qber, so it must see one call.
+    calls = {"_phase_sums": [], "sliced_gain_qber": []}
+
+    def counting(name):
+        inner = getattr(keyrate_decoy, name)
+
+        def wrapper(*args):
+            calls[name].append(args[3:])
+            return inner(*args)
+
+        monkeypatch.setattr(keyrate_decoy, name, wrapper)
+
+    counting("_phase_sums")
+    counting("sliced_gain_qber")
+    report = decoy_key_rate(0.5, 0.5, SHORT_LINK, n_slices)
+    assert calls["sliced_gain_qber"] == [(SliceConfig(n_slices, 0), SliceConfig(1, 0))]
+    assert calls["_phase_sums"] == [([n_slices, 1], [0, 0])]
+    assert (report.q_slice0 == report.q_mu) == (n_slices == 1)
 
 
 @pytest.mark.parametrize("channel", list(EXACT_CHANNELS))

@@ -192,20 +192,16 @@ def test_no_keeps_yields_nan_estimates():
 
 
 def assert_replay_matches(est, params, seed):
-    """Replaying est's trials one by one gives its tallies. Records with
-    more than two clicks carry no outcome, so those masks are compared
-    as one total."""
-    crowded = np.array([bin(mask).count("1") > 2 for mask in range(64)])
+    """Replaying est's trials one by one gives its tallies, mask by mask
+    for all 64 masks."""
     mask_counts = np.zeros(64, dtype=np.int64)
     keeps = errors = 0
     for record in replay_trials(params, est.n_trials, seed=seed):
-        if record.outcome is not None:
-            mask_counts[record.outcome.mask] += 1
+        mask_counts[record.mask] += 1
         if record.decision.action is Action.KEEP:
             keeps += 1
             errors += bool(record.error)
-    assert np.array_equal(mask_counts[~crowded], est.mask_counts[~crowded])
-    assert est.n_trials - mask_counts.sum() == est.mask_counts[crowded].sum()
+    assert np.array_equal(mask_counts, est.mask_counts)
     assert keeps == est.keep_count
     assert errors == est.error_count
 
@@ -240,7 +236,7 @@ def test_replay_matches_kernel_where_draws_are_fixed():
 # probabilities as floats and scans cumulative rows; the integer kernel must
 # reproduce them. 150,001 trials is no multiple of a chunk, and at 2
 # threads the second shard starts at trial 75,000, inside a chunk. Mask 14
-# has three clicks, which the replay records without an outcome.
+# has three clicks, which the replay records by its mask, without an outcome.
 PINNED_TALLIES = [
     # (channel, seed, threads, keeps, errors, {mask: count})
     (IDEAL, 7, 1, 66974, 0, {
@@ -429,6 +425,12 @@ def test_replay_record_invariants():
         assert isinstance(arrived_a, bool) and isinstance(arrived_b, bool)
         if record.outcome is not None and len(record.outcome.clicks) < 2:
             assert record.decision.action is Action.INCONCLUSIVE
+        # the full mask holds the dark clicks; only crowded masks lack an outcome
+        assert record.mask | record.dark_mask == record.mask
+        if record.outcome is None:
+            assert bin(record.mask).count("1") > 2
+        else:
+            assert record.outcome.mask == record.mask
 
 
 def test_replay_start_offset_is_consistent():
