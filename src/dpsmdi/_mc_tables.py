@@ -20,7 +20,6 @@ from typing import Tuple
 import numpy as np
 
 from .fock_optics import (
-    SETTING_BITS,
     Pattern,
     TwoPartyFockState,
     beamsplitter_transform,
@@ -122,9 +121,9 @@ def build_tables() -> TableSet:
         for j1 in (0, 1)
         for j2 in (0, 1)
     }
-    for s, (j_a1, j_a2, j_b1, j_b2) in enumerate(SETTING_BITS):
-        alice_only = alone["a", j_a1, j_a2]
-        bob_only = alone["b", j_b1, j_b2]
+    for s, setting in enumerate(settings):
+        alice_only = alone["a", setting.j_a1, setting.j_a2]
+        bob_only = alone["b", setting.j_b1, setting.j_b2]
         bin_amplitudes[0, s] = _bin_amplitudes(alice_only)
         bin_amplitudes[1, s] = _bin_amplitudes(bob_only)
 
@@ -132,7 +131,7 @@ def build_tables() -> TableSet:
         distributions[CASE_NONE, 0] = 1.0
         distributions[CASE_A_ONLY] = _mask_distribution(alice_only)
         distributions[CASE_B_ONLY] = _mask_distribution(bob_only)
-        distributions[CASE_BOTH] = _mask_distribution(output_state(settings[s]))
+        distributions[CASE_BOTH] = _mask_distribution(output_state(setting))
 
         cum = np.cumsum(distributions, axis=1)
         if np.any(np.abs(cum[:, -1] - 1.0) > 1e-9):

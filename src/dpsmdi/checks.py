@@ -94,13 +94,13 @@ def reconciliation_table() -> None:
             if expected.action is not Action.KEEP:
                 continue
             if expected.phase_used is PhaseUsed.DELTA1:
-                delta = setting.delta_phi1
+                parity = setting.j_a1 ^ setting.j_b1
             else:
-                delta = setting.delta_phi2
+                parity = setting.j_a2 ^ setting.j_b2
             probability = support.get(outcome, 0.0)
             # support exactly when equal phases meet one detector, or
             # opposite phases both detectors
-            if expected.bit_flip != (abs(delta) < 1e-9):
+            if expected.bit_flip == parity:
                 _require(
                     abs(probability - 1.0 / 6.0) <= 1e-12,
                     f"support {probability} at {outcome} under {setting}, expected 1/6",

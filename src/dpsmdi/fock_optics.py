@@ -3,12 +3,12 @@
 States are sparse superpositions over six optical modes: three time bins
 for each of two ports. On the input side the ports are the senders (a, b);
 the untrusted relay's 50:50 beamsplitter maps them to output ports (c, d),
-one threshold detector per output port and time bin.
+one threshold detector per output port and time bin. Each sender shifts
+its two later bins by 0 or pi, so a phase setting is four bits.
 """
 
 from __future__ import annotations
 
-import cmath
 import itertools
 import math
 from dataclasses import dataclass
@@ -20,7 +20,6 @@ INPUT = "input"
 OUTPUT = "output"
 
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
-_TWO_PI = 2.0 * math.pi
 
 
 class BasisMismatchError(ValueError):
@@ -29,45 +28,29 @@ class BasisMismatchError(ValueError):
 
 @dataclass(frozen=True)
 class PhaseSetting:
-    """Phases (radians) the senders apply to their second and third bins.
+    """Phase bits the senders apply to their second and third bins.
 
-    The first time bin of each sender is the unmodulated reference, so
-    only four phases matter: ``phi_a1``/``phi_a2`` on the two later bins
-    of sender a, ``phi_b1``/``phi_b2`` on those of sender b.
+    The first time bin of each sender is the unmodulated reference, so a
+    setting is four bits, bit value 1 meaning a pi shift: ``j_a1``/``j_a2``
+    on the two later bins of sender a, ``j_b1``/``j_b2`` on those of
+    sender b.
     """
 
-    phi_a1: float
-    phi_a2: float
-    phi_b1: float
-    phi_b2: float
+    j_a1: int
+    j_a2: int
+    j_b1: int
+    j_b2: int
 
-    @property
-    def delta_phi1(self) -> float:
-        """Phase difference on the second bin, reduced to [0, 2*pi)."""
-        return (self.phi_a1 - self.phi_b1) % _TWO_PI
-
-    @property
-    def delta_phi2(self) -> float:
-        """Phase difference on the third bin, reduced to [0, 2*pi)."""
-        return (self.phi_a2 - self.phi_b2) % _TWO_PI
-
-    @classmethod
-    def from_bits(cls, j_a1: int, j_a2: int, j_b1: int, j_b2: int) -> "PhaseSetting":
-        """Binary setting: bit value 1 means a pi shift on that bin."""
-        for j in (j_a1, j_a2, j_b1, j_b2):
+    def __post_init__(self) -> None:
+        for j in (self.j_a1, self.j_a2, self.j_b1, self.j_b2):
             if j not in (0, 1):
                 raise ValueError(f"phase bits must be 0 or 1, got {j}")
-        return cls(j_a1 * math.pi, j_a2 * math.pi, j_b1 * math.pi, j_b2 * math.pi)
-
-
-# The 16 binary phase settings as (j_a1, j_a2, j_b1, j_b2), lexicographic:
-# setting index s is 8 j_a1 + 4 j_a2 + 2 j_b1 + j_b2.
-SETTING_BITS: Tuple[Tuple[int, int, int, int], ...] = tuple(itertools.product((0, 1), repeat=4))
 
 
 def discrete_settings() -> List[PhaseSetting]:
-    """All 16 binary phase settings, in SETTING_BITS order."""
-    return [PhaseSetting.from_bits(*bits) for bits in SETTING_BITS]
+    """All 16 phase settings, lexicographic in (j_a1, j_a2, j_b1, j_b2):
+    setting index s is 8 j_a1 + 4 j_a2 + 2 j_b1 + j_b2."""
+    return [PhaseSetting(*bits) for bits in itertools.product((0, 1), repeat=4)]
 
 
 def _check_pattern(pattern: Pattern) -> None:
@@ -110,22 +93,10 @@ class TwoPartyFockState:
             raise ValueError("cannot normalize the zero state")
         return TwoPartyFockState({p: a / n for p, a in self.amplitudes.items()}, self.port_basis)
 
-    def probability(self, pattern: Pattern) -> float:
-        return abs(self.amplitudes.get(tuple(pattern), 0j)) ** 2
-
     def pruned(self, eps: float = 1e-14) -> "TwoPartyFockState":
         """Copy with amplitudes of magnitude <= eps dropped."""
         kept = {p: a for p, a in self.amplitudes.items() if abs(a) > eps}
         return TwoPartyFockState(kept, self.port_basis)
-
-
-def _cis(phi: float) -> complex:
-    """exp(i*phi), snapped to an exact unit value at multiples of pi/2."""
-    quarter = phi / (0.5 * math.pi)
-    rounded = round(quarter)
-    if abs(quarter - rounded) < 1e-12:
-        return (1.0, 1.0j, -1.0, -1.0j)[rounded % 4]
-    return cmath.exp(1j * phi)
 
 
 def encode_single_photon(j1: int, j2: int, port: str = "a") -> TwoPartyFockState:
@@ -154,17 +125,17 @@ def joint_input(setting: PhaseSetting) -> TwoPartyFockState:
     """Joint product state of both senders for one phase setting.
 
     Nine patterns with one photon per side; the amplitude of (bin k of a,
-    bin l of b) is exp(i(phi_a,k + phi_b,l)) / 3 with bin-1 phases zero.
+    bin l of b) is (-1)**(j_a,k + j_b,l) / 3 with bin-1 bits zero.
     """
-    phases_a = (0.0, setting.phi_a1, setting.phi_a2)
-    phases_b = (0.0, setting.phi_b1, setting.phi_b2)
+    bits_a = (0, setting.j_a1, setting.j_a2)
+    bits_b = (0, setting.j_b1, setting.j_b2)
     amplitudes: Dict[Pattern, complex] = {}
     for k in range(3):
         for l in range(3):
             pattern = [0, 0, 0, 0, 0, 0]
             pattern[k] = 1
             pattern[3 + l] += 1
-            amplitudes[tuple(pattern)] = _cis(phases_a[k] + phases_b[l]) / 3.0
+            amplitudes[tuple(pattern)] = (-1.0) ** (bits_a[k] + bits_b[l]) / 3.0
     return TwoPartyFockState(amplitudes, INPUT)
 
 

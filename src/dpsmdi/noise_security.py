@@ -12,7 +12,7 @@ being a sum of squared magnitudes is what gives the one-way bound
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence, Tuple
+from typing import Iterable, Optional, Tuple
 
 import numpy as np
 
@@ -25,7 +25,7 @@ class NoiseMatrix:
 
     ``entries[i, j]`` is the amplitude taking bin j to bin i. Column
     norms at most 1 mark a map that can be realized with at most unit
-    probability per input bin; ``is_physical`` reports that.
+    probability per input bin.
     """
 
     entries: np.ndarray
@@ -39,21 +39,6 @@ class NoiseMatrix:
     @classmethod
     def identity(cls) -> "NoiseMatrix":
         return cls(np.eye(3, dtype=complex))
-
-    @classmethod
-    def from_floats(cls, values: Sequence[float]) -> "NoiseMatrix":
-        """Rebuild from 18 reals: row-major entries, re/im interleaved."""
-        flat = np.asarray(values, dtype=float)
-        if flat.shape != (18,):
-            raise ValueError(f"expected 18 reals, got shape {flat.shape}")
-        return cls((flat[0::2] + 1j * flat[1::2]).reshape(3, 3))
-
-    def column_norms(self) -> np.ndarray:
-        return np.linalg.norm(self.entries, axis=0)
-
-    @property
-    def is_physical(self) -> bool:
-        return bool(np.all(self.column_norms() <= 1.0 + 1e-12))
 
 
 def haar_random_physical(

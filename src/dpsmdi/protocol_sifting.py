@@ -16,7 +16,7 @@ from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .fock_optics import SETTING_BITS, PhaseSetting, discrete_settings, output_state
+from .fock_optics import PhaseSetting, discrete_settings, output_state
 
 Click = Tuple[str, int]
 
@@ -166,17 +166,7 @@ def sift(outcome: DetectionOutcome) -> SiftDecision:
     every other announcement (no click, one click, or a same-bin
     cross-detector pair) is Inconclusive.
     """
-    if not isinstance(outcome, DetectionOutcome):
-        outcome = DetectionOutcome(frozenset(outcome))
     return _DECISION_TABLE.get(outcome.clicks, _INCONCLUSIVE)
-
-
-def _phase_bit(phi: float, label: str) -> int:
-    ratio = phi / math.pi
-    bit = round(ratio)
-    if abs(ratio - bit) > 1e-9:
-        raise ValueError(f"{label}={phi} is not a multiple of pi; bits are undefined")
-    return bit % 2
 
 
 def extract_bits(
@@ -184,21 +174,17 @@ def extract_bits(
 ) -> Optional[Tuple[int, int]]:
     """Final key bits of both senders for a Keep decision.
 
-    Each sender's bit is their applied phase divided by pi on the bin
-    selected by the decision; Bob's bit is inverted when the decision
-    carries a flip. Returns None for non-Keep decisions.
+    Each sender's bit is their phase bit on the bin selected by the
+    decision; Bob's bit is inverted when the decision carries a flip.
+    Returns None for non-Keep decisions.
     """
     if decision.action is not Action.KEEP:
         return None
     if decision.phase_used is PhaseUsed.DELTA1:
-        phi_a, phi_b = setting.phi_a1, setting.phi_b1
+        alice, bob = setting.j_a1, setting.j_b1
     else:
-        phi_a, phi_b = setting.phi_a2, setting.phi_b2
-    alice = _phase_bit(phi_a, "phi_a")
-    bob = _phase_bit(phi_b, "phi_b")
-    if decision.bit_flip:
-        bob ^= 1
-    return alice, bob
+        alice, bob = setting.j_a2, setting.j_b2
+    return alice, bob ^ decision.bit_flip
 
 
 def sifted_key_fraction() -> Fraction:
@@ -235,8 +221,8 @@ def verify_entanglement_mapping(outcome: DetectionOutcome) -> AncillaBellState:
     # ancilla[a1, b1, a2, b2] = optical amplitude of the click pattern
     # when the senders' phase bits equal the ancilla basis labels.
     ancilla = np.zeros((2, 2, 2, 2), dtype=complex)
-    for (j_a1, j_a2, j_b1, j_b2), setting in zip(SETTING_BITS, discrete_settings()):
-        ancilla[j_a1, j_b1, j_a2, j_b2] = output_state(setting).amplitudes.get(pattern, 0j)
+    for s in discrete_settings():
+        ancilla[s.j_a1, s.j_b1, s.j_a2, s.j_b2] = output_state(s).amplitudes.get(pattern, 0j)
     matrix = ancilla.reshape(4, 4)  # rows: (A1,B1), columns: (A2,B2)
     if np.linalg.matrix_rank(matrix, tol=1e-9) != 1:
         raise AssertionError(f"projected ancilla state for {outcome} does not factorize")

@@ -38,7 +38,6 @@ from dpsmdi.keyrate_decoy import (
     sliced_gain_qber,
 )
 from dpsmdi.montecarlo import ChannelParams
-from dpsmdi.noise_security import NoiseMatrix
 from dpsmdi.protocol_sifting import (
     Action,
     DetectionOutcome,
@@ -48,6 +47,7 @@ from dpsmdi.protocol_sifting import (
 
 from test_keyrate_asymptotic import cutoff_distance
 from test_keyrate_decoy import increased_cost_rate
+from test_noise_security import noise_from_floats
 
 N_GRID = (
     10**5, 3 * 10**5, 10**6, 3 * 10**6, 10**7, 3 * 10**7,
@@ -94,8 +94,8 @@ def test_criterion_4_phase_error_never_exceeds_bit_error():
     rng = np.random.default_rng(20260823)
     checks.phase_error_bound(
         (
-            NoiseMatrix.from_floats(rng.uniform(-1.0, 1.0, size=18)),
-            NoiseMatrix.from_floats(rng.uniform(-1.0, 1.0, size=18)),
+            noise_from_floats(rng.uniform(-1.0, 1.0, size=18)),
+            noise_from_floats(rng.uniform(-1.0, 1.0, size=18)),
         )
         for _ in range(10**4)
     )

@@ -333,13 +333,20 @@ def exit_status(args, capsys):
          "config error: epsilon - epsilon_EC must be at least 1e-14"),
         (["finite-key", "--epsilon", "3", "--epsilon-ec", "0"], "config error: epsilon must lie in (0, 1)"),
         (["finite-key", "--epsilon", "1.5"], "config error: epsilon must lie in (0, 1)"),
+        (["finite-key", "--allow-full-budget=maybe"],
+         "error: argument --allow-full-budget: expected true or false, got 'maybe'"),
+        (["montecarlo", "--n-trials", "many"],
+         "error: argument --n-trials: expected an integer, got 'many'"),
+        (["asymptotic", "--config", ""], "config error: cannot read config file '': "),
+        (["asymptotic", "--config", "."], "config error: cannot read config file '.': "),
     ],
     ids=[
         "l-step-negative", "l-max-inf", "mu-a-inf", "f-inf", "point-count-overflow",
         "n-grid-overflow", "n-grid-nan", "mu-beyond-gain-underflow", "n-grid-beyond-cap",
         "n-trials-beyond-cap", "n-slices-beyond-cap", "mc-trials-beyond-cap",
         "epsilon-subnormal", "epsilon-gap-below-floor", "epsilon-ec-within-rounding",
-        "epsilon-3", "epsilon-above-1",
+        "epsilon-3", "epsilon-above-1", "bad-bool", "non-numeric-integer",
+        "config-path-empty", "config-path-a-directory",
     ],
 )
 def test_invalid_flag_value_exits_2(args, message, capsys):
@@ -351,17 +358,26 @@ def test_invalid_flag_value_exits_2(args, message, capsys):
 @pytest.mark.parametrize(
     "text, message",
     [
-        ("[decoy]\nN_slices = 1e400\n", "[decoy] N_slices: integer '1e400'"),
-        ("[finite_key]\nN_grid = 1e5, nan\n", "[finite_key] N_grid: expected an integer"),
+        ("[decoy]\nN_slices = 1e400\n", "bad value for [decoy] N_slices: integer '1e400'"),
+        ("[finite_key]\nN_grid = 1e5, nan\n",
+         "bad value for [finite_key] N_grid: expected an integer"),
+        ("[finite_key]\nallow_full_budget = maybe\n",
+         "bad value for [finite_key] allow_full_budget: expected true or false, got 'maybe'"),
+        ("[montecarlo]\nn_trials = many\n",
+         "bad value for [montecarlo] n_trials: expected an integer, got 'many'"),
+        ("[bogus]\nx = 1\n", "unknown config section [bogus]; "),
+        ("[channel\neta_det = 0.1\n", "config syntax error: "),
+        ("[channel]\neta_det 0.1\n", "config syntax error: "),
     ],
-    ids=["n-slices-overflow", "n-grid-nan"],
+    ids=["n-slices-overflow", "n-grid-nan", "bad-bool", "non-numeric-integer",
+         "unknown-section", "unclosed-header", "line-without-equals"],
 )
 def test_invalid_ini_value_exits_2(text, message, tmp_path, capsys):
     ini = tmp_path / "bad.ini"
     ini.write_text(text)
     code, stderr = exit_status(["qber-slices", "--config", str(ini)], capsys)
     assert code == 2
-    assert "config error: bad value for " + message in stderr
+    assert "config error: " + message in stderr
 
 
 def test_sweep_point_count_is_capped():
@@ -740,7 +756,7 @@ _N_SLICES = st.one_of(st.sampled_from([1, 10**4]), st.integers(1, 10**4))
 def _no_clicks_in_float64(p_dark, eta_det, alpha, l_km, mu_a, mu_b):
     # With no dark counts and the light at the relay below about 1e-160, the
     # yield and the gain underflow to 0 and the command stops on "QBER is
-    # undefined ..." with exit 1 (ROADMAP item 6). Every such draw seen had
+    # undefined ..." with exit 1 (ROADMAP item 7). Every such draw seen had
     # both below 1e-170.
     light = math.log10(eta_det) - alpha * l_km / 20.0 + math.log10(max(mu_a, mu_b))
     return p_dark < 1e-100 and light < -100.0
@@ -793,13 +809,7 @@ def test_decoy_and_qber_slices_inside_the_domain_exit_0(
 
 
 # one value just outside the domain per draw; the others stay at defaults
-_DECOY_OUTSIDE = st.one_of(
-    st.sampled_from(["--mu-a", "--mu-b"]).flatmap(
-        lambda flag: st.sampled_from([0.0, -1e-300, math.nextafter(1000.0, 2000.0), 1e6]).map(
-            lambda mu: f"{flag}={mu!r}"
-        )
-    ),
-    st.sampled_from([0, -1, 10**4 + 1]).map(lambda n: f"--n-slices={n}"),
+_CHANNEL_OUTSIDE = st.one_of(
     st.one_of(st.floats(1.0, 1e3), st.floats(-1.0, 0.0, exclude_max=True)).map(
         lambda p: f"--p-dark={p!r}"
     ),
@@ -807,11 +817,21 @@ _DECOY_OUTSIDE = st.one_of(
     st.floats(0.5, 1.0, exclude_min=True).map(lambda e: f"--e-d={e!r}"),
     st.floats(-1e3, 1.0, exclude_max=True).map(lambda f: f"--f={f!r}"),
     st.floats(-1.0, 0.0, exclude_max=True).map(lambda a: f"--alpha-db-per-km={a!r}"),
-    st.sampled_from(["--mu-a", "--p-dark", "--f"]).flatmap(
+    st.sampled_from(["--p-dark", "--f"]).flatmap(
         lambda flag: st.sampled_from(["nan", "inf", "-inf"]).map(lambda v: f"{flag}={v}")
     ),
 )
-# the sweep belongs to decoy, the one distance to qber-slices
+_DECOY_OUTSIDE = st.one_of(
+    st.sampled_from(["--mu-a", "--mu-b"]).flatmap(
+        lambda flag: st.sampled_from([0.0, -1e-300, math.nextafter(1000.0, 2000.0), 1e6]).map(
+            lambda mu: f"{flag}={mu!r}"
+        )
+    ),
+    st.sampled_from([0, -1, 10**4 + 1]).map(lambda n: f"--n-slices={n}"),
+    st.sampled_from(["nan", "inf", "-inf"]).map(lambda v: f"--mu-a={v}"),
+    _CHANNEL_OUTSIDE,
+)
+# the sweep belongs to decoy and asymptotic, the one distance to qber-slices
 _SWEEP_OUTSIDE = st.one_of(
     st.floats(-1e3, 0.0, exclude_max=True).map(lambda km: [f"--l-min={km!r}"]),
     st.floats(-1e3, 0.0).map(lambda step: [f"--l-step={step!r}"]),
@@ -836,6 +856,55 @@ def test_decoy_and_qber_slices_just_outside_the_domain_exit_2(outside, svg):
     with tempfile.TemporaryDirectory() as tmp:
         plot = ["--svg", os.path.join(tmp, "plot.svg")] if svg else []
         code, stdout, stderr = run_quietly([command, *flags, *plot])
+        assert not os.listdir(tmp)
+    assert code == 2
+    assert stdout == ""
+    assert stderr.startswith("config error: ")
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    p_dark=_P_DARK,
+    eta_det=st.floats(0.0, 1.0, exclude_min=True),
+    e_d=st.floats(0.0, 0.5),
+    f=st.floats(1.0, 1e300),
+    alpha=st.floats(0.0, 10.0),
+    l_km=st.floats(0.0, 1000.0),
+    l_step=st.floats(0.01, 500.0),
+    points=st.integers(1, 3),
+)
+def test_asymptotic_inside_the_domain_exits_0(p_dark, eta_det, e_d, f, alpha, l_km, l_step, points):
+    l_max = l_km + (points - 1) * l_step
+    args = [
+        "asymptotic", f"--p-dark={p_dark!r}", f"--eta-det={eta_det!r}", f"--e-d={e_d!r}",
+        f"--f={f!r}", f"--alpha-db-per-km={alpha!r}", f"--l-min={l_km!r}",
+        f"--l-max={l_max!r}", f"--l-step={l_step!r}",
+    ]
+    with tempfile.TemporaryDirectory() as tmp:
+        plot = os.path.join(tmp, "plot.svg")
+        code, stdout, stderr = run_quietly(args + ["--svg", plot])
+        svg = ""
+        if code == 0:
+            with open(plot, encoding="utf-8") as handle:
+                svg = handle.read()
+    # single photons: the light at the relay is eta per side, mu = 1
+    if _no_clicks_in_float64(p_dark, eta_det, alpha, l_max, 1.0, 1.0) and code == 1:
+        assert stdout == ""
+        assert stderr.startswith("error: QBER is undefined ") and stderr.count("\n") == 1
+        return
+    assert (code, stderr) == (0, "")
+    assert svg.startswith("<svg")
+    rows = [[float(v) for v in row.split(",")] for row in stdout.strip().split("\n")[1:]]
+    assert len(rows) == points
+    assert all(math.isfinite(v) and v >= 0.0 for row in rows for v in row)
+
+
+@settings(max_examples=40, deadline=None)
+@given(outside=st.one_of(_CHANNEL_OUTSIDE.map(lambda a: [a]), _SWEEP_OUTSIDE))
+def test_asymptotic_just_outside_the_domain_exits_2(outside):
+    with tempfile.TemporaryDirectory() as tmp:
+        plot = os.path.join(tmp, "plot.svg")
+        code, stdout, stderr = run_quietly(["asymptotic", *outside, "--svg", plot])
         assert not os.listdir(tmp)
     assert code == 2
     assert stdout == ""

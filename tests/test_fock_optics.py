@@ -1,6 +1,8 @@
 """State algebra: encoding, interference, post-selection."""
 
+import itertools
 import math
+from dataclasses import fields
 
 import pytest
 from hypothesis import given, settings
@@ -23,21 +25,35 @@ from dpsmdi.protocol_sifting import Action, DetectionOutcome, PhaseUsed, sift
 
 
 def test_phase_setting_differences():
-    setting = PhaseSetting(math.pi, 0.0, 0.0, math.pi)
-    assert setting.delta_phi1 == pytest.approx(math.pi)
-    assert setting.delta_phi2 == pytest.approx(math.pi)
-    # differences are reduced mod 2*pi
-    wrapped = PhaseSetting(0.0, 0.0, 3.0 * math.pi, 0.0)
-    assert wrapped.delta_phi1 == pytest.approx(math.pi)
+    """The phase difference on a later bin is the xor of the senders'
+    bits there: the relative sign of (a in that bin, b in bin 1) and
+    (a in bin 1, b in that bin)."""
+    amplitudes = joint_input(PhaseSetting(1, 0, 0, 1)).amplitudes
+    # bin 2: j_a1 xor j_b1 = 1; bin 3: j_a2 xor j_b2 = 1
+    assert amplitudes[(0, 1, 0, 1, 0, 0)] == -amplitudes[(1, 0, 0, 0, 1, 0)]
+    assert amplitudes[(0, 0, 1, 1, 0, 0)] == -amplitudes[(1, 0, 0, 0, 0, 1)]
+    same = joint_input(PhaseSetting(1, 1, 1, 1)).amplitudes
+    assert same[(0, 1, 0, 1, 0, 0)] == same[(1, 0, 0, 0, 1, 0)]
+    assert same[(0, 0, 1, 1, 0, 0)] == same[(1, 0, 0, 0, 0, 1)]
+
+
+def test_phase_setting_is_four_bits():
+    assert [(f.name, f.type) for f in fields(PhaseSetting)] == [
+        ("j_a1", "int"), ("j_a2", "int"), ("j_b1", "int"), ("j_b2", "int")
+    ]
+    # a multiple of pi beyond pi is no bit either
+    for bits in ((2, 0, 0, 0), (0, 0, 0, -1)):
+        with pytest.raises(ValueError):
+            PhaseSetting(*bits)
 
 
 def test_discrete_settings_enumeration():
     settings_list = discrete_settings()
-    assert len(settings_list) == 16
+    # setting index s is 8 j_a1 + 4 j_a2 + 2 j_b1 + j_b2
+    assert [(s.j_a1, s.j_a2, s.j_b1, s.j_b2) for s in settings_list] == list(
+        itertools.product((0, 1), repeat=4)
+    )
     assert len(set(settings_list)) == 16
-    for s in settings_list:
-        for phi in (s.phi_a1, s.phi_a2, s.phi_b1, s.phi_b2):
-            assert phi in (0.0, math.pi)
 
 
 def test_single_photon_encoding_amplitudes():
@@ -80,16 +96,20 @@ def test_postselection_rejects_wrong_basis_and_zero():
         postselect_hom(TwoPartyFockState({}, INPUT))
 
 
+def probability(state, pattern):
+    return abs(state.amplitudes.get(pattern, 0j)) ** 2
+
+
 def test_beamsplitter_bunches_same_bin_photons():
     """One photon per arm in the same bin never produces a coincidence."""
     state = TwoPartyFockState({(1, 0, 0, 1, 0, 0): 1.0}, INPUT)
     transformed = beamsplitter_transform(state)
     expect = 1.0 / math.sqrt(2.0)
-    assert transformed.probability((2, 0, 0, 0, 0, 0)) == pytest.approx(0.5, abs=1e-12)
-    assert transformed.probability((0, 0, 0, 2, 0, 0)) == pytest.approx(0.5, abs=1e-12)
+    assert probability(transformed, (2, 0, 0, 0, 0, 0)) == pytest.approx(0.5, abs=1e-12)
+    assert probability(transformed, (0, 0, 0, 2, 0, 0)) == pytest.approx(0.5, abs=1e-12)
     assert transformed.amplitudes[(2, 0, 0, 0, 0, 0)].real == pytest.approx(expect)
     # the coincidence amplitude cancels
-    assert transformed.probability((1, 0, 0, 1, 0, 0)) == pytest.approx(0.0, abs=1e-24)
+    assert probability(transformed, (1, 0, 0, 1, 0, 0)) == pytest.approx(0.0, abs=1e-24)
 
 
 def test_beamsplitter_acts_per_time_bin():
@@ -98,7 +118,7 @@ def test_beamsplitter_acts_per_time_bin():
     # distinct bins: four equally likely two-click patterns
     for pattern in ((1, 1, 0, 0, 0, 0), (1, 0, 0, 0, 1, 0),
                     (0, 1, 0, 1, 0, 0), (0, 0, 0, 1, 1, 0)):
-        assert transformed.probability(pattern) == pytest.approx(0.25, abs=1e-12)
+        assert probability(transformed, pattern) == pytest.approx(0.25, abs=1e-12)
 
 
 @settings(max_examples=150, deadline=None)

@@ -1,5 +1,6 @@
 """Trial-level channel simulation: determinism, sharding, physics checks."""
 
+import hashlib
 import math
 import os
 from fractions import Fraction
@@ -355,6 +356,29 @@ def test_pattern_guide_is_exact():
             assert np.any((firsts[b] < bounds) & (bounds <= lasts[b])), (row, b)
     # the premise of the lookup: few draws go to the binary search
     assert np.count_nonzero(guide == GUIDE_MISS) < 0.01 * guide.size
+
+
+# sha256 over the C-order bytes of build_tables()'s six arrays in field
+# order, then of keep_weights()'s masks and weights
+TABLES_SHA256 = "ec651b737d0349ebb1d9bbdb242fa7faae0e1b357c493fa98b0469a817f59083"
+
+
+def test_relay_tables_are_pinned():
+    """The tables that the kernel, the replay and the quadrature oracle read
+    stay bit-identical to those the pinned tallies and CSVs came from."""
+    tables = build_tables()
+    digest = hashlib.sha256()
+    for array in (
+        tables.outcome_cum,
+        tables.action,
+        tables.base_error,
+        tables.pattern_keys,
+        tables.pattern_guide,
+        tables.bin_amplitudes,
+        *keep_weights(),
+    ):
+        digest.update(array.tobytes(order="C"))
+    assert digest.hexdigest() == TABLES_SHA256
 
 
 def test_kernel_is_exact_on_boundary_draws(monkeypatch):

@@ -1,6 +1,5 @@
 """Announcement classification, bit extraction, and the ancilla mapping."""
 
-import math
 from fractions import Fraction
 
 import pytest
@@ -80,9 +79,9 @@ def test_decision_field_coupling():
 
 def test_extract_bits_unflipped():
     decision = sift(outcome(("c", 1), ("c", 2)))
-    setting = PhaseSetting(math.pi, 0.0, 0.0, 0.0)
+    setting = PhaseSetting(1, 0, 0, 0)
     assert extract_bits(decision, setting) == (1, 0)
-    setting2 = PhaseSetting(math.pi, 0.0, math.pi, 0.0)
+    setting2 = PhaseSetting(1, 0, 1, 0)
     assert extract_bits(decision, setting2) == (1, 1)
 
 
@@ -90,21 +89,21 @@ def test_extract_bits_flip_inverts_bob():
     """A cross-detector announcement anti-correlates the raw phases, so
     the recorded bits agree only after Bob's inversion."""
     decision = sift(outcome(("c", 1), ("d", 2)))
-    setting = PhaseSetting(0.0, 0.0, math.pi, 0.0)
+    setting = PhaseSetting(0, 0, 1, 0)
     assert extract_bits(decision, setting) == (0, 0)
 
 
 def test_extract_bits_uses_selected_phase_pair():
     decision = sift(outcome(("d", 1), ("d", 3)))  # second phase difference
-    setting = PhaseSetting(0.0, math.pi, 0.0, math.pi)
+    setting = PhaseSetting(0, 1, 0, 1)
     assert extract_bits(decision, setting) == (1, 1)
 
 
 def test_extract_bits_non_keep_and_bad_phase():
     assert extract_bits(sift(outcome(("c", 2), ("c", 3))), PhaseSetting(0, 0, 0, 0)) is None
-    decision = sift(outcome(("c", 1), ("c", 2)))
+    # a phase that is no multiple of pi has no bit, and no setting holds it
     with pytest.raises(ValueError):
-        extract_bits(decision, PhaseSetting(0.3, 0.0, 0.0, 0.0))
+        PhaseSetting(0.3, 0, 0, 0)
 
 
 def test_sifted_key_fraction_exact():

@@ -1,7 +1,7 @@
 """Source hygiene: the package is plain Python, every import in the package
 and test modules is used (``__init__`` re-exports aside), every private
 module-level name of the package is read somewhere in the package, and so
-is every public function and class, bar a named few."""
+is every public function, class, method and property, bar a named few."""
 
 import ast
 from pathlib import Path
@@ -67,14 +67,22 @@ def package_trees(include_init=True):
     }
 
 
+def attributes_read(trees):
+    """Names taken as attributes, ``x.name``."""
+    return {
+        node.attr
+        for tree in trees.values()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute)
+    }
+
+
 def names_read(trees):
     """Names loaded, taken as attributes or imported by name."""
-    read = set()
+    read = attributes_read(trees)
     for node in (node for tree in trees.values() for node in ast.walk(tree)):
         if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
             read.add(node.id)
-        elif isinstance(node, ast.Attribute):
-            read.add(node.attr)
         elif isinstance(node, ast.ImportFrom):
             read.update(alias.name for alias in node.names)
     return read
@@ -103,8 +111,8 @@ def test_private_names_are_read_in_the_package():
     assert not unread, f"private names never read in the package: {', '.join(unread)}"
 
 
-# Public functions and classes the package itself does not read, each kept
-# for a reader outside it.
+# Public functions, classes, methods and properties the package itself does
+# not read, each kept for a reader outside it.
 UNREAD_PUBLIC = {
     # the per-trial oracle the tests and the benchmark check the kernel with
     "replay_trials",
@@ -124,6 +132,30 @@ def test_public_names_are_read_in_the_package():
         if not name.startswith("_") and name not in read
     ]
     assert not unread, f"public names only read outside the package: {', '.join(unread)}"
+
+
+def public_methods(tree):
+    """(class, name, line) of each public method and property of the
+    module's classes."""
+    for cls in tree.body:
+        if isinstance(cls, ast.ClassDef):
+            for node in cls.body:
+                if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
+                    yield cls.name, node.name, node.lineno
+
+
+def test_public_methods_are_read_in_the_package():
+    # a method is read only where the package takes it as an attribute,
+    # self.name or Class.name; the re-exports of __init__ do not count
+    trees = package_trees(include_init=False)
+    read = attributes_read(trees) | UNREAD_PUBLIC
+    unread = [
+        f"{module}: {cls}.{name} (line {line})"
+        for module, tree in trees.items()
+        for cls, name, line in public_methods(tree)
+        if name not in read
+    ]
+    assert not unread, f"public methods only read outside the package: {', '.join(unread)}"
 
 
 def test_package_holds_only_python_sources():
