@@ -33,7 +33,6 @@ from .protocol_sifting import (
     Action,
     BellLabel,
     DetectionOutcome,
-    PhaseUsed,
     Register,
     SiftDecision,
     conclusive_rows,
@@ -87,7 +86,6 @@ __all__ = [
     "FiniteKeyBudget",
     "NoiseMatrix",
     "PhaseSetting",
-    "PhaseUsed",
     "Register",
     "RunConfig",
     "SecurityParams",

@@ -27,7 +27,6 @@ from .protocol_sifting import (
     Action,
     BellLabel,
     DetectionOutcome,
-    PhaseUsed,
     Register,
     SiftDecision,
     extract_bits,
@@ -45,24 +44,21 @@ def _require(condition: bool, detail: str) -> None:
         raise CheckFailure(detail)
 
 
-def _rule(
-    outcome: DetectionOutcome,
-) -> Tuple[SiftDecision, Optional[BellLabel], Optional[Register]]:
-    """The reconciliation rule for one announcement, with the Bell state
-    and register a kept one leaves: a bin-1 click paired with a bin-k
-    click (k = 2, 3) keeps a bit read from phase pair k - 1, flipped and
-    anticorrelated exactly when the detectors differ; a bins {2, 3} pair
-    is discarded; everything else is inconclusive."""
+def _rule(outcome: DetectionOutcome) -> Tuple[SiftDecision, Optional[BellLabel]]:
+    """The reconciliation rule for one announcement, with the Bell state a
+    kept one leaves: a bin-1 click paired with a bin-k click (k = 2, 3)
+    keeps a bit read from register A1B1 (k = 2) or A2B2 (k = 3), flipped
+    and anticorrelated exactly when the detectors differ; a bins {2, 3}
+    pair is discarded; everything else is inconclusive."""
     bins = sorted(time_bin for _detector, time_bin in outcome.clicks)
     if bins == [2, 3]:
-        return SiftDecision(Action.DISCARD), None, None
+        return SiftDecision(Action.DISCARD), None
     if bins not in ([1, 2], [1, 3]):
-        return SiftDecision(Action.INCONCLUSIVE), None, None
+        return SiftDecision(Action.INCONCLUSIVE), None
     crossed = len({detector for detector, _bin in outcome.clicks}) == 2
     label = BellLabel.ANTICORRELATED if crossed else BellLabel.CORRELATED
-    if bins[1] == 2:
-        return SiftDecision(Action.KEEP, PhaseUsed.DELTA1, crossed), label, Register.A1B1
-    return SiftDecision(Action.KEEP, PhaseUsed.DELTA2, crossed), label, Register.A2B2
+    register = Register.A1B1 if bins[1] == 2 else Register.A2B2
+    return SiftDecision(Action.KEEP, register, crossed), label
 
 
 def _outcomes() -> List[DetectionOutcome]:
@@ -84,7 +80,7 @@ def reconciliation_table() -> None:
     for outcome, expected in rules.items():
         decision = sift(outcome)
         _require(decision.action is expected.action, f"action mismatch at {outcome}")
-        _require(decision == expected, f"phase pair or flip mismatch at {outcome}")
+        _require(decision == expected, f"register or flip mismatch at {outcome}")
     for setting in discrete_settings():
         support = {}
         for pattern, amplitude in conclusive_output_state(setting).pruned().amplitudes.items():
@@ -93,7 +89,7 @@ def reconciliation_table() -> None:
         for outcome, expected in rules.items():
             if expected.action is not Action.KEEP:
                 continue
-            if expected.phase_used is PhaseUsed.DELTA1:
+            if expected.register is Register.A1B1:
                 parity = setting.j_a1 ^ setting.j_b1
             else:
                 parity = setting.j_a2 ^ setting.j_b2
@@ -123,16 +119,15 @@ def reconciliation_table() -> None:
 
 def bell_state_mapping() -> None:
     """Each announcement the rule keeps leaves, in the entanglement-based
-    picture, the Bell state the rule names on the register it names."""
+    picture, the Bell state the rule names.  ``verify_entanglement_mapping``
+    finds it on the register ``sift`` names or raises, and
+    ``reconciliation_table`` checks that register against the rule."""
     for outcome in _outcomes():
-        decision, label, register = _rule(outcome)
+        decision, label = _rule(outcome)
         if decision.action is not Action.KEEP:
             continue
         mapped = verify_entanglement_mapping(outcome)
-        _require(
-            (mapped.label, mapped.register) == (label, register),
-            f"Bell mapping mismatch at {outcome}: got {mapped}",
-        )
+        _require(mapped is label, f"Bell mapping mismatch at {outcome}: got {mapped}")
 
 
 def phase_error_bound(pairs: Iterable[Tuple[NoiseMatrix, NoiseMatrix]]) -> None:

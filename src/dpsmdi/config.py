@@ -253,14 +253,19 @@ SETTINGS: Tuple[Setting, ...] = tuple(
 )
 
 
-def from_ini_text(text: str, base: RunConfig | None = None) -> RunConfig:
-    """Parse INI text on top of ``base`` (defaults when omitted)."""
+def from_ini_text(
+    text: str, base: RunConfig | None = None, source: str = "<string>"
+) -> RunConfig:
+    """Parse INI text on top of ``base`` (defaults when omitted); a syntax
+    error names ``source``, the file the text came from."""
     parser = configparser.ConfigParser(interpolation=None)
     parser.optionxform = str  # keep key case: L_min and N_grid are spelled as-is
     try:
-        parser.read_string(text)
+        parser.read_string(text, source)
     except configparser.Error as exc:
-        raise ConfigError(f"config syntax error: {exc}") from exc
+        # configparser spreads its message over lines; keep one
+        message = " ".join(line.strip() for line in str(exc).splitlines())
+        raise ConfigError(f"config syntax error: {message}") from exc
     updates: Dict[str, Any] = {}
     for section in parser.sections():
         keys = {s.key: s for s in SETTINGS if s.section == section}
@@ -297,7 +302,7 @@ def load(path: str | None, overrides: Mapping[str, Any] | None = None) -> RunCon
                 text = handle.read()
         except OSError as exc:
             raise ConfigError(f"cannot read config file {path!r}: {exc}") from exc
-        config = from_ini_text(text, base=config)
+        config = from_ini_text(text, base=config, source=path)
     if overrides:
         cleaned = {}
         names = {s.name for s in SETTINGS}

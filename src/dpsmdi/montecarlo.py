@@ -15,12 +15,12 @@ import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Dict, Iterator, Optional, Sequence, Tuple
+from typing import Dict, Iterator, Optional, Tuple
 
 import numpy as np
 
 from . import _mc_kernel, _rng
-from ._mc_tables import ACTION_DISCARD, ACTION_INCONCLUSIVE, TableSet, build_tables
+from ._mc_tables import ACTION_DISCARD, ACTION_INCONCLUSIVE, build_tables
 from .fock_optics import PhaseSetting, discrete_settings
 from .protocol_sifting import (
     Action,
@@ -118,7 +118,7 @@ class TrialRecord:
 
 @dataclass
 class EmpiricalEstimates:
-    """Tallies of one run (or merged shards) plus derived estimates."""
+    """Tallies of one run plus derived estimates."""
 
     n_trials: int
     seed: int
@@ -181,18 +181,6 @@ class EmpiricalEstimates:
         freqs["freq_other"] = others / self.n_trials
         return freqs
 
-    def merged_with(self, other: "EmpiricalEstimates") -> "EmpiricalEstimates":
-        """Combine shard tallies; shards must come from the same seed."""
-        if self.seed != other.seed:
-            raise ValueError("can only merge shards of the same seeded run")
-        return EmpiricalEstimates(
-            self.n_trials + other.n_trials,
-            self.seed,
-            self.mask_counts + other.mask_counts,
-            self.keep_count + other.keep_count,
-            self.error_count + other.error_count,
-        )
-
     def to_csv(self) -> str:
         """One row per estimate: name, value, stderr, n_trials, seed."""
         buffer = io.StringIO()
@@ -215,35 +203,6 @@ class EmpiricalEstimates:
         return buffer.getvalue()
 
 
-def merge_estimates(parts: Sequence[EmpiricalEstimates]) -> EmpiricalEstimates:
-    if not parts:
-        raise ValueError("nothing to merge")
-    merged = parts[0]
-    for part in parts[1:]:
-        merged = merged.merged_with(part)
-    return merged
-
-
-def _run_range(
-    params: ChannelParams,
-    start_trial: int,
-    n_trials: int,
-    seed: int,
-    tables: TableSet,
-) -> EmpiricalEstimates:
-    mask_counts, keep, errors = _mc_kernel.run_kernel(
-        seed,
-        start_trial,
-        n_trials,
-        params.eta_a,
-        params.eta_b,
-        params.p_dark,
-        params.e_d,
-        tables,
-    )
-    return EmpiricalEstimates(n_trials, seed, mask_counts, int(keep), int(errors))
-
-
 def run_trials(
     params: ChannelParams,
     n_trials: int,
@@ -263,21 +222,28 @@ def run_trials(
     threads = min(max(1, int(threads)), os.cpu_count() or 1)
     tables = build_tables()
 
-    if threads == 1:
-        return _run_range(params, 0, n_trials, seed, tables)
-
-    bounds = np.linspace(0, n_trials, threads + 1, dtype=np.int64)
-    jobs = [
-        (int(lo), int(hi - lo)) for lo, hi in zip(bounds[:-1], bounds[1:]) if hi > lo
-    ]
-    with ThreadPoolExecutor(max_workers=len(jobs)) as pool:
-        parts = list(
-            pool.map(
-                lambda job: _run_range(params, job[0], job[1], seed, tables),
-                jobs,
-            )
+    def tally(job: Tuple[int, int]) -> Tuple[np.ndarray, int, int]:
+        start, stop = job
+        return _mc_kernel.run_kernel(
+            seed,
+            start,
+            stop - start,
+            params.eta_a,
+            params.eta_b,
+            params.p_dark,
+            params.e_d,
+            tables,
         )
-    return merge_estimates(parts)
+
+    if threads == 1:
+        parts = [tally((0, n_trials))]
+    else:
+        # a shard may be empty when n_trials < threads; it tallies nothing
+        bounds = np.linspace(0, n_trials, threads + 1, dtype=np.int64).tolist()
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            parts = list(pool.map(tally, zip(bounds[:-1], bounds[1:])))
+    mask_counts, keep, errors = (sum(column) for column in zip(*parts))
+    return EmpiricalEstimates(n_trials, seed, mask_counts, int(keep), int(errors))
 
 
 def replay_trials(

@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
-from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -31,14 +31,6 @@ class Action(str, Enum):
     INCONCLUSIVE = "Inconclusive"
 
 
-class PhaseUsed(str, Enum):
-    """Which sender phase pair a kept bit is read from."""
-
-    DELTA1 = "delta_phi1"
-    DELTA2 = "delta_phi2"
-    NONE = "none"
-
-
 class BellLabel(str, Enum):
     """Bell state shared on the retained ancilla register after a Keep."""
 
@@ -47,6 +39,10 @@ class BellLabel(str, Enum):
 
 
 class Register(str, Enum):
+    """The ancilla register a kept bit is read from, in the
+    entanglement-based picture: A1B1 holds the senders' bin-2 phase bits,
+    A2B2 their bin-3 bits."""
+
     A1B1 = "A1B1"
     A2B2 = "A2B2"
 
@@ -103,52 +99,47 @@ class DetectionOutcome:
 class SiftDecision:
     """What the senders do with one announcement.
 
-    ``phase_used`` is NONE exactly when the action is not Keep, and
-    ``bit_flip`` carries a boolean only for Keep decisions.
+    ``register`` names the ancilla register a kept bit is read from, and
+    ``bit_flip`` whether Bob inverts his; both are set exactly for Keep
+    decisions.
     """
 
     action: Action
-    phase_used: PhaseUsed = PhaseUsed.NONE
+    register: Optional[Register] = None
     bit_flip: Optional[bool] = None
 
     def __post_init__(self) -> None:
-        if (self.phase_used is PhaseUsed.NONE) != (self.action is not Action.KEEP):
-            raise ValueError("phase_used must be set exactly for Keep decisions")
-        if (self.bit_flip is None) == (self.action is Action.KEEP):
+        keep = self.action is Action.KEEP
+        if (self.register is None) == keep:
+            raise ValueError("register is set exactly for Keep decisions")
+        if (self.bit_flip is None) == keep:
             raise ValueError("bit_flip is defined exactly for Keep decisions")
 
 
-@dataclass(frozen=True)
-class AncillaBellState:
-    """Bell label plus the ancilla register pair it lives on."""
-
-    label: BellLabel
-    register: Register
-
-
-def _keep(phase: PhaseUsed, flip: bool) -> SiftDecision:
-    return SiftDecision(Action.KEEP, phase, flip)
+def _keep(register: Register, flip: bool) -> SiftDecision:
+    return SiftDecision(Action.KEEP, register, flip)
 
 
 # The 12 conclusive announcement rows, in documentation order: first the
 # unflipped coincidences (same detector, bin 1 with bin 2 or 3), then the
 # flipped ones (opposite detectors), then the discarded bins-{2,3} pairs.
-_CONCLUSIVE_ROWS: List[Tuple[FrozenSet[Click], SiftDecision]] = [
-    (frozenset({("c", 1), ("c", 2)}), _keep(PhaseUsed.DELTA1, False)),
-    (frozenset({("d", 1), ("d", 2)}), _keep(PhaseUsed.DELTA1, False)),
-    (frozenset({("c", 1), ("c", 3)}), _keep(PhaseUsed.DELTA2, False)),
-    (frozenset({("d", 1), ("d", 3)}), _keep(PhaseUsed.DELTA2, False)),
-    (frozenset({("c", 1), ("d", 2)}), _keep(PhaseUsed.DELTA1, True)),
-    (frozenset({("c", 2), ("d", 1)}), _keep(PhaseUsed.DELTA1, True)),
-    (frozenset({("c", 1), ("d", 3)}), _keep(PhaseUsed.DELTA2, True)),
-    (frozenset({("c", 3), ("d", 1)}), _keep(PhaseUsed.DELTA2, True)),
-    (frozenset({("c", 2), ("c", 3)}), SiftDecision(Action.DISCARD)),
-    (frozenset({("d", 2), ("d", 3)}), SiftDecision(Action.DISCARD)),
-    (frozenset({("c", 2), ("d", 3)}), SiftDecision(Action.DISCARD)),
-    (frozenset({("c", 3), ("d", 2)}), SiftDecision(Action.DISCARD)),
-]
-
-_DECISION_TABLE: Dict[FrozenSet[Click], SiftDecision] = dict(_CONCLUSIVE_ROWS)
+_DECISION_TABLE: Dict[DetectionOutcome, SiftDecision] = {
+    DetectionOutcome(frozenset(clicks)): decision
+    for clicks, decision in (
+        ({("c", 1), ("c", 2)}, _keep(Register.A1B1, False)),
+        ({("d", 1), ("d", 2)}, _keep(Register.A1B1, False)),
+        ({("c", 1), ("c", 3)}, _keep(Register.A2B2, False)),
+        ({("d", 1), ("d", 3)}, _keep(Register.A2B2, False)),
+        ({("c", 1), ("d", 2)}, _keep(Register.A1B1, True)),
+        ({("c", 2), ("d", 1)}, _keep(Register.A1B1, True)),
+        ({("c", 1), ("d", 3)}, _keep(Register.A2B2, True)),
+        ({("c", 3), ("d", 1)}, _keep(Register.A2B2, True)),
+        ({("c", 2), ("c", 3)}, SiftDecision(Action.DISCARD)),
+        ({("d", 2), ("d", 3)}, SiftDecision(Action.DISCARD)),
+        ({("c", 2), ("d", 3)}, SiftDecision(Action.DISCARD)),
+        ({("c", 3), ("d", 2)}, SiftDecision(Action.DISCARD)),
+    )
+}
 
 _INCONCLUSIVE = SiftDecision(Action.INCONCLUSIVE)
 
@@ -166,7 +157,7 @@ def sift(outcome: DetectionOutcome) -> SiftDecision:
     every other announcement (no click, one click, or a same-bin
     cross-detector pair) is Inconclusive.
     """
-    return _DECISION_TABLE.get(outcome.clicks, _INCONCLUSIVE)
+    return _DECISION_TABLE.get(outcome, _INCONCLUSIVE)
 
 
 def extract_bits(
@@ -174,13 +165,13 @@ def extract_bits(
 ) -> Optional[Tuple[int, int]]:
     """Final key bits of both senders for a Keep decision.
 
-    Each sender's bit is their phase bit on the bin selected by the
-    decision; Bob's bit is inverted when the decision carries a flip.
+    Each sender's bit is their phase bit on the bin of the decision's
+    register; Bob's bit is inverted when the decision carries a flip.
     Returns None for non-Keep decisions.
     """
     if decision.action is not Action.KEEP:
         return None
-    if decision.phase_used is PhaseUsed.DELTA1:
+    if decision.register is Register.A1B1:
         alice, bob = setting.j_a1, setting.j_b1
     else:
         alice, bob = setting.j_a2, setting.j_b2
@@ -195,13 +186,12 @@ def sifted_key_fraction() -> Fraction:
 
 def conclusive_rows() -> Dict[DetectionOutcome, SiftDecision]:
     """All 12 two-click reconciliation rows, in table order: every
-    announcement ``sift`` does not call Inconclusive."""
-    return {
-        DetectionOutcome(clicks): decision for clicks, decision in _CONCLUSIVE_ROWS
-    }
+    announcement ``sift`` does not call Inconclusive.  A copy: changing
+    it leaves ``sift`` as it is."""
+    return dict(_DECISION_TABLE)
 
 
-def verify_entanglement_mapping(outcome: DetectionOutcome) -> AncillaBellState:
+def verify_entanglement_mapping(outcome: DetectionOutcome) -> BellLabel:
     """Bell state left on the senders' ancilla qubits after a Keep announcement.
 
     Rebuilds the joint state in the equivalent entanglement-based picture:
@@ -209,8 +199,8 @@ def verify_entanglement_mapping(outcome: DetectionOutcome) -> AncillaBellState:
     uniformly entangled with the emitted phase pattern. Projecting the
     optical part onto the announced click pattern leaves a 16-component
     ancilla vector over (A1, B1, A2, B2); it must factorize into a Bell
-    state on the register matching the decision's phase pair and a
-    Z-uniform state on the other register.
+    state on the register ``sift`` names and a Z-uniform state on the
+    other register, or this raises.
     """
     decision = sift(outcome)
     if decision.action is not Action.KEEP:
@@ -234,10 +224,10 @@ def verify_entanglement_mapping(outcome: DetectionOutcome) -> AncillaBellState:
     if not np.allclose(np.outer(row_factor, col_factor), matrix, atol=1e-12):
         raise AssertionError(f"rank-1 factorization failed for {outcome}")
 
-    if decision.phase_used is PhaseUsed.DELTA1:
-        register, kept, other = Register.A1B1, row_factor, col_factor
+    if decision.register is Register.A1B1:
+        kept, other = row_factor, col_factor
     else:
-        register, kept, other = Register.A2B2, col_factor, row_factor
+        kept, other = col_factor, row_factor
 
     other_mags = np.abs(other)
     if not np.allclose(other_mags, other_mags[0], atol=1e-12):
@@ -246,5 +236,5 @@ def verify_entanglement_mapping(outcome: DetectionOutcome) -> AncillaBellState:
     kept = kept / np.linalg.norm(kept)
     for label, vector in _BELL_VECTORS.items():
         if abs(np.vdot(vector, kept)) >= 1.0 - 1e-9:
-            return AncillaBellState(label, register)
+            return label
     raise AssertionError(f"kept register state for {outcome} is not a recognized Bell state")

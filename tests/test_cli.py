@@ -366,8 +366,10 @@ def test_invalid_flag_value_exits_2(args, message, capsys):
         ("[montecarlo]\nn_trials = many\n",
          "bad value for [montecarlo] n_trials: expected an integer, got 'many'"),
         ("[bogus]\nx = 1\n", "unknown config section [bogus]; "),
-        ("[channel\neta_det = 0.1\n", "config syntax error: "),
-        ("[channel]\neta_det 0.1\n", "config syntax error: "),
+        ("[channel\neta_det = 0.1\n",
+         "config syntax error: File contains no section headers. file: {path}, line: 1 "),
+        ("[channel]\neta_det 0.1\n",
+         "config syntax error: Source contains parsing errors: {path} [line  2]: "),
     ],
     ids=["n-slices-overflow", "n-grid-nan", "bad-bool", "non-numeric-integer",
          "unknown-section", "unclosed-header", "line-without-equals"],
@@ -377,7 +379,8 @@ def test_invalid_ini_value_exits_2(text, message, tmp_path, capsys):
     ini.write_text(text)
     code, stderr = exit_status(["qber-slices", "--config", str(ini)], capsys)
     assert code == 2
-    assert "config error: " + message in stderr
+    assert "config error: " + message.format(path=repr(str(ini))) in stderr
+    assert stderr.count("\n") == 1  # one line, syntax errors included
 
 
 def test_sweep_point_count_is_capped():
@@ -651,12 +654,9 @@ def test_verify_reports_a_failing_check(monkeypatch, capsys):
 
 def test_verify_catches_a_dropped_table_row(monkeypatch, capsys):
     build_tables()  # the Monte Carlo tables stay built from the intact table
-    rows = [
-        row for row in protocol_sifting._CONCLUSIVE_ROWS
-        if row[0] != frozenset({("c", 3), ("d", 2)})
-    ]
-    monkeypatch.setattr(protocol_sifting, "_CONCLUSIVE_ROWS", rows)
-    monkeypatch.setattr(protocol_sifting, "_DECISION_TABLE", dict(rows))
+    table = dict(protocol_sifting._DECISION_TABLE)
+    del table[protocol_sifting.DetectionOutcome(frozenset({("c", 3), ("d", 2)}))]
+    monkeypatch.setattr(protocol_sifting, "_DECISION_TABLE", table)
     code, stdout, _ = run_cli(["verify", "--mc-trials", "200000"], capsys)
     assert code == 1
     lines = stdout.splitlines()

@@ -21,7 +21,7 @@ from dpsmdi.fock_optics import (
     output_state,
     postselect_hom,
 )
-from dpsmdi.protocol_sifting import Action, DetectionOutcome, PhaseUsed, sift
+from dpsmdi.protocol_sifting import Action, DetectionOutcome, Register, sift
 
 
 def test_phase_setting_differences():
@@ -150,13 +150,13 @@ def test_output_state_completeness():
         # amplitude; prune before classifying
         state = output_state(setting).pruned()
         weights = {action: 0.0 for action in Action}
-        per_phase_pair = {PhaseUsed.DELTA1: [], PhaseUsed.DELTA2: []}
+        per_register = {Register.A1B1: [], Register.A2B2: []}
         for pattern, amp in state.amplitudes.items():
             weight = abs(amp) ** 2
             decision = sift(DetectionOutcome.from_pattern(pattern))
             weights[decision.action] += weight
             if decision.action is Action.KEEP:
-                per_phase_pair[decision.phase_used].append(weight)
+                per_register[decision.register].append(weight)
             elif decision.action is Action.INCONCLUSIVE:
                 # only bunched photons (two in one detector-bin) go unannounced
                 assert max(pattern) == 2, pattern
@@ -164,9 +164,9 @@ def test_output_state_completeness():
         assert weights[Action.KEEP] == pytest.approx(4.0 / 9.0, abs=1e-12)
         assert weights[Action.DISCARD] == pytest.approx(2.0 / 9.0, abs=1e-12)
         assert weights[Action.INCONCLUSIVE] == pytest.approx(1.0 / 3.0, abs=1e-12)
-        # per phase pair, only one detector pairing (same or cross, by the
+        # per register, only one detector pairing (same or cross, by the
         # phase difference) interferes constructively: two patterns of 1/9
-        for kept in per_phase_pair.values():
+        for kept in per_register.values():
             assert kept == pytest.approx([1.0 / 9.0, 1.0 / 9.0], abs=1e-12)
 
 

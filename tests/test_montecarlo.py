@@ -17,12 +17,7 @@ from dpsmdi._mc_tables import (
     keep_weights,
 )
 from dpsmdi.keyrate_asymptotic import dps_reference_params, qber_asymptotic, yield_Y11
-from dpsmdi.montecarlo import (
-    ChannelParams,
-    merge_estimates,
-    replay_trials,
-    run_trials,
-)
+from dpsmdi.montecarlo import ChannelParams, replay_trials, run_trials
 from dpsmdi.protocol_sifting import Action
 
 IDEAL = ChannelParams(eta_a=1.0, eta_b=1.0, p_dark=0.0, e_d=0.0)
@@ -71,9 +66,12 @@ def test_same_seed_reproduces_exactly():
     assert not np.array_equal(first.mask_counts, third.mask_counts)
 
 
-def test_thread_count_does_not_change_tallies():
-    single = run_trials(LOSSY, 60_000, seed=9, threads=1)
-    sharded = run_trials(LOSSY, 60_000, seed=9, threads=4)
+# with fewer trials than threads, some shards are empty and tally nothing
+@pytest.mark.parametrize("n_trials", [1, 3, 60_000])
+def test_thread_count_does_not_change_tallies(n_trials):
+    single = run_trials(LOSSY, n_trials, seed=9, threads=1)
+    sharded = run_trials(LOSSY, n_trials, seed=9, threads=4)
+    assert single.n_trials == sharded.n_trials == n_trials
     assert single.keep_count == sharded.keep_count
     assert single.error_count == sharded.error_count
     assert np.array_equal(single.mask_counts, sharded.mask_counts)
@@ -109,15 +107,6 @@ def test_available_backends_lists_python():
     # the shim the benchmark's backend gate still reads
     assert montecarlo.available_backends() == ("python",)
     assert montecarlo.COMPILED_AVAILABLE is False
-
-
-def test_merge_rejects_mixed_seeds():
-    a = run_trials(LOSSY, 1_000, seed=1)
-    b = run_trials(LOSSY, 1_000, seed=2)
-    with pytest.raises(ValueError):
-        a.merged_with(b)
-    with pytest.raises(ValueError):
-        merge_estimates([])
 
 
 def test_ideal_channel_statistics():

@@ -1,14 +1,17 @@
 """Announcement classification, bit extraction, and the ancilla mapping."""
 
+from dataclasses import fields
 from fractions import Fraction
 
 import pytest
 
+from dpsmdi import protocol_sifting
 from dpsmdi.fock_optics import PhaseSetting
 from dpsmdi.protocol_sifting import (
     Action,
+    BellLabel,
     DetectionOutcome,
-    PhaseUsed,
+    Register,
     SiftDecision,
     conclusive_rows,
     extract_bits,
@@ -24,20 +27,20 @@ def outcome(*clicks):
 
 def test_keep_rows_same_detector():
     for detector in ("c", "d"):
-        for late_bin, phase in ((2, PhaseUsed.DELTA1), (3, PhaseUsed.DELTA2)):
+        for late_bin, register in ((2, Register.A1B1), (3, Register.A2B2)):
             decision = sift(outcome((detector, 1), (detector, late_bin)))
             assert decision.action is Action.KEEP
-            assert decision.phase_used is phase
+            assert decision.register is register
             assert decision.bit_flip is False
 
 
 def test_keep_rows_cross_detector_flip():
     for first, second in ((("c", 1), ("d", 2)), (("d", 1), ("c", 2))):
         decision = sift(outcome(first, second))
-        assert decision == SiftDecision(Action.KEEP, PhaseUsed.DELTA1, True)
+        assert decision == SiftDecision(Action.KEEP, Register.A1B1, True)
     for first, second in ((("c", 1), ("d", 3)), (("d", 1), ("c", 3))):
         decision = sift(outcome(first, second))
-        assert decision == SiftDecision(Action.KEEP, PhaseUsed.DELTA2, True)
+        assert decision == SiftDecision(Action.KEEP, Register.A2B2, True)
 
 
 def test_discard_rows_skip_reference_bin():
@@ -57,7 +60,7 @@ def test_unmatched_announcements_are_inconclusive():
     for time_bin in (1, 2, 3):
         decision = sift(outcome(("c", time_bin), ("d", time_bin)))
         assert decision.action is Action.INCONCLUSIVE
-        assert decision.phase_used is PhaseUsed.NONE
+        assert decision.register is None
         assert decision.bit_flip is None
 
 
@@ -69,10 +72,13 @@ def test_outcome_rejects_more_than_two_clicks():
 
 
 def test_decision_field_coupling():
+    assert [f.name for f in fields(SiftDecision)] == ["action", "register", "bit_flip"]
     with pytest.raises(ValueError):
-        SiftDecision(Action.KEEP)  # missing phase and flip
+        SiftDecision(Action.KEEP)  # missing register and flip
     with pytest.raises(ValueError):
-        SiftDecision(Action.DISCARD, PhaseUsed.DELTA1)
+        SiftDecision(Action.KEEP, Register.A1B1)  # missing flip
+    with pytest.raises(ValueError):
+        SiftDecision(Action.DISCARD, Register.A1B1)
     with pytest.raises(ValueError):
         SiftDecision(Action.DISCARD, bit_flip=False)
 
@@ -118,6 +124,10 @@ def test_conclusive_rows_are_complete():
     assert actions.count(Action.DISCARD) == 4
     # table order: keeps first
     assert all(a is Action.KEEP for a in actions[:8])
+    # a copy: dropping a row from it leaves sift as it was
+    dropped = outcome(("c", 1), ("c", 2))
+    del rows[dropped]
+    assert sift(dropped) == SiftDecision(Action.KEEP, Register.A1B1, False)
 
 
 def test_click_mask_layout():
@@ -142,3 +152,21 @@ def test_from_pattern_roundtrip():
 def test_entanglement_mapping_rejects_non_keep():
     with pytest.raises(ValueError):
         verify_entanglement_mapping(outcome(("c", 2), ("c", 3)))
+
+
+def test_entanglement_mapping_names_the_bell_state():
+    # unflipped rows leave phi-, flipped rows psi-, on the register sift names
+    for announced, decision in conclusive_rows().items():
+        if decision.action is Action.KEEP:
+            expected = BellLabel.ANTICORRELATED if decision.bit_flip else BellLabel.CORRELATED
+            assert verify_entanglement_mapping(announced) is expected
+
+
+def test_entanglement_mapping_rejects_a_wrong_register(monkeypatch):
+    # the Bell factor of (c,1)+(c,2) sits on A1B1; a table naming A2B2 must fail
+    announced = outcome(("c", 1), ("c", 2))
+    table = dict(protocol_sifting._DECISION_TABLE)
+    table[announced] = SiftDecision(Action.KEEP, Register.A2B2, False)
+    monkeypatch.setattr(protocol_sifting, "_DECISION_TABLE", table)
+    with pytest.raises(AssertionError, match="not Z-uniform"):
+        verify_entanglement_mapping(announced)

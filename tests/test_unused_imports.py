@@ -1,12 +1,15 @@
 """Source hygiene: the package is plain Python, every import in the package
-and test modules is used (``__init__`` re-exports aside), every private
-module-level name of the package is read somewhere in the package, and so
-is every public function, class, method and property, bar a named few."""
+and test modules is used (``__init__`` re-exports aside, which ``__all__``
+lists exactly), every private module-level name of the package is read
+somewhere in the package, and so is every public function, class, method
+and property, bar a named few."""
 
 import ast
 from pathlib import Path
 
 import pytest
+
+import dpsmdi
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = sorted((ROOT / "src" / "dpsmdi").glob("*.py"))
@@ -57,6 +60,14 @@ def test_no_unused_imports(path):
         if name not in used
     )
     assert not unused, f"{path.name}: unused imports {', '.join(unused)}"
+
+
+def test_all_lists_exactly_the_imported_names():
+    # __init__ names its public surface twice, in its imports and in __all__
+    init = ROOT / "src" / "dpsmdi" / "__init__.py"
+    imported = set(imported_names(ast.parse(init.read_text(encoding="utf-8"))))
+    assert len(dpsmdi.__all__) == len(set(dpsmdi.__all__)), "__all__ repeats a name"
+    assert set(dpsmdi.__all__) == imported | {"__version__"}
 
 
 def package_trees(include_init=True):
