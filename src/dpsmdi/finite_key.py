@@ -20,24 +20,29 @@ Quantities per block of ``N_signals`` exchanged signals:
 The extractable rate per exchanged signal is ``r = (n / N) r'`` with
 ``r' = 1 - h(eb~) - h(ep~) - leak/n - delta/n``, clamped at zero; the
 entropy term is 0 once either broadened rate passes 1/2.  One array formula,
-``_rates``, computes it, as the composition of three factors:
+``_combined_rates``, computes the unclamped rate from two groups of terms:
 
 * the security terms (``_security_terms``), which depend on (eps_bar,
   eps_bar_prime) alone: ``2 ln(1/eps_bar')``, ``2 log2(1/(2(eps - eps_bar -
   eps_EC)))`` and ``log2(2/(eps_bar - eps_bar'))``;
 * the sample terms (``_sample_terms``), which depend on the split alone: n
-  stacked over m on a leading axis of 2 with ``9 ln(k+1)`` at each, so one
-  broadening pass and one ``h`` pass cover both samples, plus ``n / N`` and
-  the leak;
-* the combination (``_combined_rates``), which returns the unclamped rate.
+  stacked over m in one buffer with a leading axis of 2 and ``9 ln(k+1)`` at
+  each, so one broadening pass and one ``h`` pass cover both samples, plus
+  ``n / N`` and the leak.
 
-``finite_rate`` is the checked evaluation at one point.  The optimizer ranks
-the coarse grid with security terms cached per (epsilon, epsilon_EC), then
-refines one coordinate at a time: a u line recomputes only the sample terms,
-a beta or gamma line only the security terms, and the other factor is the
-current point's, refreshed only when the point moves.  Each candidate gets
-the same floating-point operations in the same order as a direct ``_rates``
-call, so the optimum does not depend on this factoring.
+It works mostly in place.  ``finite_rate`` is the checked
+evaluation at one point, through ``_rates``.  The optimizer ranks the coarse
+grid with security terms cached per (epsilon, epsilon_EC), then refines one
+coordinate at a time: a u line recomputes only the sample terms, a beta or
+gamma line only the security terms, and the other group is the current
+point's.  Each candidate gets the same floating-point operations in the same
+order as a direct ``_rates`` call, so the optimum does not depend on this
+grouping.
+
+Past the cutoff ``1 - (2 + 1.2) h(e_b) <= 0`` no split and no smoothing
+parameter leaves a positive rate: the entropy term is at most
+``1 - 2 h(e_b)`` (or 0), the leak takes ``1.2 h(e_b)`` and the penalty more
+than 5 bits.  There the optimizer returns the zero optimum without a search.
 """
 
 from __future__ import annotations
@@ -158,17 +163,18 @@ def _security_terms(
 
 
 def _sample_terms(
-    N_signals: int, e_b: float, n: np.ndarray, m: np.ndarray
+    N_signals: int, leak_coefficient: float, samples: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """The rate's terms that depend on the split (n, m) alone.
 
-    n stacked over m on a leading axis of 2 and 9 ln(k + 1) at each k, then
-    the key share n / N and the leak 1.2 h(e_b) n; n and m share one shape.
+    samples holds n stacked over m on a leading axis of 2; returned with
+    9 ln(k + 1) at each k, the key share n / N and the leak 1.2 h(e_b) n,
+    where leak_coefficient is 1.2 h(e_b).
     """
-    samples = np.array((n, m), dtype=float)
     n = samples[0]
-    leak = ERROR_CORRECTION_EFFICIENCY * binary_entropy(e_b) * n
-    return samples, POVM_OUTCOME_COUNT * np.log(samples + 1.0), n / N_signals, leak
+    sample_logs = np.log(samples + 1.0)
+    sample_logs *= POVM_OUTCOME_COUNT
+    return samples, sample_logs, n / N_signals, leak_coefficient * n
 
 
 def _combined_rates(
@@ -179,17 +185,41 @@ def _combined_rates(
     """Unclamped rate from the sample terms and the security terms.
 
     The two broadcast against each other behind the samples' leading axis.
+    Most steps write in place into the array the step before made.  Some
+    sums and products take their operands in another order than the formula,
+    and -h stands in for h; float64 rounding is commutative and symmetric in
+    sign, so every value is the formula's, bit for bit.
     """
     samples, sample_logs, key_share, leak = sample_terms
     confidence, slack_bits, spread_bits = security_terms
     # the broadened e_b and e_p in one pass: eb~ = e_b + xi(n), ep~ = e_b + xi(m)
-    tilde = e_b + np.sqrt((confidence + sample_logs) / samples)
-    x = np.minimum(tilde, 0.5)  # keeps log2 finite; np.where zeroes points past 1/2
-    h = -x * np.log2(x) - (1.0 - x) * np.log2(1.0 - x)
-    entropy = np.where(np.maximum(tilde[0], tilde[1]) > 0.5, 0.0, 1.0 - h[0] - h[1])
+    tilde = confidence + sample_logs
+    tilde /= samples
+    np.sqrt(tilde, out=tilde)
+    tilde += e_b
+    past_half = np.maximum(tilde[0], tilde[1]) > 0.5
+    # -h(x) = x log2 x + (1 - x) log2(1 - x); the minimum keeps log2 finite,
+    # and np.where zeroes the entropy of points past 1/2
+    x = np.minimum(tilde, 0.5, out=tilde)
+    neg_h = np.log2(x)
+    neg_h *= x
+    one_minus_x = 1.0 - x
+    x_log = np.log2(one_minus_x, out=x)
+    x_log *= one_minus_x
+    neg_h += x_log
+    entropy = 1.0 + neg_h[0]
+    entropy += neg_h[1]
+    rate = np.where(past_half, 0.0, entropy)
     n = samples[0]
-    penalty = slack_bits + 7.0 * np.sqrt(n * spread_bits)
-    return key_share * (entropy - (leak + penalty) / n)
+    penalty = np.sqrt(n * spread_bits)
+    penalty *= 7.0
+    penalty += slack_bits
+    # (leak + penalty) / n
+    penalty += leak
+    penalty /= n
+    rate -= penalty
+    rate *= key_share
+    return rate
 
 
 def _rates(
@@ -198,8 +228,12 @@ def _rates(
 ) -> np.ndarray:
     """Unclamped rate at every point of broadcastable (n, m, eps_bar, eps_bar_prime)."""
     n, m = np.broadcast_arrays(n, m, eps_bar, eps_bar_prime)[:2]
+    samples = np.empty((2,) + n.shape)
+    samples[0] = n
+    samples[1] = m
+    leak_coefficient = ERROR_CORRECTION_EFFICIENCY * binary_entropy(e_b)
     return _combined_rates(
-        e_b, _sample_terms(N_signals, e_b, n, m),
+        e_b, _sample_terms(N_signals, leak_coefficient, samples),
         _security_terms(epsilon, epsilon_EC, eps_bar, eps_bar_prime),
     )
 
@@ -295,6 +329,14 @@ def _coarse_security_terms(
     return terms
 
 
+def _zero_everywhere(N_signals: int, e_b: float) -> FiniteKeyOptimum:
+    return FiniteKeyOptimum(
+        N_signals, e_b, 0.0, 0, 0, 0.0, 0.0,
+        diagnostic="rate is zero everywhere on the search grid "
+        "(block too short for this error rate)",
+    )
+
+
 def optimize_rate(
     N_signals: int,
     epsilon: float,
@@ -315,9 +357,10 @@ def optimize_rate(
     Candidates are ranked as arrays, the whole coarse grid or one refinement
     line per evaluation; the first maximum wins and a move needs a strictly
     larger rate.  A u line recomputes only the sample terms of the rate, a
-    beta or gamma line only its security terms; the other factor is the
+    beta or gamma line only its security terms; the other group is the
     current point's.  The reported rate is one call of finite_rate at the
-    winner.
+    winner.  Past the cutoff 1 - 3.2 h(e_b) <= 0 every rate is negative, so
+    the zero optimum returns before the search.
 
     The full sifted budget n + m is always spent; enlarging either share
     never hurts, so interior points are dominated.
@@ -357,31 +400,49 @@ def optimize_rate(
             "cannot populate both key and estimation samples",
         )
 
-    def split(u):
-        """Estimation bits m ~ u * total, leaving both shares at least 1."""
-        return np.minimum(np.maximum(np.rint(total * u), 1.0), total - 1.0)
+    h_e_b = binary_entropy(e_b)
+    # The rate is negative at every split once 1 - 3.2 h(e_b) <= 0.  h rises
+    # on [0, 1/2] and both broadened rates exceed e_b, so the entropy term is
+    # at most 1 - 2 h(e_b), or 0; the leak is 1.2 h(e_b) per raw-key bit; and
+    # the penalty exceeds 5 bits, as slack_bits > -2 and 7 sqrt(n spread_bits)
+    # >= 7.  So each candidate's rate is at most
+    # (n/N)(1 - 3.2 h(e_b) - penalty/n) with penalty/n >= (7 sqrt(n) - 2)/n:
+    # a margin of about 7/sqrt(n), far above float64 rounding for n < 1e30.
+    if 1.0 - (2.0 + ERROR_CORRECTION_EFFICIENCY) * h_e_b <= 0.0:
+        return _zero_everywhere(N_signals, e_b)
+    leak_coefficient = ERROR_CORRECTION_EFFICIENCY * h_e_b
+    last = total - 1.0
 
     def sample_terms(u):
-        m = split(u)
-        return _sample_terms(N_signals, e_b, total - m, m)
+        """Sample terms at m ~ u * total, leaving both shares at least 1."""
+        samples = np.empty((2,) + u.shape)
+        m = samples[1]
+        np.multiply(total, u, out=m)
+        np.rint(m, out=m)
+        np.maximum(m, 1.0, out=m)
+        np.minimum(m, last, out=m)
+        np.subtract(total, m, out=samples[0])
+        return _sample_terms(N_signals, leak_coefficient, samples)
 
     def security_terms(beta, gamma):
         eps_bar = beta * gap
         return _security_terms(epsilon, epsilon_EC, eps_bar, gamma * eps_bar)
 
     grids: list[Sequence[float]] = [_COARSE_U, _COARSE_BETA, _COARSE_GAMMA]
+    coarse_samples = sample_terms(_COARSE_U_COLUMN)
     coarse = _combined_rates(
-        e_b, sample_terms(_COARSE_U_COLUMN), _coarse_security_terms(epsilon, epsilon_EC)
+        e_b, coarse_samples, _coarse_security_terms(epsilon, epsilon_EC)
     )
     # clamped like finite_rate, so a grid that is 0 everywhere keeps its first
     # point; best is then never negative, and a line's unclamped maximum
     # moves the point exactly when its clamped one would
-    coarse = np.maximum(coarse, 0.0)
-    index = np.unravel_index(np.argmax(coarse), coarse.shape)
-    best = coarse[index]
-    point = [grid[i] for grid, i in zip(grids, index)]
-    # the two factors at the current point, shaped to broadcast against a line
-    samples = sample_terms(np.array(point[:1]))
+    np.maximum(coarse, 0.0, out=coarse)
+    i_u, i_rest = divmod(int(coarse.argmax()), len(_COARSE_BETA) * len(_COARSE_GAMMA))
+    i_beta, i_gamma = divmod(i_rest, len(_COARSE_GAMMA))
+    best = coarse[i_u, i_beta, i_gamma]
+    point = [_COARSE_U[i_u], _COARSE_BETA[i_beta], _COARSE_GAMMA[i_gamma]]
+    # both groups of terms at the current point, shaped to broadcast against a line
+    samples = tuple(terms[..., i_u : i_u + 1, 0, 0] for terms in coarse_samples)
     security = security_terms(*point[1:])
     for _ in range(_REFINE_ROUNDS):
         for axis in range(3):
@@ -404,20 +465,15 @@ def optimize_rate(
                 else:  # on a gamma line the slack term depends on beta alone: 0-d
                     security = tuple(terms[k] if terms.ndim else terms for terms in line_security)
 
-    u, beta, gamma = point
-    m = int(split(u))
+    m = int(samples[0][1, 0])  # from n stacked over m at the point
     n = total - m
-    eps_bar = beta * gap
-    eps_bar_prime = gamma * eps_bar
+    eps_bar = point[1] * gap
+    eps_bar_prime = point[2] * eps_bar
     rate = finite_rate(
         FiniteKeyBudget(N_signals, n, m, allow_full_budget),
         SecurityParams(epsilon, epsilon_EC, eps_bar, eps_bar_prime),
         e_b,
     )
     if rate <= 0.0:
-        return FiniteKeyOptimum(
-            N_signals, e_b, 0.0, 0, 0, 0.0, 0.0,
-            diagnostic="rate is zero everywhere on the search grid "
-            "(block too short for this error rate)",
-        )
+        return _zero_everywhere(N_signals, e_b)
     return FiniteKeyOptimum(N_signals, e_b, rate, n, m, eps_bar, eps_bar_prime)

@@ -8,6 +8,7 @@ import pkgutil
 from pathlib import Path
 
 import dpsmdi
+from dpsmdi import finite_key
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 READERS = ("worker.py", "tracing.py")
@@ -73,3 +74,47 @@ def test_every_name_the_benchmark_reads_resolves():
     assert "dpsmdi.montecarlo.ChannelParams.from_total_distance" in read
     missing = sorted(name for name in read if not resolves(name))
     assert not missing, f"perfbench reads names the package lacks: {', '.join(missing)}"
+
+
+def constant(node):
+    """Value of a constant expression such as (10**6, 0.02) or 1e-5."""
+    return eval(compile(ast.Expression(node), "<tracing.py>", "eval"), {"__builtins__": {}})
+
+
+def finite_key_probes(tree):
+    """(n_signals, epsilon, epsilon_EC, e_b) of each optimize_rate call in
+    the tracer's loop over (n_signals, e_b) pairs."""
+    for loop in ast.walk(tree):
+        if not isinstance(loop, ast.For):
+            continue
+        calls = [
+            node for stmt in loop.body for node in ast.walk(stmt)
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "optimize_rate"
+        ]
+        if calls:
+            (call,) = calls
+            epsilon, epsilon_ec = (constant(arg) for arg in call.args[1:3])
+            return [(n, epsilon, epsilon_ec, e_b) for n, e_b in constant(loop.iter)]
+    raise AssertionError("tracing.py has no loop over optimize_rate probe points")
+
+
+def test_each_traced_optimum_reports_through_finite_rate(monkeypatch):
+    # The traced run's finite_key.finite_rate_us is a median over the calls
+    # the tracer's wrapper of the module attribute sees while optimize_rate
+    # runs at its probe points: each optimum there must call it exactly once
+    path = PERFBENCH / "tracing.py"
+    probes = finite_key_probes(ast.parse(path.read_text(encoding="utf-8"), filename=str(path)))
+    assert [(n, e_b) for n, _, _, e_b in probes] == [(10**6, 0.02), (10**9, 0.04), (10**12, 0.01)]
+    calls = []
+    real = finite_key.finite_rate
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(finite_key, "finite_rate", counting)
+    for n_signals, epsilon, epsilon_ec, e_b in probes:
+        calls.clear()
+        finite_key.optimize_rate(n_signals, epsilon, epsilon_ec, e_b)
+        assert len(calls) == 1, (n_signals, e_b)

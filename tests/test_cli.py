@@ -171,6 +171,24 @@ def test_decoy_default_csvs_are_pinned(command, capsys):
     assert hashlib.sha256(stdout.encode()).hexdigest() == DECOY_CSV_SHA256[command]
 
 
+# sha256 of `dpsmdi asymptotic` stdout at the default config, and of
+# `dpsmdi finite-key` over error rates on both sides of the cutoff
+# 1 - 3.2 h(e_b) <= 0 (0.06 and 0.3 lie past it, where the search returns its
+# zero optimum at once): a change of any printed digit or argmax shows here.
+RATE_CSV_SHA256 = {
+    ("asymptotic",): "169e7828d7ce3611d3f3105c0e48b26198df286b6aac90a2e0ee7629bf5f3cb8",
+    ("finite-key", "--e-b", "0.05,0.056,0.06,0.3"):
+        "7723ee48164bf5dd9c812e312e601ce8824c44ad66aab8be5b26928cfb4d106b",
+}
+
+
+@pytest.mark.parametrize("args", list(RATE_CSV_SHA256), ids=["asymptotic", "finite-key-cutoff"])
+def test_rate_csvs_are_pinned(args, capsys):
+    code, stdout, _ = run_cli(list(args), capsys)
+    assert code == 0
+    assert hashlib.sha256(stdout.encode()).hexdigest() == RATE_CSV_SHA256[args]
+
+
 def test_montecarlo_matches_direct_call(capsys):
     code, stdout, _ = run_cli(
         ["montecarlo", "--n-trials", "20000", "--seed", "7", "--l-km", "0"],

@@ -6,10 +6,13 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from dpsmdi import finite_key
 from dpsmdi.cli import cmd_finite_key
 from dpsmdi.config import RunConfig
+from dpsmdi.keyrate_asymptotic import binary_entropy
 from dpsmdi.finite_key import (
     ConstraintError,
     FiniteKeyBudget,
@@ -389,3 +392,154 @@ def test_sweep_csv_round():
     assert len(lines) == 2
     assert lines[1].startswith("1000000,0.01,")
     assert cmd_finite_key(cfg)[0] == text
+
+
+# The optimizer returns its zero optimum without a search once
+# 1 - (2 + 1.2) h(e_b) <= 0.  The cutoff below is the first float64 e_b at
+# which that guard fires, found by bisection on the bit pattern over [0, 1/2].
+def past_cutoff(e_b):
+    return 1.0 - (2.0 + finite_key.ERROR_CORRECTION_EFFICIENCY) * binary_entropy(e_b) <= 0.0
+
+
+def first_e_b_past_cutoff():
+    bits = np.array([0.0, 0.5]).view(np.int64)
+    lo, hi = int(bits[0]), int(bits[1])
+    assert not past_cutoff(0.0) and past_cutoff(0.5)
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if past_cutoff(float(np.int64(mid).view(np.float64))):
+            hi = mid
+        else:
+            lo = mid
+    return float(np.int64(hi).view(np.float64))
+
+
+CUTOFF_E_B = first_e_b_past_cutoff()
+
+
+def test_cutoff_lies_between_the_pinned_error_rates():
+    # 0.056 keeps a positive optimum at 1e15 and 0.0565 has none; the
+    # asymptotic ceiling vanishes in between
+    assert 0.056 < CUTOFF_E_B < 0.0565
+    assert asymptotic_ceiling(CUTOFF_E_B) == 0.0
+    assert asymptotic_ceiling(np.nextafter(CUTOFF_E_B, 0.0)) > 0.0
+
+
+def _security(epsilon, ec_share, bar_share, prime_share):
+    """SecurityParams from epsilon and three shares in (0, 1) along its chain."""
+    epsilon_ec = ec_share * epsilon
+    eps_bar = bar_share * (epsilon - epsilon_ec)
+    try:
+        return SecurityParams(epsilon, epsilon_ec, eps_bar, prime_share * eps_bar)
+    except ConstraintError:  # a share rounded onto an edge of the chain
+        assume(False)
+
+
+_SHARE = st.floats(1e-9, 1.0, exclude_max=True)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    e_b=st.floats(CUTOFF_E_B, 1.0 - CUTOFF_E_B),
+    n_signals=st.integers(5, 10**15) | st.floats(0.7, 15.0).map(lambda x: round(10.0**x)),
+    full_budget=st.booleans(),
+    data=st.data(),
+    epsilon=st.floats(-280.0, math.log10(0.999)).map(lambda x: 10.0**x),
+    ec_share=st.just(0.0) | _SHARE,
+    bar_share=_SHARE,
+    prime_share=_SHARE,
+)
+def test_no_rate_past_the_cutoff(
+    e_b, n_signals, full_budget, data, epsilon, ec_share, bar_share, prime_share
+):
+    assume(past_cutoff(e_b))
+    total = n_signals if full_budget else (4 * n_signals) // 9
+    n = data.draw(st.integers(1, total - 1), label="n")
+    m = data.draw(st.integers(1, total - n), label="m")
+    budget = FiniteKeyBudget(n_signals, n, m, allow_full_budget=full_budget)
+    sec = _security(epsilon, ec_share, bar_share, prime_share)
+    assert unclamped(budget, sec, e_b) < 0.0
+    assert finite_rate(budget, sec, e_b) == 0.0
+
+
+def count_finite_rate_calls(monkeypatch):
+    calls = []
+    real = finite_key.finite_rate
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(finite_key, "finite_rate", counting)
+    return calls
+
+
+def test_optimizer_returns_at_once_past_the_cutoff(monkeypatch):
+    calls = count_finite_rate_calls(monkeypatch)
+    last_searched = float(np.nextafter(CUTOFF_E_B, 0.0))
+    assert not past_cutoff(last_searched)
+    # the searched e_b just below the cutoff and the first one past it give
+    # the same zero optimum at the largest block the CLI accepts
+    for e_b, searched in ((last_searched, True), (CUTOFF_E_B, False)):
+        calls.clear()
+        opt = optimize_rate(10**15, 1e-5, 1e-10, e_b)
+        assert opt == FiniteKeyOptimum(10**15, e_b, *TOO_SHORT)
+        assert len(calls) == int(searched)
+
+
+def test_pinned_optimum_next_to_the_cutoff_is_searched():
+    key = (10**15, 1e-05, 1e-10, 0.056, False)
+    expected = dict(PINNED_OPTIMA)[key]
+    assert not past_cutoff(0.056) and expected[0] > 0.0
+    opt = optimize_rate(10**15, 1e-5, 1e-10, 0.056)
+    assert opt == FiniteKeyOptimum(10**15, 0.056, *expected)
+
+
+# How close the search comes to the best rate near its argmax, at every
+# pinned optimum with a positive rate: a dense grid of _rates in a box of a
+# factor 2 either way in u, beta and gamma around the argmax beats the
+# optimum by less than 1e-3 relative.  On a 161-point grid the worst gap is
+# 1.16e-3, at (1e6, epsilon 1e-12, e_b 0.02), from u alone: the u brackets
+# shrink around the coarse argmax before beta and gamma settle.  Next come
+# 5.1e-4 at (1e7, e_b 0.045) and 1.0e-4 at (1e9, e_b 0.05).
+SHORT_OF_THE_BOX = {(1000000, 1e-12, 0.0, 0.02, False)}
+NEAR_ARGMAX = [
+    pytest.param(
+        case,
+        id=f"{case[0]:.0e}-{case[1]:g}-{case[3]}" + ("-full" if case[4] else ""),
+        marks=[pytest.mark.xfail(
+            strict=True, reason="the search stops 1.1e-3 short of a u 5% lower"
+        )] if case in SHORT_OF_THE_BOX else [],
+    )
+    for case, expected in PINNED_OPTIMA
+    if expected[0] > 0.0
+]
+
+
+def best_rate_near(opt, epsilon, epsilon_ec, points=41):
+    total = opt.n + opt.m
+    gap = epsilon - epsilon_ec
+    box = 2.0 ** np.linspace(-1.0, 1.0, points)
+    ceil = finite_key._REFINE_CEIL
+    u = (opt.m / total) * box
+    beta = np.minimum(opt.eps_bar / gap * box, ceil)
+    gamma = np.minimum(opt.eps_bar_prime / opt.eps_bar * box, ceil)
+    u, beta, gamma = np.ix_(u, beta, gamma)
+    m = np.clip(np.rint(total * u), 1.0, total - 1.0)
+    eps_bar = beta * gap
+    rates = finite_key._rates(
+        opt.N_signals, opt.e_b, epsilon, epsilon_ec, total - m, m, eps_bar, gamma * eps_bar
+    )
+    return float(rates.max())
+
+
+@pytest.mark.parametrize("case", NEAR_ARGMAX)
+def test_search_comes_close_to_the_best_rate_near_its_argmax(case):
+    n_signals, epsilon, epsilon_ec, e_b, full = case
+    opt = optimize_rate(n_signals, epsilon, epsilon_ec, e_b, allow_full_budget=full)
+    assert opt.rate > 0.0
+    assert opt.n + opt.m == (n_signals if full else (4 * n_signals) // 9)
+    best = best_rate_near(opt, epsilon, epsilon_ec)
+    # the box holds the argmax itself, up to rounding of its shares
+    assert best >= opt.rate * (1.0 - 1e-12)
+    assert best <= opt.rate * (1.0 + 1e-3)
