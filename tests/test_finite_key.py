@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 from dpsmdi import finite_key
 from dpsmdi.cli import cmd_finite_key
 from dpsmdi.config import RunConfig
-from dpsmdi.keyrate_asymptotic import binary_entropy
 from dpsmdi.finite_key import (
     ConstraintError,
     FiniteKeyBudget,
@@ -21,6 +20,7 @@ from dpsmdi.finite_key import (
     finite_rate,
     optimize_rate,
 )
+from dpsmdi.keyrate_asymptotic import binary_entropy
 
 SEC = SecurityParams(epsilon=1e-5, epsilon_EC=1e-10, eps_bar=2.5e-6, eps_bar_prime=1.25e-7)
 
