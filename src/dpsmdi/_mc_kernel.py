@@ -40,6 +40,21 @@ count gives it for every draw between them. `TableSet.pattern_guide`
 holds that count per row and bucket, read with raw >> (64 - GUIDE_BITS),
 and GUIDE_MISS for the buckets that hold a cumulative boundary; only
 draws in those, at most 1.2% of any row's, are binary-searched in the keys.
+
+Photon-less trials. Far from the relay most trials lose both photons: 81%
+at eta 0.1 per side, about 97% at 200 km. The CASE_NONE row of
+`TableSet.outcome_cum` is all ones, so such a trial's signal mask is 0
+whatever its setting and pattern draws are, and skipping those two draws
+moves no other. A chunk therefore draws the two loss slots first and makes
+the setting draw, the pattern draw and the guide lookup only for the
+trials where a photon arrived. A photon-less trial can still be kept, by
+dark clicks alone, and base_error reads its setting: such a trial draws it
+at DRAW_SETTING after sifting. The chunk's nonzero masks then lie on the
+trials with an arrival or a dark click, so it counts those masks alone and
+adds the rest to mask 0; a bincount over mostly zeros waits, at each
+increment, on the one before. A chunk in which more than _COMPACT_SHARE of
+the trials have an arrival, every chunk when eta_a or eta_b is 1 among
+them, draws for every trial instead.
 """
 
 from __future__ import annotations
@@ -54,7 +69,11 @@ from ._mc_tables import ACTION_KEEP, GUIDE_BITS, GUIDE_MISS, KEY_SHIFT, TableSet
 
 _CHUNK = 1 << 15  # trials per pass; 256 kB arrays stay in cache
 _TOP = 2**53  # threshold of a test that always passes
+# a chunk is compacted when at most this share of its trials has an arrival;
+# above it, gathering and scattering the arrivals costs more than it saves
+_COMPACT_SHARE = 0.5
 _ONE = np.uint8(1)
+_TWO8 = np.uint8(2)
 _TWO = np.uint64(2)
 _SIX = np.uint64(6)
 _U11 = np.uint64(11)
@@ -105,6 +124,19 @@ def run_kernel(
             return t == _TOP
         return draw(z, slot) < np.uint64(t << 11)
 
+    def signal_masks(row: np.ndarray, pattern: np.ndarray) -> np.ndarray:
+        """The uint8 mask that each pattern draw selects in its table row."""
+        mask = guide[((row << _GUIDE_BITS) | (pattern >> _BUCKET_SHIFT)).view(np.int64)]
+        miss = np.flatnonzero(mask == GUIDE_MISS)
+        if miss.size:
+            missed_row = row[miss]
+            query = (missed_row << _KEY_SHIFT) | (pattern[miss] >> _U11)
+            count = np.searchsorted(keys, query, side="right")
+            mask[miss] = count - (missed_row << _SIX).view(np.int64)
+        return mask
+
+    every_arrives = _TOP in (t_eta_a, t_eta_b)
+    no_trials = np.empty(0, dtype=np.intp)
     mask_counts = np.zeros(64, dtype=np.int64)
     keep = 0
     errors = 0
@@ -113,24 +145,36 @@ def run_kernel(
         m = min(_CHUNK, n_trials - done)
         first = (start_trial + done) * _rng.DRAWS_PER_TRIAL
         z = lanes[:m] + np.uint64(_rng.stretch(seed, first))
+        arrived_a = below(z, _rng.DRAW_LOSS_A, t_eta_a)
+        arrived_b = below(z, _rng.DRAW_LOSS_B, t_eta_b)
+        lit = None  # the trials with an arrival, when the chunk is compacted
+        if not every_arrives:
+            case = np.empty(m, dtype=np.uint8)  # 2 * (a arrived) + (b arrived)
+            np.bitwise_or(arrived_a * _TWO8, arrived_b, out=case)
+            arrived = case != 0
+            if np.count_nonzero(arrived) <= _COMPACT_SHARE * m:
+                lit = np.flatnonzero(arrived)
 
         # setting, row and bucket stay below 2**63, so int64 views of them
-        # index the tables without a conversion pass
-        s = draw(z, _rng.DRAW_SETTING) >> _U60
-        # table row 4 * setting + arrival case, case = 2 * (a arrived) + (b arrived)
-        row = s << _TWO
-        row |= below(z, _rng.DRAW_LOSS_A, t_eta_a) * _TWO
-        row |= below(z, _rng.DRAW_LOSS_B, t_eta_b)
+        # index the tables without a conversion pass; the table row is
+        # 4 * setting + arrival case
+        if lit is None:
+            s = draw(z, _rng.DRAW_SETTING) >> _U60
+            row = s << _TWO
+            row |= arrived_a * _TWO
+            row |= arrived_b
+            pattern = draw(z, _rng.DRAW_PATTERN)
+            mask = signal_masks(row, pattern)
+        else:
+            z_lit = z[lit]
+            s = draw(z_lit, _rng.DRAW_SETTING) >> _U60
+            row = s << _TWO
+            row |= case[lit]
+            pattern = draw(z_lit, _rng.DRAW_PATTERN)
+            mask = np.zeros(m, dtype=np.uint8)
+            mask[lit] = signal_masks(row, pattern)
 
-        pattern = draw(z, _rng.DRAW_PATTERN)
-        mask = guide[((row << _GUIDE_BITS) | (pattern >> _BUCKET_SHIFT)).view(np.int64)]
-        miss = np.flatnonzero(mask == GUIDE_MISS)
-        if miss.size:
-            missed_row = row[miss]
-            query = (missed_row << _KEY_SHIFT) | (pattern[miss] >> _U11)
-            count = np.searchsorted(keys, query, side="right")
-            mask[miss] = count - (missed_row << _SIX).view(np.int64)
-
+        dark = no_trials
         if t_any_dark:
             first_dark = draw(z, _rng.DRAW_DARK_BASE)
             if t_any_dark == _TOP:
@@ -140,17 +184,37 @@ def run_kernel(
             if dark.size:
                 j = np.searchsorted(t_first_dark, first_dark[dark] >> _U11, side="right")
                 mask[dark] |= _ONE << j.astype(np.uint8)
-                for b in range(1, 6):
+                # no bin b <= min(j) follows a first dark bin
+                for b in range(int(j.min()) + 1, 6):
                     later = dark[j < b]
                     later = later[draw(z[later], _rng.DRAW_DARK_BASE + b) < t_dark_raw]
                     mask[later] |= np.uint8(1 << b)
-        mask = mask.astype(np.intp)
 
-        kept = np.flatnonzero(is_keep[mask])
+        if lit is None:
+            mask = mask.astype(np.intp)
+            kept = np.flatnonzero(is_keep[mask])
+            kept_mask = mask[kept]
+            kept_s = s[kept]
+            mask_counts += np.bincount(mask, minlength=64)
+        else:
+            # every other trial's mask is 0
+            dark_only = dark[~arrived[dark]]
+            clicked = np.concatenate((lit, dark_only))
+            clicked_mask = mask[clicked].astype(np.intp)
+            mask_counts += np.bincount(clicked_mask, minlength=64)
+            mask_counts[0] += m - clicked.size
+            keeps = is_keep[clicked_mask]
+            kept = clicked[keeps]
+            kept_mask = clicked_mask[keeps]
+            # the photon-less kept trials come last; base_error reads their
+            # settings too
+            dark_kept = dark_only[keeps[lit.size :]]
+            redrawn = draw(z[dark_kept], _rng.DRAW_SETTING) >> _U60
+            kept_s = np.concatenate((s[keeps[: lit.size]], redrawn))
+
         misalign = below(z[kept], _rng.DRAW_MISALIGN, t_misalign)
-        flips = base_error[(s[kept].view(np.int64) << 6) | mask[kept]]
+        flips = base_error[(kept_s.view(np.int64) << 6) | kept_mask]
         errors += int(np.count_nonzero(flips ^ misalign))
         keep += kept.size
-        mask_counts += np.bincount(mask, minlength=64)
         done += m
     return mask_counts, keep, errors

@@ -42,7 +42,8 @@ grouping.
 Past the cutoff ``1 - (2 + 1.2) h(e_b) <= 0`` no split and no smoothing
 parameter leaves a positive rate: the entropy term is at most
 ``1 - 2 h(e_b)`` (or 0), the leak takes ``1.2 h(e_b)`` and the penalty more
-than 5 bits.  There the optimizer returns the zero optimum without a search.
+than 5 bits.  There the optimizer returns the zero optimum without a search,
+with a diagnostic that names the cutoff.
 """
 
 from __future__ import annotations
@@ -360,7 +361,8 @@ def optimize_rate(
     beta or gamma line only its security terms; the other group is the
     current point's.  The reported rate is one call of finite_rate at the
     winner.  Past the cutoff 1 - 3.2 h(e_b) <= 0 every rate is negative, so
-    the zero optimum returns before the search.
+    the zero optimum returns before the search; its diagnostic names the
+    cutoff, as no block size would help.
 
     The full sifted budget n + m is always spent; enlarging either share
     never hurts, so interior points are dominated.
@@ -409,7 +411,11 @@ def optimize_rate(
     # (n/N)(1 - 3.2 h(e_b) - penalty/n) with penalty/n >= (7 sqrt(n) - 2)/n:
     # a margin of about 7/sqrt(n), far above float64 rounding for n < 1e30.
     if 1.0 - (2.0 + ERROR_CORRECTION_EFFICIENCY) * h_e_b <= 0.0:
-        return _zero_everywhere(N_signals, e_b)
+        return FiniteKeyOptimum(
+            N_signals, e_b, 0.0, 0, 0, 0.0, 0.0,
+            diagnostic="rate is zero at every block size: e_b is past the cutoff "
+            f"1 - {2.0 + ERROR_CORRECTION_EFFICIENCY:g} h(e_b) <= 0",
+        )
     leak_coefficient = ERROR_CORRECTION_EFFICIENCY * h_e_b
     last = total - 1.0
 

@@ -254,15 +254,19 @@ def test_optimizer_infeasibility_diagnostics():
     too_small = optimize_rate(2, 1e-5, 1e-10, 0.01)
     assert too_small.rate == 0.0
     assert "sifted budget" in too_small.diagnostic
+    too_short = optimize_rate(1000, 1e-5, 1e-10, 0.03)
+    assert too_short.rate == 0.0
+    assert "zero everywhere on the search grid" in too_short.diagnostic
     hopeless = optimize_rate(1000, 1e-5, 1e-10, 0.25)
     assert hopeless.rate == 0.0
-    assert "zero everywhere" in hopeless.diagnostic
+    assert "past the cutoff 1 - 3.2 h(e_b) <= 0" in hopeless.diagnostic
     with pytest.raises(ConstraintError):
         optimize_rate(0, 1e-5, 1e-10, 0.01)
 
 
 # Optima of the grid search before its rate was split into sample and
-# security terms, field for field.  Each is ((N_signals, epsilon,
+# security terms, field for field, except that the optima past the cutoff
+# now name it in their diagnostic.  Each is ((N_signals, epsilon,
 # epsilon_EC, e_b, allow_full_budget), (rate, n, m, eps_bar, eps_bar_prime,
 # diagnostic)): blocks from 1 to 1e15, e_b from 0 to 0.3 and on both sides of
 # the cutoff, three (epsilon, epsilon_EC) pairs and the full budget.
@@ -270,33 +274,35 @@ NO_BUDGET = (0.0, 0, 0, 0.0, 0.0, "infeasible: sifted budget below 2 bits, "
              "cannot populate both key and estimation samples")
 TOO_SHORT = (0.0, 0, 0, 0.0, 0.0, "rate is zero everywhere on the search grid "
              "(block too short for this error rate)")
+PAST_CUTOFF = (0.0, 0, 0, 0.0, 0.0, "rate is zero at every block size: e_b is past "
+               "the cutoff 1 - 3.2 h(e_b) <= 0")
 PINNED_OPTIMA = [
     ((1, 1e-05, 1e-10, 0.03, False), NO_BUDGET),
     ((3, 1e-05, 1e-10, 0.0, False), NO_BUDGET),
-    ((5, 1e-05, 1e-10, 0.3, False), TOO_SHORT),
+    ((5, 1e-05, 1e-10, 0.3, False), PAST_CUTOFF),
     ((1000, 1e-05, 1e-10, 0.03, False), TOO_SHORT),
     ((100000, 1e-05, 1e-10, 0.0, False), (0.01771984450263141, 29400, 15044, 9.917426005035367e-06, 4.0435716512358626e-06, "")),
     ((100000, 1e-05, 1e-10, 0.03, False), TOO_SHORT),
-    ((100000, 1e-05, 1e-10, 0.3, False), TOO_SHORT),
+    ((100000, 1e-05, 1e-10, 0.3, False), PAST_CUTOFF),
     ((300000, 1e-05, 1e-10, 0.0, False), (0.12043787192947192, 106568, 26765, 9.96074298083527e-06, 4.8931325113501885e-06, "")),
     ((300000, 1e-05, 1e-10, 0.03, False), TOO_SHORT),
-    ((300000, 1e-05, 1e-10, 0.3, False), TOO_SHORT),
+    ((300000, 1e-05, 1e-10, 0.3, False), PAST_CUTOFF),
     ((1000000, 1e-05, 1e-10, 0.0, False), (0.21091509495203759, 386484, 57960, 9.98247236654332e-06, 5.62116707821162e-06, "")),
     ((1000000, 1e-05, 1e-10, 0.03, False), (0.02778648083135265, 321353, 123091, 9.975948578245661e-06, 4.357339650873156e-06, "")),
-    ((1000000, 1e-05, 1e-10, 0.3, False), TOO_SHORT),
+    ((1000000, 1e-05, 1e-10, 0.3, False), PAST_CUTOFF),
     ((1000000000, 1e-05, 1e-10, 0.0, False), (0.41386916391447853, 437144534, 7299910, 9.999345239312096e-06, 8.267556114964987e-06, "")),
     ((1000000000, 1e-05, 1e-10, 0.03, False), (0.1533183701904514, 433482593, 10961851, 9.999345239312096e-06, 7.002845369305239e-06, "")),
-    ((1000000000, 1e-05, 1e-10, 0.3, False), TOO_SHORT),
+    ((1000000000, 1e-05, 1e-10, 0.3, False), PAST_CUTOFF),
     ((1000000000000, 1e-05, 1e-10, 0.0, False), (0.44069837695268055, 443386099956, 1058344488, 9.999890000099999e-06, 9.38563071571588e-06, "")),
     ((1000000000000, 1e-05, 1e-10, 0.03, False), (0.16651590809572495, 443255959316, 1188485128, 9.999890000099999e-06, 8.614910925303749e-06, "")),
-    ((1000000000000, 1e-05, 1e-10, 0.3, False), TOO_SHORT),
+    ((1000000000000, 1e-05, 1e-10, 0.3, False), PAST_CUTOFF),
     ((1000000000000000, 1e-05, 1e-10, 0.0, False), (0.44399353284419013, 444311148332489, 133296111955, 9.999890000099999e-06, 9.806716289788077e-06, "")),
     ((1000000000000000, 1e-05, 1e-10, 0.03, False), (0.16782594627996175, 444317422570067, 127021874377, 9.999890000099999e-06, 9.45782829138911e-06, "")),
-    ((1000000000000000, 1e-05, 1e-10, 0.3, False), TOO_SHORT),
+    ((1000000000000000, 1e-05, 1e-10, 0.3, False), PAST_CUTOFF),
     ((1000000000, 1e-05, 1e-10, 0.05, False), (0.02850640334887726, 416722896, 27721548, 9.999345239312096e-06, 5.644662726278413e-06, "")),
     ((1000000000, 1e-05, 1e-10, 0.056, False), TOO_SHORT),
     ((1000000000000000, 1e-05, 1e-10, 0.056, False), (0.0015946547731547256, 441903916787094, 2540527657350, 9.999890000099999e-06, 7.506927689716634e-06, "")),
-    ((1000000000000000, 1e-05, 1e-10, 0.0565, False), TOO_SHORT),
+    ((1000000000000000, 1e-05, 1e-10, 0.0565, False), PAST_CUTOFF),
     ((10000000, 1e-05, 1e-10, 0.045, False), (0.019191207970020607, 3391713, 1052731, 9.993354828955512e-06, 4.401209518259482e-06, "")),
     ((10000000, 1e-05, 1e-10, 0.05, False), TOO_SHORT),
     ((10000, 1e-12, 0.0, 0.01, False), TOO_SHORT),
@@ -313,7 +319,7 @@ PINNED_OPTIMA = [
     ((10000, 1e-05, 1e-10, 0.02, True), TOO_SHORT),
     ((20, 0.25, 0.1, 0.0, True), TOO_SHORT),
     ((1000000, 1e-12, 0.0, 0.05, True), TOO_SHORT),
-    ((100000000000, 1e-05, 1e-10, 0.3, True), TOO_SHORT),
+    ((100000000000, 1e-05, 1e-10, 0.3, True), PAST_CUTOFF),
 ]
 
 
@@ -479,11 +485,15 @@ def test_optimizer_returns_at_once_past_the_cutoff(monkeypatch):
     last_searched = float(np.nextafter(CUTOFF_E_B, 0.0))
     assert not past_cutoff(last_searched)
     # the searched e_b just below the cutoff and the first one past it give
-    # the same zero optimum at the largest block the CLI accepts
-    for e_b, searched in ((last_searched, True), (CUTOFF_E_B, False)):
+    # the same zero optimum at the largest block the CLI accepts; only the
+    # unsearched one names the cutoff
+    for e_b, searched, expected in (
+        (last_searched, True, TOO_SHORT),
+        (CUTOFF_E_B, False, PAST_CUTOFF),
+    ):
         calls.clear()
         opt = optimize_rate(10**15, 1e-5, 1e-10, e_b)
-        assert opt == FiniteKeyOptimum(10**15, e_b, *TOO_SHORT)
+        assert opt == FiniteKeyOptimum(10**15, e_b, *expected)
         assert len(calls) == int(searched)
 
 
