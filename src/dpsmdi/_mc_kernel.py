@@ -184,8 +184,7 @@ def run_kernel(
             if dark.size:
                 j = np.searchsorted(t_first_dark, first_dark[dark] >> _U11, side="right")
                 mask[dark] |= _ONE << j.astype(np.uint8)
-                # no bin b <= min(j) follows a first dark bin
-                for b in range(int(j.min()) + 1, 6):
+                for b in range(1, 6):
                     later = dark[j < b]
                     later = later[draw(z[later], _rng.DRAW_DARK_BASE + b) < t_dark_raw]
                     mask[later] |= np.uint8(1 << b)
@@ -197,7 +196,7 @@ def run_kernel(
             kept_s = s[kept]
             mask_counts += np.bincount(mask, minlength=64)
         else:
-            # every other trial's mask is 0
+            # a trial with neither an arrival nor a dark click has mask 0
             dark_only = dark[~arrived[dark]]
             clicked = np.concatenate((lit, dark_only))
             clicked_mask = mask[clicked].astype(np.intp)

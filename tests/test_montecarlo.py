@@ -24,6 +24,9 @@ IDEAL = ChannelParams(eta_a=1.0, eta_b=1.0, p_dark=0.0, e_d=0.0)
 LOSSY = ChannelParams(eta_a=0.1, eta_b=0.1, p_dark=3e-6, e_d=0.015)
 LONG_HAUL = ChannelParams.from_total_distance(200.0)
 DARK_HEAVY = ChannelParams(eta_a=0.01, eta_b=0.01, p_dark=1e-3, e_d=0.015)
+# no photon ever arrives, so every kept trial is kept by dark clicks alone
+PHOTONLESS = ChannelParams(eta_a=0.0, eta_b=0.0, p_dark=0.3, e_d=0.2)
+ONE_SIDE_ARRIVES = ChannelParams(eta_a=1.0, eta_b=0.3, p_dark=0.05, e_d=0.2)
 
 
 def test_channel_params_validation():
@@ -213,6 +216,8 @@ def test_replay_matches_kernel_where_draws_are_fixed():
         (ChannelParams(eta_a=1.0, eta_b=1.0, p_dark=0.5, e_d=0.0), 1),
         # c_5 rounds to 1: every trial has a dark click, found with no compare
         (ChannelParams(eta_a=0.5, eta_b=0.5, p_dark=0.999, e_d=0.0), 2),
+        # the same where few photons arrive, and never from b
+        (ChannelParams(eta_a=0.1, eta_b=0.0, p_dark=0.999, e_d=0.0), 1),
         (always_flip, 1),
         (IDEAL, 2),
     ):
@@ -220,6 +225,58 @@ def test_replay_matches_kernel_where_draws_are_fixed():
         assert_replay_matches(est, params, seed=17)
     flipped = run_trials(always_flip, 8_000, seed=17)
     assert flipped.error_count == flipped.keep_count > 3_000
+
+
+# More than a chunk; at 2 threads the second shard starts at trial 20,000,
+# inside the first chunk of the 1-thread run.
+@pytest.mark.parametrize("threads", [1, 2])
+@pytest.mark.parametrize("params", [PHOTONLESS, ONE_SIDE_ARRIVES], ids=["photonless", "one-side"])
+def test_replay_matches_kernel_on_photonless_keeps_and_one_sided_arrival(params, threads):
+    """A trial with no arrival draws its setting only once it is kept; a
+    side that always arrives draws for every trial. Both tally as the
+    replay does, which draws every setting."""
+    est = run_trials(params, 40_001, seed=23, threads=threads)
+    assert est.keep_count > 2_000 and est.error_count > 500
+    assert_replay_matches(est, params, seed=23)
+
+
+def trial_slot(z, seed):
+    """The trial slot of each stretched state z that the kernel hands
+    _rng.mix_array. z = seed + (counter + 1) * GOLDEN, and GOLDEN is odd, so
+    its inverse mod 2**64 recovers the counter."""
+    golden_inverse = np.uint64(pow(_rng.GOLDEN, -1, 2**64))
+    counter = (z - np.uint64(_rng.stretch(seed, 0))) * golden_inverse
+    return counter % np.uint64(_rng.DRAWS_PER_TRIAL)
+
+
+@pytest.mark.parametrize("params", [LONG_HAUL, PHOTONLESS], ids=["long-haul", "photonless"])
+def test_kernel_draws_setting_and_pattern_only_where_needed(monkeypatch, params):
+    """The work the kernel skips, pinned as a count of draws: a pattern
+    draw for each trial with an arrival, and a setting draw for those and
+    for each kept trial with none."""
+    n_trials, seed = 40_001, 29
+    counts = np.zeros(_rng.DRAWS_PER_TRIAL, dtype=np.int64)
+    true_mix = _rng.mix_array
+
+    def counting(z):
+        counts[:] += np.bincount(trial_slot(z, seed).astype(np.intp), minlength=counts.size)
+        return true_mix(z)
+
+    monkeypatch.setattr(_rng, "mix_array", counting)
+    est = run_trials(params, n_trials, seed=seed)
+    arrivals = photonless_kept = 0
+    for record in replay_trials(params, n_trials, seed=seed):
+        if any(record.loss_pattern):
+            arrivals += 1
+        elif record.decision.action is Action.KEEP:
+            photonless_kept += 1
+    assert counts[_rng.DRAW_PATTERN] == arrivals
+    assert counts[_rng.DRAW_SETTING] == arrivals + photonless_kept
+    assert est.keep_count >= photonless_kept
+    if params is LONG_HAUL:
+        assert 0 < arrivals < 0.05 * n_trials
+    else:
+        assert arrivals == 0 and photonless_kept == est.keep_count > 2_000
 
 
 # Tallies recorded from replay_trials, which compares unit draws with
@@ -370,14 +427,18 @@ def test_relay_tables_are_pinned():
     assert digest.hexdigest() == TABLES_SHA256
 
 
-def test_kernel_is_exact_on_boundary_draws(monkeypatch):
+# One loss draw in three sits below its threshold, so with both sides drawn
+# more than half the trials have an arrival and the kernel draws for every
+# trial; with one side dark a third do, and it draws for those alone.
+@pytest.mark.parametrize("eta_b", [0.7, 0.0])
+def test_kernel_is_exact_on_boundary_draws(monkeypatch, eta_b):
     """Feed both the numpy kernel and the float-comparing replay a stream
     in which every loss, pattern, dark and misalignment draw sits one
     below, on, or one above a threshold (the first-dark-bin draw one of
     the six T(c_j)), and pattern draws also on either side of a bucket
     edge. The 11 bits below k are all 0 or all 1, the raw draws on either
     side of the kernel's raw < T << 11. The two must still tally alike."""
-    params = ChannelParams(eta_a=0.1, eta_b=0.7, p_dark=0.3, e_d=0.015)
+    params = ChannelParams(eta_a=0.1, eta_b=eta_b, p_dark=0.3, e_d=0.015)
     seed = 3
     pattern_edges = (build_tables().pattern_keys & np.uint64(2**KEY_SHIFT - 1)).tolist()
     # the edges of the bucket that holds each boundary: where a draw read
@@ -403,13 +464,9 @@ def test_kernel_is_exact_on_boundary_draws(monkeypatch):
     for b in range(1, 6):
         choices[_rng.DRAW_DARK_BASE + b] = edges([t(params.p_dark)])
     true_mix, true_draw = _rng.mix_array, _rng.raw_draw
-    # the kernel hands mix_array stretched states z = seed + (counter + 1) *
-    # GOLDEN; GOLDEN is odd, so its inverse mod 2**64 recovers the counter
-    golden_inverse = np.uint64(pow(_rng.GOLDEN, -1, 2**64))
-    first_state = np.uint64(_rng.stretch(seed, 0))
 
     def edge_draws(z):
-        slot = ((z - first_state) * golden_inverse) % np.uint64(_rng.DRAWS_PER_TRIAL)
+        slot = trial_slot(z, seed)
         raw = true_mix(z)
         for s, ks in choices.items():
             at = slot == s
