@@ -192,8 +192,8 @@ def run_kernel(
         if lit is None:
             mask = mask.astype(np.intp)
             kept = np.flatnonzero(is_keep[mask])
-            kept_mask = mask[kept]
-            kept_s = s[kept]
+            misalign = below(z[kept], _rng.DRAW_MISALIGN, t_misalign)
+            flips = base_error[(s[kept].view(np.int64) << 6) | mask[kept]]
             mask_counts += np.bincount(mask, minlength=64)
         else:
             # a trial with neither an arrival nor a dark click has mask 0
@@ -204,15 +204,13 @@ def run_kernel(
             mask_counts[0] += m - clicked.size
             keeps = is_keep[clicked_mask]
             kept = clicked[keeps]
-            kept_mask = clicked_mask[keeps]
             # the photon-less kept trials come last; base_error reads their
             # settings too
             dark_kept = dark_only[keeps[lit.size :]]
             redrawn = draw(z[dark_kept], _rng.DRAW_SETTING) >> _U60
             kept_s = np.concatenate((s[keeps[: lit.size]], redrawn))
-
-        misalign = below(z[kept], _rng.DRAW_MISALIGN, t_misalign)
-        flips = base_error[(kept_s.view(np.int64) << 6) | kept_mask]
+            misalign = below(z[kept], _rng.DRAW_MISALIGN, t_misalign)
+            flips = base_error[(kept_s.view(np.int64) << 6) | clicked_mask[keeps]]
         errors += int(np.count_nonzero(flips ^ misalign))
         keep += kept.size
         done += m
