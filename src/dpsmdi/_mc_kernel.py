@@ -52,9 +52,9 @@ dark clicks alone, and base_error reads its setting: such a trial draws it
 at DRAW_SETTING after sifting. The chunk's nonzero masks then lie on the
 trials with an arrival or a dark click, so it counts those masks alone and
 adds the rest to mask 0; a bincount over mostly zeros waits, at each
-increment, on the one before. A chunk in which more than _COMPACT_SHARE of
-the trials have an arrival, every chunk when eta_a or eta_b is 1 among
-them, draws for every trial instead.
+increment, on the one before. Where a photon arrives with probability
+1 - (1 - eta_a)(1 - eta_b) above _COMPACT_SHARE, eta_a or eta_b = 1 among
+them, the kernel draws for every trial instead.
 """
 
 from __future__ import annotations
@@ -69,8 +69,8 @@ from ._mc_tables import ACTION_KEEP, GUIDE_BITS, GUIDE_MISS, KEY_SHIFT, TableSet
 
 _CHUNK = 1 << 15  # trials per pass; 256 kB arrays stay in cache
 _TOP = 2**53  # threshold of a test that always passes
-# a chunk is compacted when at most this share of its trials has an arrival;
-# above it, gathering and scattering the arrivals costs more than it saves
+# the largest arrival probability at which a chunk is compacted; above it,
+# gathering and scattering the arrivals costs more than it saves
 _COMPACT_SHARE = 0.5
 _ONE = np.uint8(1)
 _TWO8 = np.uint8(2)
@@ -135,7 +135,7 @@ def run_kernel(
             mask[miss] = count - (missed_row << _SIX).view(np.int64)
         return mask
 
-    every_arrives = _TOP in (t_eta_a, t_eta_b)
+    compact = 1.0 - (1.0 - eta_a) * (1.0 - eta_b) <= _COMPACT_SHARE
     no_trials = np.empty(0, dtype=np.intp)
     mask_counts = np.zeros(64, dtype=np.int64)
     keep = 0
@@ -147,18 +147,11 @@ def run_kernel(
         z = lanes[:m] + np.uint64(_rng.stretch(seed, first))
         arrived_a = below(z, _rng.DRAW_LOSS_A, t_eta_a)
         arrived_b = below(z, _rng.DRAW_LOSS_B, t_eta_b)
-        lit = None  # the trials with an arrival, when the chunk is compacted
-        if not every_arrives:
-            case = np.empty(m, dtype=np.uint8)  # 2 * (a arrived) + (b arrived)
-            np.bitwise_or(arrived_a * _TWO8, arrived_b, out=case)
-            arrived = case != 0
-            if np.count_nonzero(arrived) <= _COMPACT_SHARE * m:
-                lit = np.flatnonzero(arrived)
 
         # setting, row and bucket stay below 2**63, so int64 views of them
         # index the tables without a conversion pass; the table row is
         # 4 * setting + arrival case
-        if lit is None:
+        if not compact:
             s = draw(z, _rng.DRAW_SETTING) >> _U60
             row = s << _TWO
             row |= arrived_a * _TWO
@@ -166,6 +159,10 @@ def run_kernel(
             pattern = draw(z, _rng.DRAW_PATTERN)
             mask = signal_masks(row, pattern)
         else:
+            case = np.empty(m, dtype=np.uint8)  # 2 * (a arrived) + (b arrived)
+            np.bitwise_or(arrived_a * _TWO8, arrived_b, out=case)
+            arrived = case != 0
+            lit = np.flatnonzero(arrived)
             z_lit = z[lit]
             s = draw(z_lit, _rng.DRAW_SETTING) >> _U60
             row = s << _TWO
@@ -189,7 +186,7 @@ def run_kernel(
                     later = later[draw(z[later], _rng.DRAW_DARK_BASE + b) < t_dark_raw]
                     mask[later] |= np.uint8(1 << b)
 
-        if lit is None:
+        if not compact:
             mask = mask.astype(np.intp)
             kept = np.flatnonzero(is_keep[mask])
             misalign = below(z[kept], _rng.DRAW_MISALIGN, t_misalign)

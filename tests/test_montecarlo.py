@@ -427,9 +427,9 @@ def test_relay_tables_are_pinned():
     assert digest.hexdigest() == TABLES_SHA256
 
 
-# One loss draw in three sits below its threshold, so with both sides drawn
-# more than half the trials have an arrival and the kernel draws for every
-# trial; with one side dark a third do, and it draws for those alone.
+# At eta_b 0.7 a photon arrives with probability 0.73 and the kernel draws
+# for every trial; at eta_b 0 with probability 0.1, and it draws for the
+# trials with an arrival alone.
 @pytest.mark.parametrize("eta_b", [0.7, 0.0])
 def test_kernel_is_exact_on_boundary_draws(monkeypatch, eta_b):
     """Feed both the numpy kernel and the float-comparing replay a stream
