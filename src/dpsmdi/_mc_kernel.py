@@ -42,7 +42,7 @@ and GUIDE_MISS for the buckets that hold a cumulative boundary; only
 draws in those, at most 1.2% of any row's, are binary-searched in the keys.
 
 Photon-less trials. Far from the relay most trials lose both photons: 81%
-at eta 0.1 per side, about 97% at 200 km. The CASE_NONE row of
+at eta 0.1 per side, 99.7% at 200 km. The CASE_NONE row of
 `TableSet.outcome_cum` is all ones, so such a trial's signal mask is 0
 whatever its setting and pattern draws are, and skipping those two draws
 moves no other. A chunk therefore draws the two loss slots first and makes

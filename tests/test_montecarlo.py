@@ -427,18 +427,17 @@ def test_relay_tables_are_pinned():
     assert digest.hexdigest() == TABLES_SHA256
 
 
-# At eta_b 0.7 a photon arrives with probability 0.73 and the kernel draws
-# for every trial; at eta_b 0 with probability 0.1, and it draws for the
-# trials with an arrival alone.
-@pytest.mark.parametrize("eta_b", [0.7, 0.0])
-def test_kernel_is_exact_on_boundary_draws(monkeypatch, eta_b):
+def test_kernel_is_exact_on_boundary_draws(monkeypatch):
     """Feed both the numpy kernel and the float-comparing replay a stream
     in which every loss, pattern, dark and misalignment draw sits one
     below, on, or one above a threshold (the first-dark-bin draw one of
     the six T(c_j)), and pattern draws also on either side of a bucket
     edge. The 11 bits below k are all 0 or all 1, the raw draws on either
-    side of the kernel's raw < T << 11. The two must still tally alike."""
-    params = ChannelParams(eta_a=0.1, eta_b=eta_b, p_dark=0.3, e_d=0.015)
+    side of the kernel's raw < T << 11. The two must still tally alike.
+
+    At eta_b 0.7 a photon arrives with probability 0.73 and the kernel
+    draws for every trial; at eta_b 0 with probability 0.1, and it draws
+    for the trials with an arrival alone."""
     seed = 3
     pattern_edges = (build_tables().pattern_keys & np.uint64(2**KEY_SHIFT - 1)).tolist()
     # the edges of the bucket that holds each boundary: where a draw read
@@ -454,38 +453,40 @@ def test_kernel_is_exact_on_boundary_draws(monkeypatch, eta_b):
     def t(p):
         return int(_mc_kernel.threshold(p))
 
-    choices = {
-        _rng.DRAW_LOSS_A: edges([t(params.eta_a)]),
-        _rng.DRAW_LOSS_B: edges([t(params.eta_b)]),
-        _rng.DRAW_PATTERN: edges(pattern_edges + bucket_edges),
-        _rng.DRAW_MISALIGN: edges([t(params.e_d)]),
-    }
-    choices[_rng.DRAW_DARK_BASE] = edges([t(c) for c in _rng.first_dark_cum(params.p_dark)])
-    for b in range(1, 6):
-        choices[_rng.DRAW_DARK_BASE + b] = edges([t(params.p_dark)])
     true_mix, true_draw = _rng.mix_array, _rng.raw_draw
+    for eta_b in (0.7, 0.0):
+        params = ChannelParams(eta_a=0.1, eta_b=eta_b, p_dark=0.3, e_d=0.015)
+        choices = {
+            _rng.DRAW_LOSS_A: edges([t(params.eta_a)]),
+            _rng.DRAW_LOSS_B: edges([t(params.eta_b)]),
+            _rng.DRAW_PATTERN: edges(pattern_edges + bucket_edges),
+            _rng.DRAW_MISALIGN: edges([t(params.e_d)]),
+        }
+        choices[_rng.DRAW_DARK_BASE] = edges([t(c) for c in _rng.first_dark_cum(params.p_dark)])
+        for b in range(1, 6):
+            choices[_rng.DRAW_DARK_BASE + b] = edges([t(params.p_dark)])
 
-    def edge_draws(z):
-        slot = trial_slot(z, seed)
-        raw = true_mix(z)
-        for s, ks in choices.items():
-            at = slot == s
-            picked = ks[raw[at] % np.uint64(len(ks))]
-            raw[at] = (picked << np.uint64(11)) | (raw[at] >> np.uint64(63)) * np.uint64(0x7FF)
-        return raw
-
-    def edge_draw(seed, counter):
-        raw = true_draw(seed, counter)
-        ks = choices.get(counter % _rng.DRAWS_PER_TRIAL)
-        if ks is None:
+        def edge_draws(z):
+            slot = trial_slot(z, seed)
+            raw = true_mix(z)
+            for s, ks in choices.items():
+                at = slot == s
+                picked = ks[raw[at] % np.uint64(len(ks))]
+                raw[at] = (picked << np.uint64(11)) | (raw[at] >> np.uint64(63)) * np.uint64(0x7FF)
             return raw
-        return (int(ks[raw % len(ks)]) << 11) | (raw >> 63) * 0x7FF
 
-    monkeypatch.setattr(_rng, "mix_array", edge_draws)
-    monkeypatch.setattr(_rng, "raw_draw", edge_draw)
-    est = run_trials(params, 10_000, seed=seed)
-    assert est.keep_count > 1_000 and est.error_count > 500
-    assert_replay_matches(est, params, seed=seed)
+        def edge_draw(seed, counter):
+            raw = true_draw(seed, counter)
+            ks = choices.get(counter % _rng.DRAWS_PER_TRIAL)
+            if ks is None:
+                return raw
+            return (int(ks[raw % len(ks)]) << 11) | (raw >> 63) * 0x7FF
+
+        monkeypatch.setattr(_rng, "mix_array", edge_draws)
+        monkeypatch.setattr(_rng, "raw_draw", edge_draw)
+        est = run_trials(params, 10_000, seed=seed)
+        assert est.keep_count > 1_000 and est.error_count > 500, eta_b
+        assert_replay_matches(est, params, seed=seed)
 
 
 def test_replay_record_invariants():
