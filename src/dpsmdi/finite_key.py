@@ -330,12 +330,13 @@ def _coarse_security_terms(
     return terms
 
 
-def _zero_everywhere(N_signals: int, e_b: float) -> FiniteKeyOptimum:
-    return FiniteKeyOptimum(
-        N_signals, e_b, 0.0, 0, 0, 0.0, 0.0,
-        diagnostic="rate is zero everywhere on the search grid "
-        "(block too short for this error rate)",
-    )
+def _zero_everywhere(
+    N_signals: int,
+    e_b: float,
+    diagnostic: str = "rate is zero everywhere on the search grid "
+    "(block too short for this error rate)",
+) -> FiniteKeyOptimum:
+    return FiniteKeyOptimum(N_signals, e_b, 0.0, 0, 0, 0.0, 0.0, diagnostic=diagnostic)
 
 
 def optimize_rate(
@@ -380,15 +381,15 @@ def optimize_rate(
         )
     gap = epsilon - epsilon_EC
     if not gap > 0.0:
-        return FiniteKeyOptimum(
-            N_signals, e_b, 0.0, 0, 0, 0.0, 0.0,
-            diagnostic="infeasible: epsilon - epsilon_EC must be positive",
+        return _zero_everywhere(
+            N_signals, e_b, "infeasible: epsilon - epsilon_EC must be positive"
         )
     gap_floor = epsilon_gap_floor(epsilon)
     if not gap >= gap_floor:
-        return FiniteKeyOptimum(
-            N_signals, e_b, 0.0, 0, 0, 0.0, 0.0,
-            diagnostic=f"infeasible: epsilon - epsilon_EC must be at least {gap_floor:g} "
+        return _zero_everywhere(
+            N_signals,
+            e_b,
+            f"infeasible: epsilon - epsilon_EC must be at least {gap_floor:g} "
             "for float64 to resolve every search point",
         )
     if allow_full_budget:
@@ -396,9 +397,10 @@ def optimize_rate(
     else:
         total = (SIFTED_NUMERATOR * N_signals) // SIFTED_DENOMINATOR
     if total < 2:
-        return FiniteKeyOptimum(
-            N_signals, e_b, 0.0, 0, 0, 0.0, 0.0,
-            diagnostic="infeasible: sifted budget below 2 bits, "
+        return _zero_everywhere(
+            N_signals,
+            e_b,
+            "infeasible: sifted budget below 2 bits, "
             "cannot populate both key and estimation samples",
         )
 
@@ -411,9 +413,10 @@ def optimize_rate(
     # (n/N)(1 - 3.2 h(e_b) - penalty/n) with penalty/n >= (7 sqrt(n) - 2)/n:
     # a margin of about 7/sqrt(n), far above float64 rounding for n < 1e30.
     if 1.0 - (2.0 + ERROR_CORRECTION_EFFICIENCY) * h_e_b <= 0.0:
-        return FiniteKeyOptimum(
-            N_signals, e_b, 0.0, 0, 0, 0.0, 0.0,
-            diagnostic="rate is zero at every block size: e_b is past the cutoff "
+        return _zero_everywhere(
+            N_signals,
+            e_b,
+            "rate is zero at every block size: e_b is past the cutoff "
             f"1 - {2.0 + ERROR_CORRECTION_EFFICIENCY:g} h(e_b) <= 0",
         )
     leak_coefficient = ERROR_CORRECTION_EFFICIENCY * h_e_b
