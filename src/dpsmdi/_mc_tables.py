@@ -50,6 +50,11 @@ GUIDE_BITS = 10
 GUIDE_SHIFT = 53 - GUIDE_BITS
 GUIDE_MISS = 255
 
+# A trial's code packs its click mask with its tally bits: mask | keep << 6 |
+# base_error << 7. Mask 63 is never kept, so no code is GUIDE_MISS.
+CODE_KEEP = 1 << 6
+CODE_ERROR = 1 << 7
+
 
 @lru_cache(maxsize=None)
 def _click_mask(pattern: Pattern) -> int:
@@ -95,6 +100,12 @@ class TableSet:
     threshold ceil(cum * 2**53) lies in (first, last] and the bucket holds
     a boundary.
 
+    codes[s, mask] packs what a trial's tallies read into one byte: mask,
+    CODE_KEEP for a Keep mask and CODE_ERROR where base_error[s, mask] is
+    1. code_guide[row, b] is codes[row >> 2, pattern_guide[row, b]], the
+    code of the bucket's mask under the row's setting, or GUIDE_MISS where
+    pattern_guide is.
+
     bin_amplitudes[side, s, b] is the amplitude of the photon sender a
     (side 0) or b (side 1) sends alone under setting s in detector-bin b,
     mask bit b: the coherent-state field per unit sqrt(eta mu).
@@ -106,6 +117,8 @@ class TableSet:
     pattern_keys: np.ndarray  # (4096,) uint64, ascending
     pattern_guide: np.ndarray  # (64, 2**GUIDE_BITS) uint8
     bin_amplitudes: np.ndarray  # (2, 16, 6) complex128, read-only
+    codes: np.ndarray  # (16, 64) uint8
+    code_guide: np.ndarray  # (64, 2**GUIDE_BITS) uint8
 
 
 @lru_cache(maxsize=1)
@@ -167,8 +180,22 @@ def build_tables() -> TableSet:
         below_first == below_last, below_first - 64 * np.arange(64).reshape(64, 1), GUIDE_MISS
     ).astype(np.uint8)
 
+    keep = action == ACTION_KEEP
+    codes = (np.arange(64) | keep * CODE_KEEP | (base_error != 0) * CODE_ERROR).astype(np.uint8)
+    setting_of_row = np.arange(64).reshape(64, 1) >> 2
+    code_guide = np.where(
+        pattern_guide == GUIDE_MISS, GUIDE_MISS, codes[setting_of_row, pattern_guide & 63]
+    ).astype(np.uint8)
+
     return TableSet(
-        outcome_cum, action, base_error, pattern_keys, pattern_guide, bin_amplitudes
+        outcome_cum,
+        action,
+        base_error,
+        pattern_keys,
+        pattern_guide,
+        bin_amplitudes,
+        codes,
+        code_guide,
     )
 
 

@@ -177,7 +177,12 @@ def mc_vs_analytic(
     deviations of the closed forms: the yield of ``yield_Y11``, and the
     error fraction among kept trials of the half-weight e_b (the verbatim
     e_b less half its background term, the convention the simulation
-    realizes). When that fraction's deviation is 0, no error may occur."""
+    realizes). When that fraction's deviation is 0, no error may occur.
+
+    The error fraction is compared with e_b - background / 2 uncapped, not
+    with ``half_weight_qber``: the uncapped value is the fraction of kept
+    trials the simulation makes err, and it passes 1/2 when e_d > 1/2.
+    The cap at 1/2 only shapes the entropy input of the key rates."""
     estimates = run_trials(params, n_trials, seed, threads=threads)
     y11 = yield_Y11(params)
     sigma_y = math.sqrt(y11 * (1.0 - y11) / n_trials)

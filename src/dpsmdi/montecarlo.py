@@ -255,20 +255,24 @@ def replay_trials(
     aggregating replayed records reproduces run_trials exactly; used for
     per-trial logging and for cross-checking the kernel. It compares unit
     draws with the probabilities as floats, where the kernel compares
-    integers: the pattern draw and the first-dark-bin draw (against
-    `_rng.first_dark_cum`) by a linear scan of their cumulative rows, and
-    each later bin's draw against p_dark, made only for bins after the
-    first dark one.
+    integers: the fate draw (against `_rng.fate_cum`, which decides the
+    arrivals and the first dark bin) and the pattern draw by a linear scan
+    of their cumulative rows, and each later bin's draw against p_dark,
+    made only for bins after the first dark one. It draws every trial's
+    setting and pattern, which the kernel skips where they cannot matter.
     """
     tables = build_tables()
     settings = discrete_settings()
-    dark_cum = _rng.first_dark_cum(params.p_dark)
+    fate_cum = _rng.fate_cum(params.eta_a, params.eta_b, params.p_dark)
     for i in range(start_trial, start_trial + n_trials):
         base = i * _rng.DRAWS_PER_TRIAL
         s = _rng.raw_draw(seed, base + _rng.DRAW_SETTING) >> 60
-        survived_a = _rng.unit_draw(seed, base + _rng.DRAW_LOSS_A) < params.eta_a
-        survived_b = _rng.unit_draw(seed, base + _rng.DRAW_LOSS_B) < params.eta_b
-        case = 2 * int(survived_a) + int(survived_b)
+        u = _rng.unit_draw(seed, base + _rng.DRAW_FATE)
+        fate = 0
+        while u >= fate_cum[fate]:
+            fate += 1
+        case = fate & 3  # 2 * (a arrived) + (b arrived)
+        first_dark = (fate >> 2) - 1  # -1: no dark click
 
         u = _rng.unit_draw(seed, base + _rng.DRAW_PATTERN)
         cum = tables.outcome_cum[s, case]
@@ -276,12 +280,8 @@ def replay_trials(
         while u >= cum[signal_mask]:
             signal_mask += 1
 
-        u = _rng.unit_draw(seed, base + _rng.DRAW_DARK_BASE)
-        first_dark = 0
-        while first_dark < 6 and u >= dark_cum[first_dark]:
-            first_dark += 1
         dark_mask = 0
-        if first_dark < 6:
+        if first_dark >= 0:
             dark_mask = 1 << first_dark
             for b in range(first_dark + 1, 6):
                 if _rng.unit_draw(seed, base + _rng.DRAW_DARK_BASE + b) < params.p_dark:
@@ -307,7 +307,7 @@ def replay_trials(
         yield TrialRecord(
             trial_index=i,
             phase_setting=setting,
-            loss_pattern=(bool(survived_a), bool(survived_b)),
+            loss_pattern=(case >= 2, case & 1 == 1),
             dark_mask=dark_mask,
             mask=mask,
             outcome=outcome,

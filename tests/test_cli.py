@@ -143,9 +143,9 @@ def test_finite_key_default_csv_is_pinned(capsys):
 # the thread count): a change of any tally of the trial kernel shows here.
 # Both were computed from replay_trials' tallies, not from the kernel.
 MONTECARLO_CSV_SHA256 = {
-    (): "c226d0a5ec18b06b2c10718c518610664e77aa5c2df7feccaa680efbafde75f5",
+    (): "28cf6a01f3828da7d7581c7468518ab347e094967df3f0dc9b1ce7f4172e51d2",
     ("--threads", str(min(2, os.cpu_count() or 1)), "--l-km", "60"):
-        "c6ce1b8ea34cb3c36a2cdd4c19ade21d7d7b2d360e939f4d20e58cd5f3a1ff51",
+        "b32e1df681d3e3f5673fb8d8035f91ae7c2a09553e423d4aa6941ba8c0a4ee25",
 }
 
 

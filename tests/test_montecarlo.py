@@ -7,16 +7,27 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+import scipy.stats
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dpsmdi import _mc_kernel, _rng, checks, montecarlo
 from dpsmdi._mc_tables import (
+    ACTION_KEEP,
+    CODE_ERROR,
+    CODE_KEEP,
     GUIDE_BITS,
     GUIDE_MISS,
     KEY_SHIFT,
     build_tables,
     keep_weights,
 )
-from dpsmdi.keyrate_asymptotic import dps_reference_params, qber_asymptotic, yield_Y11
+from dpsmdi.keyrate_asymptotic import (
+    dps_reference_params,
+    half_weight_qber,
+    qber_asymptotic,
+    yield_Y11,
+)
 from dpsmdi.montecarlo import ChannelParams, replay_trials, run_trials
 from dpsmdi.protocol_sifting import Action
 
@@ -131,12 +142,23 @@ def test_lossy_channel_matches_analytic_forms():
     checks.mc_vs_analytic(LOSSY, 400_000, seed=31, threads=1, sigmas=3.0)
 
 
+def test_mc_check_compares_with_the_uncapped_error_fraction():
+    """Past e_d = 1/2 most kept trials err: at e_d 0.8 the run reads about
+    0.79 against an uncapped e_b - background / 2 of 0.80, while the
+    entropy input half_weight_qber caps at 0.5, some 30 sigma away."""
+    params = ChannelParams(eta_a=0.1, eta_b=0.1, p_dark=3e-6, e_d=0.8)
+    e_b, background = qber_asymptotic(params)
+    assert half_weight_qber(e_b, background) == 0.5 < e_b - 0.5 * background
+    checks.mc_vs_analytic(params, 400_000, seed=31, threads=1, sigmas=3.0)
+
+
 def exact_keep_and_error(params):
-    """(P(keep), error fraction) the kernel samples, computed exactly from
-    its tables: each setting's mask distribution from the loss cases and
-    the differenced outcome_cum, dark clicks OR-ed in by a 64 x 64 matrix,
-    the keep weights of the sifting tables, misalignment flipping kept
-    bits."""
+    """(P(keep), error fraction, mask law) the kernel samples, computed
+    exactly from its tables: each setting's mask distribution from the loss
+    cases and the differenced outcome_cum, dark clicks OR-ed in by a
+    64 x 64 matrix, the keep weights of the sifting tables, misalignment
+    flipping kept bits. The mask law is the (64,) probability of each final
+    click mask, averaged over the 16 settings."""
     eta_a, eta_b, p = params.eta_a, params.eta_b, params.p_dark
     case_probs = np.array(
         [(1 - eta_a) * (1 - eta_b), (1 - eta_a) * eta_b, eta_a * (1 - eta_b), eta_a * eta_b]
@@ -146,11 +168,14 @@ def exact_keep_and_error(params):
     # fill exactly the bits of n outside m
     ones = np.array([bin(m).count("1") for m in range(64)])
     m, n = np.arange(64)[:, None], np.arange(64)[None, :]
-    dark = np.where(m & ~n == 0, p ** (ones[n] - ones[m]) * (1 - p) ** (6 - ones[n]), 0.0)
+    extra = np.maximum(ones[n] - ones[m], 0)
+    dark = np.where(m & ~n == 0, p**extra * (1 - p) ** (6 - ones[n]), 0.0)
+    per_setting = signal @ dark
     masks, weights = keep_weights()
-    agree, disagree = (weights * (signal @ dark)[:, masks]).sum(axis=(1, 2))
+    agree, disagree = (weights * per_setting[:, masks]).sum(axis=(1, 2))
     keep = agree + disagree
-    return keep, ((1 - params.e_d) * disagree + params.e_d * agree) / keep
+    error_fraction = ((1 - params.e_d) * disagree + params.e_d * agree) / keep
+    return keep, error_fraction, per_setting.mean(axis=0)
 
 
 def test_tables_expectation_matches_single_photon_closed_forms():
@@ -164,10 +189,51 @@ def test_tables_expectation_matches_single_photon_closed_forms():
         p_dark, e_d = rng.uniform(0.0, 0.3), rng.uniform(0.0, 0.5)
         channels.append(ChannelParams(eta_a=eta_a, eta_b=eta_b, p_dark=p_dark, e_d=e_d))
     for params in channels:
-        keep, error_fraction = exact_keep_and_error(params)
+        keep, error_fraction, _ = exact_keep_and_error(params)
         e_b, background = qber_asymptotic(params)
         assert keep == pytest.approx(yield_Y11(params), rel=1e-14), params
         assert error_fraction == pytest.approx(e_b - 0.5 * background, rel=1e-14), params
+
+
+# the benchmark's four channels, and channels where dark clicks dominate,
+# where one side always arrives, and where both sides mostly arrive
+LAW_CHANNELS = {
+    "ideal": IDEAL,
+    "lossy": LOSSY,
+    "200km": LONG_HAUL,
+    "dark-heavy": DARK_HEAVY,
+    "dark-only": DARK_ONLY,
+    "one-side": ONE_SIDE_ARRIVES,
+    "mixed": ChannelParams(eta_a=0.6, eta_b=0.7, p_dark=0.02, e_d=0.015),
+}
+
+
+@pytest.mark.parametrize("params", list(LAW_CHANNELS.values()), ids=list(LAW_CHANNELS))
+def test_mask_frequencies_follow_the_exact_law(params):
+    """The kernel and replay_trials decode the same draws, so a decoding
+    error they shared would pass every replay test. Here run_trials' mask
+    counts meet the exact law, built from the tables alone: a chi-square
+    test over the masks expected at least 5 times (the rest pooled) at
+    p >= 1e-4, each such mask within 4 sigma, and no count on a mask of
+    probability 0."""
+    n_trials = 2**21 + 3
+    est = run_trials(params, n_trials, seed=61, threads=2)
+    law = exact_keep_and_error(params)[2]
+    assert law.sum() == pytest.approx(1.0, abs=1e-12)
+    assert np.all(est.mask_counts[law == 0.0] == 0)
+    expected = n_trials * law
+    frequent = expected >= 5.0
+    counts = est.mask_counts[frequent]
+    sigma = np.sqrt(expected[frequent] * (1.0 - law[frequent]))
+    assert np.all(np.abs(counts - expected[frequent]) <= 4.0 * sigma)
+    observed = np.append(counts, est.mask_counts[~frequent].sum())
+    pooled = np.append(expected[frequent], expected[~frequent].sum())
+    if pooled[-1] < 5.0:  # too rare a remainder to test on its own
+        observed, pooled = observed[:-1], pooled[:-1]
+        observed[0] += est.mask_counts[~frequent].sum()
+        pooled[0] += expected[~frequent].sum()
+    statistic = float(((observed - pooled) ** 2 / pooled).sum())
+    assert scipy.stats.chi2.sf(statistic, observed.size - 1) >= 1e-4, statistic
 
 
 def test_dark_only_channel_errs_half_the_time():
@@ -187,16 +253,22 @@ def test_no_keeps_yields_nan_estimates():
     assert est.mask_counts[0] == 5_000
 
 
-def assert_replay_matches(est, params, seed):
-    """Replaying est's trials one by one gives its tallies, mask by mask
-    for all 64 masks."""
+def replay_tallies(params, n_trials, seed):
+    """(mask_counts, keeps, errors) aggregated from replay_trials' records."""
     mask_counts = np.zeros(64, dtype=np.int64)
     keeps = errors = 0
-    for record in replay_trials(params, est.n_trials, seed=seed):
+    for record in replay_trials(params, n_trials, seed=seed):
         mask_counts[record.mask] += 1
         if record.decision.action is Action.KEEP:
             keeps += 1
             errors += bool(record.error)
+    return mask_counts, keeps, errors
+
+
+def assert_replay_matches(est, params, seed, replayed=None):
+    """Replaying est's trials one by one gives its tallies, mask by mask
+    for all 64 masks."""
+    mask_counts, keeps, errors = replayed or replay_tallies(params, est.n_trials, seed)
     assert np.array_equal(mask_counts, est.mask_counts)
     assert keeps == est.keep_count
     assert errors == est.error_count
@@ -217,10 +289,16 @@ def test_replay_matches_kernel_where_draws_are_fixed():
     for params, threads in (
         (ChannelParams(eta_a=1.0, eta_b=0.0, p_dark=0.0, e_d=1.0), 1),
         (ChannelParams(eta_a=1.0, eta_b=1.0, p_dark=0.5, e_d=0.0), 1),
-        # c_5 rounds to 1: every trial has a dark click, found with no compare
+        # almost every trial has a dark click: each no-dark fate is one unit
         (ChannelParams(eta_a=0.5, eta_b=0.5, p_dark=0.999, e_d=0.0), 2),
         # the same where few photons arrive, and never from b
         (ChannelParams(eta_a=0.1, eta_b=0.0, p_dark=0.999, e_d=0.0), 1),
+        # each dark fate is below one unit, so the fate is fixed and not drawn
+        (ChannelParams(eta_a=1.0, eta_b=1.0, p_dark=2.0**-60, e_d=0.3), 2),
+        # dark-assisted keeps err before misalignment; e_d 0 or 1 leaves
+        # their errors to be counted from the codes alone
+        (ChannelParams(eta_a=0.5, eta_b=0.5, p_dark=0.05, e_d=0.0), 2),
+        (ChannelParams(eta_a=0.5, eta_b=0.5, p_dark=0.05, e_d=1.0), 1),
         (always_flip, 1),
         (IDEAL, 2),
     ):
@@ -228,6 +306,29 @@ def test_replay_matches_kernel_where_draws_are_fixed():
         assert_replay_matches(est, params, seed=17)
     flipped = run_trials(always_flip, 8_000, seed=17)
     assert flipped.error_count == flipped.keep_count > 3_000
+
+
+# a transmissivity or misalignment is drawn as an exact 0 or 1 half the time
+UNIT_OR_EDGE = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    eta_a=UNIT_OR_EDGE,
+    eta_b=UNIT_OR_EDGE,
+    p_dark=st.floats(0.0, 0.999),
+    e_d=UNIT_OR_EDGE,
+    seed=st.integers(0, 2**64 - 1),
+)
+def test_kernel_tallies_equal_the_replay_on_any_channel(eta_a, eta_b, p_dark, e_d, seed):
+    """On any channel, both kernel paths, fixed fates and misalignment of
+    0 or 1 included, tally as the replay does. At 2 threads the second
+    shard starts at trial 1,000, inside the first chunk."""
+    params = ChannelParams(eta_a=eta_a, eta_b=eta_b, p_dark=p_dark, e_d=e_d)
+    replayed = replay_tallies(params, 2_001, seed)
+    for threads in (1, 2):
+        est = run_trials(params, 2_001, seed=seed, threads=threads)
+        assert_replay_matches(est, params, seed, replayed)
 
 
 # More than a chunk; at 2 threads the second shard starts at trial 20,000,
@@ -296,8 +397,10 @@ def test_kernel_draws_setting_and_pattern_only_where_needed(monkeypatch, params)
 # Tallies recorded from replay_trials, which compares unit draws with
 # probabilities as floats and scans cumulative rows; the integer kernel must
 # reproduce them. 150,001 trials is no multiple of a chunk, and at 2
-# threads the second shard starts at trial 75,000, inside a chunk. Mask 14
-# has three clicks, which the replay records by its mask, without an outcome.
+# threads the second shard starts at trial 75,000, inside a chunk. Masks
+# with three clicks, which the replay records by mask alone, without an
+# outcome, would show here too. The IDEAL entry makes no fate draw and has
+# stayed as it was since before the fate draw.
 PINNED_TALLIES = [
     # (channel, seed, threads, keeps, errors, {mask: count})
     (IDEAL, 7, 1, 66974, 0, {
@@ -305,18 +408,18 @@ PINNED_TALLIES = [
         12: 8281, 16: 8289, 17: 8413, 20: 8468, 24: 8282, 32: 8264, 33: 8265,
         34: 8270, 40: 8446, 48: 8430,
     }),
-    (LOSSY, 2**63 + 11, 2, 612, 6, {
-        0: 121393, 1: 4564, 2: 4574, 3: 75, 4: 4604, 5: 90, 6: 77, 8: 4580,
-        10: 56, 12: 85, 14: 1, 16: 4697, 17: 83, 20: 84, 24: 83, 32: 4642,
-        33: 73, 34: 78, 40: 67, 48: 95,
+    (LOSSY, 2**63 + 11, 2, 657, 6, {
+        0: 121506, 1: 4567, 2: 4602, 3: 89, 4: 4586, 5: 76, 6: 89, 8: 4586,
+        10: 96, 12: 64, 16: 4575, 17: 77, 20: 91, 24: 79, 32: 4587, 33: 79,
+        34: 81, 40: 97, 48: 74,
     }),
     (LONG_HAUL, 7, 1, 0, 0, {
-        0: 149575, 1: 80, 2: 64, 4: 66, 8: 71, 16: 65, 32: 80,
+        0: 149573, 1: 73, 2: 56, 4: 86, 8: 72, 16: 73, 32: 68,
     }),
-    (DARK_HEAVY, 2**63 + 11, 2, 17, 5, {
-        0: 146128, 1: 619, 2: 627, 3: 3, 4: 634, 5: 2, 6: 1, 8: 633, 9: 1,
-        10: 3, 12: 3, 16: 675, 17: 2, 18: 1, 20: 2, 24: 1, 32: 658, 33: 2,
-        34: 2, 36: 1, 40: 1, 48: 2,
+    (DARK_HEAVY, 2**63 + 11, 2, 15, 5, {
+        0: 146157, 1: 656, 2: 599, 3: 3, 4: 624, 5: 1, 6: 4, 8: 618, 12: 2,
+        16: 682, 17: 2, 18: 1, 20: 1, 24: 3, 32: 637, 33: 3, 34: 1, 36: 3,
+        40: 1, 48: 3,
     }),
 ]
 
@@ -330,8 +433,65 @@ def test_kernel_tallies_are_pinned():
         assert (est.keep_count, est.error_count) == (keeps, errors), (params, seed)
 
 
-# dark-count probabilities from the smallest T(c_j) (all 1) to c_5 rounding to 1
+# dark-count probabilities from dark fates of at most one unit of 2**-53
+# each to no-dark fates of one unit each
 DARK_PROBABILITIES = (2.0**-60, 3e-6, 1e-3, 0.3, 0.999)
+# transmissivities with both sides, one side and no side always arriving
+ETA_PAIRS = ((0.1, 0.1), (1.0, 0.3), (0.6, 0.7), (0.0, 0.0))
+
+
+def exact_fate_law(eta_a, eta_b, p_dark):
+    """The 28 fate probabilities P(case) P(j) as Fractions, in fate order
+    4 * (j + 1) + case."""
+    a, b, p = Fraction(eta_a), Fraction(eta_b), Fraction(p_dark)
+    cases = ((1 - a) * (1 - b), (1 - a) * b, a * (1 - b), a * b)
+    first_dark = [(1 - p) ** 6] + [(1 - p) ** j * p for j in range(6)]
+    return [case * dark for dark in first_dark for case in cases]
+
+
+def test_fate_table_is_the_law_of_losses_and_first_dark_bin():
+    """The fate thresholds never decrease and end at 2**53, and each fate's
+    width lies within one unit of 2**-53 of P(case) P(j)."""
+    top = 2**53
+    for eta_a, eta_b in ETA_PAIRS + ((1.0, 1.0), (1e-3, 0.5)):
+        for p in (0.0,) + DARK_PROBABILITIES:
+            t_fate, _ = _mc_kernel.fate_tables(eta_a, eta_b, p)
+            t = [0] + t_fate.tolist()
+            assert t == sorted(t) and t[-1] == top, (eta_a, eta_b, p)
+            for f, exact in enumerate(exact_fate_law(eta_a, eta_b, p)):
+                width = Fraction(t[f + 1] - t[f], top)
+                assert abs(width - exact) < Fraction(1, top), (eta_a, eta_b, p, f)
+                # a fate of probability 0 is never drawn
+                assert exact > 0 or width == 0, (eta_a, eta_b, p, f)
+
+
+@pytest.mark.parametrize(
+    "params, fate_draws",
+    [
+        (IDEAL, 0),
+        (ChannelParams(eta_a=1.0, eta_b=0.0, p_dark=0.0, e_d=0.5), 0),
+        (ChannelParams(eta_a=0.0, eta_b=0.0, p_dark=0.0, e_d=0.5), 0),
+        (LOSSY, 40_001),
+        (DARK_ONLY, 40_001),
+    ],
+    ids=["ideal", "a-only", "silent", "lossy", "dark-only"],
+)
+def test_fixed_fate_makes_no_fate_draw(monkeypatch, params, fate_draws):
+    """A channel whose fate is fixed (each transmissivity 0 or 1, no dark
+    counts) makes no fate draw; any other makes one per trial. No trial
+    draws at the retired slots 2 and 4."""
+    n_trials, seed = 40_001, 31
+    counts = np.zeros(_rng.DRAWS_PER_TRIAL, dtype=np.int64)
+    true_mix = _rng.mix_array
+
+    def counting(z):
+        counts[:] += np.bincount(trial_slot(z, seed).astype(np.intp), minlength=counts.size)
+        return true_mix(z)
+
+    monkeypatch.setattr(_rng, "mix_array", counting)
+    run_trials(params, n_trials, seed=seed)
+    assert counts[_rng.DRAW_FATE] == fate_draws
+    assert counts[2] == counts[4] == 0
 
 
 def test_integer_draw_tests_are_exact_at_their_edges():
@@ -355,44 +515,58 @@ def test_integer_draw_tests_are_exact_at_their_edges():
             if 0 <= k < top:
                 assert (k < t) == (k * 2.0**-53 < p), (p, k)
 
-    # the first dark bin: the kernel's search of the T(c_j) against the
-    # replay's scan of the c_j
+    # the fate: the kernel's guide and binary search of the T(c_f) against
+    # the replay's scan of the c_f, on both sides of each T(c_f) and of the
+    # edges of the bucket that holds it, with the 11 bits below k all 0 or 1
+    shift = 53 - _mc_kernel._FATE_BITS
     for p in DARK_PROBABILITIES:
-        cum = _rng.first_dark_cum(p)
-        t_cum = [_mc_kernel.threshold(c) for c in cum]
-        assert t_cum == sorted(t_cum), p
-        ks = sorted({k for t in t_cum for k in (t - 1, t, t + 1) if 0 <= k < top})
-        from_ints = np.searchsorted(
-            np.array(t_cum, dtype=np.uint64), np.array(ks, dtype=np.uint64), side="right"
-        )
-        for k, j in zip(ks, from_ints.tolist()):
-            first = 0
-            while first < 6 and k * 2.0**-53 >= cum[first]:
-                first += 1
-            assert j == first, (p, k)
-    assert _rng.first_dark_cum(0.999)[5] == 1.0  # every trial has a dark click
+        for eta_a, eta_b in ETA_PAIRS:
+            cum = _rng.fate_cum(eta_a, eta_b, p)
+            t_fate, guide = _mc_kernel.fate_tables(eta_a, eta_b, p)
+            assert t_fate.tolist() == [_mc_kernel.threshold(c) for c in cum]
+            edges = {e for t in t_fate.tolist() for e in (t, t >> shift << shift)}
+            edges |= {((t >> shift) + 1) << shift for t in t_fate.tolist()}
+            ks = sorted({k for e in edges for k in (e - 1, e, e + 1) if 0 <= k < top})
+            raw = np.array(ks, dtype=np.uint64) << np.uint64(11)
+            for low in (0, 0x7FF):
+                from_ints = _mc_kernel.fates(raw | np.uint64(low), t_fate, guide)
+                for k, f in zip(ks, from_ints.tolist()):
+                    scan = 0
+                    while k * 2.0**-53 >= cum[scan]:
+                        scan += 1
+                    assert f == scan, (p, eta_a, eta_b, k)
+    # where a dark click is a fate of less than one unit, the fate is fixed
+    assert _rng.fate_cum(1.0, 1.0, 2.0**-60)[3] == 1.0
+    # where every bin is almost surely dark, no dark click keeps one unit
+    assert _rng.fate_cum(0.0, 0.0, 0.999)[0] == 2.0**-53
 
 
 def test_dark_mask_law_from_the_integer_thresholds():
-    """The first-dark-bin draw keeps the six bins independent: each dark
-    mask's probability, exact from the kernel's thresholds (the first bin
-    j from the T(c_j), each later bin from T(p)), lies within 2**-52 of
-    p**k (1 - p)**(6 - k) for a mask of k bins."""
+    """The fate draw keeps the two losses and the six bins independent:
+    each probability of an arrival case and a dark mask, exact from the
+    kernel's thresholds (the fate from the T(c_f), each later bin from
+    T(p)), lies within 2**-52 of P(case) p**k (1 - p)**(6 - k) for a mask
+    of k bins."""
     top = 2**53
-    for p in DARK_PROBABILITIES:
-        t_cum = [0] + [_mc_kernel.threshold(c) for c in _rng.first_dark_cum(p)]
-        t_p = _mc_kernel.threshold(p)
-        for mask in range(64):
-            k = bin(mask).count("1")
-            exact = Fraction(p) ** k * (1 - Fraction(p)) ** (6 - k)
-            if mask == 0:
-                drawn = Fraction(top - t_cum[6], top)
-            else:
-                j = (mask & -mask).bit_length() - 1
-                drawn = Fraction(t_cum[j + 1] - t_cum[j], top)
-                for b in range(j + 1, 6):
-                    drawn *= Fraction(t_p if mask >> b & 1 else top - t_p, top)
-            assert abs(drawn - exact) <= Fraction(1, 2**52), (p, mask)
+    for eta_a, eta_b in ETA_PAIRS:
+        a, b = Fraction(eta_a), Fraction(eta_b)
+        cases = ((1 - a) * (1 - b), (1 - a) * b, a * (1 - b), a * b)
+        for p in DARK_PROBABILITIES:
+            t_fate = [0] + _mc_kernel.fate_tables(eta_a, eta_b, p)[0].tolist()
+            t_p = _mc_kernel.threshold(p)
+            for mask in range(64):
+                k = bin(mask).count("1")
+                dark = Fraction(p) ** k * (1 - Fraction(p)) ** (6 - k)
+                j = (mask & -mask).bit_length() - 1  # -1 for mask 0
+                later = Fraction(1)
+                for bit in range(j + 1, 6) if mask else ():
+                    later *= Fraction(t_p if mask >> bit & 1 else top - t_p, top)
+                for case in range(4):
+                    f = 4 * (j + 1) + case
+                    drawn = Fraction(t_fate[f + 1] - t_fate[f], top) * later
+                    assert abs(drawn - cases[case] * dark) <= Fraction(1, 2**52), (
+                        eta_a, eta_b, p, case, mask,
+                    )
 
 
 def test_pattern_guide_is_exact():
@@ -416,6 +590,24 @@ def test_pattern_guide_is_exact():
             assert np.any((firsts[b] < bounds) & (bounds <= lasts[b])), (row, b)
     # the premise of the lookup: few draws go to the binary search
     assert np.count_nonzero(guide == GUIDE_MISS) < 0.01 * guide.size
+
+
+def test_codes_pack_mask_keep_and_base_error():
+    """Each code holds its mask, the Keep bit and the base error; the code
+    guide holds the code of each bucket's guided mask, and misses where
+    the pattern guide does."""
+    tables = build_tables()
+    masks = np.arange(64)
+    for s in range(16):
+        code = tables.codes[s].astype(np.int64)
+        assert np.array_equal(code & 63, masks)
+        assert np.array_equal(code & CODE_KEEP != 0, tables.action == ACTION_KEEP)
+        assert np.array_equal(code & CODE_ERROR != 0, tables.base_error[s] != 0)
+    miss = tables.pattern_guide == GUIDE_MISS
+    assert np.array_equal(tables.code_guide == GUIDE_MISS, miss)
+    settings = np.arange(64).reshape(64, 1) >> 2 | np.zeros_like(tables.pattern_guide)
+    guided = tables.codes[settings[~miss], tables.pattern_guide[~miss]]
+    assert np.array_equal(tables.code_guide[~miss], guided)
 
 
 # sha256 over the C-order bytes of build_tables()'s six arrays in field
@@ -443,9 +635,9 @@ def test_relay_tables_are_pinned():
 
 def test_kernel_is_exact_on_boundary_draws(monkeypatch):
     """Feed both the numpy kernel and the float-comparing replay a stream
-    in which every loss, pattern, dark and misalignment draw sits one
-    below, on, or one above a threshold (the first-dark-bin draw one of
-    the six T(c_j)), and pattern draws also on either side of a bucket
+    in which every fate, pattern, dark and misalignment draw sits one
+    below, on, or one above a threshold (the fate draw one of the 28
+    T(c_f)), and fate and pattern draws also on either side of a bucket
     edge. The 11 bits below k are all 0 or all 1, the raw draws on either
     side of the kernel's raw < T << 11. The two must still tally alike.
 
@@ -470,13 +662,14 @@ def test_kernel_is_exact_on_boundary_draws(monkeypatch):
     true_mix, true_draw = _rng.mix_array, _rng.raw_draw
     for eta_b, p_dark in ((0.7, 0.3), (0.0, 0.05)):
         params = ChannelParams(eta_a=0.1, eta_b=eta_b, p_dark=p_dark, e_d=0.015)
+        fate_edges = [t(c) for c in _rng.fate_cum(params.eta_a, params.eta_b, params.p_dark)]
+        fate_shift = 53 - _mc_kernel._FATE_BITS
+        fate_edges += [((c >> fate_shift) + up) << fate_shift for c in fate_edges for up in (0, 1)]
         choices = {
-            _rng.DRAW_LOSS_A: edges([t(params.eta_a)]),
-            _rng.DRAW_LOSS_B: edges([t(params.eta_b)]),
+            _rng.DRAW_FATE: edges(fate_edges),
             _rng.DRAW_PATTERN: edges(pattern_edges + bucket_edges),
             _rng.DRAW_MISALIGN: edges([t(params.e_d)]),
         }
-        choices[_rng.DRAW_DARK_BASE] = edges([t(c) for c in _rng.first_dark_cum(params.p_dark)])
         for b in range(1, 6):
             choices[_rng.DRAW_DARK_BASE + b] = edges([t(params.p_dark)])
 
