@@ -177,9 +177,10 @@ def run_kernel(
     keys = tables.pattern_keys
     code_guide = tables.code_guide.ravel()
     codes = tables.codes.ravel()
-    step = np.uint64(_rng.DRAWS_PER_TRIAL * _rng.GOLDEN & _rng.MASK64)
     # state of each trial's first draw, less that of the chunk's first trial
-    lanes = np.arange(_CHUNK, dtype=np.uint64) * step
+    lanes = np.arange(_CHUNK, dtype=np.uint64) * np.uint64(
+        _rng.DRAWS_PER_TRIAL * _rng.GOLDEN & _rng.MASK64
+    )
 
     def draw(z: np.ndarray, slot: int) -> np.ndarray:
         """The raw draws at slot of the trials whose first states are z."""
@@ -189,6 +190,8 @@ def run_kernel(
         """The uint8 code of the signal mask each trial's pattern draw
         selects in its table row, 4 * s + case, under setting s."""
         pattern = draw(z, _rng.DRAW_PATTERN)
+        # entry, row and setting stay below 2**63, so int64 views of them
+        # index the tables without a conversion pass
         entry = s << _ROW_SHIFT  # row << GUIDE_BITS | bucket
         entry |= case << _GUIDE_BITS
         entry |= pattern >> _BUCKET_SHIFT

@@ -182,10 +182,12 @@ def build_tables() -> TableSet:
 
     keep = action == ACTION_KEEP
     codes = (np.arange(64) | keep * CODE_KEEP | (base_error != 0) * CODE_ERROR).astype(np.uint8)
-    setting_of_row = np.arange(64).reshape(64, 1) >> 2
-    code_guide = np.where(
-        pattern_guide == GUIDE_MISS, GUIDE_MISS, codes[setting_of_row, pattern_guide & 63]
-    ).astype(np.uint8)
+    # each setting's codes, widened to 256 entries so that GUIDE_MISS reads
+    # GUIDE_MISS, gathered row by row at the guided masks: an index array
+    # over the whole guide (512 kB) made build_tables 1 ms slower, not 0.3
+    wide = np.full((16, 256), GUIDE_MISS, dtype=np.uint8)
+    wide[:, :64] = codes
+    code_guide = np.stack([wide[row >> 2][pattern_guide[row]] for row in range(64)])
 
     return TableSet(
         outcome_cum,
