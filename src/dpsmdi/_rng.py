@@ -26,10 +26,10 @@ DRAW_SETTING = 0
 # Slot 1 decides a trial's fate, which photons arrive and which detector-bin
 # j clicks dark first, against fate_cum. Slot 4 + b then decides bin b > j,
 # dark with probability p_dark; a trial with no dark click reads none of
-# them. Slots 2 and 4 are retired: they held the loss draw of sender b and
-# the first-dark-bin draw, which the fate draw decides with the loss draw
-# of sender a that slot 1 held. The window stays 11 wide, so every other
-# draw keeps its counter, and a channel whose fate is fixed (every
+# them. Slots 2 and 4 are retired: they held sender b's loss draw and the
+# first-dark-bin draw, which the fate draw now decides along with sender
+# a's loss, slot 1's draw before it. The window stays 11 wide, so every
+# other draw keeps its counter, and a channel whose fate is fixed (every
 # transmissivity 0 or 1, no dark counts) tallies as it did.
 DRAW_FATE = 1
 DRAW_PATTERN = 3

@@ -276,9 +276,13 @@ def assert_replay_matches(est, params, seed, replayed=None):
 
 def test_replay_matches_kernel_tallies():
     """The pure-Python per-trial replay consumes the same draw stream as
-    the batch kernel and must reproduce the tallies event for event."""
+    the batch kernel and must reproduce the tallies event for event, on
+    one thread or two."""
     for params in (LOSSY, DARK_HEAVY):
-        assert_replay_matches(run_trials(params, 30_000, seed=41), params, seed=41)
+        replayed = replay_tallies(params, 30_000, seed=41)
+        for threads in (1, 2):
+            est = run_trials(params, 30_000, seed=41, threads=threads)
+            assert_replay_matches(est, params, 41, replayed)
 
 
 def test_replay_matches_kernel_where_draws_are_fixed():
@@ -286,24 +290,26 @@ def test_replay_matches_kernel_where_draws_are_fixed():
     (probability 0 or 1); the replay draws them all, and the two must
     still tally alike, sharded or not."""
     always_flip = ChannelParams(eta_a=1.0, eta_b=1.0, p_dark=0.0, e_d=1.0)
-    for params, threads in (
-        (ChannelParams(eta_a=1.0, eta_b=0.0, p_dark=0.0, e_d=1.0), 1),
-        (ChannelParams(eta_a=1.0, eta_b=1.0, p_dark=0.5, e_d=0.0), 1),
+    for params in (
+        ChannelParams(eta_a=1.0, eta_b=0.0, p_dark=0.0, e_d=1.0),
+        ChannelParams(eta_a=1.0, eta_b=1.0, p_dark=0.5, e_d=0.0),
         # almost every trial has a dark click: each no-dark fate is one unit
-        (ChannelParams(eta_a=0.5, eta_b=0.5, p_dark=0.999, e_d=0.0), 2),
+        ChannelParams(eta_a=0.5, eta_b=0.5, p_dark=0.999, e_d=0.0),
         # the same where few photons arrive, and never from b
-        (ChannelParams(eta_a=0.1, eta_b=0.0, p_dark=0.999, e_d=0.0), 1),
+        ChannelParams(eta_a=0.1, eta_b=0.0, p_dark=0.999, e_d=0.0),
         # each dark fate is below one unit, so the fate is fixed and not drawn
-        (ChannelParams(eta_a=1.0, eta_b=1.0, p_dark=2.0**-60, e_d=0.3), 2),
+        ChannelParams(eta_a=1.0, eta_b=1.0, p_dark=2.0**-60, e_d=0.3),
         # dark-assisted keeps err before misalignment; e_d 0 or 1 leaves
         # their errors to be counted from the codes alone
-        (ChannelParams(eta_a=0.5, eta_b=0.5, p_dark=0.05, e_d=0.0), 2),
-        (ChannelParams(eta_a=0.5, eta_b=0.5, p_dark=0.05, e_d=1.0), 1),
-        (always_flip, 1),
-        (IDEAL, 2),
+        ChannelParams(eta_a=0.5, eta_b=0.5, p_dark=0.05, e_d=0.0),
+        ChannelParams(eta_a=0.5, eta_b=0.5, p_dark=0.05, e_d=1.0),
+        always_flip,
+        IDEAL,
     ):
-        est = run_trials(params, 8_000, seed=17, threads=threads)
-        assert_replay_matches(est, params, seed=17)
+        replayed = replay_tallies(params, 8_000, seed=17)
+        for threads in (1, 2):
+            est = run_trials(params, 8_000, seed=17, threads=threads)
+            assert_replay_matches(est, params, 17, replayed)
     flipped = run_trials(always_flip, 8_000, seed=17)
     assert flipped.error_count == flipped.keep_count > 3_000
 
@@ -691,9 +697,11 @@ def test_kernel_is_exact_on_boundary_draws(monkeypatch):
 
         monkeypatch.setattr(_rng, "mix_array", edge_draws)
         monkeypatch.setattr(_rng, "raw_draw", edge_draw)
-        est = run_trials(params, 10_000, seed=seed)
-        assert est.keep_count > 1_000 and est.error_count > 500, eta_b
-        assert_replay_matches(est, params, seed=seed)
+        replayed = replay_tallies(params, 10_000, seed)
+        for threads in (1, 2):
+            est = run_trials(params, 10_000, seed=seed, threads=threads)
+            assert est.keep_count > 1_000 and est.error_count > 500, eta_b
+            assert_replay_matches(est, params, seed, replayed)
 
 
 def test_replay_record_invariants():
