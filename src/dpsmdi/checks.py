@@ -171,7 +171,7 @@ def _near(estimate: float, expected: float, sigma: float, sigmas: float, what: s
 
 
 def mc_vs_analytic(
-    params: ChannelParams, n_trials: int, seed: int, threads: int, sigmas: float
+    params: ChannelParams, n_trials: int, seed: int, sigmas: float
 ) -> None:
     """A Monte Carlo run lands within ``sigmas`` binomial standard
     deviations of the closed forms: the yield of ``yield_Y11``, and the
@@ -183,7 +183,7 @@ def mc_vs_analytic(
     with ``half_weight_qber``: the uncapped value is the fraction of kept
     trials the simulation makes err, and it passes 1/2 when e_d > 1/2.
     The cap at 1/2 only shapes the entropy input of the key rates."""
-    estimates = run_trials(params, n_trials, seed, threads=threads)
+    estimates = run_trials(params, n_trials, seed)
     y11 = yield_Y11(params)
     sigma_y = math.sqrt(y11 * (1.0 - y11) / n_trials)
     _near(estimates.y11_hat, y11, sigma_y, sigmas, f"yield on {params}")

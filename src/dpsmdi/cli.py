@@ -161,7 +161,7 @@ def cmd_finite_key(cfg: RunConfig) -> Output:
 
 def cmd_montecarlo(cfg: RunConfig) -> Output:
     params = cfg.channel_params(cfg.mc_L_km)
-    return run_trials(params, cfg.n_trials, cfg.seed, threads=cfg.threads).to_csv(), 0
+    return run_trials(params, cfg.n_trials, cfg.seed).to_csv(), 0
 
 
 def _haar_pairs(seed: int, draws: int = 2000) -> Iterator[Tuple[NoiseMatrix, NoiseMatrix]]:
@@ -196,7 +196,7 @@ VERIFY_CHECKS: Dict[str, Callable[[RunConfig], None]] = {
     "phase-error-bound": lambda cfg: checks.phase_error_bound(_haar_pairs(cfg.seed)),
     "gain-vs-quadrature": lambda cfg: checks.gain_vs_quadrature(_gain_points(cfg.seed)),
     "mc-vs-analytic": lambda cfg: checks.mc_vs_analytic(
-        _LOSSY, cfg.mc_trials, cfg.seed, cfg.threads, sigmas=4.0
+        _LOSSY, cfg.mc_trials, cfg.seed, sigmas=4.0
     ),
 }
 

@@ -9,7 +9,7 @@ A run is described by a flat INI file with one section per concern:
     [montecarlo]  n_trials, L_km
     [verify]      mc_trials                     (verify's Monte Carlo check)
     [plot]        svg                           (SVG plot path; empty: none)
-    [run]         seed, threads, out
+    [run]         seed, out
 
 A ``RunConfig`` field is the one declaration of a setting: it names its
 section next to its default (and its key, where that differs from the field
@@ -29,7 +29,6 @@ from __future__ import annotations
 
 import configparser
 import math
-import os
 from dataclasses import dataclass, field, fields, replace
 from decimal import Decimal, InvalidOperation
 from itertools import groupby
@@ -45,7 +44,7 @@ _MAX_SWEEP_POINTS = 100_001
 # phase-sum pass), so the cap bounds qber-slices, which evaluates one row
 # per N: about 30 ms and a 2.4 MB peak at 10**4.
 _MAX_SLICES = 10**4
-# Most Monte Carlo trials: about 3-5 minutes on one core at 33-51 Mtrials/s.
+# Most Monte Carlo trials; README's cap table gives the run time at the cap.
 MAX_TRIALS = 10**10
 # Largest block size: the sifted budget stays below 2**53, so every split the
 # finite-key search ranks is an exact float64 integer; an optimum costs about
@@ -134,7 +133,6 @@ class RunConfig:
     mc_trials: int = _ini("verify", 2_000_000)
     svg: str = _ini("plot", "")
     seed: int = _ini("run", 1)
-    threads: int = _ini("run", 1)
     out: str = _ini("run", "")
 
     def __post_init__(self) -> None:
@@ -200,9 +198,6 @@ class RunConfig:
             bad(f"[montecarlo] L_km must be non-negative, got {self.mc_L_km}")
         if not 0 <= self.seed < 2**64:
             bad(f"seed must be an unsigned 64-bit integer, got {self.seed}")
-        cores = os.cpu_count() or 1
-        if not 1 <= self.threads <= cores:
-            bad(f"threads must lie in [1, {cores}] (the core count), got {self.threads}")
 
     def link(self) -> Dict[str, float]:
         """The [channel] section as keywords of ChannelParams.from_total_distance."""

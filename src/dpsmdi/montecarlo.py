@@ -12,8 +12,6 @@ from __future__ import annotations
 
 import io
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Dict, Iterator, Optional, Tuple
 
@@ -207,43 +205,31 @@ def run_trials(
     params: ChannelParams,
     n_trials: int,
     seed: int,
+    # read by the benchmark's thread gate and tracer and changes nothing;
+    # it goes when they do
     threads: int = 1,
 ) -> EmpiricalEstimates:
     """Simulate n_trials rounds and tally outcomes.
 
     The random stream is counter-based, so the result depends only on
-    (params, n_trials, seed): the thread count changes neither tallies
-    nor estimates.  At most os.cpu_count() threads start.
+    (params, n_trials, seed), and any split of the trial range into
+    `_mc_kernel.run_kernel` ranges sums to the same tallies.
     """
     if n_trials < 1:
         raise ValueError("n_trials must be at least 1")
     if not 0 <= seed < 2**64:
         raise ValueError("seed must fit in 64 bits")
-    threads = min(max(1, int(threads)), os.cpu_count() or 1)
-    tables = build_tables()
-
-    def tally(job: Tuple[int, int]) -> Tuple[np.ndarray, int, int]:
-        start, stop = job
-        return _mc_kernel.run_kernel(
-            seed,
-            start,
-            stop - start,
-            params.eta_a,
-            params.eta_b,
-            params.p_dark,
-            params.e_d,
-            tables,
-        )
-
-    if threads == 1:
-        parts = [tally((0, n_trials))]
-    else:
-        # a shard may be empty when n_trials < threads; it tallies nothing
-        bounds = np.linspace(0, n_trials, threads + 1, dtype=np.int64).tolist()
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            parts = list(pool.map(tally, zip(bounds[:-1], bounds[1:])))
-    mask_counts, keep, errors = (sum(column) for column in zip(*parts))
-    return EmpiricalEstimates(n_trials, seed, mask_counts, int(keep), int(errors))
+    mask_counts, keep, errors = _mc_kernel.run_kernel(
+        seed,
+        0,
+        n_trials,
+        params.eta_a,
+        params.eta_b,
+        params.p_dark,
+        params.e_d,
+        build_tables(),
+    )
+    return EmpiricalEstimates(n_trials, seed, mask_counts, keep, errors)
 
 
 def replay_trials(

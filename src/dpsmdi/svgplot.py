@@ -30,7 +30,9 @@ class Series:
     ys: Sequence[float]
 
 
-def _finite_points(series: Series, x_log: bool, y_log: bool) -> List[Tuple[float, float]]:
+def _axis_points(series: Series, x_log: bool, y_log: bool) -> List[Tuple[float, float]]:
+    """The plottable points in axis coordinates, log10 on a log axis, where
+    a subnormal value stays finite; its power of ten may underflow to 0."""
     points = []
     for x, y in zip(series.xs, series.ys):
         if not (math.isfinite(x) and math.isfinite(y)):
@@ -39,7 +41,7 @@ def _finite_points(series: Series, x_log: bool, y_log: bool) -> List[Tuple[float
             continue
         if y_log and y <= 0.0:
             continue
-        points.append((x, y))
+        points.append((math.log10(x) if x_log else x, math.log10(y) if y_log else y))
     return points
 
 
@@ -63,12 +65,12 @@ def _nice_ticks(lo: float, hi: float, target: int = 5) -> List[float]:
 
 
 def _log_ticks(lo: float, hi: float) -> List[float]:
-    """Decade ticks inside [lo, hi] (values, not exponents)."""
-    first = math.ceil(math.log10(lo) - 1e-9)
-    last = math.floor(math.log10(hi) + 1e-9)
+    """Decade ticks inside [lo, hi], ends and ticks as exponents."""
+    first = math.ceil(lo - 1e-9)
+    last = math.floor(hi + 1e-9)
     if last < first:
         return [lo, hi]
-    return [10.0**k for k in range(first, last + 1)]
+    return [float(k) for k in range(first, last + 1)]
 
 
 def _fmt(value: float) -> str:
@@ -85,7 +87,7 @@ def line_plot(
 ) -> str:
     """Render the given curves to SVG text; deterministic for fixed input.
     With no plottable point at all the result is an empty, labelled frame."""
-    cleaned = [_finite_points(s, x_log, y_log) for s in series_list]
+    cleaned = [_axis_points(s, x_log, y_log) for s in series_list]
     all_points = [p for pts in cleaned for p in pts]
     if not all_points:
         # A rate that is zero everywhere has no point on a log axis; the
@@ -99,10 +101,6 @@ def line_plot(
     ys = [p[1] for p in all_points]
     x_lo, x_hi = min(xs), max(xs)
     y_lo, y_hi = min(ys), max(ys)
-    if x_log:
-        x_lo, x_hi = math.log10(x_lo), math.log10(x_hi)
-    if y_log:
-        y_lo, y_hi = math.log10(y_lo), math.log10(y_hi)
     if x_hi - x_lo < 1e-12:
         x_lo, x_hi = x_lo - 0.5, x_hi + 0.5
     if y_hi - y_lo < 1e-12:
@@ -115,10 +113,6 @@ def line_plot(
     plot_h = _HEIGHT - _MARGIN_T - _MARGIN_B
 
     def to_px(x: float, y: float) -> Tuple[float, float]:
-        if x_log:
-            x = math.log10(x)
-        if y_log:
-            y = math.log10(y)
         px = _MARGIN_L + (x - x_lo) / (x_hi - x_lo) * plot_w
         py = _MARGIN_T + (y_hi - y) / (y_hi - y_lo) * plot_h
         return px, py
@@ -131,19 +125,14 @@ def line_plot(
         f'height="{plot_h}" fill="none" stroke="#333" stroke-width="1"/>',
     ]
 
-    if x_log:
-        x_ticks = _log_ticks(10.0**x_lo, 10.0**x_hi)
-    else:
-        x_ticks = _nice_ticks(x_lo, x_hi)
-    if y_log:
-        y_ticks = _log_ticks(10.0**y_lo, 10.0**y_hi)
-    else:
-        y_ticks = _nice_ticks(y_lo, y_hi)
+    x_ticks = _log_ticks(x_lo, x_hi) if x_log else _nice_ticks(x_lo, x_hi)
+    y_ticks = _log_ticks(y_lo, y_hi) if y_log else _nice_ticks(y_lo, y_hi)
     if note:
         x_ticks = y_ticks = []
 
     for tick in x_ticks:
-        px, _ = to_px(tick, 10.0**y_lo if y_log else y_lo)
+        px, _ = to_px(tick, y_lo)
+        label = _fmt(10.0**tick if x_log else tick)
         if not (_MARGIN_L - 0.5 <= px <= _WIDTH - _MARGIN_R + 0.5):
             continue
         y0 = _HEIGHT - _MARGIN_B
@@ -153,10 +142,11 @@ def line_plot(
         )
         parts.append(
             f'<text x="{px:.1f}" y="{y0 + 18}" font-size="11" '
-            f'text-anchor="middle" font-family="sans-serif">{_fmt(tick)}</text>'
+            f'text-anchor="middle" font-family="sans-serif">{label}</text>'
         )
     for tick in y_ticks:
-        _, py = to_px(10.0**x_lo if x_log else x_lo, tick)
+        _, py = to_px(x_lo, tick)
+        label = _fmt(10.0**tick if y_log else tick)
         if not (_MARGIN_T - 0.5 <= py <= _HEIGHT - _MARGIN_B + 0.5):
             continue
         parts.append(
@@ -165,7 +155,7 @@ def line_plot(
         )
         parts.append(
             f'<text x="{_MARGIN_L - 8}" y="{py + 4:.1f}" font-size="11" '
-            f'text-anchor="end" font-family="sans-serif">{_fmt(tick)}</text>'
+            f'text-anchor="end" font-family="sans-serif">{label}</text>'
         )
 
     for index, points in enumerate(cleaned):

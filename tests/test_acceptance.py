@@ -84,9 +84,7 @@ def test_criterion_3_montecarlo_matches_closed_forms():
             for e_d in (0.0, 0.015):
                 combo_index += 1
                 params = ChannelParams(eta_a=eta, eta_b=eta, p_dark=p_dark, e_d=e_d)
-                checks.mc_vs_analytic(
-                    params, 10_000_000, seed=7000 + combo_index, threads=1, sigmas=3.0
-                )
+                checks.mc_vs_analytic(params, 10_000_000, seed=7000 + combo_index, sigmas=3.0)
     assert time.perf_counter() - started < 300.0
 
 

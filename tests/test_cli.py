@@ -10,10 +10,10 @@ import tempfile
 import xml.etree.ElementTree as ET
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from dpsmdi import cli, config, protocol_sifting
+from dpsmdi import cli, config, protocol_sifting, svgplot
 from dpsmdi.checks import CheckFailure
 from dpsmdi.cli import build_parser, main
 from dpsmdi.montecarlo import build_tables, run_trials
@@ -138,18 +138,16 @@ def test_finite_key_default_csv_is_pinned(capsys):
     assert stdout == DEFAULT_FINITE_KEY_CSV
 
 
-# sha256 of `dpsmdi montecarlo` stdout at the default config, and at 60 km on
-# two threads (fewer where the host has fewer cores: tallies do not depend on
-# the thread count): a change of any tally of the trial kernel shows here.
-# Both were computed from replay_trials' tallies, not from the kernel.
+# sha256 of `dpsmdi montecarlo` stdout at the default config, and at 60 km:
+# a change of any tally of the trial kernel shows here. Both were computed
+# from replay_trials' tallies, not from the kernel.
 MONTECARLO_CSV_SHA256 = {
     (): "28cf6a01f3828da7d7581c7468518ab347e094967df3f0dc9b1ce7f4172e51d2",
-    ("--threads", str(min(2, os.cpu_count() or 1)), "--l-km", "60"):
-        "b32e1df681d3e3f5673fb8d8035f91ae7c2a09553e423d4aa6941ba8c0a4ee25",
+    ("--l-km", "60"): "b32e1df681d3e3f5673fb8d8035f91ae7c2a09553e423d4aa6941ba8c0a4ee25",
 }
 
 
-@pytest.mark.parametrize("flags", list(MONTECARLO_CSV_SHA256), ids=["default", "60km-2threads"])
+@pytest.mark.parametrize("flags", list(MONTECARLO_CSV_SHA256), ids=["default", "60km"])
 def test_montecarlo_default_csv_is_pinned(flags, capsys):
     code, stdout, _ = run_cli(["montecarlo", *flags], capsys)
     assert code == 0
@@ -261,8 +259,7 @@ ECHO_RUNS = {
     "qber-slices": ["--n-slices", "5", "--l-km", "30", "--p-dark", "1e-5", "--svg", "{svg}"],
     "finite-key": ["--n-grid", "1e6", "--e-b", "0.02", "--allow-full-budget",
                    "--epsilon", "1e-6", "--svg", "{svg}"],
-    "montecarlo": ["--n-trials", "20000", "--l-km", "20", "--seed", "5",
-                   "--threads", str(min(2, os.cpu_count() or 1))],
+    "montecarlo": ["--n-trials", "20000", "--l-km", "20", "--seed", "5"],
     "verify": ["--mc-trials", "200000", "--seed", "3"],
 }
 
@@ -463,7 +460,7 @@ def test_verify_mc_trials_reads_integer_notation(capsys):
 
 _COMMON_FLAGS = {
     "--config": "config", "--echo-config": "echo_config", "--out": "out",
-    "--seed": "seed", "--threads": "threads",
+    "--seed": "seed",
 }
 _CHANNEL_FLAGS = {
     "--eta-det": "eta_det", "--p-dark": "p_dark", "--e-d": "e_d", "--f": "f",
@@ -511,7 +508,7 @@ def test_flags_follow_the_config_fields():
         for command, sub in commands.items()
     }
     assert flags == PINNED_FLAGS
-    assert [len(flags[command]) for command in PINNED_FLAGS] == [14, 17, 15, 11, 12, 6]
+    assert [len(flags[command]) for command in PINNED_FLAGS] == [13, 16, 14, 10, 11, 5]
     # every INI key is a flag somewhere
     dests = {dest for by_flag in flags.values() for dest in by_flag.values()}
     assert {s.name for s in config.SETTINGS} <= dests
@@ -521,14 +518,15 @@ def test_flags_follow_the_config_fields():
     assert from_flag == from_ini == 10**6
 
 
-def test_threads_beyond_core_count_exit_2(capsys):
-    too_many = (os.cpu_count() or 1) + 1
-    with pytest.raises(config.ConfigError, match="threads"):
-        config.RunConfig(threads=too_many)
-    code, stdout, stderr = run_cli(["asymptotic", "--threads", str(too_many)], capsys)
-    assert code == 2
-    assert stdout == ""
-    assert "threads" in stderr
+def test_threads_is_no_setting_and_exits_2(tmp_path):
+    # the Monte Carlo runs on one thread; a threads flag or INI key is
+    # rejected like any unknown one
+    ini = tmp_path / "run.ini"
+    ini.write_text("[run]\nthreads = 2\n")
+    for args in (["montecarlo", "--threads", "2"], ["montecarlo", "--config", str(ini)]):
+        code, stdout, stderr = run_quietly(args)
+        assert (code, stdout) == (2, ""), args
+        assert "threads" in stderr, args
 
 
 def test_svg_sidecar_is_well_formed(tmp_path, capsys):
@@ -556,6 +554,19 @@ def test_svg_of_a_rate_that_is_zero_everywhere(tmp_path, capsys):
     root = ET.fromstring(svg.read_text())
     assert "no point to plot" in "".join(root.itertext())
     assert not [child for child in root if child.tag.endswith("polyline")]
+
+
+def test_log_axes_skip_points_they_cannot_place():
+    # a point not finite is left out on any axis, and a point not positive
+    # on a log axis; a subnormal one stays, its axis reaching below 1e-308
+    xs = [1.0, 10.0, 0.0, -1.0, 100.0, math.nan, 1000.0]
+    ys = [5e-324, 1e-300, 1.0, 1.0, -2.0, 1.0, 0.0]
+    for x_log, y_log, kept in (
+        (True, True, 2), (True, False, 4), (False, True, 4), (False, False, 6),
+    ):
+        svg = svgplot.line_plot([svgplot.Series("r", xs, ys)], x_log=x_log, y_log=y_log)
+        (curve,) = [child for child in ET.fromstring(svg) if child.tag.endswith("polyline")]
+        assert len(curve.get("points").split()) == kept, (x_log, y_log)
 
 
 def test_finite_key_svg_is_well_formed(tmp_path, capsys):
@@ -717,16 +728,13 @@ _P_DARK = st.one_of(
     alpha=st.floats(0.0, 10.0),
     l_km=st.floats(0.0, 1000.0),
     n_trials=st.integers(1, 20_000),
-    threads=st.integers(1, min(2, os.cpu_count() or 1)),
     seed=st.integers(0, 2**64 - 1),
 )
-def test_montecarlo_inside_the_domain_exits_0(
-    p_dark, eta_det, e_d, alpha, l_km, n_trials, threads, seed
-):
+def test_montecarlo_inside_the_domain_exits_0(p_dark, eta_det, e_d, alpha, l_km, n_trials, seed):
     code, stdout, stderr = run_quietly([
         "montecarlo", f"--p-dark={p_dark!r}", f"--eta-det={eta_det!r}", f"--e-d={e_d!r}",
         f"--alpha-db-per-km={alpha!r}", f"--l-km={l_km!r}", f"--n-trials={n_trials}",
-        f"--threads={threads}", f"--seed={seed}",
+        f"--seed={seed}",
     ])
     assert (code, stderr) == (0, "")
     rows = {}
@@ -752,7 +760,6 @@ _MC_OUTSIDE = st.one_of(
     st.floats(-1.0, 0.0, exclude_max=True).map(lambda a: f"--alpha-db-per-km={a!r}"),
     st.sampled_from(["nan", "inf", "-inf"]).map(lambda v: f"--p-dark={v}"),
     st.sampled_from([0, -1, 10**10 + 1]).map(lambda n: f"--n-trials={n}"),
-    st.sampled_from([0, (os.cpu_count() or 1) + 1]).map(lambda t: f"--threads={t}"),
     st.sampled_from([-1, 2**64]).map(lambda s: f"--seed={s}"),
 )
 
@@ -795,6 +802,12 @@ def _no_clicks_in_float64(p_dark, eta_det, alpha, l_km, mu_a, mu_b):
     mu_b=_MU,
     n_slices=_N_SLICES,
     svg=st.booleans(),
+)
+# a rate of 5e-324, the smallest subnormal: its padded log axis reaches below
+# the smallest positive float
+@example(
+    command="decoy", p_dark=0.9, eta_det=2.6614912627230934e-179, e_d=0.0, f=1.0, alpha=0.0,
+    l_km=0.0, l_step=1.0, points=1, mu_a=737.0, mu_b=1.0, n_slices=1, svg=True,
 )
 def test_decoy_and_qber_slices_inside_the_domain_exit_0(
     command, p_dark, eta_det, e_d, f, alpha, l_km, l_step, points, mu_a, mu_b, n_slices, svg

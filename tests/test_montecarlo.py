@@ -1,8 +1,7 @@
-"""Trial-level channel simulation: determinism, sharding, physics checks."""
+"""Trial-level channel simulation: determinism, split ranges, physics checks."""
 
 import hashlib
 import math
-import os
 from fractions import Fraction
 
 import numpy as np
@@ -83,47 +82,56 @@ def test_same_seed_reproduces_exactly():
     assert not np.array_equal(first.mask_counts, third.mask_counts)
 
 
-# with fewer trials than threads, some shards are empty and tally nothing
-@pytest.mark.parametrize("n_trials", [1, 3, 60_000])
-def test_thread_count_does_not_change_tallies(n_trials):
-    single = run_trials(LOSSY, n_trials, seed=9, threads=1)
-    sharded = run_trials(LOSSY, n_trials, seed=9, threads=4)
-    assert single.n_trials == sharded.n_trials == n_trials
-    assert single.keep_count == sharded.keep_count
-    assert single.error_count == sharded.error_count
-    assert np.array_equal(single.mask_counts, sharded.mask_counts)
+def split_run(params, n_trials, seed, split):
+    """run_trials' estimates from run_kernel over [0, split) and
+    [split, n_trials), tallied apart and summed; run_trials' own where
+    split is None."""
+    if split is None:
+        return run_trials(params, n_trials, seed)
+    parts = [
+        _mc_kernel.run_kernel(
+            seed, start, stop - start,
+            params.eta_a, params.eta_b, params.p_dark, params.e_d, build_tables(),
+        )
+        for start, stop in ((0, split), (split, n_trials))
+    ]
+    mask_counts, keeps, errors = (sum(column) for column in zip(*parts))
+    return montecarlo.EmpiricalEstimates(n_trials, seed, mask_counts, keeps, errors)
 
 
-def test_thread_count_is_capped_at_the_core_count(monkeypatch):
-    requested = []
+def assert_same_tallies(first, second):
+    assert first.n_trials == second.n_trials
+    assert first.keep_count == second.keep_count
+    assert first.error_count == second.error_count
+    assert np.array_equal(first.mask_counts, second.mask_counts)
 
-    class InlinePool:
-        """Records max_workers and runs the shards in the calling thread."""
 
-        def __init__(self, max_workers):
-            requested.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, jobs):
-            return map(fn, jobs)
-
-    monkeypatch.setattr(montecarlo, "ThreadPoolExecutor", InlinePool)
-    cores = os.cpu_count() or 1
-    capped = run_trials(LOSSY, 300, seed=5, threads=cores + 1000)
-    assert all(workers <= cores for workers in requested)
-    single = run_trials(LOSSY, 300, seed=5, threads=1)
-    assert np.array_equal(capped.mask_counts, single.mask_counts)
+@pytest.mark.parametrize(
+    "params", [LOSSY, DARK_HEAVY, IDEAL], ids=["lossy", "dark-heavy", "ideal"]
+)
+def test_kernel_split_ranges_sum_to_the_whole(params):
+    """The stream is counter-based (Salmon et al., SC'11), so run_kernel
+    over any split of the trial range sums to one range over the whole:
+    split after the first trial, inside a chunk and at a chunk edge."""
+    chunk = _mc_kernel._CHUNK
+    n_trials = 2 * chunk + 5
+    whole = run_trials(params, n_trials, seed=9)
+    assert whole.keep_count > 0
+    for split in (1, 1_000, chunk):
+        assert_same_tallies(split_run(params, n_trials, 9, split), whole)
 
 
 def test_available_backends_lists_python():
     # the shim the benchmark's backend gate still reads
     assert montecarlo.available_backends() == ("python",)
     assert montecarlo.COMPILED_AVAILABLE is False
+
+
+def test_threads_keyword_changes_nothing():
+    # run_trials takes threads only for perfbench's thread gate, which
+    # compares threads=1 with threads=2; both run the one kernel call
+    two = run_trials(LOSSY, 3_000, seed=5, threads=2)
+    assert_same_tallies(two, run_trials(LOSSY, 3_000, seed=5))
 
 
 def test_ideal_channel_statistics():
@@ -139,7 +147,7 @@ def test_ideal_channel_statistics():
 
 
 def test_lossy_channel_matches_analytic_forms():
-    checks.mc_vs_analytic(LOSSY, 400_000, seed=31, threads=1, sigmas=3.0)
+    checks.mc_vs_analytic(LOSSY, 400_000, seed=31, sigmas=3.0)
 
 
 def test_mc_check_compares_with_the_uncapped_error_fraction():
@@ -149,7 +157,7 @@ def test_mc_check_compares_with_the_uncapped_error_fraction():
     params = ChannelParams(eta_a=0.1, eta_b=0.1, p_dark=3e-6, e_d=0.8)
     e_b, background = qber_asymptotic(params)
     assert half_weight_qber(e_b, background) == 0.5 < e_b - 0.5 * background
-    checks.mc_vs_analytic(params, 400_000, seed=31, threads=1, sigmas=3.0)
+    checks.mc_vs_analytic(params, 400_000, seed=31, sigmas=3.0)
 
 
 def exact_keep_and_error(params):
@@ -215,9 +223,9 @@ def test_mask_frequencies_follow_the_exact_law(params):
     counts meet the exact law, built from the tables alone: a chi-square
     test over the masks expected at least 5 times (the rest pooled) at
     p >= 1e-4, each such mask within 4 sigma, and no count on a mask of
-    probability 0."""
+    probability 0. The kernel runs as two ranges split inside a chunk."""
     n_trials = 2**21 + 3
-    est = run_trials(params, n_trials, seed=61, threads=2)
+    est = split_run(params, n_trials, 61, split=n_trials // 2)
     law = exact_keep_and_error(params)[2]
     assert law.sum() == pytest.approx(1.0, abs=1e-12)
     assert np.all(est.mask_counts[law == 0.0] == 0)
@@ -276,19 +284,18 @@ def assert_replay_matches(est, params, seed, replayed=None):
 
 def test_replay_matches_kernel_tallies():
     """The pure-Python per-trial replay consumes the same draw stream as
-    the batch kernel and must reproduce the tallies event for event, on
-    one thread or two."""
+    the batch kernel and must reproduce the tallies event for event, in
+    one range or split in two."""
     for params in (LOSSY, DARK_HEAVY):
         replayed = replay_tallies(params, 30_000, seed=41)
-        for threads in (1, 2):
-            est = run_trials(params, 30_000, seed=41, threads=threads)
+        for est in (run_trials(params, 30_000, seed=41), split_run(params, 30_000, 41, 15_000)):
             assert_replay_matches(est, params, 41, replayed)
 
 
 def test_replay_matches_kernel_where_draws_are_fixed():
     """The kernel computes no draw whose test has threshold 0 or 2**53
     (probability 0 or 1); the replay draws them all, and the two must
-    still tally alike, sharded or not."""
+    still tally alike, in one range or split in two."""
     always_flip = ChannelParams(eta_a=1.0, eta_b=1.0, p_dark=0.0, e_d=1.0)
     for params in (
         ChannelParams(eta_a=1.0, eta_b=0.0, p_dark=0.0, e_d=1.0),
@@ -307,8 +314,7 @@ def test_replay_matches_kernel_where_draws_are_fixed():
         IDEAL,
     ):
         replayed = replay_tallies(params, 8_000, seed=17)
-        for threads in (1, 2):
-            est = run_trials(params, 8_000, seed=17, threads=threads)
+        for est in (run_trials(params, 8_000, seed=17), split_run(params, 8_000, 17, 4_000)):
             assert_replay_matches(est, params, 17, replayed)
     flipped = run_trials(always_flip, 8_000, seed=17)
     assert flipped.error_count == flipped.keep_count > 3_000
@@ -328,29 +334,28 @@ UNIT_OR_EDGE = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0))
 )
 def test_kernel_tallies_equal_the_replay_on_any_channel(eta_a, eta_b, p_dark, e_d, seed):
     """On any channel, both kernel paths, fixed fates and misalignment of
-    0 or 1 included, tally as the replay does. At 2 threads the second
-    shard starts at trial 1,000, inside the first chunk."""
+    0 or 1 included, tally as the replay does, in one range and split in
+    two at trial 1,000, inside the first chunk."""
     params = ChannelParams(eta_a=eta_a, eta_b=eta_b, p_dark=p_dark, e_d=e_d)
     replayed = replay_tallies(params, 2_001, seed)
-    for threads in (1, 2):
-        est = run_trials(params, 2_001, seed=seed, threads=threads)
+    for est in (run_trials(params, 2_001, seed=seed), split_run(params, 2_001, seed, 1_000)):
         assert_replay_matches(est, params, seed, replayed)
 
 
-# More than a chunk; at 2 threads the second shard starts at trial 20,000,
-# inside the first chunk of the 1-thread run.
-@pytest.mark.parametrize("threads", [1, 2])
+# More than a chunk, in one range and split in two at trial 20,000, inside
+# the first chunk of the one range.
+@pytest.mark.parametrize("split", [None, 20_000], ids=["whole", "split"])
 @pytest.mark.parametrize(
     "params",
     [PHOTONLESS, DARK_ONLY, ONE_SIDE_ARRIVES],
     ids=["photonless", "dark-only", "one-side"],
 )
-def test_replay_matches_kernel_on_photonless_keeps_and_one_sided_arrival(params, threads):
+def test_replay_matches_kernel_on_photonless_keeps_and_one_sided_arrival(params, split):
     """A trial with no arrival draws its setting only once it is kept,
     where few trials click; where most click, or a side always arrives,
     every trial draws. Each tallies as the replay does, which draws every
     setting."""
-    est = run_trials(params, 40_001, seed=23, threads=threads)
+    est = split_run(params, 40_001, 23, split)
     assert est.keep_count > 1_500 and est.error_count > 500
     assert_replay_matches(est, params, seed=23)
 
@@ -402,27 +407,27 @@ def test_kernel_draws_setting_and_pattern_only_where_needed(monkeypatch, params)
 
 # Tallies recorded from replay_trials, which compares unit draws with
 # probabilities as floats and scans cumulative rows; the integer kernel must
-# reproduce them. 150,001 trials is no multiple of a chunk, and at 2
-# threads the second shard starts at trial 75,000, inside a chunk. Masks
+# reproduce them. 150,001 trials is no multiple of a chunk, and a split
+# range starts its second part at trial 75,000, inside a chunk. Masks
 # with three clicks, which the replay records by mask alone, without an
 # outcome, would show here too. The IDEAL entry makes no fate draw and has
 # stayed as it was since before the fate draw.
 PINNED_TALLIES = [
-    # (channel, seed, threads, keeps, errors, {mask: count})
-    (IDEAL, 7, 1, 66974, 0, {
+    # (channel, seed, split or None, keeps, errors, {mask: count})
+    (IDEAL, 7, None, 66974, 0, {
         1: 8290, 2: 8410, 3: 8356, 4: 8102, 5: 8448, 6: 8213, 8: 8291, 10: 8483,
         12: 8281, 16: 8289, 17: 8413, 20: 8468, 24: 8282, 32: 8264, 33: 8265,
         34: 8270, 40: 8446, 48: 8430,
     }),
-    (LOSSY, 2**63 + 11, 2, 657, 6, {
+    (LOSSY, 2**63 + 11, 75_000, 657, 6, {
         0: 121506, 1: 4567, 2: 4602, 3: 89, 4: 4586, 5: 76, 6: 89, 8: 4586,
         10: 96, 12: 64, 16: 4575, 17: 77, 20: 91, 24: 79, 32: 4587, 33: 79,
         34: 81, 40: 97, 48: 74,
     }),
-    (LONG_HAUL, 7, 1, 0, 0, {
+    (LONG_HAUL, 7, None, 0, 0, {
         0: 149573, 1: 73, 2: 56, 4: 86, 8: 72, 16: 73, 32: 68,
     }),
-    (DARK_HEAVY, 2**63 + 11, 2, 15, 5, {
+    (DARK_HEAVY, 2**63 + 11, 75_000, 15, 5, {
         0: 146157, 1: 656, 2: 599, 3: 3, 4: 624, 5: 1, 6: 4, 8: 618, 12: 2,
         16: 682, 17: 2, 18: 1, 20: 1, 24: 3, 32: 637, 33: 3, 34: 1, 36: 3,
         40: 1, 48: 3,
@@ -431,8 +436,8 @@ PINNED_TALLIES = [
 
 
 def test_kernel_tallies_are_pinned():
-    for params, seed, threads, keeps, errors, counts in PINNED_TALLIES:
-        est = run_trials(params, 150_001, seed=seed, threads=threads)
+    for params, seed, split, keeps, errors, counts in PINNED_TALLIES:
+        est = split_run(params, 150_001, seed, split)
         expected = np.zeros(64, dtype=np.int64)
         expected[list(counts)] = list(counts.values())
         assert np.array_equal(est.mask_counts, expected), (params, seed)
@@ -698,8 +703,7 @@ def test_kernel_is_exact_on_boundary_draws(monkeypatch):
         monkeypatch.setattr(_rng, "mix_array", edge_draws)
         monkeypatch.setattr(_rng, "raw_draw", edge_draw)
         replayed = replay_tallies(params, 10_000, seed)
-        for threads in (1, 2):
-            est = run_trials(params, 10_000, seed=seed, threads=threads)
+        for est in (run_trials(params, 10_000, seed=seed), split_run(params, 10_000, seed, 5_000)):
             assert est.keep_count > 1_000 and est.error_count > 500, eta_b
             assert_replay_matches(est, params, seed, replayed)
 
