@@ -43,7 +43,7 @@ ACTION_INCONCLUSIVE = 2
 # the 53-bit threshold of a cumulative entry below it.
 KEY_SHIFT = 54
 
-# pattern_guide splits each row's 2**53 pattern draws k into 2**GUIDE_BITS
+# code_guide splits each row's 2**53 pattern draws k into 2**GUIDE_BITS
 # equal buckets, bucket k >> GUIDE_SHIFT; GUIDE_MISS marks a bucket that
 # holds a cumulative boundary of its row.
 GUIDE_BITS = 10
@@ -92,19 +92,16 @@ class TableSet:
     64 * row, is the number of entries at or below k * 2**-53: the mask
     that draw k selects in that row.
 
-    pattern_guide[row, b] is that mask for every k in bucket b, the draws
-    with k >> GUIDE_SHIFT == b, or GUIDE_MISS. Within a row the mask never
-    decreases in k, so when the counts at the bucket's first and last draw
-    agree, every draw between them selects the same mask; the entry is
-    GUIDE_MISS exactly when they differ, that is when a cumulative
-    threshold ceil(cum * 2**53) lies in (first, last] and the bucket holds
-    a boundary.
-
     codes[s, mask] packs what a trial's tallies read into one byte: mask,
     CODE_KEEP for a Keep mask and CODE_ERROR where base_error[s, mask] is
-    1. code_guide[row, b] is codes[row >> 2, pattern_guide[row, b]], the
-    code of the bucket's mask under the row's setting, or GUIDE_MISS where
-    pattern_guide is.
+    1. code_guide[row, b] is codes[row >> 2, mask], the code under the
+    row's setting of the mask that every k in bucket b selects, the draws
+    with k >> GUIDE_SHIFT == b, or GUIDE_MISS; code_guide & 63 is that
+    mask. Within a row the mask never decreases in k, so when the counts
+    at the bucket's first and last draw agree, every draw between them
+    selects the same mask; the entry is GUIDE_MISS exactly when they
+    differ, that is when a cumulative threshold ceil(cum * 2**53) lies in
+    (first, last] and the bucket holds a boundary.
 
     bin_amplitudes[side, s, b] is the amplitude of the photon sender a
     (side 0) or b (side 1) sends alone under setting s in detector-bin b,
@@ -115,7 +112,6 @@ class TableSet:
     action: np.ndarray  # (64,) int8
     base_error: np.ndarray  # (16, 64) int8
     pattern_keys: np.ndarray  # (4096,) uint64, ascending
-    pattern_guide: np.ndarray  # (64, 2**GUIDE_BITS) uint8
     bin_amplitudes: np.ndarray  # (2, 16, 6) complex128, read-only
     codes: np.ndarray  # (16, 64) uint8
     code_guide: np.ndarray  # (64, 2**GUIDE_BITS) uint8
@@ -194,7 +190,6 @@ def build_tables() -> TableSet:
         action,
         base_error,
         pattern_keys,
-        pattern_guide,
         bin_amplitudes,
         codes,
         code_guide,

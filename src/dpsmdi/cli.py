@@ -132,9 +132,7 @@ def cmd_qber_slices(cfg: RunConfig) -> Output:
 def cmd_finite_key(cfg: RunConfig) -> Output:
     # one row per (block, e_b), e_b varying fastest
     rows = [
-        optimize_rate(
-            n, cfg.epsilon, cfg.epsilon_EC, e_b, allow_full_budget=cfg.allow_full_budget
-        )
+        optimize_rate(n, cfg.epsilon, cfg.epsilon_EC, e_b)
         for n in cfg.N_grid
         for e_b in cfg.e_b_list
     ]
@@ -275,13 +273,10 @@ def build_parser() -> argparse.ArgumentParser:
                 setting.name not in _NOT_FLAGS.get(command, ())
             ):
                 flag = "--" + setting.key.lower().replace("_", "-")
-                is_bool = setting.parse is config_mod._parse_bool
                 p.add_argument(
                     _FLAG_NAMES.get(setting.name, flag),
                     dest=setting.name,
                     type=_flag_type(setting.parse),
-                    nargs="?" if is_bool else None,  # a bool flag given bare means true
-                    const=True if is_bool else None,
                     help=f"[{setting.section}] {setting.key} of the INI config",
                 )
     return parser

@@ -5,7 +5,7 @@ A run is described by a flat INI file with one section per concern:
     [channel]     eta_det, p_dark, e_d, f, alpha_db_per_km
     [sweep]       L_min, L_max, L_step          (total distances, km)
     [decoy]       mu_a, mu_b, N_slices, L_km    (L_km feeds qber-slices)
-    [finite_key]  epsilon, epsilon_EC, e_b_list, N_grid, allow_full_budget
+    [finite_key]  epsilon, epsilon_EC, e_b_list, N_grid
     [montecarlo]  n_trials, L_km
     [verify]      mc_trials                     (verify's Monte Carlo check)
     [plot]        svg                           (SVG plot path; empty: none)
@@ -17,8 +17,7 @@ name), and its type picks the parser and renderer.  On the command line a
 setting is spelled ``--`` plus its key, lower-cased, with ``_`` turned into
 ``-`` (``N_grid`` is ``--n-grid``); the one exception is ``e_b_list``,
 spelled ``--e-b``.  A flag and an INI line go through the same parser, so
-``--n-trials 1e6`` and ``n_trials = 1e6`` mean the same.  A bool flag given
-bare means true (``--allow-full-budget``).
+``--n-trials 1e6`` and ``n_trials = 1e6`` mean the same.
 
 Unknown sections or keys are rejected by name.  ``to_ini`` emits the fully
 resolved state and ``from_ini_text(to_ini())`` reproduces it exactly, so an
@@ -72,14 +71,6 @@ def _parse_int(text: str) -> int:
     return int(exact)
 
 
-def _parse_bool(text: str) -> bool:
-    """true/yes/on/1 or false/no/off/0, in any case, as configparser reads them."""
-    try:
-        return configparser.ConfigParser.BOOLEAN_STATES[text.strip().lower()]
-    except KeyError:
-        raise ConfigError(f"expected true or false, got {text!r}") from None
-
-
 def _list_tokens(text: str) -> List[str]:
     tokens = text.replace(",", " ").split()
     if not tokens:
@@ -127,7 +118,6 @@ class RunConfig:
         10**5, 3 * 10**5, 10**6, 3 * 10**6, 10**7, 3 * 10**7,
         10**8, 3 * 10**8, 10**9, 10**10, 10**11, 10**12,
     ))
-    allow_full_budget: bool = _ini("finite_key", False)
     n_trials: int = _ini("montecarlo", 1_000_000)
     mc_L_km: float = _ini("montecarlo", 0.0, key="L_km")
     mc_trials: int = _ini("verify", 2_000_000)
@@ -233,7 +223,6 @@ class Setting:
 _CODECS: Dict[Any, Tuple[Callable[[str], Any], Callable[[Any], str]]] = {
     float: (float, repr),
     int: (_parse_int, repr),
-    bool: (_parse_bool, lambda value: "true" if value else "false"),
     Tuple[float, ...]: (_parse_float_list, _render_list),
     Tuple[int, ...]: (_parse_int_list, _render_list),
     str: (str, str),

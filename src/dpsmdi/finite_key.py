@@ -120,15 +120,14 @@ class FiniteKeyBudget:
     """Split of a signal block into raw-key and estimation samples.
 
     ``n`` raw-key bits plus ``m`` estimation bits may not exceed the sifted
-    fraction 4/9 of ``N_signals``.  Set ``allow_full_budget`` to lift the
-    cap to ``N_signals`` itself (useful for comparisons; not the default
-    operating point).
+    fraction 4/9 of ``N_signals``.  A budget of ``n + m = N`` bits at ``N``
+    signals, the convention of Scarani & Renner, is this cap at ``9N/4``
+    signals (see optimize_rate).
     """
 
     N_signals: int
     n: int
     m: int
-    allow_full_budget: bool = False
 
     def __post_init__(self) -> None:
         for name in ("N_signals", "n", "m"):
@@ -137,12 +136,7 @@ class FiniteKeyBudget:
                 raise ConstraintError(f"{name} must be a non-negative integer, got {value!r}")
         if self.N_signals < 1:
             raise ConstraintError("N_signals must be at least 1")
-        if self.allow_full_budget:
-            if self.n + self.m > self.N_signals:
-                raise ConstraintError(
-                    f"n + m = {self.n + self.m} exceeds N_signals = {self.N_signals}"
-                )
-        elif SIFTED_DENOMINATOR * (self.n + self.m) > SIFTED_NUMERATOR * self.N_signals:
+        if SIFTED_DENOMINATOR * (self.n + self.m) > SIFTED_NUMERATOR * self.N_signals:
             raise ConstraintError(
                 f"n + m = {self.n + self.m} exceeds the sifted budget "
                 f"(4/9) * {self.N_signals}"
@@ -344,7 +338,6 @@ def optimize_rate(
     epsilon: float,
     epsilon_EC: float,
     e_b: float,
-    allow_full_budget: bool = False,
 ) -> FiniteKeyOptimum:
     """Maximize the finite rate over the budget split and smoothing parameters.
 
@@ -366,14 +359,18 @@ def optimize_rate(
     cutoff, as no block size would help.
 
     The full sifted budget n + m is always spent; enlarging either share
-    never hurts, so interior points are dominated.
+    never hurts, so interior points are dominated.  The rate per sifted bit
+    at N sifted bits (the n + m = N convention of Scarani & Renner) is
+    9/4 times the rate at 9N/4 signals, for N a multiple of 4, with the same
+    n, m, eps_bar and eps_bar_prime.
 
-    Raises ConstraintError for N_signals < 1, epsilon outside (0, 1) or a
-    negative epsilon_EC.  An epsilon - epsilon_EC that is not positive, or
-    below epsilon_gap_floor(epsilon), gives an infeasible diagnostic.
+    Raises ConstraintError for an N_signals that is not an integer of at
+    least 1, epsilon outside (0, 1) or a negative epsilon_EC.  An
+    epsilon - epsilon_EC that is not positive, or below
+    epsilon_gap_floor(epsilon), gives an infeasible diagnostic.
     """
-    if N_signals < 1:
-        raise ConstraintError(f"N_signals must be at least 1, got {N_signals}")
+    if not isinstance(N_signals, int) or N_signals < 1:
+        raise ConstraintError(f"N_signals must be an integer of at least 1, got {N_signals!r}")
     if not (0.0 < epsilon < 1.0 and epsilon_EC >= 0.0):
         raise ConstraintError(
             "epsilon must lie in (0, 1) and epsilon_EC in [0, epsilon), "
@@ -392,10 +389,7 @@ def optimize_rate(
             f"infeasible: epsilon - epsilon_EC must be at least {gap_floor:g} "
             "for float64 to resolve every search point",
         )
-    if allow_full_budget:
-        total = N_signals
-    else:
-        total = (SIFTED_NUMERATOR * N_signals) // SIFTED_DENOMINATOR
+    total = (SIFTED_NUMERATOR * N_signals) // SIFTED_DENOMINATOR
     if total < 2:
         return _zero_everywhere(
             N_signals,
@@ -479,7 +473,7 @@ def optimize_rate(
     eps_bar = point[1] * gap
     eps_bar_prime = point[2] * eps_bar
     rate = finite_rate(
-        FiniteKeyBudget(N_signals, n, m, allow_full_budget),
+        FiniteKeyBudget(N_signals, n, m),
         SecurityParams(epsilon, epsilon_EC, eps_bar, eps_bar_prime),
         e_b,
     )

@@ -4,7 +4,10 @@ the tracer wraps, must still resolve. Only perfbench's files are read."""
 
 import ast
 import importlib
+import os
 import pkgutil
+import subprocess
+import sys
 from pathlib import Path
 
 import dpsmdi
@@ -118,3 +121,35 @@ def test_each_traced_optimum_reports_through_finite_rate(monkeypatch):
         calls.clear()
         finite_key.optimize_rate(n_signals, epsilon, epsilon_ec, e_b)
         assert len(calls) == 1, (n_signals, e_b)
+
+
+def setup_code():
+    """run.py's SETUP_CODE, the statement each set-up sample runs."""
+    tree = ast.parse((PERFBENCH / "run.py").read_text(encoding="utf-8"))
+    (value,) = [
+        node.value.value for node in tree.body
+        if isinstance(node, ast.Assign)
+        and any(isinstance(t, ast.Name) and t.id == "SETUP_CODE" for t in node.targets)
+    ]
+    return value
+
+
+def test_set_up_runs_and_its_import_trace_lists_what_run_py_reads():
+    # run.py times SETUP_CODE in fresh interpreters and reads the cumulative
+    # import time of dpsmdi and of scipy.integrate from -X importtime; a
+    # missing line stops the benchmark.  The scipy.integrate half goes when
+    # the benchmark drops import.scipy_integrate_ms (ROADMAP item 1).
+    root = PERFBENCH.parent
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-X", "importtime", "-c", setup_code()],
+        cwd=root, env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    listed = set()
+    for line in proc.stderr.splitlines():
+        # the parse of run.py's import_times: "import time: self | cumulative | name"
+        parts = line.removeprefix("import time:").split("|")
+        if len(parts) == 3 and parts[1].strip().isdigit():
+            listed.add(parts[2].strip())
+    assert {"dpsmdi", "scipy.integrate"} <= listed

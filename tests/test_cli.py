@@ -73,20 +73,18 @@ def test_qber_slices_single_slice_matches_unsliced(capsys):
     assert float(lines[4].split(",")[1]) < float(lines[1].split(",")[1])
 
 
-def test_finite_key_rows_and_full_budget(capsys):
-    base = ["finite-key", "--n-grid", "1e5,1e6", "--e-b", "0.01"]
-    code, stdout, _ = run_cli(base, capsys)
+def test_finite_key_rows_and_longer_block(capsys):
+    # 2.25e5 signals sift 1e5 bits: the rate of a 1e5 block that spends all
+    # of itself on n + m, times 4/9, at the same split
+    code, stdout, _ = run_cli(
+        ["finite-key", "--n-grid", "1e5,2.25e5", "--e-b", "0.01"], capsys
+    )
     assert code == 0
     lines = stdout.strip().split("\n")
     assert lines[0] == "N_signals,e_b,r,n_opt,m_opt,eps_bar,eps_bar_prime"
     assert len(lines) == 3
-    capped_small = float(lines[1].split(",")[2])
-    assert capped_small == 0.0
-
-    code, stdout, _ = run_cli(base + ["--allow-full-budget"], capsys)
-    assert code == 0
-    full_small = float(stdout.strip().split("\n")[1].split(",")[2])
-    assert full_small > 0.0
+    assert float(lines[1].split(",")[2]) == 0.0
+    assert lines[2] == "225000,0.01,0.0365069105107,70517,29483,9.94772805978e-06,4.30208402854e-06"
 
 
 # `dpsmdi finite-key` at the default config, byte for byte: a change of argmax
@@ -257,8 +255,7 @@ ECHO_RUNS = {
     "decoy": ["--l-max", "20", "--l-step", "10", "--mu-a", "0.4", "--n-slices", "4",
               "--svg", "{svg}"],
     "qber-slices": ["--n-slices", "5", "--l-km", "30", "--p-dark", "1e-5", "--svg", "{svg}"],
-    "finite-key": ["--n-grid", "1e6", "--e-b", "0.02", "--allow-full-budget",
-                   "--epsilon", "1e-6", "--svg", "{svg}"],
+    "finite-key": ["--n-grid", "1e6", "--e-b", "0.02", "--epsilon", "1e-6", "--svg", "{svg}"],
     "montecarlo": ["--n-trials", "20000", "--l-km", "20", "--seed", "5"],
     "verify": ["--mc-trials", "200000", "--seed", "3"],
 }
@@ -314,6 +311,9 @@ def test_unknown_config_key_exits_2(tmp_path, capsys):
         main(["montecarlo", "--backend", "python"])
     assert exited.value.code == 2
     assert "--backend" in capsys.readouterr().err
+    # and an override that names no RunConfig attribute
+    with pytest.raises(config.ConfigError, match="unknown config attribute 'backend'"):
+        config.load(None, {"backend": "python"})
 
 
 def exit_status(args, capsys):
@@ -348,10 +348,9 @@ def exit_status(args, capsys):
          "config error: epsilon - epsilon_EC must be at least 1e-14"),
         (["finite-key", "--epsilon", "3", "--epsilon-ec", "0"], "config error: epsilon must lie in (0, 1)"),
         (["finite-key", "--epsilon", "1.5"], "config error: epsilon must lie in (0, 1)"),
-        (["finite-key", "--allow-full-budget=maybe"],
-         "error: argument --allow-full-budget: expected true or false, got 'maybe'"),
         (["montecarlo", "--n-trials", "many"],
          "error: argument --n-trials: expected an integer, got 'many'"),
+        (["finite-key", "--e-b", " , "], "error: argument --e-b: empty list value"),
         (["asymptotic", "--config", ""], "config error: cannot read config file '': "),
         (["asymptotic", "--config", "."], "config error: cannot read config file '.': "),
     ],
@@ -360,7 +359,7 @@ def exit_status(args, capsys):
         "n-grid-overflow", "n-grid-nan", "mu-beyond-gain-underflow", "n-grid-beyond-cap",
         "n-trials-beyond-cap", "n-slices-beyond-cap", "mc-trials-beyond-cap",
         "epsilon-subnormal", "epsilon-gap-below-floor", "epsilon-ec-within-rounding",
-        "epsilon-3", "epsilon-above-1", "bad-bool", "non-numeric-integer",
+        "epsilon-3", "epsilon-above-1", "non-numeric-integer", "empty-list",
         "config-path-empty", "config-path-a-directory",
     ],
 )
@@ -376,8 +375,6 @@ def test_invalid_flag_value_exits_2(args, message, capsys):
         ("[decoy]\nN_slices = 1e400\n", "bad value for [decoy] N_slices: integer '1e400'"),
         ("[finite_key]\nN_grid = 1e5, nan\n",
          "bad value for [finite_key] N_grid: expected an integer"),
-        ("[finite_key]\nallow_full_budget = maybe\n",
-         "bad value for [finite_key] allow_full_budget: expected true or false, got 'maybe'"),
         ("[montecarlo]\nn_trials = many\n",
          "bad value for [montecarlo] n_trials: expected an integer, got 'many'"),
         ("[bogus]\nx = 1\n", "unknown config section [bogus]; "),
@@ -386,7 +383,7 @@ def test_invalid_flag_value_exits_2(args, message, capsys):
         ("[channel]\neta_det 0.1\n",
          "config syntax error: Source contains parsing errors: {path} [line  2]: "),
     ],
-    ids=["n-slices-overflow", "n-grid-nan", "bad-bool", "non-numeric-integer",
+    ids=["n-slices-overflow", "n-grid-nan", "non-numeric-integer",
          "unknown-section", "unclosed-header", "line-without-equals"],
 )
 def test_invalid_ini_value_exits_2(text, message, tmp_path, capsys):
@@ -482,8 +479,7 @@ PINNED_FLAGS = {
     },
     "finite-key": {
         **_COMMON_FLAGS, "--epsilon": "epsilon", "--epsilon-ec": "epsilon_EC",
-        "--e-b": "e_b_list", "--n-grid": "N_grid",
-        "--allow-full-budget": "allow_full_budget", "--svg": "svg",
+        "--e-b": "e_b_list", "--n-grid": "N_grid", "--svg": "svg",
     },
     "montecarlo": {
         **_COMMON_FLAGS, **_CHANNEL_FLAGS, "--n-trials": "n_trials", "--l-km": "mc_L_km",
@@ -508,7 +504,7 @@ def test_flags_follow_the_config_fields():
         for command, sub in commands.items()
     }
     assert flags == PINNED_FLAGS
-    assert [len(flags[command]) for command in PINNED_FLAGS] == [13, 16, 14, 10, 11, 5]
+    assert [len(flags[command]) for command in PINNED_FLAGS] == [13, 16, 14, 9, 11, 5]
     # every INI key is a flag somewhere
     dests = {dest for by_flag in flags.values() for dest in by_flag.values()}
     assert {s.name for s in config.SETTINGS} <= dests
@@ -527,6 +523,17 @@ def test_threads_is_no_setting_and_exits_2(tmp_path):
         code, stdout, stderr = run_quietly(args)
         assert (code, stdout) == (2, ""), args
         assert "threads" in stderr, args
+
+
+def test_full_budget_is_no_setting_and_exits_2(tmp_path):
+    # the sifted 4/9 of a block is the only budget; a full-budget flag or
+    # INI key is rejected like any unknown one
+    ini = tmp_path / "run.ini"
+    ini.write_text("[finite_key]\nallow_full_budget = true\n")
+    for args in (["finite-key", "--allow-full-budget"], ["finite-key", "--config", str(ini)]):
+        code, stdout, stderr = run_quietly(args)
+        assert (code, stdout) == (2, ""), args
+        assert "allow" in stderr, args
 
 
 def test_svg_sidecar_is_well_formed(tmp_path, capsys):
@@ -567,6 +574,11 @@ def test_log_axes_skip_points_they_cannot_place():
         svg = svgplot.line_plot([svgplot.Series("r", xs, ys)], x_log=x_log, y_log=y_log)
         (curve,) = [child for child in ET.fromstring(svg) if child.tag.endswith("polyline")]
         assert len(curve.get("points").split()) == kept, (x_log, y_log)
+
+
+def test_nice_ticks_of_an_empty_range():
+    # line_plot widens a one-value range before it asks for ticks
+    assert svgplot._nice_ticks(1.0, 1.0) == [1.0]
 
 
 def test_finite_key_svg_is_well_formed(tmp_path, capsys):
@@ -616,14 +628,13 @@ _BLOCKS = st.integers(1, 10**15) | st.floats(0.0, 15.0).map(lambda x: round(10.0
     epsilon=_EPSILON, ec_fraction=_EC_FRACTION,
     e_b=st.lists(_E_B, min_size=1, max_size=3),
     blocks=st.lists(_BLOCKS, min_size=1, max_size=3),
-    full_budget=st.booleans(), svg=st.booleans(),
+    svg=st.booleans(),
 )
-def test_finite_key_inside_the_domain_exits_0(epsilon, ec_fraction, e_b, blocks, full_budget, svg):
+def test_finite_key_inside_the_domain_exits_0(epsilon, ec_fraction, e_b, blocks, svg):
     args = [
         "finite-key", "--epsilon", repr(epsilon), "--epsilon-ec", repr(epsilon * ec_fraction),
         "--e-b", _flag_list(e_b), "--n-grid", _flag_list(blocks),
     ]
-    args += ["--allow-full-budget"] if full_budget else []
     with tempfile.TemporaryDirectory() as tmp:
         plot = os.path.join(tmp, "plot.svg")
         code, stdout, stderr = run_quietly(args + (["--svg", plot] if svg else []))

@@ -130,12 +130,9 @@ def test_budget_cap_is_integer_exact():
         FiniteKeyBudget(10**12, cap, 1)
 
 
-def test_budget_full_mode_and_type_checks():
-    FiniteKeyBudget(10, 6, 4, allow_full_budget=True)
+def test_budget_type_checks():
     with pytest.raises(ConstraintError):
         FiniteKeyBudget(10, 6, 4)
-    with pytest.raises(ConstraintError):
-        FiniteKeyBudget(10, 7, 4, allow_full_budget=True)
     with pytest.raises(ConstraintError):
         FiniteKeyBudget(10, 1.5, 2)
     with pytest.raises(ConstraintError):
@@ -240,11 +237,14 @@ def test_optimizer_convergence_at_large_blocks():
     assert opt.rate == pytest.approx(asymptotic_ceiling(0.01), rel=1e-2)
 
 
-def test_optimizer_full_budget_lifts_small_blocks():
+def test_optimizer_longer_block_lifts_a_short_one():
+    # 10**5 signals sift 44,444 bits, too few at e_b 0.01; 225,000 signals
+    # sift 10**5, the budget of 10**5 signals where n + m = N
     capped = optimize_rate(10**5, 1e-5, 1e-10, 0.01)
-    full = optimize_rate(10**5, 1e-5, 1e-10, 0.01, allow_full_budget=True)
+    longer = optimize_rate(225_000, 1e-5, 1e-10, 0.01)
     assert capped.rate == 0.0
-    assert full.rate > 0.0
+    assert longer.rate > 0.0
+    assert longer.n + longer.m == 10**5
 
 
 def test_optimizer_infeasibility_diagnostics():
@@ -260,16 +260,21 @@ def test_optimizer_infeasibility_diagnostics():
     hopeless = optimize_rate(1000, 1e-5, 1e-10, 0.25)
     assert hopeless.rate == 0.0
     assert "past the cutoff 1 - 3.2 h(e_b) <= 0" in hopeless.diagnostic
-    with pytest.raises(ConstraintError):
-        optimize_rate(0, 1e-5, 1e-10, 0.01)
+    # a block that is no integer of at least 1 fails before any search
+    for n_signals in (0, 1e6, 2.0):
+        with pytest.raises(ConstraintError, match="must be an integer of at least 1"):
+            optimize_rate(n_signals, 1e-5, 1e-10, 0.01)
 
 
 # Optima of the grid search before its rate was split into sample and
 # security terms, field for field, except that the optima past the cutoff
 # now name it in their diagnostic.  Each is ((N_signals, epsilon,
-# epsilon_EC, e_b, allow_full_budget), (rate, n, m, eps_bar, eps_bar_prime,
-# diagnostic)): blocks from 1 to 1e15, e_b from 0 to 0.3 and on both sides of
-# the cutoff, three (epsilon, epsilon_EC) pairs and the full budget.
+# epsilon_EC, e_b), (rate, n, m, eps_bar, eps_bar_prime, diagnostic)): blocks
+# from 1 to 1e15, e_b from 0 to 0.3 and on both sides of the cutoff, and
+# three (epsilon, epsilon_EC) pairs.  The last five are blocks of 9N/4
+# signals, whose sifted budget is N bits: each has the n, m, eps_bar,
+# eps_bar_prime and diagnostic, and 4/9 of the rate (to 1.7e-16 relative), of
+# the optimum at N signals that spends all N on n + m.
 NO_BUDGET = (0.0, 0, 0, 0.0, 0.0, "infeasible: sifted budget below 2 bits, "
              "cannot populate both key and estimation samples")
 TOO_SHORT = (0.0, 0, 0, 0.0, 0.0, "rate is zero everywhere on the search grid "
@@ -277,55 +282,55 @@ TOO_SHORT = (0.0, 0, 0, 0.0, 0.0, "rate is zero everywhere on the search grid "
 PAST_CUTOFF = (0.0, 0, 0, 0.0, 0.0, "rate is zero at every block size: e_b is past "
                "the cutoff 1 - 3.2 h(e_b) <= 0")
 PINNED_OPTIMA = [
-    ((1, 1e-05, 1e-10, 0.03, False), NO_BUDGET),
-    ((3, 1e-05, 1e-10, 0.0, False), NO_BUDGET),
-    ((5, 1e-05, 1e-10, 0.3, False), PAST_CUTOFF),
-    ((1000, 1e-05, 1e-10, 0.03, False), TOO_SHORT),
-    ((100000, 1e-05, 1e-10, 0.0, False), (0.01771984450263141, 29400, 15044, 9.917426005035367e-06, 4.0435716512358626e-06, "")),
-    ((100000, 1e-05, 1e-10, 0.03, False), TOO_SHORT),
-    ((100000, 1e-05, 1e-10, 0.3, False), PAST_CUTOFF),
-    ((300000, 1e-05, 1e-10, 0.0, False), (0.12043787192947192, 106568, 26765, 9.96074298083527e-06, 4.8931325113501885e-06, "")),
-    ((300000, 1e-05, 1e-10, 0.03, False), TOO_SHORT),
-    ((300000, 1e-05, 1e-10, 0.3, False), PAST_CUTOFF),
-    ((1000000, 1e-05, 1e-10, 0.0, False), (0.21091509495203759, 386484, 57960, 9.98247236654332e-06, 5.62116707821162e-06, "")),
-    ((1000000, 1e-05, 1e-10, 0.03, False), (0.02778648083135265, 321353, 123091, 9.975948578245661e-06, 4.357339650873156e-06, "")),
-    ((1000000, 1e-05, 1e-10, 0.3, False), PAST_CUTOFF),
-    ((1000000000, 1e-05, 1e-10, 0.0, False), (0.41386916391447853, 437144534, 7299910, 9.999345239312096e-06, 8.267556114964987e-06, "")),
-    ((1000000000, 1e-05, 1e-10, 0.03, False), (0.1533183701904514, 433482593, 10961851, 9.999345239312096e-06, 7.002845369305239e-06, "")),
-    ((1000000000, 1e-05, 1e-10, 0.3, False), PAST_CUTOFF),
-    ((1000000000000, 1e-05, 1e-10, 0.0, False), (0.44069837695268055, 443386099956, 1058344488, 9.999890000099999e-06, 9.38563071571588e-06, "")),
-    ((1000000000000, 1e-05, 1e-10, 0.03, False), (0.16651590809572495, 443255959316, 1188485128, 9.999890000099999e-06, 8.614910925303749e-06, "")),
-    ((1000000000000, 1e-05, 1e-10, 0.3, False), PAST_CUTOFF),
-    ((1000000000000000, 1e-05, 1e-10, 0.0, False), (0.44399353284419013, 444311148332489, 133296111955, 9.999890000099999e-06, 9.806716289788077e-06, "")),
-    ((1000000000000000, 1e-05, 1e-10, 0.03, False), (0.16782594627996175, 444317422570067, 127021874377, 9.999890000099999e-06, 9.45782829138911e-06, "")),
-    ((1000000000000000, 1e-05, 1e-10, 0.3, False), PAST_CUTOFF),
-    ((1000000000, 1e-05, 1e-10, 0.05, False), (0.02850640334887726, 416722896, 27721548, 9.999345239312096e-06, 5.644662726278413e-06, "")),
-    ((1000000000, 1e-05, 1e-10, 0.056, False), TOO_SHORT),
-    ((1000000000000000, 1e-05, 1e-10, 0.056, False), (0.0015946547731547256, 441903916787094, 2540527657350, 9.999890000099999e-06, 7.506927689716634e-06, "")),
-    ((1000000000000000, 1e-05, 1e-10, 0.0565, False), PAST_CUTOFF),
-    ((10000000, 1e-05, 1e-10, 0.045, False), (0.019191207970020607, 3391713, 1052731, 9.993354828955512e-06, 4.401209518259482e-06, "")),
-    ((10000000, 1e-05, 1e-10, 0.05, False), TOO_SHORT),
-    ((10000, 1e-12, 0.0, 0.01, False), TOO_SHORT),
-    ((1000000, 1e-12, 0.0, 0.02, False), (0.05934108121892507, 339171, 105273, 9.969528748689678e-13, 5.368562106782229e-13, "")),
-    ((100000000, 1e-12, 0.0, 0.04, False), (0.07132465953328423, 40993867, 3450577, 9.997811113113575e-13, 6.40572101103092e-13, "")),
-    ((10000000000, 1e-12, 0.0, 0.055, False), (0.004803054733831595, 4000140891, 444303553, 9.999445233764432e-13, 5.757935510425877e-13, "")),
-    ((10000000000000, 1e-12, 0.0, 0.001, False), (0.42670480400095395, 4439525552451, 4918891993, 9.999989999999998e-13, 9.61738001984386e-13, "")),
-    ((10000, 0.25, 0.1, 0.01, False), TOO_SHORT),
-    ((1000000, 0.25, 0.1, 0.02, False), (0.0939665455961398, 364164, 80280, 0.14980385696913248, 0.05116155525879693, "")),
-    ((100000000, 0.25, 0.1, 0.04, False), (0.07578518321670841, 41407535, 3036909, 0.1499835074580886, 0.06275154120795699, "")),
-    ((10000000000, 0.25, 0.1, 0.055, False), (0.005181352437484376, 4045167242, 399277202, 0.14999984999999996, 0.05086308071893566, "")),
-    ((10000000000000, 0.25, 0.1, 0.001, False), (0.4268199089233732, 4439907323330, 4537121114, 0.14999984999999996, 0.1382588599622202, "")),
-    ((100000, 1e-05, 1e-10, 0.01, True), (0.082140548649021, 70517, 29483, 9.947728059776973e-06, 4.302084028535828e-06, "")),
-    ((10000, 1e-05, 1e-10, 0.02, True), TOO_SHORT),
-    ((20, 0.25, 0.1, 0.0, True), TOO_SHORT),
-    ((1000000, 1e-12, 0.0, 0.05, True), TOO_SHORT),
-    ((100000000000, 1e-05, 1e-10, 0.3, True), PAST_CUTOFF),
+    ((1, 1e-05, 1e-10, 0.03), NO_BUDGET),
+    ((3, 1e-05, 1e-10, 0.0), NO_BUDGET),
+    ((5, 1e-05, 1e-10, 0.3), PAST_CUTOFF),
+    ((1000, 1e-05, 1e-10, 0.03), TOO_SHORT),
+    ((100000, 1e-05, 1e-10, 0.0), (0.01771984450263141, 29400, 15044, 9.917426005035367e-06, 4.0435716512358626e-06, "")),
+    ((100000, 1e-05, 1e-10, 0.03), TOO_SHORT),
+    ((100000, 1e-05, 1e-10, 0.3), PAST_CUTOFF),
+    ((300000, 1e-05, 1e-10, 0.0), (0.12043787192947192, 106568, 26765, 9.96074298083527e-06, 4.8931325113501885e-06, "")),
+    ((300000, 1e-05, 1e-10, 0.03), TOO_SHORT),
+    ((300000, 1e-05, 1e-10, 0.3), PAST_CUTOFF),
+    ((1000000, 1e-05, 1e-10, 0.0), (0.21091509495203759, 386484, 57960, 9.98247236654332e-06, 5.62116707821162e-06, "")),
+    ((1000000, 1e-05, 1e-10, 0.03), (0.02778648083135265, 321353, 123091, 9.975948578245661e-06, 4.357339650873156e-06, "")),
+    ((1000000, 1e-05, 1e-10, 0.3), PAST_CUTOFF),
+    ((1000000000, 1e-05, 1e-10, 0.0), (0.41386916391447853, 437144534, 7299910, 9.999345239312096e-06, 8.267556114964987e-06, "")),
+    ((1000000000, 1e-05, 1e-10, 0.03), (0.1533183701904514, 433482593, 10961851, 9.999345239312096e-06, 7.002845369305239e-06, "")),
+    ((1000000000, 1e-05, 1e-10, 0.3), PAST_CUTOFF),
+    ((1000000000000, 1e-05, 1e-10, 0.0), (0.44069837695268055, 443386099956, 1058344488, 9.999890000099999e-06, 9.38563071571588e-06, "")),
+    ((1000000000000, 1e-05, 1e-10, 0.03), (0.16651590809572495, 443255959316, 1188485128, 9.999890000099999e-06, 8.614910925303749e-06, "")),
+    ((1000000000000, 1e-05, 1e-10, 0.3), PAST_CUTOFF),
+    ((1000000000000000, 1e-05, 1e-10, 0.0), (0.44399353284419013, 444311148332489, 133296111955, 9.999890000099999e-06, 9.806716289788077e-06, "")),
+    ((1000000000000000, 1e-05, 1e-10, 0.03), (0.16782594627996175, 444317422570067, 127021874377, 9.999890000099999e-06, 9.45782829138911e-06, "")),
+    ((1000000000000000, 1e-05, 1e-10, 0.3), PAST_CUTOFF),
+    ((1000000000, 1e-05, 1e-10, 0.05), (0.02850640334887726, 416722896, 27721548, 9.999345239312096e-06, 5.644662726278413e-06, "")),
+    ((1000000000, 1e-05, 1e-10, 0.056), TOO_SHORT),
+    ((1000000000000000, 1e-05, 1e-10, 0.056), (0.0015946547731547256, 441903916787094, 2540527657350, 9.999890000099999e-06, 7.506927689716634e-06, "")),
+    ((1000000000000000, 1e-05, 1e-10, 0.0565), PAST_CUTOFF),
+    ((10000000, 1e-05, 1e-10, 0.045), (0.019191207970020607, 3391713, 1052731, 9.993354828955512e-06, 4.401209518259482e-06, "")),
+    ((10000000, 1e-05, 1e-10, 0.05), TOO_SHORT),
+    ((10000, 1e-12, 0.0, 0.01), TOO_SHORT),
+    ((1000000, 1e-12, 0.0, 0.02), (0.05934108121892507, 339171, 105273, 9.969528748689678e-13, 5.368562106782229e-13, "")),
+    ((100000000, 1e-12, 0.0, 0.04), (0.07132465953328423, 40993867, 3450577, 9.997811113113575e-13, 6.40572101103092e-13, "")),
+    ((10000000000, 1e-12, 0.0, 0.055), (0.004803054733831595, 4000140891, 444303553, 9.999445233764432e-13, 5.757935510425877e-13, "")),
+    ((10000000000000, 1e-12, 0.0, 0.001), (0.42670480400095395, 4439525552451, 4918891993, 9.999989999999998e-13, 9.61738001984386e-13, "")),
+    ((10000, 0.25, 0.1, 0.01), TOO_SHORT),
+    ((1000000, 0.25, 0.1, 0.02), (0.0939665455961398, 364164, 80280, 0.14980385696913248, 0.05116155525879693, "")),
+    ((100000000, 0.25, 0.1, 0.04), (0.07578518321670841, 41407535, 3036909, 0.1499835074580886, 0.06275154120795699, "")),
+    ((10000000000, 0.25, 0.1, 0.055), (0.005181352437484376, 4045167242, 399277202, 0.14999984999999996, 0.05086308071893566, "")),
+    ((10000000000000, 0.25, 0.1, 0.001), (0.4268199089233732, 4439907323330, 4537121114, 0.14999984999999996, 0.1382588599622202, "")),
+    ((225000, 1e-05, 1e-10, 0.01), (0.036506910510676005, 70517, 29483, 9.947728059776973e-06, 4.302084028535828e-06, "")),
+    ((22500, 1e-05, 1e-10, 0.02), TOO_SHORT),
+    ((45, 0.25, 0.1, 0.0), TOO_SHORT),
+    ((2250000, 1e-12, 0.0, 0.05), TOO_SHORT),
+    ((225000000000, 1e-05, 1e-10, 0.3), PAST_CUTOFF),
 ]
 
 
 def test_optimizer_results_are_pinned():
-    for (n_signals, epsilon, epsilon_ec, e_b, full), expected in PINNED_OPTIMA:
-        opt = optimize_rate(n_signals, epsilon, epsilon_ec, e_b, allow_full_budget=full)
+    for (n_signals, epsilon, epsilon_ec, e_b), expected in PINNED_OPTIMA:
+        opt = optimize_rate(n_signals, epsilon, epsilon_ec, e_b)
         assert opt == FiniteKeyOptimum(n_signals, e_b, *expected), (n_signals, epsilon, e_b)
 
 
@@ -359,12 +364,15 @@ def test_optimum_budget_roundtrip():
     assert finite_rate(budget, sec, opt.e_b) == opt.rate
 
 
-@pytest.mark.parametrize("allow_full_budget", [False, True])
+# nine_quarters runs 9N/4 signals, whose sifted budget is N bits
+@pytest.mark.parametrize("nine_quarters", [False, True])
 @pytest.mark.parametrize("N_signals", [10**5, 10**7, 10**12])
-def test_array_rates_match_finite_rate_on_the_coarse_grid(N_signals, allow_full_budget):
+def test_array_rates_match_finite_rate_on_the_coarse_grid(N_signals, nine_quarters):
     eps, eps_ec = 1e-5, 1e-10
     grids = (finite_key._COARSE_U, finite_key._COARSE_BETA, finite_key._COARSE_GAMMA)
-    total = N_signals if allow_full_budget else (4 * N_signals) // 9
+    if nine_quarters:
+        N_signals = 9 * N_signals // 4
+    total = (4 * N_signals) // 9
     u_grid, beta_grid, gamma_grid = np.ix_(*grids)
     m = np.clip(np.rint(total * u_grid), 1, total - 1)  # the optimizer's split
     eps_bar = beta_grid * (eps - eps_ec)
@@ -375,7 +383,7 @@ def test_array_rates_match_finite_rate_on_the_coarse_grid(N_signals, allow_full_
             u, beta, gamma = (grid[i] for grid, i in zip(grids, index))
             m_i = min(max(int(round(total * u)), 1), total - 1)
             eps_bar_i = beta * (eps - eps_ec)
-            budget = FiniteKeyBudget(N_signals, total - m_i, m_i, allow_full_budget)
+            budget = FiniteKeyBudget(N_signals, total - m_i, m_i)
             sec = SecurityParams(eps, eps_ec, eps_bar_i, gamma * eps_bar_i)
             expected = max(0.0, oracle_rate(budget, sec, e_b))
             tolerance = max(1e-12 * expected, 1e-15)
@@ -448,7 +456,6 @@ _SHARE = st.floats(1e-9, 1.0, exclude_max=True)
 @given(
     e_b=st.floats(CUTOFF_E_B, 1.0 - CUTOFF_E_B),
     n_signals=st.integers(5, 10**15) | st.floats(0.7, 15.0).map(lambda x: round(10.0**x)),
-    full_budget=st.booleans(),
     data=st.data(),
     epsilon=st.floats(-280.0, math.log10(0.999)).map(lambda x: 10.0**x),
     ec_share=st.just(0.0) | _SHARE,
@@ -456,13 +463,13 @@ _SHARE = st.floats(1e-9, 1.0, exclude_max=True)
     prime_share=_SHARE,
 )
 def test_no_rate_past_the_cutoff(
-    e_b, n_signals, full_budget, data, epsilon, ec_share, bar_share, prime_share
+    e_b, n_signals, data, epsilon, ec_share, bar_share, prime_share
 ):
     assume(past_cutoff(e_b))
-    total = n_signals if full_budget else (4 * n_signals) // 9
+    total = (4 * n_signals) // 9
     n = data.draw(st.integers(1, total - 1), label="n")
     m = data.draw(st.integers(1, total - n), label="m")
-    budget = FiniteKeyBudget(n_signals, n, m, allow_full_budget=full_budget)
+    budget = FiniteKeyBudget(n_signals, n, m)
     sec = _security(epsilon, ec_share, bar_share, prime_share)
     assert unclamped(budget, sec, e_b) < 0.0
     assert finite_rate(budget, sec, e_b) == 0.0
@@ -498,7 +505,7 @@ def test_optimizer_returns_at_once_past_the_cutoff(monkeypatch):
 
 
 def test_pinned_optimum_next_to_the_cutoff_is_searched():
-    key = (10**15, 1e-05, 1e-10, 0.056, False)
+    key = (10**15, 1e-05, 1e-10, 0.056)
     expected = dict(PINNED_OPTIMA)[key]
     assert not past_cutoff(0.056) and expected[0] > 0.0
     opt = optimize_rate(10**15, 1e-5, 1e-10, 0.056)
@@ -512,11 +519,11 @@ def test_pinned_optimum_next_to_the_cutoff_is_searched():
 # 1.16e-3, at (1e6, epsilon 1e-12, e_b 0.02), from u alone: the u brackets
 # shrink around the coarse argmax before beta and gamma settle.  Next come
 # 5.1e-4 at (1e7, e_b 0.045) and 1.0e-4 at (1e9, e_b 0.05).
-SHORT_OF_THE_BOX = {(1000000, 1e-12, 0.0, 0.02, False)}
+SHORT_OF_THE_BOX = {(1000000, 1e-12, 0.0, 0.02)}
 NEAR_ARGMAX = [
     pytest.param(
         case,
-        id=f"{case[0]:.0e}-{case[1]:g}-{case[3]}" + ("-full" if case[4] else ""),
+        id=f"{case[0]:.0e}-{case[1]:g}-{case[3]}",
         marks=[pytest.mark.xfail(
             strict=True, reason="the search stops 1.1e-3 short of a u 5% lower"
         )] if case in SHORT_OF_THE_BOX else [],
@@ -545,10 +552,10 @@ def best_rate_near(opt, epsilon, epsilon_ec, points=41):
 
 @pytest.mark.parametrize("case", NEAR_ARGMAX)
 def test_search_comes_close_to_the_best_rate_near_its_argmax(case):
-    n_signals, epsilon, epsilon_ec, e_b, full = case
-    opt = optimize_rate(n_signals, epsilon, epsilon_ec, e_b, allow_full_budget=full)
+    n_signals, epsilon, epsilon_ec, e_b = case
+    opt = optimize_rate(n_signals, epsilon, epsilon_ec, e_b)
     assert opt.rate > 0.0
-    assert opt.n + opt.m == (n_signals if full else (4 * n_signals) // 9)
+    assert opt.n + opt.m == (4 * n_signals) // 9
     best = best_rate_near(opt, epsilon, epsilon_ec)
     # the box holds the argmax itself, up to rounding of its shares
     assert best >= opt.rate * (1.0 - 1e-12)

@@ -67,6 +67,11 @@ def test_single_photon_encoding_amplitudes():
     assert flipped.amplitudes[(0, 0, 0, 0, 1, 0)] == pytest.approx(-inv_sqrt3)
     assert flipped.amplitudes[(0, 0, 0, 0, 0, 1)] == pytest.approx(inv_sqrt3)
     assert state.norm() == pytest.approx(1.0, abs=1e-12)
+    with pytest.raises(ValueError, match="input ports 'a' or 'b'"):
+        encode_single_photon(0, 0, port="c")
+    for bits in ((2, 0), (0, -1)):
+        with pytest.raises(ValueError, match="encoding bits must be 0 or 1"):
+            encode_single_photon(*bits)
 
 
 def test_joint_input_norm_and_size():
@@ -94,6 +99,14 @@ def test_postselection_rejects_wrong_basis_and_zero():
         postselect_hom(out)
     with pytest.raises(ValueError):
         postselect_hom(TwoPartyFockState({}, INPUT))
+    # both photons in time bin 1: every amplitude bunches
+    with pytest.raises(ValueError, match="no amplitude survives"):
+        postselect_hom(TwoPartyFockState({(1, 0, 0, 1, 0, 0): 1.0}, INPUT))
+    with pytest.raises(ValueError, match="cannot normalize the zero state"):
+        TwoPartyFockState({}, INPUT).normalized()
+    # the beamsplitter acts once, on input-basis states
+    with pytest.raises(BasisMismatchError):
+        beamsplitter_transform(out)
 
 
 def probability(state, pattern):

@@ -143,6 +143,8 @@ def test_dps_reference_shape():
     assert at_zero > 0.0
     assert far == 0.0
     assert DPS_PHASE_AMPLIFICATION == 2.0
+    # no light and no dark counts: no click, and no rate
+    assert dps_reference_rate(ChannelParams(eta_a=0.0, eta_b=0.0, p_dark=0.0, e_d=0.0)) == 0.0
 
 
 def test_cutoff_distance_bisection():

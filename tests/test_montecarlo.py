@@ -1,5 +1,6 @@
 """Trial-level channel simulation: determinism, split ranges, physics checks."""
 
+import dataclasses
 import hashlib
 import math
 from fractions import Fraction
@@ -580,11 +581,18 @@ def test_dark_mask_law_from_the_integer_thresholds():
                     )
 
 
+def guided_masks(tables):
+    """The code guide's masks, code_guide & 63, and GUIDE_MISS where it
+    misses: no code is GUIDE_MISS, as mask 63 is never kept."""
+    guide = tables.code_guide
+    return np.where(guide == GUIDE_MISS, GUIDE_MISS, guide & 63).astype(np.uint8)
+
+
 def test_pattern_guide_is_exact():
     """Each bucket entry is the mask every draw of its bucket selects, and a
     bucket is left to the binary search only when it holds a boundary."""
     tables = build_tables()
-    keys, guide = tables.pattern_keys, tables.pattern_guide
+    keys, guide = tables.pattern_keys, guided_masks(tables)
     assert guide.shape == (64, 2**GUIDE_BITS) and guide.dtype == np.uint8
     width = 2 ** (53 - GUIDE_BITS)  # draws k per bucket
     firsts = np.arange(2**GUIDE_BITS, dtype=np.uint64) * np.uint64(width)
@@ -605,8 +613,8 @@ def test_pattern_guide_is_exact():
 
 def test_codes_pack_mask_keep_and_base_error():
     """Each code holds its mask, the Keep bit and the base error; the code
-    guide holds the code of each bucket's guided mask, and misses where
-    the pattern guide does."""
+    guide holds the code of each bucket's guided mask under the row's
+    setting."""
     tables = build_tables()
     masks = np.arange(64)
     for s in range(16):
@@ -614,15 +622,18 @@ def test_codes_pack_mask_keep_and_base_error():
         assert np.array_equal(code & 63, masks)
         assert np.array_equal(code & CODE_KEEP != 0, tables.action == ACTION_KEEP)
         assert np.array_equal(code & CODE_ERROR != 0, tables.base_error[s] != 0)
-    miss = tables.pattern_guide == GUIDE_MISS
-    assert np.array_equal(tables.code_guide == GUIDE_MISS, miss)
-    settings = np.arange(64).reshape(64, 1) >> 2 | np.zeros_like(tables.pattern_guide)
-    guided = tables.codes[settings[~miss], tables.pattern_guide[~miss]]
+    # so a guide entry is GUIDE_MISS only where it misses
+    assert not np.any(tables.codes == GUIDE_MISS)
+    guide = guided_masks(tables)
+    miss = guide == GUIDE_MISS
+    settings = np.arange(64).reshape(64, 1) >> 2 | np.zeros_like(guide)
+    guided = tables.codes[settings[~miss], guide[~miss]]
     assert np.array_equal(tables.code_guide[~miss], guided)
 
 
-# sha256 over the C-order bytes of build_tables()'s six arrays in field
-# order, then of keep_weights()'s masks and weights
+# sha256 over the C-order bytes of build_tables()'s first four arrays in
+# field order, the guided masks and bin_amplitudes, then of keep_weights()'s
+# masks and weights
 TABLES_SHA256 = "ec651b737d0349ebb1d9bbdb242fa7faae0e1b357c493fa98b0469a817f59083"
 
 
@@ -636,7 +647,7 @@ def test_relay_tables_are_pinned():
         tables.action,
         tables.base_error,
         tables.pattern_keys,
-        tables.pattern_guide,
+        guided_masks(tables),
         tables.bin_amplitudes,
         *keep_weights(),
     ):
@@ -709,7 +720,9 @@ def test_kernel_is_exact_on_boundary_draws(monkeypatch):
 
 
 def test_replay_record_invariants():
+    keeps = set()
     for record in replay_trials(LOSSY, 2_000, seed=13):
+        keeps.add(record.error is not None)
         assert (record.error is None) == (record.decision.action is not Action.KEEP)
         arrived_a, arrived_b = record.loss_pattern
         assert isinstance(arrived_a, bool) and isinstance(arrived_b, bool)
@@ -721,6 +734,10 @@ def test_replay_record_invariants():
             assert bin(record.mask).count("1") > 2
         else:
             assert record.outcome.mask == record.mask
+        # an error that contradicts the decision makes no record
+        with pytest.raises(ValueError, match="exactly for Keep decisions"):
+            dataclasses.replace(record, error=None if record.error is not None else False)
+    assert keeps == {False, True}
 
 
 def test_replay_start_offset_is_consistent():

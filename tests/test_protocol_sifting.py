@@ -69,6 +69,8 @@ def test_outcome_rejects_more_than_two_clicks():
         DetectionOutcome(frozenset({("c", 1), ("c", 2), ("d", 3)}))
     with pytest.raises(ValueError):
         DetectionOutcome(frozenset({("e", 1)}))
+    with pytest.raises(ValueError, match="time_bin must be 1, 2 or 3"):
+        DetectionOutcome(frozenset({("c", 4)}))
 
 
 def test_decision_field_coupling():
