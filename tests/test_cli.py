@@ -576,9 +576,15 @@ def test_log_axes_skip_points_they_cannot_place():
         assert len(curve.get("points").split()) == kept, (x_log, y_log)
 
 
-def test_nice_ticks_of_an_empty_range():
+def test_linear_ticks_stay_inside_the_frame():
     # line_plot widens a one-value range before it asks for ticks
     assert svgplot._nice_ticks(1.0, 1.0) == [1.0]
+    # the y axis spans -0.045 to 0.945; its ticks run half a step past the
+    # top, and the one at 1.0 is left out
+    svg = svgplot.line_plot([svgplot.Series("r", [0.0, 1.0], [0.0, 0.9])])
+    labels = [child.text for child in ET.fromstring(svg) if child.tag.endswith("text")]
+    x_labels = ["0", "0.2", "0.4", "0.6", "0.8", "1"]
+    assert labels == x_labels + x_labels[:-1] + ["r"]
 
 
 def test_finite_key_svg_is_well_formed(tmp_path, capsys):
