@@ -39,15 +39,14 @@ from .montecarlo import ALPHA_DB_PER_KM, E_D, ETA_DET, F_EC, P_DARK, ChannelPara
 # Most points a distance sweep may have: far above the default 61, and a
 # bound on what a mistyped L_step can ask for.
 _MAX_SWEEP_POINTS = 100_001
-# Most slices: a decoy point costs about 20 us at any N (one two-row
-# phase-sum pass), so the cap bounds qber-slices, which evaluates one row
-# per N: about 30 ms and a 2.4 MB peak at 10**4.
+# Most slices: the cap bounds qber-slices, which evaluates one row per N;
+# README's cap table gives its run time and memory at the cap.
 _MAX_SLICES = 10**4
 # Most Monte Carlo trials; README's cap table gives the run time at the cap.
 MAX_TRIALS = 10**10
 # Largest block size: the sifted budget stays below 2**53, so every split the
-# finite-key search ranks is an exact float64 integer; an optimum costs about
-# 1 ms at any size.
+# finite-key search ranks is an exact float64 integer; README's cap table
+# gives the cost of an optimum.
 _MAX_BLOCK = 10**15
 # Largest mean photon number per sender: with eta_det = 1 the decoy gain at
 # 0 km underflows to 0 from mu = 1367 on, and `decoy` then fails.

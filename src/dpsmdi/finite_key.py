@@ -20,24 +20,15 @@ Quantities per block of ``N_signals`` exchanged signals:
 The extractable rate per exchanged signal is ``r = (n / N) r'`` with
 ``r' = 1 - h(eb~) - h(ep~) - leak/n - delta/n``, clamped at zero; the
 entropy term is 0 once either broadened rate passes 1/2.  One array formula,
-``_combined_rates``, computes the unclamped rate from two groups of terms:
+``_rates``, computes the unclamped rate at every point of a grid.  Every
+point gets the same float64 operations in the same order at any grid shape,
+so a grid value equals the 0-d call at that point, bit for bit.
+``finite_rate`` is the checked evaluation at one point.
 
-* the security terms (``_security_terms``), which depend on (eps_bar,
-  eps_bar_prime) alone: ``2 ln(1/eps_bar')``, ``2 log2(1/(2(eps - eps_bar -
-  eps_EC)))`` and ``log2(2/(eps_bar - eps_bar'))``;
-* the sample terms (``_sample_terms``), which depend on the split alone: n
-  stacked over m in one buffer with a leading axis of 2 and ``9 ln(k+1)`` at
-  each, so one broadening pass and one ``h`` pass cover both samples, plus
-  ``n / N`` and the leak.
-
-It works mostly in place.  ``finite_rate`` is the checked
-evaluation at one point, through ``_rates``.  The optimizer ranks the coarse
-grid with security terms cached per (epsilon, epsilon_EC), then refines one
-coordinate at a time: a u line recomputes only the sample terms, a beta or
-gamma line only the security terms, and the other group is the current
-point's.  Each candidate gets the same floating-point operations in the same
-order as a direct ``_rates`` call, so the optimum does not depend on this
-grouping.
+The optimizer makes one ``_rates`` pass over the coarse grid and one per
+refinement round, over the product of three lines that each start at the
+current point; it then moves along u, beta and gamma in turn, reading each
+line from that one pass.
 
 Past the cutoff ``1 - (2 + 1.2) h(e_b) <= 0`` no split and no smoothing
 parameter leaves a positive rate: the entropy term is at most
@@ -50,7 +41,6 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -143,51 +133,33 @@ class FiniteKeyBudget:
             )
 
 
-def _security_terms(
-    epsilon: float, epsilon_EC: float, eps_bar: np.ndarray, eps_bar_prime: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The rate's terms that depend on (eps_bar, eps_bar_prime) alone.
+def _rates(
+    N_signals: int, e_b: float, epsilon: float, epsilon_EC: float,
+    n: np.ndarray, m: np.ndarray, eps_bar: np.ndarray, eps_bar_prime: np.ndarray,
+) -> np.ndarray:
+    """Unclamped rate at every point of broadcastable (n, m) and (eps_bar, eps_bar_prime).
 
-    2 ln(1/eps_bar'), the penalty's 2 log2(1/(2(eps - eps_bar - eps_EC))) and
-    the log2(2/(eps_bar - eps_bar')) under its square root.
+    n is stacked over m on the broadcast shape of (n, m), so one broadening
+    pass and one h pass cover both samples; the security terms are computed
+    on the shape of (eps_bar, eps_bar_prime), and the two broadcast in the
+    combination.  Most steps write in place into the array the step before
+    made.  Some sums and products take their operands in another order than
+    the formula, and -h stands in for h; float64 rounding is commutative and
+    symmetric in sign, so every value is the formula's, bit for bit, at any
+    shape.
     """
+    samples = np.empty((2,) + np.broadcast(n, m).shape)
+    samples[0] = n
+    samples[1] = m
+    n = samples[0]
+    # 2 ln(1/eps_bar'), the penalty's 2 log2(1/(2(eps - eps_bar - eps_EC)))
+    # and the log2(2/(eps_bar - eps_bar')) under its square root
     confidence = 2.0 * np.log(1.0 / eps_bar_prime)
     slack_bits = 2.0 * np.log2(1.0 / (2.0 * (epsilon - eps_bar - epsilon_EC)))
     spread_bits = np.log2(2.0 / (eps_bar - eps_bar_prime))
-    return confidence, slack_bits, spread_bits
-
-
-def _sample_terms(
-    N_signals: int, leak_coefficient: float, samples: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """The rate's terms that depend on the split (n, m) alone.
-
-    samples holds n stacked over m on a leading axis of 2; returned with
-    9 ln(k + 1) at each k, the key share n / N and the leak 1.2 h(e_b) n,
-    where leak_coefficient is 1.2 h(e_b).
-    """
-    n = samples[0]
+    # the broadened e_b and e_p in one pass: eb~ = e_b + xi(n), ep~ = e_b + xi(m)
     sample_logs = np.log(samples + 1.0)
     sample_logs *= POVM_OUTCOME_COUNT
-    return samples, sample_logs, n / N_signals, leak_coefficient * n
-
-
-def _combined_rates(
-    e_b: float,
-    sample_terms: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray],
-    security_terms: tuple[np.ndarray, np.ndarray, np.ndarray],
-) -> np.ndarray:
-    """Unclamped rate from the sample terms and the security terms.
-
-    The two broadcast against each other behind the samples' leading axis.
-    Most steps write in place into the array the step before made.  Some
-    sums and products take their operands in another order than the formula,
-    and -h stands in for h; float64 rounding is commutative and symmetric in
-    sign, so every value is the formula's, bit for bit.
-    """
-    samples, sample_logs, key_share, leak = sample_terms
-    confidence, slack_bits, spread_bits = security_terms
-    # the broadened e_b and e_p in one pass: eb~ = e_b + xi(n), ep~ = e_b + xi(m)
     tilde = confidence + sample_logs
     tilde /= samples
     np.sqrt(tilde, out=tilde)
@@ -205,32 +177,15 @@ def _combined_rates(
     entropy = 1.0 + neg_h[0]
     entropy += neg_h[1]
     rate = np.where(past_half, 0.0, entropy)
-    n = samples[0]
     penalty = np.sqrt(n * spread_bits)
     penalty *= 7.0
     penalty += slack_bits
-    # (leak + penalty) / n
-    penalty += leak
+    # (leak + penalty) / n, with the leak 1.2 h(e_b) n
+    penalty += ERROR_CORRECTION_EFFICIENCY * binary_entropy(e_b) * n
     penalty /= n
     rate -= penalty
-    rate *= key_share
+    rate *= n / N_signals
     return rate
-
-
-def _rates(
-    N_signals: int, e_b: float, epsilon: float, epsilon_EC: float,
-    n: np.ndarray, m: np.ndarray, eps_bar: np.ndarray, eps_bar_prime: np.ndarray,
-) -> np.ndarray:
-    """Unclamped rate at every point of broadcastable (n, m, eps_bar, eps_bar_prime)."""
-    n, m = np.broadcast_arrays(n, m, eps_bar, eps_bar_prime)[:2]
-    samples = np.empty((2,) + n.shape)
-    samples[0] = n
-    samples[1] = m
-    leak_coefficient = ERROR_CORRECTION_EFFICIENCY * binary_entropy(e_b)
-    return _combined_rates(
-        e_b, _sample_terms(N_signals, leak_coefficient, samples),
-        _security_terms(epsilon, epsilon_EC, eps_bar, eps_bar_prime),
-    )
 
 
 def finite_rate(budget: FiniteKeyBudget, sec: SecurityParams, e_b: float) -> float:
@@ -271,9 +226,6 @@ class FiniteKeyOptimum:
 _COARSE_U = tuple(10.0 ** (-7.0 + 6.954 * k / 24.0) for k in range(25))
 _COARSE_BETA = (0.05, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9)
 _COARSE_GAMMA = (0.01, 0.03, 0.1, 0.2, 0.3, 0.5, 0.7, 0.9)
-# the coarse u grid as a column, to broadcast against (1, beta, gamma)
-_COARSE_U_COLUMN = np.array(_COARSE_U).reshape(-1, 1, 1)
-_COARSE_U_COLUMN.flags.writeable = False
 _REFINE_ROUNDS = 4
 _REFINE_POINTS = 9
 # Lower edges of the refinement brackets for u, beta and gamma, and the
@@ -305,23 +257,8 @@ def _bracket(value: float, grid: Sequence[float], floor: float, ceil: float) -> 
 
 
 def _geom_grid(lo: float, hi: float, count: int) -> list[float]:
-    if not lo < hi:
-        return [lo]
     ratio = (hi / lo) ** (1.0 / (count - 1))
     return [lo * ratio**k for k in range(count)]
-
-
-@lru_cache(maxsize=8)
-def _coarse_security_terms(
-    epsilon: float, epsilon_EC: float
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Security terms on the coarse (beta, gamma) grid, shaped (1, beta, gamma)."""
-    _, beta, gamma = np.ix_(_COARSE_U, _COARSE_BETA, _COARSE_GAMMA)
-    eps_bar = beta * (epsilon - epsilon_EC)
-    terms = _security_terms(epsilon, epsilon_EC, eps_bar, gamma * eps_bar)
-    for array in terms:
-        array.flags.writeable = False  # shared by every search at these epsilons
-    return terms
 
 
 def _zero_everywhere(
@@ -349,14 +286,16 @@ def optimize_rate(
     * beta: eps_bar as a fraction of (epsilon - epsilon_EC),
     * gamma: eps_bar_prime as a fraction of eps_bar.
 
-    Candidates are ranked as arrays, the whole coarse grid or one refinement
-    line per evaluation; the first maximum wins and a move needs a strictly
-    larger rate.  A u line recomputes only the sample terms of the rate, a
-    beta or gamma line only its security terms; the other group is the
-    current point's.  The reported rate is one call of finite_rate at the
-    winner.  Past the cutoff 1 - 3.2 h(e_b) <= 0 every rate is negative, so
-    the zero optimum returns before the search; its diagnostic names the
-    cutoff, as no block size would help.
+    One _rates pass rates the product of the coarse axes.  Each refinement
+    round brackets the current value of every axis in that axis's last
+    grid, spreads 9 geometric points over each bracket, puts the current
+    value in front of each 9 and rates the 10 x 10 x 10 product in one
+    pass.  It then moves along u, then beta, then gamma, each along its line
+    through the points already chosen: the first maximum wins, and a move
+    needs a strictly larger rate.  The reported rate is one call of
+    finite_rate at the winner.  Past the cutoff 1 - 3.2 h(e_b) <= 0 every
+    rate is negative, so the zero optimum returns before the search; its
+    diagnostic names the cutoff, as no block size would help.
 
     The full sifted budget n + m is always spent; enlarging either share
     never hurts, so interior points are dominated.  The rate per sifted bit
@@ -413,29 +352,17 @@ def optimize_rate(
             "rate is zero at every block size: e_b is past the cutoff "
             f"1 - {2.0 + ERROR_CORRECTION_EFFICIENCY:g} h(e_b) <= 0",
         )
-    leak_coefficient = ERROR_CORRECTION_EFFICIENCY * h_e_b
     last = total - 1.0
 
-    def sample_terms(u):
-        """Sample terms at m ~ u * total, leaving both shares at least 1."""
-        samples = np.empty((2,) + u.shape)
-        m = samples[1]
-        np.multiply(total, u, out=m)
-        np.rint(m, out=m)
-        np.maximum(m, 1.0, out=m)
-        np.minimum(m, last, out=m)
-        np.subtract(total, m, out=samples[0])
-        return _sample_terms(N_signals, leak_coefficient, samples)
-
-    def security_terms(beta, gamma):
-        eps_bar = beta * gap
-        return _security_terms(epsilon, epsilon_EC, eps_bar, gamma * eps_bar)
+    def arguments(u, beta, gamma):
+        """_rates' n, m, eps_bar and eps_bar_prime on the product of the three
+        axes, with m ~ u * total and both shares at least 1."""
+        m = np.minimum(np.maximum(np.rint(total * np.array(u).reshape(-1, 1, 1)), 1.0), last)
+        eps_bar = np.array(beta).reshape(-1, 1) * gap
+        return total - m, m, eps_bar, np.array(gamma) * eps_bar
 
     grids: list[Sequence[float]] = [_COARSE_U, _COARSE_BETA, _COARSE_GAMMA]
-    coarse_samples = sample_terms(_COARSE_U_COLUMN)
-    coarse = _combined_rates(
-        e_b, coarse_samples, _coarse_security_terms(epsilon, epsilon_EC)
-    )
+    coarse = _rates(N_signals, e_b, epsilon, epsilon_EC, *arguments(*grids))
     # clamped like finite_rate, so a grid that is 0 everywhere keeps its first
     # point; best is then never negative, and a line's unclamped maximum
     # moves the point exactly when its clamped one would
@@ -444,34 +371,28 @@ def optimize_rate(
     i_beta, i_gamma = divmod(i_rest, len(_COARSE_GAMMA))
     best = coarse[i_u, i_beta, i_gamma]
     point = [_COARSE_U[i_u], _COARSE_BETA[i_beta], _COARSE_GAMMA[i_gamma]]
-    # both groups of terms at the current point, shaped to broadcast against a line
-    samples = tuple(terms[..., i_u : i_u + 1, 0, 0] for terms in coarse_samples)
-    security = security_terms(*point[1:])
     for _ in range(_REFINE_ROUNDS):
+        lines = []
         for axis in range(3):
             lo, hi = _bracket(point[axis], grids[axis], _REFINE_FLOORS[axis], _REFINE_CEIL)
             grids[axis] = _geom_grid(lo, hi, _REFINE_POINTS)
-            line = np.array(grids[axis])
-            if axis == 0:
-                line_samples = sample_terms(line)
-                rates = _combined_rates(e_b, line_samples, security)
+            lines.append([point[axis]] + grids[axis])
+        # each line starts at the current point, so index 0 on an axis keeps it
+        rates = _rates(N_signals, e_b, epsilon, epsilon_EC, *arguments(*lines))
+        index: list[int | slice] = [0, 0, 0]
+        for axis in range(3):
+            index[axis] = slice(None)
+            candidates = rates[tuple(index)]
+            k = int(candidates.argmax())
+            if candidates[k] > best:
+                best = candidates[k]
             else:
-                beta, gamma = (line, point[2]) if axis == 1 else (point[1], line)
-                line_security = security_terms(beta, gamma)
-                rates = _combined_rates(e_b, samples, line_security)
-            k = rates.argmax()
-            if rates[k] > best:
-                best = rates[k]
-                point[axis] = grids[axis][k]
-                if axis == 0:
-                    samples = tuple(terms[..., k : k + 1] for terms in line_samples)
-                else:  # on a gamma line the slack term depends on beta alone: 0-d
-                    security = tuple(terms[k] if terms.ndim else terms for terms in line_security)
+                k = 0
+            index[axis] = k
+        point = [line[k] for line, k in zip(lines, index)]
 
-    m = int(samples[0][1, 0])  # from n stacked over m at the point
-    n = total - m
-    eps_bar = point[1] * gap
-    eps_bar_prime = point[2] * eps_bar
+    n, m, eps_bar, eps_bar_prime = (array.item() for array in arguments(*point))
+    n, m = int(n), int(m)
     rate = finite_rate(
         FiniteKeyBudget(N_signals, n, m),
         SecurityParams(epsilon, epsilon_EC, eps_bar, eps_bar_prime),

@@ -58,7 +58,8 @@ def _nice_ticks(lo: float, hi: float, target: int = 5) -> List[float]:
     first = math.ceil(lo / step) * step
     ticks = []
     t = first
-    while t <= hi + 0.5 * step:
+    # beside the largest float the bound overflows to inf; t stops there
+    while t <= hi + 0.5 * step and t < math.inf:
         ticks.append(0.0 if abs(t) < 1e-12 * step else t)
         t += step
     return ticks
@@ -71,6 +72,22 @@ def _log_ticks(lo: float, hi: float) -> List[float]:
     if last < first:
         return [lo, hi]
     return [float(k) for k in range(first, last + 1)]
+
+
+def _widened(lo: float, hi: float) -> Tuple[float, float]:
+    """[lo, hi], or, where it is narrower than 1e-12, widened by 0.5 either way.
+
+    From 2**51 on a float's spacing is 0.5 or more, so rounding loses the
+    0.5, or a tick step of 0.2 no longer moves a tick; there the widening is
+    2 spacings, which keeps the step above half a spacing.  Next to the
+    largest float, where hi + 2 spacings overflows, all 4 go below.
+    """
+    if hi - lo >= 1e-12:
+        return lo, hi
+    half = max(0.5, 2.0 * math.ulp(hi))
+    if math.isinf(hi + half):
+        return lo - 2.0 * half, hi
+    return lo - half, hi + half
 
 
 def _fmt(value: float) -> str:
@@ -99,12 +116,8 @@ def line_plot(
 
     xs = [p[0] for p in all_points]
     ys = [p[1] for p in all_points]
-    x_lo, x_hi = min(xs), max(xs)
-    y_lo, y_hi = min(ys), max(ys)
-    if x_hi - x_lo < 1e-12:
-        x_lo, x_hi = x_lo - 0.5, x_hi + 0.5
-    if y_hi - y_lo < 1e-12:
-        y_lo, y_hi = y_lo - 0.5, y_hi + 0.5
+    x_lo, x_hi = _widened(min(xs), max(xs))
+    y_lo, y_hi = _widened(min(ys), max(ys))
     pad_y = 0.05 * (y_hi - y_lo)
     y_lo -= pad_y
     y_hi += pad_y

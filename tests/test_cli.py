@@ -6,6 +6,7 @@ import hashlib
 import io
 import math
 import os
+import sys
 import tempfile
 import xml.etree.ElementTree as ET
 
@@ -587,6 +588,27 @@ def test_linear_ticks_stay_inside_the_frame():
     assert labels == x_labels + x_labels[:-1] + ["r"]
 
 
+def test_a_one_value_range_is_widened_at_any_magnitude():
+    # by 0.5 either way while a float's spacing is at most 0.25
+    for x in (0.0, -3.0, 1e15, 2.0**51 - 0.25):
+        assert svgplot._widened(x, x) == (x - 0.5, x + 0.5)
+    # by 2 spacings either way from 2**51 on, where 0.5 rounds away or a tick
+    # step of 0.2 no longer moves a tick, and by 4 below beside the largest
+    # float; each x tick then has a place of its own
+    top = [sys.float_info.max]
+    top += [math.nextafter(top[-1], 0.0) for _ in range(2)]
+    for x in [2.0**51, 4e15, 1e16, -1e300] + top:
+        lo, hi = svgplot._widened(x, x)
+        assert lo < x <= hi and hi - lo == 4.0 * math.ulp(x)
+        svg = svgplot.line_plot([svgplot.Series("r", [x], [1.0])])
+        frame_bottom = str(svgplot._HEIGHT - svgplot._MARGIN_B)
+        x_ticks = [
+            child.get("x1") for child in ET.fromstring(svg)
+            if child.tag.endswith("line") and child.get("y1") == frame_bottom
+        ]
+        assert len(x_ticks) == len(set(x_ticks)) >= 3, x
+
+
 def test_finite_key_svg_is_well_formed(tmp_path, capsys):
     # the only plot with a logarithmic x axis (the block size)
     svg = tmp_path / "finite.svg"
@@ -825,6 +847,12 @@ def _no_clicks_in_float64(p_dark, eta_det, alpha, l_km, mu_a, mu_b):
 @example(
     command="decoy", p_dark=0.9, eta_det=2.6614912627230934e-179, e_d=0.0, f=1.0, alpha=0.0,
     l_km=0.0, l_step=1.0, points=1, mu_a=737.0, mu_b=1.0, n_slices=1, svg=True,
+)
+# one distance of 1e16 km at the defaults: a float's spacing there is 2, so a
+# one-value x range widened by only 0.5 either way rounds back to one value
+@example(
+    command="decoy", p_dark=3e-6, eta_det=0.145, e_d=0.015, f=1.16, alpha=0.2,
+    l_km=1e16, l_step=5.0, points=1, mu_a=0.5, mu_b=0.5, n_slices=16, svg=True,
 )
 def test_decoy_and_qber_slices_inside_the_domain_exit_0(
     command, p_dark, eta_det, e_d, f, alpha, l_km, l_step, points, mu_a, mu_b, n_slices, svg

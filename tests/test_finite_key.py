@@ -267,8 +267,9 @@ def test_optimizer_infeasibility_diagnostics():
 
 
 # Optima of the grid search before its rate was split into sample and
-# security terms, field for field, except that the optima past the cutoff
-# now name it in their diagnostic.  Each is ((N_signals, epsilon,
+# security terms, field for field.  Neither that split nor folding the terms
+# back into one _rates pass per refinement round moved one; only the optima
+# past the cutoff changed, to name it in their diagnostic.  Each is ((N_signals, epsilon,
 # epsilon_EC, e_b), (rate, n, m, eps_bar, eps_bar_prime, diagnostic)): blocks
 # from 1 to 1e15, e_b from 0 to 0.3 and on both sides of the cutoff, and
 # three (epsilon, epsilon_EC) pairs.  The last five are blocks of 9N/4
@@ -391,6 +392,43 @@ def test_array_rates_match_finite_rate_on_the_coarse_grid(N_signals, nine_quarte
             assert abs(finite_rate(budget, sec, e_b) - expected) <= tolerance, (index, e_b)
 
 
+# A refinement round rates the product of three lines, each with the current
+# point first, in one _rates pass; the search moves the same as a point-by-point
+# one only because each value of that pass is the 0-d call's, bit for bit.
+@pytest.mark.parametrize(
+    "N_signals, e_b, eps, eps_ec, current",
+    [
+        (10**5, 0.03, 1e-5, 1e-10, (0.007, 0.9, 0.4)),
+        (10**9, 0.045, 1e-12, 0.0, (0.0125, 0.6, 0.6)),
+        (10**15, 0.0, 0.25, 0.1, (3e-4, 0.999, 0.02)),
+    ],
+)
+def test_a_round_pass_equals_the_0d_rate_at_each_point(N_signals, e_b, eps, eps_ec, current):
+    coarse = (finite_key._COARSE_U, finite_key._COARSE_BETA, finite_key._COARSE_GAMMA)
+    lines = [
+        [value] + finite_key._geom_grid(
+            *finite_key._bracket(value, grid, floor, finite_key._REFINE_CEIL),
+            finite_key._REFINE_POINTS,
+        )
+        for value, grid, floor in zip(current, coarse, finite_key._REFINE_FLOORS)
+    ]
+    total = (4 * N_signals) // 9
+    gap = eps - eps_ec
+    u = np.array(lines[0]).reshape(-1, 1, 1)
+    m = np.minimum(np.maximum(np.rint(total * u), 1.0), total - 1.0)
+    eps_bar = np.array(lines[1]).reshape(-1, 1) * gap
+    eps_bar_prime = np.array(lines[2]) * eps_bar
+    rates = finite_key._rates(N_signals, e_b, eps, eps_ec, total - m, m, eps_bar, eps_bar_prime)
+    assert rates.shape == (10, 10, 10)
+    for i, j, k in itertools.product(range(10), repeat=3):
+        m_i = int(m[i, 0, 0])
+        point = finite_key._rates(
+            N_signals, e_b, eps, eps_ec, total - m_i, m_i,
+            float(eps_bar[j, 0]), float(eps_bar_prime[j, k]),
+        )
+        assert rates[i, j, k] == point, (i, j, k)
+
+
 def test_sweep_order():
     expected = [(10**6, 0.01), (10**6, 0.03), (10**7, 0.01), (10**7, 0.03)]
     text, _ = cmd_finite_key(RunConfig(N_grid=(10**6, 10**7), e_b_list=(0.01, 0.03)))
@@ -502,6 +540,43 @@ def test_optimizer_returns_at_once_past_the_cutoff(monkeypatch):
         opt = optimize_rate(10**15, 1e-5, 1e-10, e_b)
         assert opt == FiniteKeyOptimum(10**15, e_b, *expected)
         assert len(calls) == int(searched)
+
+
+def test_a_search_makes_one_rates_pass_per_round(monkeypatch):
+    shapes = []
+    real = finite_key._rates
+
+    def counting(*args):
+        rates = real(*args)
+        shapes.append(rates.shape)
+        return rates
+
+    monkeypatch.setattr(finite_key, "_rates", counting)
+    calls = count_finite_rate_calls(monkeypatch)
+    # the coarse grid, one 10 x 10 x 10 product per round, and the 0-d
+    # evaluation inside finite_rate at the winner
+    searched = [(10**6, 1e-5, 1e-10, 0.01), (1000, 1e-5, 1e-10, 0.03)]
+    for args in searched:
+        shapes.clear()
+        calls.clear()
+        optimize_rate(*args)
+        coarse = tuple(len(grid) for grid in (
+            finite_key._COARSE_U, finite_key._COARSE_BETA, finite_key._COARSE_GAMMA
+        ))
+        assert shapes == [coarse] + [(10, 10, 10)] * finite_key._REFINE_ROUNDS + [()], args
+        assert len(calls) == 1, args
+    # past the cutoff, and where the search is infeasible, nothing is rated
+    unsearched = [
+        (10**15, 1e-5, 1e-10, CUTOFF_E_B),
+        (100, 1e-5, 1e-5, 0.01),
+        (10**9, 1e-300, 0.0, 0.01),
+        (2, 1e-5, 1e-10, 0.01),
+    ]
+    for args in unsearched:
+        shapes.clear()
+        calls.clear()
+        assert optimize_rate(*args).rate == 0.0
+        assert shapes == [] and calls == [], args
 
 
 def test_pinned_optimum_next_to_the_cutoff_is_searched():
