@@ -3,6 +3,8 @@ protocol measured at an untrusted relay.
 
 Layout:
 
+- :mod:`dpsmdi.channel` — the link model and its defaults (standard library
+  only)
 - :mod:`dpsmdi.fock_optics` — few-photon state algebra, beamsplitter,
   post-selection
 - :mod:`dpsmdi.protocol_sifting` — announcement reconciliation and bit extraction
@@ -13,6 +15,7 @@ Layout:
 - :mod:`dpsmdi.keyrate_asymptotic` — single-photon yields, QBER, rates
 - :mod:`dpsmdi.keyrate_decoy` — weak-coherent gains, phase slicing, decoy rate
 - :mod:`dpsmdi.finite_key` — finite-block corrections and budget optimization
+- :mod:`dpsmdi.config` — run configuration and the finite-key epsilon floors
 - :mod:`dpsmdi.checks` — the self-checks shared by ``dpsmdi verify`` and the
   acceptance tests
 - :mod:`dpsmdi.cli` — the ``dpsmdi`` command
@@ -47,8 +50,8 @@ from .noise_security import (
     error_gap,
     phase_error_rate,
 )
+from .channel import ChannelParams
 from .montecarlo import (
-    ChannelParams,
     EmpiricalEstimates,
     replay_trials,
     run_trials,

@@ -13,6 +13,7 @@ import math
 from itertools import combinations
 from typing import Iterable, List, Optional, Tuple
 
+from .channel import ChannelParams
 from .fock_optics import conclusive_output_state, discrete_settings
 from .keyrate_asymptotic import qber_asymptotic, yield_Y11
 from .keyrate_decoy import (
@@ -21,7 +22,7 @@ from .keyrate_decoy import (
     overall_gain,
     overall_qber,
 )
-from .montecarlo import ChannelParams, run_trials
+from .montecarlo import run_trials
 from .noise_security import NoiseMatrix, bit_error_rate, error_gap, phase_error_rate
 from .protocol_sifting import (
     Action,
@@ -163,39 +164,68 @@ def gain_vs_quadrature(points: Iterable[Tuple[float, float, ChannelParams]]) -> 
             )
 
 
-def _near(estimate: float, expected: float, sigma: float, sigmas: float, what: str) -> None:
+def _binomial_tail(count: int, n: int, p: float) -> float:
+    """P(X >= count) for X ~ binomial(n, p) where count is at least the
+    mean n p, else P(X <= count).
+
+    The first term comes from ``math.lgamma`` in log space; each next one,
+    outward from count, from the ratio of neighbouring terms, until the
+    terms stop mattering.  The terms only fall that way, since count lies
+    at or past the mode on its side.
+    """
+    if not 0.0 < p < 1.0:
+        # all of X at 0 or at n
+        return 1.0 if count == n * p else 0.0
+    log_first = (
+        math.lgamma(n + 1) - math.lgamma(count + 1) - math.lgamma(n - count + 1)
+        + count * math.log(p) + (n - count) * math.log1p(-p)
+    )
+    odds = p / (1.0 - p)
+    upper = count >= n * p
+    total = term = 1.0
+    for j in range(count, n) if upper else range(count, 0, -1):
+        term *= (n - j) / (j + 1) * odds if upper else j / ((n - j + 1) * odds)
+        total += term
+        if term < 1e-17 * total:
+            break
+    return math.exp(log_first + math.log(total))
+
+
+def _binomial_count(count: int, n: int, p: float, sigmas: float, what: str) -> None:
+    """count of n lies inside the two-sided level erfc(sigmas / sqrt 2) of
+    binomial(n, p), the level a normal band of ``sigmas`` standard
+    deviations has, with each tail tested exactly."""
+    tail = _binomial_tail(count, n, p)
+    level = math.erfc(sigmas / math.sqrt(2.0))
     _require(
-        abs(estimate - expected) <= sigmas * sigma,
-        f"{what} {estimate:.6g} is more than {sigmas:g} sigma ({sigma:.3g}) from {expected:.6g}",
+        tail >= 0.5 * level,
+        f"{what} {count} of {n} ({count / n:.6g}) lies beyond the {sigmas:g}-sigma "
+        f"level of binomial({n}, {p:.6g}): its tail is {tail:.3g}",
     )
 
 
 def mc_vs_analytic(
     params: ChannelParams, n_trials: int, seed: int, sigmas: float
 ) -> None:
-    """A Monte Carlo run lands within ``sigmas`` binomial standard
-    deviations of the closed forms: the yield of ``yield_Y11``, and the
-    error fraction among kept trials of the half-weight e_b (the verbatim
-    e_b less half its background term, the convention the simulation
-    realizes). When that fraction's deviation is 0, no error may occur.
+    """A Monte Carlo run lands inside the two-sided ``sigmas``-sigma level
+    of the binomial laws the closed forms give: the kept count of
+    binomial(n_trials, ``yield_Y11``), and the error count among kept
+    trials of binomial(kept, half-weight e_b) (the verbatim e_b less half
+    its background term, the convention the simulation realizes).  Each
+    count is tested against its exact tail, since a kept count of a few
+    trials is far from normal.  When the error probability is 0, no error
+    may occur.
 
     The error fraction is compared with e_b - background / 2 uncapped, not
     with ``half_weight_qber``: the uncapped value is the fraction of kept
     trials the simulation makes err, and it passes 1/2 when e_d > 1/2.
     The cap at 1/2 only shapes the entropy input of the key rates."""
     estimates = run_trials(params, n_trials, seed)
-    y11 = yield_Y11(params)
-    sigma_y = math.sqrt(y11 * (1.0 - y11) / n_trials)
-    _near(estimates.y11_hat, y11, sigma_y, sigmas, f"yield on {params}")
     keeps = estimates.keep_count
+    _binomial_count(keeps, n_trials, yield_Y11(params), sigmas, f"kept count on {params}")
     _require(keeps > 0, f"no trial out of {n_trials} was kept")
     e_b, background = qber_asymptotic(params)
-    e_half = e_b - 0.5 * background
-    sigma_e = math.sqrt(max(e_half * (1.0 - e_half), 0.0) / keeps)
-    if sigma_e == 0.0:
-        _require(
-            estimates.error_count == 0,
-            f"{estimates.error_count} errors on {params}, where the closed form allows none",
-        )
-    else:
-        _near(estimates.e_b_hat, e_half, sigma_e, sigmas, f"error fraction on {params}")
+    _binomial_count(
+        estimates.error_count, keeps, e_b - 0.5 * background, sigmas,
+        f"error count on {params}",
+    )

@@ -34,6 +34,7 @@ import numpy as np
 from . import checks
 from . import config as config_mod
 from . import svgplot
+from .channel import E_D, P_DARK, ChannelParams
 from .config import ConfigError, RunConfig
 from .finite_key import optimize_rate
 from .keyrate_asymptotic import (
@@ -43,7 +44,7 @@ from .keyrate_asymptotic import (
     secure_rate,
 )
 from .keyrate_decoy import decoy_key_rate, slice_qber_sweep
-from .montecarlo import E_D, P_DARK, ChannelParams, run_trials
+from .montecarlo import run_trials
 from .noise_security import NoiseMatrix, haar_random_physical
 
 # a command's output text and exit status

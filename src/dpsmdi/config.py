@@ -22,6 +22,11 @@ spelled ``--e-b``.  A flag and an INI line go through the same parser, so
 Unknown sections or keys are rejected by name.  ``to_ini`` emits the fully
 resolved state and ``from_ini_text(to_ini())`` reproduces it exactly, so an
 echoed config re-runs identically.
+
+The floors on epsilon - epsilon_EC (``epsilon_gap_floor``) live here, beside
+the check that rejects a config below them; ``finite_key.optimize_rate``
+reads the same floor.  Like :mod:`dpsmdi.channel`, whose defaults the
+``[channel]`` fields take, this module imports only the standard library.
 """
 
 from __future__ import annotations
@@ -33,8 +38,7 @@ from decimal import Decimal, InvalidOperation
 from itertools import groupby
 from typing import Any, Callable, Dict, List, Mapping, Tuple, get_type_hints
 
-from .finite_key import MIN_EPSILON_GAP, MIN_RELATIVE_EPSILON_GAP, epsilon_gap_floor
-from .montecarlo import ALPHA_DB_PER_KM, E_D, ETA_DET, F_EC, P_DARK, ChannelParams
+from .channel import ALPHA_DB_PER_KM, E_D, ETA_DET, F_EC, P_DARK, ChannelParams
 
 # Most points a distance sweep may have: far above the default 61, and a
 # bound on what a mistyped L_step can ask for.
@@ -51,6 +55,19 @@ _MAX_BLOCK = 10**15
 # Largest mean photon number per sender: with eta_det = 1 the decoy gain at
 # 0 km underflows to 0 from mu = 1367 on, and `decoy` then fails.
 _MAX_MU = 1000.0
+
+# Smallest epsilon - epsilon_EC the finite-key search runs at, absolute and as
+# a fraction of epsilon.  Within its refinement edges eps_bar_prime stays above
+# 1e-12 (epsilon - epsilon_EC), so 1/eps_bar_prime is a finite float64, and
+# the penalty's slack epsilon - eps_bar - epsilon_EC stays above
+# 1e-6 (epsilon - epsilon_EC), well clear of float64 rounding at epsilon.
+MIN_EPSILON_GAP = 1e-290
+MIN_RELATIVE_EPSILON_GAP = 1e-9
+
+
+def epsilon_gap_floor(epsilon: float) -> float:
+    """Smallest epsilon - epsilon_EC that optimize_rate searches at."""
+    return max(MIN_EPSILON_GAP, MIN_RELATIVE_EPSILON_GAP * epsilon)
 
 
 class ConfigError(ValueError):

@@ -45,6 +45,7 @@ from typing import Sequence
 
 import numpy as np
 
+from .config import epsilon_gap_floor
 from .keyrate_asymptotic import binary_entropy
 from .protocol_sifting import sifted_key_fraction
 
@@ -232,19 +233,6 @@ _REFINE_POINTS = 9
 # upper edge of all three.
 _REFINE_FLOORS = (1e-9, 1e-6, 1e-6)
 _REFINE_CEIL = 0.999999
-
-# Smallest epsilon - epsilon_EC the search runs at, absolute and as a fraction
-# of epsilon.  Within the refinement edges eps_bar_prime stays above
-# 1e-12 (epsilon - epsilon_EC), so 1/eps_bar_prime is a finite float64, and
-# the penalty's slack epsilon - eps_bar - epsilon_EC stays above
-# 1e-6 (epsilon - epsilon_EC), well clear of float64 rounding at epsilon.
-MIN_EPSILON_GAP = 1e-290
-MIN_RELATIVE_EPSILON_GAP = 1e-9
-
-
-def epsilon_gap_floor(epsilon: float) -> float:
-    """Smallest epsilon - epsilon_EC that optimize_rate searches at."""
-    return max(MIN_EPSILON_GAP, MIN_RELATIVE_EPSILON_GAP * epsilon)
 
 
 def _bracket(value: float, grid: Sequence[float], floor: float, ceil: float) -> tuple[float, float]:

@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass
 from typing import List, Tuple
 
-from .montecarlo import ALPHA_DB_PER_KM, E_D, ETA_DET, F_EC, P_DARK, ChannelParams
+from .channel import ALPHA_DB_PER_KM, E_D, ETA_DET, F_EC, P_DARK, ChannelParams
 
 # Phase-information amplification factor for the non-relay baseline: a
 # single announced click leaks phase correlations of two neighboring

@@ -22,13 +22,13 @@ import numpy as np
 from scipy.integrate import dblquad
 
 from ._mc_tables import build_tables, keep_weights
+from .channel import ChannelParams
 from .keyrate_asymptotic import (
     binary_entropy,
     half_weight_qber,
     qber_asymptotic,
     yield_Y11,
 )
-from .montecarlo import ChannelParams
 
 # A 64-point Gauss-Legendre rule on each half of a slice's triangular
 # weight: slice m of N (width w = pi/N) averages a density g to

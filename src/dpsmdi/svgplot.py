@@ -58,9 +58,13 @@ def _nice_ticks(lo: float, hi: float, target: int = 5) -> List[float]:
     first = math.ceil(lo / step) * step
     ticks = []
     t = first
-    # beside the largest float the bound overflows to inf; t stops there
+    # t stops where the bound overflows to inf, beside the largest float,
+    # and where a step of half a float spacing or less rounds back to t, far
+    # from 0 (a range a few spacings wide, or t at the power of two above it)
     while t <= hi + 0.5 * step and t < math.inf:
         ticks.append(0.0 if abs(t) < 1e-12 * step else t)
+        if t + step == t:
+            break
         t += step
     return ticks
 

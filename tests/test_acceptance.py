@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 from dpsmdi import checks
+from dpsmdi.channel import ChannelParams
 from dpsmdi.finite_key import (
     FiniteKeyBudget,
     SecurityParams,
@@ -37,7 +38,6 @@ from dpsmdi.keyrate_decoy import (
     overall_gain,
     sliced_gain_qber,
 )
-from dpsmdi.montecarlo import ChannelParams
 from dpsmdi.protocol_sifting import (
     Action,
     DetectionOutcome,

@@ -6,6 +6,7 @@ import hashlib
 import io
 import math
 import os
+import subprocess
 import sys
 import tempfile
 import xml.etree.ElementTree as ET
@@ -609,6 +610,35 @@ def test_a_one_value_range_is_widened_at_any_magnitude():
         assert len(x_ticks) == len(set(x_ticks)) >= 3, x
 
 
+def test_ticks_end_where_a_step_no_longer_moves_them():
+    # a range a few float spacings wide, or t reaching the power of two just
+    # above it, gives a step that t += step rounds away
+    for lo, hi in (
+        (1e15, 1e15 + 0.125), (2.0**53 - 4, 2.0**53 - 1), (-(2.0**60), -(2.0**60) + 256.0),
+        (1e300, math.nextafter(1e300, math.inf)), (5e-300, math.nextafter(5e-300, 1.0)),
+        (2.0**51, 2.0**51 + 1.0), (1e15, 1e15 + 0.5),
+    ):
+        ticks = svgplot._nice_ticks(lo, hi)
+        assert ticks == sorted(set(ticks)), (lo, hi)
+        assert lo <= ticks[0] <= hi and len(ticks) <= 7, (lo, hi)
+    assert svgplot._nice_ticks(1e15, 1e15 + 0.125) == [1e15]
+    assert svgplot._nice_ticks(2.0**53 - 4, 2.0**53 - 1) == [2.0**53 - k for k in range(4, -1, -1)]
+
+
+def test_svg_of_a_narrow_range_far_from_0_ends(tmp_path):
+    # two distances one float spacing apart at 1e15 km
+    svg = tmp_path / "plot.svg"
+    proc = subprocess.run(
+        [sys.executable, "-m", "dpsmdi.cli", "decoy", "--l-min", "1e15",
+         "--l-max", "1.000000000000000125e15", "--l-step", "0.125", "--svg", str(svg)],
+        env=dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path)),
+        capture_output=True, text=True, timeout=30,
+    )
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert len(proc.stdout.splitlines()) == 3
+    assert ET.parse(svg).getroot().tag.endswith("svg")
+
+
 def test_finite_key_svg_is_well_formed(tmp_path, capsys):
     # the only plot with a logarithmic x axis (the block size)
     svg = tmp_path / "finite.svg"
@@ -748,6 +778,43 @@ def test_verify_suite_passes(capsys):
     assert "FAIL" not in stdout
     assert stdout.strip().endswith("all checks passed")
     assert stdout.count(" pass\n") == 5
+
+
+def test_verify_tests_a_few_kept_trials_exactly(capsys):
+    # 2 errors in 9 kept trials read 0.22 against an error probability of
+    # 0.015, 5 normal sigmas off, yet P(>= 2 errors) is about 0.8%
+    est = run_trials(cli._LOSSY, 1000, 49)
+    assert (est.keep_count, est.error_count) == (9, 2)
+    code, stdout, _ = run_cli(["verify", "--mc-trials", "1000", "--seed", "49"], capsys)
+    assert (code, stdout.splitlines()[-1]) == (0, "all checks passed")
+
+
+# verify at sizes where every check is well inside its level; each run takes
+# about a second, so a few fixed draws
+@settings(max_examples=4, deadline=None, derandomize=True)
+@given(mc_trials=st.integers(20_000, 200_000), seed=st.integers(0, 2**64 - 1))
+def test_verify_inside_the_domain_exits_0(mc_trials, seed):
+    code, stdout, stderr = run_quietly(
+        ["verify", f"--mc-trials={mc_trials}", f"--seed={seed}"]
+    )
+    assert (code, stderr) == (0, "")
+    assert stdout.endswith("all checks passed\n")
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    outside=st.one_of(
+        st.sampled_from([0, -1, config.MAX_TRIALS + 1, 10**12]).map(
+            lambda n: f"--mc-trials={n}"
+        ),
+        st.sampled_from([-1, 2**64, 2**70]).map(lambda s: f"--seed={s}"),
+    )
+)
+def test_verify_just_outside_the_domain_exits_2(outside):
+    code, stdout, stderr = run_quietly(["verify", outside])
+    assert code == 2
+    assert stdout == ""
+    assert stderr.startswith("config error: ")
 
 
 # montecarlo inputs inside its domain, at small sizes; p_dark reaches up to

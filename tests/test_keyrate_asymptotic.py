@@ -5,9 +5,9 @@ from typing import Callable
 
 import pytest
 
+from dpsmdi.channel import ChannelParams
 from dpsmdi.cli import cmd_asymptotic
 from dpsmdi.config import RunConfig
-from dpsmdi.montecarlo import ChannelParams
 from dpsmdi.keyrate_asymptotic import (
     DPS_PHASE_AMPLIFICATION,
     binary_entropy,

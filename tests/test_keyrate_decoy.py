@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from scipy.integrate import IntegrationWarning
 
 from dpsmdi import checks, keyrate_decoy
+from dpsmdi.channel import ChannelParams
 from dpsmdi.cli import cmd_decoy, main
 from dpsmdi.config import RunConfig
 from dpsmdi.keyrate_asymptotic import binary_entropy, qber_asymptotic, yield_Y11
@@ -29,7 +30,6 @@ from dpsmdi.keyrate_decoy import (
     sliced_gain_qber,
     vacuum_term,
 )
-from dpsmdi.montecarlo import ChannelParams
 
 SHORT_LINK = ChannelParams.from_total_distance(0.0)
 MID_LINK = ChannelParams(eta_a=0.02, eta_b=0.05, p_dark=1e-5, e_d=0.01)

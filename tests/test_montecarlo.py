@@ -161,6 +161,52 @@ def test_mc_check_compares_with_the_uncapped_error_fraction():
     checks.mc_vs_analytic(params, 400_000, seed=31, sigmas=3.0)
 
 
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(1, 300),
+    p=st.floats(0.0, 1.0),
+    share=st.floats(0.0, 1.0),
+)
+def test_binomial_tail_matches_the_exact_sum(n, p, share):
+    # the mc check's tail on the count's side of the mean, against an exact
+    # sum of the binomial terms: p = a / d, each term an integer over d**n
+    count = round(share * n)
+    a, d = p.as_integer_ratio()
+    # the side is chosen in float64, as the check does: 95 * 0.8 rounds to 76
+    sides = range(count, n + 1) if count >= n * p else range(count + 1)
+    exact = Fraction(sum(math.comb(n, j) * a**j * (d - a) ** (n - j) for j in sides), d**n)
+    tail = checks._binomial_tail(count, n, p)
+    if exact < Fraction(1, 10**290):
+        assert tail < 1e-280
+    else:
+        assert tail == pytest.approx(float(exact), rel=1e-11)
+
+
+def test_binomial_tail_at_verify_sizes():
+    # kept counts of the verify channel at 2M and 10^10 trials, against scipy
+    p = yield_Y11(ChannelParams(eta_a=0.1, eta_b=0.1, p_dark=3e-6, e_d=0.015))
+    for n in (2_000_000, 10**10):
+        for z in (-5.0, -1.0, 0.0, 1.0, 5.0):
+            count = round(n * p + z * math.sqrt(n * p * (1.0 - p)))
+            above = count >= n * p
+            expected = (scipy.stats.binom.sf(count - 1, n, p) if above
+                        else scipy.stats.binom.cdf(count, n, p))
+            assert checks._binomial_tail(count, n, p) == pytest.approx(expected, rel=1e-4)
+
+
+def test_mc_check_fails_past_the_level():
+    # 4 errors in 9 kept trials at an error probability of 0.015: P(>= 4) is
+    # about 4e-6, below the 4-sigma level's 3.2e-5 a tail
+    assert checks._binomial_tail(4, 9, 0.015) < 0.5 * math.erfc(4.0 / math.sqrt(2.0))
+    with pytest.raises(checks.CheckFailure, match="error count 4 of 9"):
+        checks._binomial_count(4, 9, 0.015, 4.0, "error count")
+    # and no error at all where the probability is 0
+    with pytest.raises(checks.CheckFailure, match="error count 1 of 9"):
+        checks._binomial_count(1, 9, 0.0, 4.0, "error count")
+    checks._binomial_count(0, 9, 0.0, 4.0, "error count")
+    checks._binomial_count(9, 9, 1.0, 4.0, "error count")
+
+
 def exact_keep_and_error(params):
     """(P(keep), error fraction, mask law) the kernel samples, computed
     exactly from its tables: each setting's mask distribution from the loss
