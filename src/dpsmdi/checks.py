@@ -197,11 +197,11 @@ def _binomial_count(count: int, n: int, p: float, sigmas: float, what: str) -> N
     deviations has, with each tail tested exactly."""
     tail = _binomial_tail(count, n, p)
     level = math.erfc(sigmas / math.sqrt(2.0))
-    _require(
-        tail >= 0.5 * level,
-        f"{what} {count} of {n} ({count / n:.6g}) lies beyond the {sigmas:g}-sigma "
-        f"level of binomial({n}, {p:.6g}): its tail is {tail:.3g}",
-    )
+    if tail < 0.5 * level:
+        raise CheckFailure(
+            f"{what} {count} of {n} ({count / n:.6g}) lies beyond the {sigmas:g}-sigma "
+            f"level of binomial({n}, {p:.6g}): its tail is {tail:.3g}"
+        )
 
 
 def mc_vs_analytic(
@@ -214,7 +214,8 @@ def mc_vs_analytic(
     its background term, the convention the simulation realizes).  Each
     count is tested against its exact tail, since a kept count of a few
     trials is far from normal.  When the error probability is 0, no error
-    may occur.
+    may occur.  A run that keeps no trial is judged by its kept count
+    alone: its error count of 0 of 0 is the one possible outcome.
 
     The error fraction is compared with e_b - background / 2 uncapped, not
     with ``half_weight_qber``: the uncapped value is the fraction of kept
@@ -223,7 +224,6 @@ def mc_vs_analytic(
     estimates = run_trials(params, n_trials, seed)
     keeps = estimates.keep_count
     _binomial_count(keeps, n_trials, yield_Y11(params), sigmas, f"kept count on {params}")
-    _require(keeps > 0, f"no trial out of {n_trials} was kept")
     e_b, background = qber_asymptotic(params)
     _binomial_count(
         estimates.error_count, keeps, e_b - 0.5 * background, sigmas,

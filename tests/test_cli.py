@@ -11,14 +11,16 @@ import sys
 import tempfile
 import xml.etree.ElementTree as ET
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from dpsmdi import cli, config, protocol_sifting, svgplot
+from dpsmdi import checks, cli, config, protocol_sifting, svgplot
 from dpsmdi.checks import CheckFailure
 from dpsmdi.cli import build_parser, main
-from dpsmdi.montecarlo import build_tables, run_trials
+from dpsmdi.keyrate_asymptotic import yield_Y11
+from dpsmdi.montecarlo import EmpiricalEstimates, build_tables, run_trials
 
 
 def run_cli(args, capsys):
@@ -762,11 +764,30 @@ def test_verify_catches_a_dropped_table_row(monkeypatch, capsys):
     assert lines[-1] == "1 of 5 checks failed"
 
 
-def test_verify_reports_a_run_with_no_kept_trial(capsys):
+def test_verify_reports_a_run_with_no_kept_trial(monkeypatch, capsys):
+    # one trial keeps nothing with probability 0.9955, well inside the
+    # level, and 0 errors of 0 kept trials is the one possible outcome
+    est = run_trials(cli._LOSSY, 1, 1)
+    assert est.keep_count == est.error_count == 0
     code, stdout, _ = run_cli(["verify", "--mc-trials", "1", "--seed", "1"], capsys)
+    assert (code, stdout.splitlines()[-1]) == (0, "all checks passed")
+
+    # nothing kept of 10^6 trials, where about 4,450 are, has a tail of
+    # exp(-4450), which underflows to 0
+    def nothing_kept(params, n_trials, seed):
+        mask_counts = np.zeros(64, dtype=np.int64)
+        mask_counts[0] = n_trials
+        return EmpiricalEstimates(n_trials, seed, mask_counts, 0, 0)
+
+    monkeypatch.setattr(checks, "run_trials", nothing_kept)
+    code, stdout, _ = run_cli(["verify", "--mc-trials", "1000000", "--seed", "1"], capsys)
     assert code == 1
     lines = stdout.splitlines()
-    assert lines[4] == "mc-vs-analytic         FAIL  no trial out of 1 was kept"
+    assert lines[4].startswith("mc-vs-analytic         FAIL  kept count on ChannelParams(")
+    assert lines[4].endswith(
+        " 0 of 1000000 (0) lies beyond the 4-sigma level of "
+        f"binomial(1000000, {yield_Y11(cli._LOSSY):.6g}): its tail is 0"
+    )
     assert lines[-1] == "1 of 5 checks failed"
 
 

@@ -8,7 +8,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 import scipy.stats
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dpsmdi import _mc_kernel, _rng, checks, montecarlo
@@ -41,6 +41,9 @@ DARK_HEAVY = ChannelParams(eta_a=0.01, eta_b=0.01, p_dark=1e-3, e_d=0.015)
 PHOTONLESS = ChannelParams(eta_a=0.0, eta_b=0.0, p_dark=0.09, e_d=0.2)
 DARK_ONLY = ChannelParams(eta_a=0.0, eta_b=0.0, p_dark=0.3, e_d=0.2)
 ONE_SIDE_ARRIVES = ChannelParams(eta_a=1.0, eta_b=0.3, p_dark=0.05, e_d=0.2)
+# a trial clicks with probability 0.4989, just under _COMPACT_SHARE, so the
+# kernel compacts where its batches of active trials are largest
+JUST_COMPACT = ChannelParams(eta_a=0.29, eta_b=0.29, p_dark=1e-3, e_d=0.015)
 
 
 def test_channel_params_validation():
@@ -205,6 +208,13 @@ def test_mc_check_fails_past_the_level():
         checks._binomial_count(1, 9, 0.0, 4.0, "error count")
     checks._binomial_count(0, 9, 0.0, 4.0, "error count")
     checks._binomial_count(9, 9, 1.0, 4.0, "error count")
+
+
+def test_mc_check_passes_no_error_of_no_kept_trial():
+    # 0 of 0 is the one outcome of binomial(0, p), at any p
+    for p in (0.0, 0.015, 1.0):
+        assert checks._binomial_tail(0, 0, p) == 1.0
+        checks._binomial_count(0, 0, p, 4.0, "error count")
 
 
 def exact_keep_and_error(params):
@@ -389,6 +399,107 @@ def test_kernel_tallies_equal_the_replay_on_any_channel(eta_a, eta_b, p_dark, e_
         assert_replay_matches(est, params, seed, replayed)
 
 
+def small_chunks(monkeypatch):
+    """Chunks of 64 trials and a flush of the sparse stage once 64 active
+    trials are pending: 2,001 trials cross 32 chunks and, where many trials
+    click, several flushes."""
+    monkeypatch.setattr(_mc_kernel, "_CHUNK", 64)
+    monkeypatch.setattr(_mc_kernel, "_FLUSH", 64)
+
+
+def trial_index(z, seed):
+    """The trial of each first state z = stretch(seed, 11 * trial)."""
+    return draw_counter(z, seed) // np.uint64(_rng.DRAWS_PER_TRIAL)
+
+
+def record_batches(monkeypatch, seed):
+    """The trial indices of each batch _sparse_stage receives, as a list
+    that fills as the kernel runs."""
+    batches = []
+    true_stage = _mc_kernel._sparse_stage
+
+    def recording(ch, z, raw):
+        batches.append(trial_index(z, seed))
+        return true_stage(ch, z, raw)
+
+    monkeypatch.setattr(_mc_kernel, "_sparse_stage", recording)
+    return batches
+
+
+def test_just_compact_channel_clicks_just_under_the_share():
+    t_quiet = int(_mc_kernel.fate_tables(
+        JUST_COMPACT.eta_a, JUST_COMPACT.eta_b, JUST_COMPACT.p_dark
+    )[0][0])
+    assert 0.49 < 1.0 - t_quiet * 2.0**-53 <= _mc_kernel._COMPACT_SHARE
+
+
+@pytest.mark.parametrize(
+    "params",
+    [LOSSY, PHOTONLESS, JUST_COMPACT, ONE_SIDE_ARRIVES, IDEAL],
+    ids=["lossy", "photonless", "just-compact", "one-side", "ideal"],
+)
+def test_kernel_split_ranges_sum_to_the_whole_across_small_chunks(monkeypatch, params):
+    """With chunks and flushes of 64 trials, 2,001 trials tally alike in
+    one range and split after the first trial, inside a chunk, at a chunk
+    edge and at the chunk edge where the one range first flushes."""
+    small_chunks(monkeypatch)
+    n_trials, seed = 2_001, 9
+    batches = record_batches(monkeypatch, seed)
+    whole = run_trials(params, n_trials, seed=seed)
+    assert whole.keep_count > 0
+    splits = [1, 1_000, 64]
+    if params is IDEAL or params is ONE_SIDE_ARRIVES:  # every trial draws, per chunk
+        assert batches == []
+    else:
+        assert len(batches) > 3
+        # a flush runs at the end of the chunk that holds its last trial
+        first_flush = (int(batches[0].max()) // 64 + 1) * 64
+        assert int(batches[1].min()) >= first_flush
+        splits.append(first_flush)
+    for split in splits:
+        assert_same_tallies(split_run(params, n_trials, seed, split), whole)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    eta_a=UNIT_OR_EDGE,
+    eta_b=UNIT_OR_EDGE,
+    p_dark=st.floats(0.0, 0.999),
+    e_d=UNIT_OR_EDGE,
+    seed=st.integers(0, 2**64 - 1),
+)
+@example(
+    eta_a=JUST_COMPACT.eta_a, eta_b=JUST_COMPACT.eta_b, p_dark=JUST_COMPACT.p_dark,
+    e_d=JUST_COMPACT.e_d, seed=5,
+)
+def test_kernel_tallies_equal_the_replay_across_small_chunks(eta_a, eta_b, p_dark, e_d, seed):
+    """As on any channel above, with chunks and flushes of 64 trials, so
+    that a range's active trials reach the sparse stage in several
+    batches, each gathered from several chunks where few trials click."""
+    params = ChannelParams(eta_a=eta_a, eta_b=eta_b, p_dark=p_dark, e_d=e_d)
+    replayed = replay_tallies(params, 2_001, seed)
+    with pytest.MonkeyPatch.context() as patch:
+        small_chunks(patch)
+        for est in (run_trials(params, 2_001, seed=seed), split_run(params, 2_001, seed, 1_000)):
+            assert_replay_matches(est, params, seed, replayed)
+
+
+@pytest.mark.parametrize("params", [LONG_HAUL, JUST_COMPACT], ids=["long-haul", "just-compact"])
+def test_sparse_stage_batches_stay_bounded(monkeypatch, params):
+    """The sparse stage runs once _FLUSH active trials are pending, so at
+    10^7 trials it holds at most _FLUSH less one plus a chunk's active
+    trials, under half a chunk where the kernel compacts. At 200 km a batch
+    gathers some 80 chunks' active trials; just under the share each chunk
+    flushes its own."""
+    batches = record_batches(monkeypatch, seed=13)
+    run_trials(params, 10**7, seed=13)
+    largest = max(batch.size for batch in batches)
+    assert largest <= _mc_kernel._FLUSH + _mc_kernel._CHUNK // 2
+    # and only the range's end flushes fewer
+    assert all(batch.size >= _mc_kernel._FLUSH for batch in batches[:-1])
+    assert sum(batch.size for batch in batches) > 0.002 * 10**7
+
+
 # More than a chunk, in one range and split in two at trial 20,000, inside
 # the first chunk of the one range.
 @pytest.mark.parametrize("split", [None, 20_000], ids=["whole", "split"])
@@ -407,13 +518,17 @@ def test_replay_matches_kernel_on_photonless_keeps_and_one_sided_arrival(params,
     assert_replay_matches(est, params, seed=23)
 
 
+def draw_counter(z, seed):
+    """The counter of each stretched state z = seed + (counter + 1) * GOLDEN:
+    GOLDEN is odd, so its inverse mod 2**64 recovers it."""
+    golden_inverse = np.uint64(pow(_rng.GOLDEN, -1, 2**64))
+    return (z - np.uint64(_rng.stretch(seed, 0))) * golden_inverse
+
+
 def trial_slot(z, seed):
     """The trial slot of each stretched state z that the kernel hands
-    _rng.mix_array. z = seed + (counter + 1) * GOLDEN, and GOLDEN is odd, so
-    its inverse mod 2**64 recovers the counter."""
-    golden_inverse = np.uint64(pow(_rng.GOLDEN, -1, 2**64))
-    counter = (z - np.uint64(_rng.stretch(seed, 0))) * golden_inverse
-    return counter % np.uint64(_rng.DRAWS_PER_TRIAL)
+    _rng.mix_array."""
+    return draw_counter(z, seed) % np.uint64(_rng.DRAWS_PER_TRIAL)
 
 
 @pytest.mark.parametrize(
