@@ -60,11 +60,13 @@ def _write(path: str, text: str) -> None:
 
 
 def _csv(header: str, rows: Sequence[Sequence[Any]]) -> str:
+    """The CSV text of rows: text and int cells as they are, floats to 12
+    significant digits."""
     lines = [header]
     for row in rows:
         rendered = []
         for value in row:
-            if isinstance(value, int):
+            if isinstance(value, (int, str)):
                 rendered.append(str(value))
             else:
                 rendered.append(f"{value:.12g}")
@@ -159,22 +161,25 @@ def cmd_finite_key(cfg: RunConfig) -> Output:
 
 
 def cmd_montecarlo(cfg: RunConfig) -> Output:
-    params = cfg.channel_params(cfg.mc_L_km)
-    return run_trials(params, cfg.n_trials, cfg.seed).to_csv(), 0
+    est = run_trials(cfg.channel_params(cfg.mc_L_km), cfg.n_trials, cfg.seed)
+    return _csv(
+        "name,value,stderr,n_trials,seed",
+        [(*row, est.n_trials, est.seed) for row in est.rows()],
+    ), 0
 
 
-def _haar_pairs(seed: int, draws: int = 2000) -> Iterator[Tuple[NoiseMatrix, NoiseMatrix]]:
-    """Haar-random physical noise pairs, every other pair damped."""
+def _haar_pairs(seed: int) -> Iterator[Tuple[NoiseMatrix, NoiseMatrix]]:
+    """2,000 Haar-random physical noise pairs, every other pair damped."""
     rng = np.random.default_rng(seed)
-    for index in range(draws):
+    for index in range(2000):
         damping = None if index % 2 == 0 else rng.uniform(0.2, 1.0, size=3)
         yield haar_random_physical(rng, damping), haar_random_physical(rng, damping)
 
 
-def _gain_points(seed: int, draws: int = 10) -> Iterator[Tuple[float, float, ChannelParams]]:
-    """Random (mu_a, mu_b, channel) points without misalignment."""
+def _gain_points(seed: int) -> Iterator[Tuple[float, float, ChannelParams]]:
+    """10 random (mu_a, mu_b, channel) points without misalignment."""
     rng = np.random.default_rng(seed)
-    for _ in range(draws):
+    for _ in range(10):
         mu_a = float(rng.uniform(0.05, 1.0))
         mu_b = float(rng.uniform(0.05, 1.0))
         params = ChannelParams(

@@ -93,9 +93,9 @@ class TwoPartyFockState:
             raise ValueError("cannot normalize the zero state")
         return TwoPartyFockState({p: a / n for p, a in self.amplitudes.items()}, self.port_basis)
 
-    def pruned(self, eps: float = 1e-14) -> "TwoPartyFockState":
-        """Copy with amplitudes of magnitude <= eps dropped."""
-        kept = {p: a for p, a in self.amplitudes.items() if abs(a) > eps}
+    def pruned(self) -> "TwoPartyFockState":
+        """Copy with amplitudes of magnitude <= 1e-14 dropped."""
+        kept = {p: a for p, a in self.amplitudes.items() if abs(a) > 1e-14}
         return TwoPartyFockState(kept, self.port_basis)
 
 

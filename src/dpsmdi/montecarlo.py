@@ -10,10 +10,9 @@ rates. One exact numpy kernel does the tallying.
 
 from __future__ import annotations
 
-import io
 import math
 from dataclasses import dataclass
-from typing import Dict, Iterator, Optional, Tuple
+from typing import Dict, Iterator, List, Optional, Tuple
 
 import numpy as np
 
@@ -121,26 +120,21 @@ class EmpiricalEstimates:
         freqs["freq_other"] = others / self.n_trials
         return freqs
 
-    def to_csv(self) -> str:
-        """One row per estimate: name, value, stderr, n_trials, seed."""
-        buffer = io.StringIO()
-        buffer.write("name,value,stderr,n_trials,seed\n")
-
-        def row(name: str, value: float, stderr: float) -> None:
-            buffer.write(
-                f"{name},{value:.12g},{stderr:.12g},{self.n_trials},{self.seed}\n"
-            )
-
-        row("y11_hat", self.y11_hat, self.y11_stderr)
-        row("e_b_hat", self.e_b_hat, self.e_b_stderr)
-        for name, value in (
-            ("discard_fraction", self.discard_fraction),
-            ("inconclusive_fraction", self.inconclusive_fraction),
-        ):
-            row(name, value, math.sqrt(value * (1.0 - value) / self.n_trials))
-        for name, value in self.outcome_frequencies().items():
-            row(name, value, math.sqrt(value * (1.0 - value) / self.n_trials))
-        return buffer.getvalue()
+    def rows(self) -> List[Tuple[str, float, float]]:
+        """(name, value, stderr) of each estimate: Y11 and e_b first, then the
+        trial fractions, each with its binomial stderr."""
+        fractions = {
+            "discard_fraction": self.discard_fraction,
+            "inconclusive_fraction": self.inconclusive_fraction,
+            **self.outcome_frequencies(),
+        }
+        return [
+            ("y11_hat", self.y11_hat, self.y11_stderr),
+            ("e_b_hat", self.e_b_hat, self.e_b_stderr),
+        ] + [
+            (name, value, math.sqrt(value * (1.0 - value) / self.n_trials))
+            for name, value in fractions.items()
+        ]
 
 
 def run_trials(

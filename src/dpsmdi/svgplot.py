@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Sequence, Tuple
+from typing import Callable, Iterator, List, Sequence, Tuple
 
 _WIDTH = 640
 _HEIGHT = 440
@@ -45,11 +45,11 @@ def _axis_points(series: Series, x_log: bool, y_log: bool) -> List[Tuple[float, 
     return points
 
 
-def _nice_ticks(lo: float, hi: float, target: int = 5) -> List[float]:
-    """Round tick positions covering [lo, hi] with a 1/2/5 step."""
+def _nice_ticks(lo: float, hi: float) -> List[float]:
+    """Round tick positions covering [lo, hi] with a 1/2/5 step, about 5 of them."""
     if hi <= lo:
         return [lo]
-    raw_step = (hi - lo) / max(target, 1)
+    raw_step = (hi - lo) / 5
     magnitude = 10.0 ** math.floor(math.log10(raw_step))
     for mult in (1.0, 2.0, 5.0, 10.0):
         if raw_step <= mult * magnitude:
@@ -94,8 +94,28 @@ def _widened(lo: float, hi: float) -> Tuple[float, float]:
     return lo - half, hi + half
 
 
-def _fmt(value: float) -> str:
-    return f"{value:.6g}"
+def _axis_ticks(
+    ticks: Sequence[float], log: bool, pixel: Callable[[float], float], x_axis: bool
+) -> Iterator[str]:
+    """Tick marks and labels of one axis, at ticks whose unrounded pixel lies
+    within half a pixel of the frame; a log axis's ticks are exponents."""
+    lo, hi = (_MARGIN_L, _WIDTH - _MARGIN_R) if x_axis else (_MARGIN_T, _HEIGHT - _MARGIN_B)
+    y0 = _HEIGHT - _MARGIN_B
+    for tick in ticks:
+        p = pixel(tick)
+        if not (lo - 0.5 <= p <= hi + 0.5):
+            continue
+        at = f"{p:.1f}"
+        x1, y1, x2, y2, tx, ty, anchor = (
+            (at, y0, at, y0 + 5, at, y0 + 18, "middle")
+            if x_axis
+            else (_MARGIN_L - 5, at, _MARGIN_L, at, _MARGIN_L - 8, f"{p + 4:.1f}", "end")
+        )
+        yield f'<line x1="{x1}" y1="{y1}" x2="{x2}" y2="{y2}" stroke="#333" stroke-width="1"/>'
+        yield (
+            f'<text x="{tx}" y="{ty}" font-size="11" text-anchor="{anchor}" '
+            f'font-family="sans-serif">{10.0**tick if log else tick:.6g}</text>'
+        )
 
 
 def line_plot(
@@ -147,33 +167,8 @@ def line_plot(
     if note:
         x_ticks = y_ticks = []
 
-    for tick in x_ticks:
-        px, _ = to_px(tick, y_lo)
-        label = _fmt(10.0**tick if x_log else tick)
-        if not (_MARGIN_L - 0.5 <= px <= _WIDTH - _MARGIN_R + 0.5):
-            continue
-        y0 = _HEIGHT - _MARGIN_B
-        parts.append(
-            f'<line x1="{px:.1f}" y1="{y0}" x2="{px:.1f}" y2="{y0 + 5}" '
-            'stroke="#333" stroke-width="1"/>'
-        )
-        parts.append(
-            f'<text x="{px:.1f}" y="{y0 + 18}" font-size="11" '
-            f'text-anchor="middle" font-family="sans-serif">{label}</text>'
-        )
-    for tick in y_ticks:
-        _, py = to_px(x_lo, tick)
-        label = _fmt(10.0**tick if y_log else tick)
-        if not (_MARGIN_T - 0.5 <= py <= _HEIGHT - _MARGIN_B + 0.5):
-            continue
-        parts.append(
-            f'<line x1="{_MARGIN_L - 5}" y1="{py:.1f}" x2="{_MARGIN_L}" '
-            f'y2="{py:.1f}" stroke="#333" stroke-width="1"/>'
-        )
-        parts.append(
-            f'<text x="{_MARGIN_L - 8}" y="{py + 4:.1f}" font-size="11" '
-            f'text-anchor="end" font-family="sans-serif">{label}</text>'
-        )
+    parts += _axis_ticks(x_ticks, x_log, lambda t: to_px(t, y_lo)[0], x_axis=True)
+    parts += _axis_ticks(y_ticks, y_log, lambda t: to_px(x_lo, t)[1], x_axis=False)
 
     for index, points in enumerate(cleaned):
         if not points:

@@ -189,6 +189,24 @@ def test_rate_csvs_are_pinned(args, capsys):
     assert hashlib.sha256(stdout.encode()).hexdigest() == RATE_CSV_SHA256[args]
 
 
+# sha256 of the SVG that `--svg` writes at each plotting command's default
+# config: a change of any coordinate, tick or label shows here.
+SVG_SHA256 = {
+    "asymptotic": "13f10295877a1edf7cff9d542393dde920beb85b2b3ae56705ad65501486a49f",
+    "decoy": "da614bb6ddc577ddb238e78229f606b7423d1cfb0fa116dc3d75778fb6c4146b",
+    "qber-slices": "fe0ba4cff7006e04d258edfcef4f624e77120dcca68a60dfbf2d97e6f923ab42",
+    "finite-key": "86a1c8ab2550c334a129496c5c3b220de312f3ede2150e311cde691d1a921097",
+}
+
+
+@pytest.mark.parametrize("command", list(SVG_SHA256))
+def test_default_svgs_are_pinned(command, tmp_path, capsys):
+    svg = tmp_path / "plot.svg"
+    code, _, _ = run_cli([command, "--svg", str(svg)], capsys)
+    assert code == 0
+    assert hashlib.sha256(svg.read_bytes()).hexdigest() == SVG_SHA256[command]
+
+
 def test_montecarlo_matches_direct_call(capsys):
     code, stdout, _ = run_cli(
         ["montecarlo", "--n-trials", "20000", "--seed", "7", "--l-km", "0"],
@@ -197,7 +215,9 @@ def test_montecarlo_matches_direct_call(capsys):
     assert code == 0
     cfg = config.load(None, {})
     direct = run_trials(cfg.channel_params(0.0), 20000, 7)
-    assert stdout == direct.to_csv()
+    assert stdout == "name,value,stderr,n_trials,seed\n" + "".join(
+        f"{name},{value:.12g},{stderr:.12g},20000,7\n" for name, value, stderr in direct.rows()
+    )
 
 
 def test_montecarlo_seed_changes_tallies(capsys):

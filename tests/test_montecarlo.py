@@ -11,7 +11,7 @@ import scipy.stats
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from dpsmdi import _mc_kernel, _rng, checks, montecarlo
+from dpsmdi import _mc_kernel, _rng, checks, cli, montecarlo
 from dpsmdi._mc_tables import (
     ACTION_KEEP,
     CODE_ERROR,
@@ -910,9 +910,11 @@ def test_replay_start_offset_is_consistent():
         assert a.outcome == b.outcome
 
 
-def test_estimates_csv_shape():
-    est = run_trials(LOSSY, 10_000, seed=55)
-    text = est.to_csv()
+def test_estimates_csv_shape(capsys):
+    # the cli prints the estimates' CSV, on the default config's channel
+    args = ["montecarlo", "--n-trials", "10000", "--seed", "55"]
+    assert cli.main(args) == 0
+    text = capsys.readouterr().out
     lines = text.splitlines()
     assert lines[0] == "name,value,stderr,n_trials,seed"
     names = [line.split(",")[0] for line in lines[1:]]
@@ -920,7 +922,8 @@ def test_estimates_csv_shape():
     assert "freq_no_click" in names
     for line in lines[1:]:
         assert line.endswith(",10000,55")
-    assert text == run_trials(LOSSY, 10_000, seed=55).to_csv()
+    assert cli.main(args) == 0
+    assert capsys.readouterr().out == text
 
 
 def test_run_trials_input_validation():
