@@ -305,25 +305,6 @@ def decoy_key_rate(
 # comparison end to end.
 
 
-@functools.lru_cache(maxsize=1)
-def _bin_fields() -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Read-only (alice, bob, pick) for the kept-mask probabilities of
-    every setting.
-
-    alice[s, b] and bob[s, b] are each sender's single-photon output
-    amplitude in detector-bin b (mask bit b) under setting s, as the
-    Monte Carlo's tables hold them; pick[k, b] indexes [no-click | click]
-    probabilities, so that probs[:, pick].prod(axis=2) is each setting's
-    probability of exactly the clicks of kept mask k.
-    """
-    masks, _ = keep_weights()
-    bits = np.arange(6)
-    pick = bits + 6 * ((masks[:, None] >> bits) & 1)
-    pick.flags.writeable = False
-    alice, bob = build_tables().bin_amplitudes
-    return alice, bob, pick
-
-
 def _direct_quadrature(
     mu_a: float, mu_b: float, params: ChannelParams, tol: float, flipped: bool
 ) -> float:
@@ -336,14 +317,19 @@ def _direct_quadrature(
     fields add, and a threshold click happens unless both the coherent
     component and the dark count stay silent.
     """
-    alice, bob, pick = _bin_fields()
+    masks, weights = keep_weights()
+    # probs[:, pick].prod(axis=2) is each setting's probability of exactly
+    # the clicks of kept mask k: pick[k, b] indexes [no-click | click] of bin b
+    bits = np.arange(6)
+    pick = bits + 6 * ((masks[:, None] >> bits) & 1)
+    alice, bob = build_tables().bin_amplitudes
     alice = math.sqrt(params.eta_a * mu_a) * alice
     bob = math.sqrt(params.eta_b * mu_b) * bob
     silent = 1.0 - params.p_dark
     # Twice the average over the 16 settings: one agreeing setting per kept
     # mask, the convention overall_gain and overall_qber share. ROADMAP.md's
     # item on the decoy rate's bookkeeping decides it.
-    weights = 2.0 * keep_weights()[1][int(flipped)].ravel()
+    weights = 2.0 * weights[int(flipped)].ravel()
 
     def density(theta_b: float, theta_a: float) -> float:
         field = cmath.exp(1j * theta_a) * alice + cmath.exp(1j * theta_b) * bob

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Iterator, List, Optional, Tuple
 
 import numpy as np
 
@@ -71,69 +71,37 @@ class EmpiricalEstimates:
         return self.keep_count / self.n_trials
 
     @property
-    def y11_stderr(self) -> float:
-        p = self.y11_hat
-        return math.sqrt(p * (1.0 - p) / self.n_trials)
-
-    @property
     def e_b_hat(self) -> float:
         """Empirical error fraction among kept bits (nan if none kept)."""
-        if self.keep_count == 0:
-            return float("nan")
-        return self.error_count / self.keep_count
-
-    @property
-    def e_b_stderr(self) -> float:
-        if self.keep_count == 0:
-            return float("nan")
-        e = self.e_b_hat
-        return math.sqrt(e * (1.0 - e) / self.keep_count)
-
-    def _action_fraction(self, which: int) -> float:
-        tables = build_tables()
-        total = int(self.mask_counts[tables.action == which].sum())
-        return total / self.n_trials
-
-    @property
-    def discard_fraction(self) -> float:
-        return self._action_fraction(ACTION_DISCARD)
-
-    @property
-    def inconclusive_fraction(self) -> float:
-        return self._action_fraction(ACTION_INCONCLUSIVE)
-
-    def outcome_frequencies(self) -> Dict[str, float]:
-        """Relative frequency of each conclusive two-click outcome,
-        plus the no-click, single-click and other groups."""
-        freqs = {}
-        conclusive = sorted(conclusive_rows(), key=lambda outcome: outcome.mask)
-        for outcome in conclusive:
-            name = "+".join(f"{d}{t}" for d, t in sorted(outcome.clicks))
-            freqs[f"freq_{name}"] = int(self.mask_counts[outcome.mask]) / self.n_trials
-        singles = sum(
-            int(self.mask_counts[m]) for m in range(64) if bin(m).count("1") == 1
-        )
-        others = self.n_trials - int(self.mask_counts[0]) - singles
-        others -= sum(int(self.mask_counts[outcome.mask]) for outcome in conclusive)
-        freqs["freq_no_click"] = int(self.mask_counts[0]) / self.n_trials
-        freqs["freq_single_click"] = singles / self.n_trials
-        freqs["freq_other"] = others / self.n_trials
-        return freqs
+        return self.error_count / self.keep_count if self.keep_count else math.nan
 
     def rows(self) -> List[Tuple[str, float, float]]:
-        """(name, value, stderr) of each estimate: Y11 and e_b first, then the
-        trial fractions, each with its binomial stderr."""
-        fractions = {
-            "discard_fraction": self.discard_fraction,
-            "inconclusive_fraction": self.inconclusive_fraction,
-            **self.outcome_frequencies(),
+        """(name, value, stderr) of Y11, e_b and the share of trials whose
+        click mask lies in each mask set, each stderr binomial (nan where its
+        base is 0). The sets split the 64 masks twice: by action (discard,
+        inconclusive; the kept rest is Y11) and by clicks (none, one, each
+        conclusive pattern, every other mask)."""
+        masks = np.arange(64)
+        clicks = np.bitwise_count(masks)
+        action = build_tables().action
+        conclusive = {
+            outcome.mask: "freq_" + "+".join(f"{d}{t}" for d, t in sorted(outcome.clicks))
+            for outcome in conclusive_rows()
         }
+        mask_sets = [
+            ("discard_fraction", action == ACTION_DISCARD),
+            ("inconclusive_fraction", action == ACTION_INCONCLUSIVE),
+            *((name, masks == mask) for mask, name in sorted(conclusive.items())),
+            ("freq_no_click", clicks == 0),
+            ("freq_single_click", clicks == 1),
+            ("freq_other", (clicks >= 2) & ~np.isin(masks, list(conclusive))),
+        ]
+        n = self.n_trials
+        rows = [("y11_hat", self.y11_hat, n), ("e_b_hat", self.e_b_hat, self.keep_count)]
+        rows += [(name, int(self.mask_counts[in_set].sum()) / n, n) for name, in_set in mask_sets]
         return [
-            ("y11_hat", self.y11_hat, self.y11_stderr),
-            ("e_b_hat", self.e_b_hat, self.e_b_stderr),
-        ] + [
-            (name, value, math.sqrt(value * (1.0 - value) / self.n_trials))
-            for name, value in fractions.items()
+            (name, value, math.sqrt(value * (1.0 - value) / base) if base else math.nan)
+            for name, value, base in rows
         ]
 
 

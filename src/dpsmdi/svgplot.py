@@ -9,6 +9,7 @@ placement, a legend, nothing else.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Callable, Iterator, List, Sequence, Tuple
 
@@ -19,6 +20,8 @@ _MARGIN_R = 20
 _MARGIN_T = 40
 _MARGIN_B = 55
 _PALETTE = ("#1f6fb4", "#d1495b", "#3a7d44", "#8c5aa0", "#c77d2e", "#4f4f4f")
+# log10 of the largest float: 10.0**t overflows for t at or above it
+_LOG10_MAX = math.log10(sys.float_info.max)
 
 
 @dataclass(frozen=True)
@@ -49,6 +52,8 @@ def _nice_ticks(lo: float, hi: float) -> List[float]:
     """Round tick positions covering [lo, hi] with a 1/2/5 step, about 5 of them."""
     if hi <= lo:
         return [lo]
+    if math.isinf(hi - lo):
+        raise ValueError(f"axis range {lo:g} to {hi:g} is wider than the largest float")
     raw_step = (hi - lo) / 5
     magnitude = 10.0 ** math.floor(math.log10(raw_step))
     for mult in (1.0, 2.0, 5.0, 10.0):
@@ -98,12 +103,13 @@ def _axis_ticks(
     ticks: Sequence[float], log: bool, pixel: Callable[[float], float], x_axis: bool
 ) -> Iterator[str]:
     """Tick marks and labels of one axis, at ticks whose unrounded pixel lies
-    within half a pixel of the frame; a log axis's ticks are exponents."""
+    within half a pixel of the frame; a log axis's ticks are exponents, and
+    one whose power of ten overflows is left out."""
     lo, hi = (_MARGIN_L, _WIDTH - _MARGIN_R) if x_axis else (_MARGIN_T, _HEIGHT - _MARGIN_B)
     y0 = _HEIGHT - _MARGIN_B
     for tick in ticks:
         p = pixel(tick)
-        if not (lo - 0.5 <= p <= hi + 0.5):
+        if not (lo - 0.5 <= p <= hi + 0.5) or (log and tick >= _LOG10_MAX):
             continue
         at = f"{p:.1f}"
         x1, y1, x2, y2, tx, ty, anchor = (

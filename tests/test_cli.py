@@ -600,6 +600,22 @@ def test_log_axes_skip_points_they_cannot_place():
         assert len(curve.get("points").split()) == kept, (x_log, y_log)
 
 
+def test_log_axis_past_the_largest_float_draws_no_overflowing_tick():
+    # the padded y axis spans 10**-330 to 10**330; its top 22 decade ticks
+    # have no float, and a narrow range's top frame end 10**308.26 neither
+    for ys, top in (([1e-300, 1e300], "1e+308"), ([1.1e308, 1.79e308], "1.07354e+308")):
+        svg = svgplot.line_plot([svgplot.Series("r", [1.0, 2.0], ys)], y_log=True)
+        labels = [child.text for child in ET.fromstring(svg) if child.tag.endswith("text")]
+        assert labels[-2:] == [top, "r"]
+
+
+def test_linear_axis_wider_than_the_largest_float_names_its_range():
+    # the padded y axis spans -8.5e306 to 1.785e308, a width that overflows
+    series = svgplot.Series("r", [1.0, 2.0], [-1e300, 1.7e308])
+    with pytest.raises(ValueError, match=r"axis range -8\.5e\+306 to 1\.785e\+308"):
+        svgplot.line_plot([series])
+
+
 def test_linear_ticks_stay_inside_the_frame():
     # line_plot widens a one-value range before it asks for ticks
     assert svgplot._nice_ticks(1.0, 1.0) == [1.0]

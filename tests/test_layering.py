@@ -1,6 +1,8 @@
 """Import layering, read from the source: the link model, the config, the
-closed-form rates and the plotter reach only the standard library, so none
-of them loads the simulator, numpy or scipy on its own."""
+closed-form rates, the optics and the plotter reach only the standard
+library, so none of them loads the simulator, numpy or scipy on its own;
+the simulator, the sifting, the noise bound and the finite-key analysis
+reach numpy besides, and only the decoy analysis imports scipy."""
 
 import ast
 import sys
@@ -9,7 +11,11 @@ from pathlib import Path
 import pytest
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "dpsmdi"
-STDLIB_ONLY = ("channel", "config", "keyrate_asymptotic", "svgplot")
+STDLIB_ONLY = ("channel", "config", "fock_optics", "keyrate_asymptotic", "svgplot")
+NUMPY_ONLY = (
+    "_rng", "_mc_tables", "_mc_kernel", "montecarlo", "protocol_sifting", "noise_security",
+    "finite_key",
+)
 
 
 def imports(module):
@@ -54,10 +60,25 @@ def test_the_walk_follows_package_edges():
     assert "scipy" in reach("cli")
 
 
-@pytest.mark.parametrize("module", STDLIB_ONLY)
-def test_module_reaches_only_the_standard_library(module):
-    third_party = {
+def third_party(module):
+    return {
         name: via for name, via in reach(module).items()
         if name != "__future__" and name not in sys.stdlib_module_names
     }
-    assert not third_party, f"{module} reaches {third_party} (module: imported by)"
+
+
+@pytest.mark.parametrize("module", STDLIB_ONLY)
+def test_module_reaches_only_the_standard_library(module):
+    found = third_party(module)
+    assert not found, f"{module} reaches {found} (module: imported by)"
+
+
+@pytest.mark.parametrize("module", NUMPY_ONLY)
+def test_module_reaches_only_numpy_and_the_standard_library(module):
+    found = {name: via for name, via in third_party(module).items() if name != "numpy"}
+    assert not found, f"{module} reaches {found} (module: imported by)"
+
+
+def test_only_the_decoy_analysis_imports_scipy():
+    modules = sorted(path.stem for path in PACKAGE.glob("*.py"))
+    assert [m for m in modules if "scipy" in imports(m)[1]] == ["keyrate_decoy"]

@@ -145,9 +145,11 @@ def test_ideal_channel_statistics():
     sigma = math.sqrt((4.0 / 9.0) * (5.0 / 9.0) / est.n_trials)
     assert abs(est.y11_hat - 4.0 / 9.0) < 3.0 * sigma
     assert est.error_count == 0
+    values = {name: value for name, value, _ in est.rows()}
+    discard, inconclusive = values["discard_fraction"], values["inconclusive_fraction"]
     sigma_d = math.sqrt((2.0 / 9.0) * (7.0 / 9.0) / est.n_trials)
-    assert abs(est.discard_fraction - 2.0 / 9.0) < 3.0 * sigma_d
-    assert est.y11_hat + est.discard_fraction + est.inconclusive_fraction == pytest.approx(1.0)
+    assert abs(discard - 2.0 / 9.0) < 3.0 * sigma_d
+    assert est.y11_hat + discard + inconclusive == pytest.approx(1.0)
 
 
 def test_lossy_channel_matches_analytic_forms():
@@ -314,8 +316,30 @@ def test_no_keeps_yields_nan_estimates():
     est = run_trials(silent, 5_000, seed=3)
     assert est.keep_count == 0
     assert math.isnan(est.e_b_hat)
-    assert math.isnan(est.e_b_stderr)
+    stderrs = {name: stderr for name, _, stderr in est.rows()}
+    assert math.isnan(stderrs["e_b_hat"])
     assert est.mask_counts[0] == 5_000
+
+
+@pytest.mark.parametrize("params", [IDEAL, DARK_ONLY], ids=["ideal", "dark-only"])
+def test_fraction_rows_split_the_masks_twice(params):
+    """Rerated on the trials of one mask alone, each mask that clicked
+    fills exactly one row of each split: Y11, discard or inconclusive by
+    action, and no click, one click, a conclusive pattern or other by
+    clicks. The dark-only run clicks all 64 masks."""
+    est = run_trials(params, 20_000, seed=4)
+    kept = build_tables().action == ACTION_KEEP
+    assert est.keep_count == est.mask_counts[kept].sum()
+    by_action = {"y11_hat", "discard_fraction", "inconclusive_fraction"}
+    for mask in np.flatnonzero(est.mask_counts):
+        alone = np.zeros(64, dtype=np.int64)
+        alone[mask] = est.mask_counts[mask]
+        keeps = int(alone[mask]) if kept[mask] else 0
+        rows = montecarlo.EmpiricalEstimates(est.n_trials, 4, alone, keeps, 0).rows()
+        filled = [name for name, value, _ in rows if value > 0 and name != "e_b_hat"]
+        assert len(filled) == 2 and len(by_action.intersection(filled)) == 1, (mask, filled)
+    if params is DARK_ONLY:
+        assert np.all(est.mask_counts > 0)
 
 
 def replay_tallies(params, n_trials, seed):
