@@ -8,6 +8,7 @@ Layout:
 - :mod:`dpsmdi.fock_optics` — few-photon state algebra, beamsplitter,
   post-selection
 - :mod:`dpsmdi.protocol_sifting` — announcement reconciliation and bit extraction
+  (standard library only)
 - :mod:`dpsmdi.noise_security` — collective-noise error rates and the
   phase-error bound
 - :mod:`dpsmdi.montecarlo` — trial-level channel simulation (one exact numpy
@@ -17,7 +18,7 @@ Layout:
 - :mod:`dpsmdi.finite_key` — finite-block corrections and budget optimization
 - :mod:`dpsmdi.config` — run configuration and the finite-key epsilon floors
 - :mod:`dpsmdi.checks` — the self-checks shared by ``dpsmdi verify`` and the
-  acceptance tests
+  acceptance tests, the entanglement-picture Bell check among them
 - :mod:`dpsmdi.cli` — the ``dpsmdi`` command
 """
 
@@ -42,7 +43,6 @@ from .protocol_sifting import (
     extract_bits,
     sift,
     sifted_key_fraction,
-    verify_entanglement_mapping,
 )
 from .noise_security import (
     NoiseMatrix,
@@ -121,7 +121,6 @@ __all__ = [
     "sift",
     "sifted_key_fraction",
     "sliced_gain_qber",
-    "verify_entanglement_mapping",
     "yield_Y11",
     "__version__",
 ]

@@ -4,7 +4,8 @@ Each check takes the draws or sizes it runs on and raises
 :class:`CheckFailure` naming the first disagreement it finds; callers
 choose the sizes, seeds and sigma bounds.  The reconciliation and Bell
 checks compare the package against the keep/discard rule as stated in
-``_rule``, not against the package's own announcement table.
+``_rule``, not against the package's own announcement table, and the
+Bell check projects the relay's output states itself.
 """
 
 from __future__ import annotations
@@ -13,8 +14,10 @@ import math
 from itertools import combinations
 from typing import Iterable, List, Optional, Tuple
 
+import numpy as np
+
 from .channel import ChannelParams
-from .fock_optics import conclusive_output_state, discrete_settings
+from .fock_optics import conclusive_output_state, discrete_settings, output_state
 from .keyrate_asymptotic import qber_asymptotic, yield_Y11
 from .keyrate_decoy import (
     direct_gain_quadrature,
@@ -32,7 +35,6 @@ from .protocol_sifting import (
     SiftDecision,
     extract_bits,
     sift,
-    verify_entanglement_mapping,
 )
 
 
@@ -118,17 +120,51 @@ def reconciliation_table() -> None:
         )
 
 
+# Bell vectors over one register's (sender-a bit, sender-b bit), index 2 a + b.
+_BELL_VECTORS = {
+    BellLabel.CORRELATED: np.array([1.0, 0.0, 0.0, -1.0]) / math.sqrt(2.0),
+    BellLabel.ANTICORRELATED: np.array([0.0, 1.0, -1.0, 0.0]) / math.sqrt(2.0),
+}
+
+
 def bell_state_mapping() -> None:
     """Each announcement the rule keeps leaves, in the entanglement-based
-    picture, the Bell state the rule names.  ``verify_entanglement_mapping``
-    finds it on the register ``sift`` names or raises, and
-    ``reconciliation_table`` checks that register against the rule."""
+    picture, the Bell state the rule names on the register ``sift`` names.
+
+    Each sender holds one ancilla qubit per modulated bin, entangled with
+    that bin's phase bit, so projecting the relay's output onto the
+    announced clicks leaves on the ancillas (A1, B1, A2, B2) the amplitude
+    of those clicks under the setting of those bits.  With the named
+    register's bits (a, b) as row 2 a + b and the other register's as
+    column, that 4 x 4 matrix must be outer(bell, v) to 1e-12 with every
+    |v| equal and nonzero: the Bell state on the named register and a
+    Z-uniform state on the other.  An announcement ``sift`` does not keep
+    names no register and fails."""
+    states = [(s, output_state(s).amplitudes) for s in discrete_settings()]
     for outcome in _outcomes():
         decision, label = _rule(outcome)
         if decision.action is not Action.KEEP:
             continue
-        mapped = verify_entanglement_mapping(outcome)
-        _require(mapped is label, f"Bell mapping mismatch at {outcome}: got {mapped}")
+        register = sift(outcome).register
+        # one photon in each clicked detector-bin
+        clicks = tuple(outcome.mask >> mode & 1 for mode in range(6))
+        ancilla = np.zeros((2, 2, 2, 2), dtype=complex)  # [a1, b1, a2, b2]
+        for s, amplitudes in states:
+            ancilla[s.j_a1, s.j_b1, s.j_a2, s.j_b2] = amplitudes.get(clicks, 0j)
+        matrix = ancilla.reshape(4, 4)
+        if register is Register.A2B2:
+            matrix = matrix.T
+        bell = _BELL_VECTORS[label]
+        v = bell @ matrix
+        magnitudes = np.abs(v)
+        _require(
+            register is not None
+            and np.allclose(matrix, np.outer(bell, v), rtol=0.0, atol=1e-12)
+            and magnitudes.min() > 1e-12
+            and np.ptp(magnitudes) <= 1e-12,
+            f"{outcome} leaves no {label.value} state on register "
+            f"{register.value if register else None}",
+        )
 
 
 def phase_error_bound(pairs: Iterable[Tuple[NoiseMatrix, NoiseMatrix]]) -> None:

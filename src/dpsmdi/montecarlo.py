@@ -105,6 +105,16 @@ class EmpiricalEstimates:
         ]
 
 
+def _check_range(n_trials: int, seed: int, start_trial: int) -> None:
+    """Reject a trial range or seed the counter-based stream cannot draw."""
+    if n_trials < 1:
+        raise ValueError("n_trials must be at least 1")
+    if not 0 <= seed < 2**64:
+        raise ValueError("seed must fit in 64 bits")
+    if start_trial < 0:
+        raise ValueError("start_trial must be non-negative")
+
+
 def run_trials(
     params: ChannelParams,
     n_trials: int,
@@ -119,10 +129,7 @@ def run_trials(
     (params, n_trials, seed), and any split of the trial range into
     `_mc_kernel.run_kernel` ranges sums to the same tallies.
     """
-    if n_trials < 1:
-        raise ValueError("n_trials must be at least 1")
-    if not 0 <= seed < 2**64:
-        raise ValueError("seed must fit in 64 bits")
+    _check_range(n_trials, seed, 0)
     mask_counts, keep, errors = _mc_kernel.run_kernel(
         seed,
         0,
@@ -150,7 +157,9 @@ def replay_trials(
     of their cumulative rows, and each later bin's draw against p_dark,
     made only for bins after the first dark one. It draws every trial's
     setting and pattern, which the kernel skips where they cannot matter.
+    It rejects the arguments run_trials rejects before the first record.
     """
+    _check_range(n_trials, seed, start_trial)
     tables = build_tables()
     settings = discrete_settings()
     fate_cum = _rng.fate_cum(params.eta_a, params.eta_b, params.p_dark)

@@ -8,15 +8,12 @@ the two later bins are discarded, and everything else is inconclusive.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 from typing import Dict, FrozenSet, Optional, Sequence, Tuple
 
-import numpy as np
-
-from .fock_optics import PhaseSetting, discrete_settings, output_state
+from .fock_optics import PhaseSetting
 
 Click = Tuple[str, int]
 
@@ -143,13 +140,6 @@ _DECISION_TABLE: Dict[DetectionOutcome, SiftDecision] = {
 
 _INCONCLUSIVE = SiftDecision(Action.INCONCLUSIVE)
 
-# Bell vectors over (sender-a bit, sender-b bit), index 2*a + b.
-_BELL_VECTORS = {
-    BellLabel.CORRELATED: np.array([1.0, 0.0, 0.0, -1.0]) / math.sqrt(2.0),
-    BellLabel.ANTICORRELATED: np.array([0.0, 1.0, -1.0, 0.0]) / math.sqrt(2.0),
-}
-
-
 def sift(outcome: DetectionOutcome) -> SiftDecision:
     """Classify one announcement per the reconciliation table.
 
@@ -190,51 +180,3 @@ def conclusive_rows() -> Dict[DetectionOutcome, SiftDecision]:
     it leaves ``sift`` as it is."""
     return dict(_DECISION_TABLE)
 
-
-def verify_entanglement_mapping(outcome: DetectionOutcome) -> BellLabel:
-    """Bell state left on the senders' ancilla qubits after a Keep announcement.
-
-    Rebuilds the joint state in the equivalent entanglement-based picture:
-    each sender holds two ancilla qubits (one per modulated bin) that are
-    uniformly entangled with the emitted phase pattern. Projecting the
-    optical part onto the announced click pattern leaves a 16-component
-    ancilla vector over (A1, B1, A2, B2); it must factorize into a Bell
-    state on the register ``sift`` names and a Z-uniform state on the
-    other register, or this raises.
-    """
-    decision = sift(outcome)
-    if decision.action is not Action.KEEP:
-        raise ValueError(f"entanglement mapping is defined for Keep outcomes, got {outcome}")
-    # one photon in each clicked detector-bin
-    pattern = tuple(int(click in outcome.clicks) for click in _DETECTOR_BINS)
-
-    # ancilla[a1, b1, a2, b2] = optical amplitude of the click pattern
-    # when the senders' phase bits equal the ancilla basis labels.
-    ancilla = np.zeros((2, 2, 2, 2), dtype=complex)
-    for s in discrete_settings():
-        ancilla[s.j_a1, s.j_b1, s.j_a2, s.j_b2] = output_state(s).amplitudes.get(pattern, 0j)
-    matrix = ancilla.reshape(4, 4)  # rows: (A1,B1), columns: (A2,B2)
-    if np.linalg.matrix_rank(matrix, tol=1e-9) != 1:
-        raise AssertionError(f"projected ancilla state for {outcome} does not factorize")
-
-    # Rank 1: split into kept-register and traced-out-register factors.
-    i0, j0 = np.unravel_index(np.argmax(np.abs(matrix)), matrix.shape)
-    row_factor = matrix[:, j0]
-    col_factor = matrix[i0, :] / matrix[i0, j0]
-    if not np.allclose(np.outer(row_factor, col_factor), matrix, atol=1e-12):
-        raise AssertionError(f"rank-1 factorization failed for {outcome}")
-
-    if decision.register is Register.A1B1:
-        kept, other = row_factor, col_factor
-    else:
-        kept, other = col_factor, row_factor
-
-    other_mags = np.abs(other)
-    if not np.allclose(other_mags, other_mags[0], atol=1e-12):
-        raise AssertionError(f"traced-out register is not Z-uniform for {outcome}")
-
-    kept = kept / np.linalg.norm(kept)
-    for label, vector in _BELL_VECTORS.items():
-        if abs(np.vdot(vector, kept)) >= 1.0 - 1e-9:
-            return label
-    raise AssertionError(f"kept register state for {outcome} is not a recognized Bell state")

@@ -8,6 +8,7 @@ placement, a legend, nothing else.
 
 from __future__ import annotations
 
+import itertools
 import math
 import sys
 from dataclasses import dataclass
@@ -22,6 +23,8 @@ _MARGIN_B = 55
 _PALETTE = ("#1f6fb4", "#d1495b", "#3a7d44", "#8c5aa0", "#c77d2e", "#4f4f4f")
 # log10 of the largest float: 10.0**t overflows for t at or above it
 _LOG10_MAX = math.log10(sys.float_info.max)
+# a log axis labels every decade up to this many of them
+_MAX_LOG_TICKS = 12
 
 
 @dataclass(frozen=True)
@@ -75,12 +78,19 @@ def _nice_ticks(lo: float, hi: float) -> List[float]:
 
 
 def _log_ticks(lo: float, hi: float) -> List[float]:
-    """Decade ticks inside [lo, hi], ends and ticks as exponents."""
+    """Ticks inside [lo, hi] as exponents: every decade, or, past
+    _MAX_LOG_TICKS decades, whole decades stepped by the 1/2/5 ladder.  A
+    tick whose power of ten overflows or underflows to 0 is left out."""
     first = math.ceil(lo - 1e-9)
     last = math.floor(hi + 1e-9)
     if last < first:
-        return [lo, hi]
-    return [float(k) for k in range(first, last + 1)]
+        ticks = [lo, hi]
+    else:
+        steps = (m * 10**e for e in itertools.count() for m in (1, 2, 5))
+        # last // step - (first - 1) // step multiples of step lie in [first, last]
+        step = next(s for s in steps if last // s - (first - 1) // s <= _MAX_LOG_TICKS)
+        ticks = [float(k) for k in range(-(-first // step) * step, last + 1, step)]
+    return [t for t in ticks if t < _LOG10_MAX and 10.0**t > 0.0]
 
 
 def _widened(lo: float, hi: float) -> Tuple[float, float]:
@@ -103,13 +113,12 @@ def _axis_ticks(
     ticks: Sequence[float], log: bool, pixel: Callable[[float], float], x_axis: bool
 ) -> Iterator[str]:
     """Tick marks and labels of one axis, at ticks whose unrounded pixel lies
-    within half a pixel of the frame; a log axis's ticks are exponents, and
-    one whose power of ten overflows is left out."""
+    within half a pixel of the frame; a log axis's ticks are exponents."""
     lo, hi = (_MARGIN_L, _WIDTH - _MARGIN_R) if x_axis else (_MARGIN_T, _HEIGHT - _MARGIN_B)
     y0 = _HEIGHT - _MARGIN_B
     for tick in ticks:
         p = pixel(tick)
-        if not (lo - 0.5 <= p <= hi + 0.5) or (log and tick >= _LOG10_MAX):
+        if not lo - 0.5 <= p <= hi + 0.5:
             continue
         at = f"{p:.1f}"
         x1, y1, x2, y2, tx, ty, anchor = (

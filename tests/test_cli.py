@@ -600,13 +600,34 @@ def test_log_axes_skip_points_they_cannot_place():
         assert len(curve.get("points").split()) == kept, (x_log, y_log)
 
 
+def y_labels(ys):
+    """The y tick labels of a log-y plot of ys, bottom to top."""
+    svg = svgplot.line_plot([svgplot.Series("r", [1.0, 2.0], ys)], y_log=True)
+    return [
+        child.text for child in ET.fromstring(svg)
+        if child.tag.endswith("text") and child.get("text-anchor") == "end"
+    ]
+
+
 def test_log_axis_past_the_largest_float_draws_no_overflowing_tick():
-    # the padded y axis spans 10**-330 to 10**330; its top 22 decade ticks
-    # have no float, and a narrow range's top frame end 10**308.26 neither
-    for ys, top in (([1e-300, 1e300], "1e+308"), ([1.1e308, 1.79e308], "1.07354e+308")):
-        svg = svgplot.line_plot([svgplot.Series("r", [1.0, 2.0], ys)], y_log=True)
-        labels = [child.text for child in ET.fromstring(svg) if child.tag.endswith("text")]
-        assert labels[-2:] == [top, "r"]
+    # the padded y axis spans 10**271.2 to 10**310.02, stepped by 5 decades;
+    # its tick at 10**310 has no float, and a narrow range's top frame end
+    # 10**308.26 neither
+    for ys, top in (([1e273, 1.79e308], "1e+305"), ([1.1e308, 1.79e308], "1.07354e+308")):
+        assert y_labels(ys)[-1] == top
+
+
+def test_log_axis_over_many_decades_steps_by_whole_decades():
+    # the y axes span 10**-330 to 10**330, 10**-324.2 to 10**-304.1 and
+    # 10**-339.5 to 10**16.2; each labels a dozen decades or fewer, evenly
+    # spaced, and none whose power of ten underflows to 0 (10**-324)
+    for ys, first, step in (
+        ([1e-300, 1e300], -300, 100), ([5e-324, 1e-305], -322, 2), ([5e-324, 1.0], -300, 50),
+    ):
+        labels = y_labels(ys)
+        assert 3 <= len(labels) <= 12 and "0" not in labels, ys
+        exponents = [round(math.log10(float(label))) for label in labels]
+        assert exponents == list(range(first, exponents[-1] + 1, step)), ys
 
 
 def test_linear_axis_wider_than_the_largest_float_names_its_range():
@@ -675,6 +696,21 @@ def test_svg_of_a_narrow_range_far_from_0_ends(tmp_path):
     assert (proc.returncode, proc.stderr) == (0, "")
     assert len(proc.stdout.splitlines()) == 3
     assert ET.parse(svg).getroot().tag.endswith("svg")
+
+
+def test_the_module_runs_as_a_script():
+    # python -m dpsmdi.cli exits with main's status and prints what main
+    # prints: a one-row CSV, or a usage error on a flag it does not know
+    for args, status, lines in (
+        (["asymptotic", "--l-max", "0"], 0, 2), (["asymptotic", "--l-maxx", "0"], 2, 0),
+    ):
+        proc = subprocess.run(
+            [sys.executable, "-m", "dpsmdi.cli", *args],
+            env=dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path)),
+            capture_output=True, text=True, timeout=60,
+        )
+        assert (proc.returncode, proc.stdout, proc.stderr) == run_quietly(args), args
+        assert (proc.returncode, len(proc.stdout.splitlines())) == (status, lines), args
 
 
 def test_finite_key_svg_is_well_formed(tmp_path, capsys):

@@ -1,8 +1,8 @@
 """Import layering, read from the source: the link model, the config, the
-closed-form rates, the optics and the plotter reach only the standard
-library, so none of them loads the simulator, numpy or scipy on its own;
-the simulator, the sifting, the noise bound and the finite-key analysis
-reach numpy besides, and only the decoy analysis imports scipy."""
+closed-form rates, the optics, the sifting rules and the plotter reach
+only the standard library, so none of them loads the simulator, numpy or
+scipy on its own; the simulator, the noise bound and the finite-key
+analysis reach numpy besides, and only the decoy analysis imports scipy."""
 
 import ast
 import sys
@@ -11,11 +11,10 @@ from pathlib import Path
 import pytest
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "dpsmdi"
-STDLIB_ONLY = ("channel", "config", "fock_optics", "keyrate_asymptotic", "svgplot")
-NUMPY_ONLY = (
-    "_rng", "_mc_tables", "_mc_kernel", "montecarlo", "protocol_sifting", "noise_security",
-    "finite_key",
+STDLIB_ONLY = (
+    "channel", "config", "fock_optics", "keyrate_asymptotic", "protocol_sifting", "svgplot",
 )
+NUMPY_ONLY = ("_rng", "_mc_tables", "_mc_kernel", "montecarlo", "noise_security", "finite_key")
 
 
 def imports(module):

@@ -11,7 +11,7 @@ import scipy.stats
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from dpsmdi import _mc_kernel, _rng, checks, cli, montecarlo
+from dpsmdi import _mc_kernel, _mc_tables, _rng, checks, cli, montecarlo
 from dpsmdi._mc_tables import (
     ACTION_KEEP,
     CODE_ERROR,
@@ -22,6 +22,7 @@ from dpsmdi._mc_tables import (
     build_tables,
     keep_weights,
 )
+from dpsmdi.fock_optics import output_state
 from dpsmdi.keyrate_asymptotic import (
     dps_reference_params,
     half_weight_qber,
@@ -840,6 +841,23 @@ def test_relay_tables_are_pinned():
     assert digest.hexdigest() == TABLES_SHA256
 
 
+def test_tables_reject_a_distribution_that_does_not_sum_to_1(monkeypatch):
+    # two-photon amplitudes scaled by 1.1 carry probability 1.21; the
+    # uncached build leaves the cached tables as they were
+    cached = build_tables()
+
+    def scaled(setting):
+        state = output_state(setting)
+        return dataclasses.replace(
+            state, amplitudes={p: 1.1 * a for p, a in state.amplitudes.items()}
+        )
+
+    monkeypatch.setattr(_mc_tables, "output_state", scaled)
+    with pytest.raises(AssertionError, match="mask distribution does not sum to 1"):
+        build_tables.__wrapped__()
+    assert build_tables() is cached
+
+
 def test_kernel_is_exact_on_boundary_draws(monkeypatch):
     """Feed both the numpy kernel and the float-comparing replay a stream
     in which every fate, pattern, dark and misalignment draw sits one
@@ -955,3 +973,24 @@ def test_run_trials_input_validation():
         run_trials(LOSSY, 0, seed=1)
     with pytest.raises(ValueError):
         run_trials(LOSSY, 10, seed=-1)
+
+
+@pytest.mark.parametrize(
+    "n_trials, seed, start_trial, message",
+    [
+        (0, 3, 0, "n_trials must be at least 1"),
+        (-1, 3, 0, "n_trials must be at least 1"),
+        (3, -1, 0, "seed must fit in 64 bits"),
+        (3, 2**64, 0, "seed must fit in 64 bits"),
+        (3, 3, -1, "start_trial must be non-negative"),
+    ],
+    ids=["no-trial", "negative-trials", "negative-seed", "seed-2**64", "negative-start"],
+)
+def test_replay_rejects_what_run_trials_rejects(n_trials, seed, start_trial, message):
+    # the replay raises before its first record, as run_trials does before
+    # it draws; a seed of -1 or 2**64 would wrap to another seed's stream
+    with pytest.raises(ValueError, match=message):
+        next(replay_trials(LOSSY, n_trials, seed, start_trial))
+    if start_trial == 0:
+        with pytest.raises(ValueError, match=message):
+            run_trials(LOSSY, n_trials, seed)

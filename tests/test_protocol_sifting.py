@@ -1,11 +1,12 @@
 """Announcement classification, bit extraction, and the ancilla mapping."""
 
+import re
 from dataclasses import fields
 from fractions import Fraction
 
 import pytest
 
-from dpsmdi import protocol_sifting
+from dpsmdi import checks, protocol_sifting
 from dpsmdi.fock_optics import PhaseSetting
 from dpsmdi.protocol_sifting import (
     Action,
@@ -17,7 +18,6 @@ from dpsmdi.protocol_sifting import (
     extract_bits,
     sift,
     sifted_key_fraction,
-    verify_entanglement_mapping,
 )
 
 
@@ -151,24 +151,45 @@ def test_from_pattern_roundtrip():
     assert DetectionOutcome.from_pattern((2, 0, 0, 0, 0, 0)) == outcome(("c", 1))
 
 
-def test_entanglement_mapping_rejects_non_keep():
-    with pytest.raises(ValueError):
-        verify_entanglement_mapping(outcome(("c", 2), ("c", 3)))
+def rejected_as(register):
+    """The Bell check's failure at (c,1)+(c,2), whose phi- factor sits on
+    A1B1, when sift names ``register`` for it."""
+    message = f"(c,1)+(c,2) leaves no phi_minus state on register {register}"
+    return pytest.raises(checks.CheckFailure, match=f"^{re.escape(message)}$")
 
 
-def test_entanglement_mapping_names_the_bell_state():
-    # unflipped rows leave phi-, flipped rows psi-, on the register sift names
-    for announced, decision in conclusive_rows().items():
-        if decision.action is Action.KEEP:
-            expected = BellLabel.ANTICORRELATED if decision.bit_flip else BellLabel.CORRELATED
-            assert verify_entanglement_mapping(announced) is expected
+def test_entanglement_mapping_rejects_non_keep(monkeypatch):
+    # an announcement the rule keeps but sift discards names no register
+    announced = outcome(("c", 1), ("c", 2))
+    monkeypatch.setitem(protocol_sifting._DECISION_TABLE, announced, SiftDecision(Action.DISCARD))
+    with rejected_as(None):
+        checks.bell_state_mapping()
+
+
+def test_entanglement_mapping_names_the_bell_state(monkeypatch):
+    # unflipped rows leave phi-, flipped rows psi-, on the register sift
+    # names; a rule naming the other state fails at the first kept row
+    checks.bell_state_mapping()
+    rule = checks._rule
+    other = {
+        BellLabel.CORRELATED: BellLabel.ANTICORRELATED,
+        BellLabel.ANTICORRELATED: BellLabel.CORRELATED,
+        None: None,
+    }
+
+    def flipped(announced):
+        decision, label = rule(announced)
+        return decision, other[label]
+
+    monkeypatch.setattr(checks, "_rule", flipped)
+    with pytest.raises(checks.CheckFailure, match="leaves no psi_minus state on register A1B1"):
+        checks.bell_state_mapping()
 
 
 def test_entanglement_mapping_rejects_a_wrong_register(monkeypatch):
-    # the Bell factor of (c,1)+(c,2) sits on A1B1; a table naming A2B2 must fail
+    # a table naming A2B2 for (c,1)+(c,2) must fail
     announced = outcome(("c", 1), ("c", 2))
-    table = dict(protocol_sifting._DECISION_TABLE)
-    table[announced] = SiftDecision(Action.KEEP, Register.A2B2, False)
-    monkeypatch.setattr(protocol_sifting, "_DECISION_TABLE", table)
-    with pytest.raises(AssertionError, match="not Z-uniform"):
-        verify_entanglement_mapping(announced)
+    table_row = SiftDecision(Action.KEEP, Register.A2B2, False)
+    monkeypatch.setitem(protocol_sifting._DECISION_TABLE, announced, table_row)
+    with rejected_as("A2B2"):
+        checks.bell_state_mapping()
